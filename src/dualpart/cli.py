@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, DualpartError, InputError, RunConfig
 from .groups import build_group_product
-from .metrics import Covering, WeightFunction, covering_from_members, pk_covering
+from .metrics import WeightFunction, covering_from_members, pk_covering
 from .posets import (
     automorphisms,
     ideals,
@@ -37,7 +36,7 @@ from .partitions import (
 BUDGET_ENV = "DUALPART_BUDGET"
 
 
-def _load_config(args) -> RunConfig:
+def _load_config() -> RunConfig:
     cfg = DEFAULT_CONFIG
     path = os.environ.get(BUDGET_ENV)
     if path:
@@ -51,8 +50,6 @@ def _load_config(args) -> RunConfig:
         if bad:
             raise InputError(f"unknown budget keys: {sorted(bad)}")
         cfg = dataclasses.replace(cfg, **overrides)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -140,7 +137,7 @@ def _resolve_partition(group, spec: str, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_poset(args) -> int:
-    config = _load_config(args)
+    config = _load_config()
     doc = _read_json(args.file)
     p, omega = _parse_poset_json(doc)
     if omega is None:
@@ -170,7 +167,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    config = _load_config(args)
+    config = _load_config()
     group = _parse_group_doc(_read_json(args.group), config)
     gamma = _resolve_partition(group, args.partition, config)
     ctx = DualityContext(group, config)
@@ -200,7 +197,7 @@ def cmd_scan_co(args) -> int:
     from .krawtchouk import co_nonreflexivity_verdict, dual_class_lower_bound
     from .partitions import co_reflexivity_bruteforce
 
-    config = _load_config(args)
+    _load_config()
     n_range = _parse_range(args.n)
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
     for n in n_range:
@@ -215,7 +212,7 @@ def cmd_scan_co(args) -> int:
             if v["verdict"] == "undecided-by-criteria":
                 confirmed = "skipped"
             elif n <= 64:
-                brute = co_reflexivity_bruteforce(args.q, n, k, config)
+                brute = co_reflexivity_bruteforce(args.q, n, k)
                 confirmed = (
                     "yes"
                     if brute["reflexive"] == (v["verdict"] == "reflexive")
@@ -233,7 +230,7 @@ def cmd_scan_co(args) -> int:
 def cmd_krawtchouk(args) -> int:
     from .krawtchouk import ku_build, ku_eval, ku_roots
 
-    _load_config(args)
+    _load_config()
     poly = ku_build(args.n, args.k, args.q)
     report = {
         "n": args.n,
@@ -258,7 +255,7 @@ def cmd_krawtchouk(args) -> int:
 def cmd_macwilliams(args) -> int:
     from .macwilliams import macwilliams_verify, parse_code_file
 
-    config = _load_config(args)
+    config = _load_config()
     try:
         with open(args.code_file) as fh:
             code = parse_code_file(fh.read())
@@ -268,7 +265,7 @@ def cmd_macwilliams(args) -> int:
     gamma = _resolve_partition(group, args.gamma, config)
     ctx = DualityContext(group, config)
     lam = ctx.left_dual(gamma) if args.lam == "dual" else _resolve_partition(group, args.lam, config)
-    report = macwilliams_verify(code, lam, gamma, config)
+    report = macwilliams_verify(code, lam, gamma, ctx)
     report["gamma_spec"] = args.gamma
     report["lambda_spec"] = args.lam
     _emit(report)
@@ -278,7 +275,7 @@ def cmd_macwilliams(args) -> int:
 def cmd_refute(args) -> int:
     from .macwilliams import conjecture21_report
 
-    config = _load_config(args)
+    config = _load_config()
     _emit(conjecture21_report(args.q, args.n, args.k, config))
     return 0
 
@@ -293,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual partitions of abelian group products: reflexivity, "
         "Krawtchouk criteria and MacWilliams machinery.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poset", help="poset report (hierarchy, UDP, equivalence checks)")

@@ -31,7 +31,7 @@ class BudgetError(DualpartError):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Caps, budgets and reproducibility knobs.
+    """Caps and budgets.
 
     enumeration_cap: maximum group order for full element enumeration.
     pair_work_cap:   maximum |G|*|H| for the pairwise character-sum engine.
@@ -43,9 +43,6 @@ class RunConfig:
     pair_work_cap: int = 1 << 26
     ideal_cap_n: int = 20
     aut_cap_n: int = 12
-    output_format: str = "json"
-    parallelism: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.enumeration_cap <= 0 or self.pair_work_cap <= 0:

@@ -1,16 +1,14 @@
 """Exact arithmetic substrate.
 
 Cyclotomic integers in canonical power-basis form (the value type of every
-character sum), sparse polynomials with exact rational exponents and
-coefficients, and the greedy factor-matching procedure for products of
-binomials x^n +- a.
+character sum) and sparse polynomials with exact rational exponents and
+coefficients.
 
 No floating point anywhere: equality of character sums must be decidable.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -243,11 +241,6 @@ def root_of_unity_sum(m: int, exponents: Iterable[int]) -> CycInt:
     return CycInt.from_exponent_counts(m, counts)
 
 
-def cyc_is_rational_integer(v: CycInt) -> Optional[int]:
-    """Fast-path extraction of a rational integer value."""
-    return v.as_int()
-
-
 def reduction_matrix(m: int) -> tuple[tuple[int, ...], ...]:
     """The m x deg(Phi_m) matrix mapping exponent counts to canonical
     coordinates; shared with the vectorized duality engine."""
@@ -350,40 +343,3 @@ class SparsePoly:
 def cyclotomic_polynomial(m: int) -> SparsePoly:
     """The m-th cyclotomic polynomial Phi_m as a SparsePoly."""
     return SparsePoly.from_int_coeffs(_cyclotomic_coeffs(m))
-
-
-# ---------------------------------------------------------------------------
-# binomial-product factor matching
-# ---------------------------------------------------------------------------
-
-def expand_binomial_product(factors) -> SparsePoly:
-    """Expand a product of factors (x^n + sign*a) exactly."""
-    acc = SparsePoly.monomial(1)
-    for n, a, sign in factors:
-        term = SparsePoly({Fraction(n): Fraction(1), Fraction(0): sign * Fraction(a)})
-        acc = acc * term
-    return acc
-
-
-def match_binomial_factors(left, right):
-    """Pair up two multisets of binomial factors (x^n + sign*a).
-
-    Returns a list of (left_index, right_index) pairs matching degree,
-    constant and sign exactly, chosen greedily from the largest degree down
-    (ties broken by input order), or None when the multisets differ.
-    """
-    if len(left) != len(right):
-        return None
-
-    def key(item):
-        i, (n, a, sign) = item
-        return (-n, -Fraction(a), -sign)
-
-    ls = sorted(enumerate(left), key=key)
-    rs = sorted(enumerate(right), key=key)
-    pairs = []
-    for (li, lf), (ri, rf) in zip(ls, rs):
-        if lf[0] != rf[0] or Fraction(lf[1]) != Fraction(rf[1]) or lf[2] != rf[2]:
-            return None
-        pairs.append((li, ri))
-    return pairs

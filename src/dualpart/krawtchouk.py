@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .config import BudgetError, InputError
 
@@ -19,22 +19,6 @@ from .config import BudgetError, InputError
 # ---------------------------------------------------------------------------
 # construction and evaluation
 # ---------------------------------------------------------------------------
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _binom_poly(shift: Fraction, sign: int, j: int) -> list[Fraction]:
-    """Coefficients of C(sign*x + shift, j) as a polynomial in x."""
-    acc = [Fraction(1)]
-    for i in range(j):
-        acc = _poly_mul(acc, [shift - i, Fraction(sign)])
-    return [c / math.factorial(j) for c in acc]
-
 
 @dataclasses.dataclass(frozen=True)
 class KrawtchoukPoly:
@@ -56,57 +40,39 @@ class KrawtchoukPoly:
     def derivative_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (Fraction(0),)
 
-    def int_scaled_coeffs(self) -> tuple[int, ...]:
-        """Coefficients cleared of denominators (sign-faithful)."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(int(c * den) for c in self.coeffs)
-
 
 def ku_build(n: int, k: int, q: int) -> KrawtchoukPoly:
     """Expanded exact coefficients of
-    sum_t (-1)^t (q-1)^(k-t) C(x,t) C(n-x,k-t)."""
+    sum_t (-1)^t (q-1)^(k-t) C(x,t) C(n-x,k-t).
+
+    The integer polynomials P_j = j! K_j obey the three-term recurrence
+    P_(j+1) = (j + (q-1)(n-j) - qx) P_j - j(q-1)(n-j+1) P_(j-1), which
+    costs O(k^2) integer operations; K_k = P_k / k!."""
     if n < 0 or k < 0 or q < 2:
         raise InputError("need n,k >= 0 and q >= 2")
-    coeffs = [Fraction(0)] * (k + 1)
-    for t in range(k + 1):
-        term = _poly_mul(_binom_poly(Fraction(0), 1, t), _binom_poly(Fraction(n), -1, k - t))
-        scale = Fraction((-1) ** t * (q - 1) ** (k - t))
-        for i, c in enumerate(term):
-            if i <= k:
-                coeffs[i] += scale * c
-    if k and coeffs[k] == 0:
-        raise AssertionError("degree dropped below k")
-    return KrawtchoukPoly(n, k, q, tuple(coeffs))
+    prev, cur = [], [1]
+    for j in range(k):
+        a = j + (q - 1) * (n - j)
+        b = j * (q - 1) * (n - j + 1)
+        nxt = [0] * (j + 2)
+        for i, c in enumerate(cur):
+            nxt[i] += a * c
+            nxt[i + 1] -= q * c
+        for i, c in enumerate(prev):
+            nxt[i] -= b * c
+        prev, cur = cur, nxt
+    k_fact = math.factorial(k)
+    return KrawtchoukPoly(n, k, q, tuple(Fraction(c, k_fact) for c in cur))
 
 
-def ku_eval(n: int, k: int, q: int, s: int, engine: str = "sum") -> int:
-    """Value at an integer argument; three independent engines agree."""
-    if engine == "sum":
-        if not 0 <= s <= n:
-            raise InputError("sum engine needs 0 <= s <= n")
-        return sum(
-            (-1) ** t * (q - 1) ** (k - t) * math.comb(s, t) * math.comb(n - s, k - t)
-            for t in range(k + 1)
-        )
-    if engine == "genfun":
-        if not 0 <= s <= n:
-            raise InputError("generating-function engine needs 0 <= s <= n")
-        # coefficient of x^k in (1-x)^s (1+(q-1)x)^(n-s)
-        coeffs = [0] * (k + 1)
-        coeffs[0] = 1
-        for _ in range(s):
-            for i in range(k, 0, -1):
-                coeffs[i] -= coeffs[i - 1]
-        for _ in range(n - s):
-            for i in range(k, 0, -1):
-                coeffs[i] += (q - 1) * coeffs[i - 1]
-        return coeffs[k]
-    if engine == "poly":
-        val = ku_build(n, k, q)(Fraction(s))
-        if val.denominator != 1:
-            raise AssertionError("integer argument gave a non-integer value")
-        return int(val)
-    raise InputError(f"unknown engine {engine!r}")
+def ku_eval(n: int, k: int, q: int, s: int) -> int:
+    """Value at an integer argument s in [0, n], by the binomial sum."""
+    if not 0 <= s <= n:
+        raise InputError("need 0 <= s <= n")
+    return sum(
+        (-1) ** t * (q - 1) ** (k - t) * math.comb(s, t) * math.comb(n - s, k - t)
+        for t in range(k + 1)
+    )
 
 
 def ku_partial_sum(n: int, k: int, q: int, s: int) -> tuple[int, int]:
@@ -200,6 +166,7 @@ def _bisect(
 
 
 def _int_coeffs_of(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
+    """Coefficients cleared of denominators (sign-faithful)."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return tuple(int(c * den) for c in coeffs)
 
@@ -215,7 +182,7 @@ def ku_roots(
         # exact rational root of the linear polynomial
         root = -poly.coeffs[0] / poly.coeffs[1]
         return [(root, root)]
-    return isolate_real_roots(poly.int_scaled_coeffs(), Fraction(0), Fraction(n), k, width)
+    return isolate_real_roots(_int_coeffs_of(poly.coeffs), Fraction(0), Fraction(n), k, width)
 
 
 def ku_derivative_roots(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .partitions import (
     Partition,
     co_reflexivity_bruteforce,
     induce_CO,
-    krawtchouk_matrix,
     macwilliams_identity_holds,
 )
 
@@ -66,21 +65,15 @@ class PrimeFieldSpace:
         """The same space as a group product (one coordinate per block)."""
         return GroupProduct(tuple((self.p,) * k for k in self.block_sizes))
 
-    def index_of(self, vector: Sequence[int]) -> int:
-        idx = 0
-        for v in vector:
-            idx = idx * self.p + int(v) % self.p
-        return idx
-
-    def vector_of(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.dim):
-            out.append(index % self.p)
-            index //= self.p
-        return tuple(reversed(out))
-
     def all_vectors(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
         return self.group.residue_matrix(config)
+
+
+def _indices(space: PrimeFieldSpace, vectors: np.ndarray) -> np.ndarray:
+    """Element indices of vectors (along the last axis, entries taken mod p)
+    in the index encoding of ``space.group``: first entry most significant."""
+    place = space.p ** np.arange(space.dim - 1, -1, -1, dtype=np.int64)
+    return (vectors % space.p) @ place
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +125,14 @@ class LinearCode:
 
     def codeword_indices(self) -> np.ndarray:
         """Element indices of all codewords, sorted."""
-        p, n = self.space.p, self.space.dim
+        p = self.space.p
         if not self.basis:
             return np.array([0], dtype=np.int64)
         basis = np.array(self.basis, dtype=np.int64)
         coeffs = np.array(
             list(itertools.product(range(p), repeat=self.dim)), dtype=np.int64
         )
-        words = (coeffs @ basis) % p
-        place = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-        return np.sort(words @ place)
+        return np.sort(_indices(self.space, coeffs @ basis))
 
     def dual(self) -> "LinearCode":
         """Null space under the standard bilinear form."""
@@ -176,10 +167,12 @@ def macwilliams_verify(
     code: LinearCode,
     lam: Partition,
     gamma: Partition,
-    config: RunConfig = DEFAULT_CONFIG,
+    ctx: DualityContext,
 ) -> dict:
-    """Exact check of the distribution identity for one code."""
-    ctx = DualityContext(code.space.group, config)
+    """Exact check of the distribution identity for one code; ``ctx`` is
+    the duality context of the code's space."""
+    if ctx.group != code.space.group:
+        raise InputError("duality context is not over the code's space")
     ok = macwilliams_identity_holds(ctx, code.codeword_indices(), lam, gamma)
     return {
         "holds": ok,
@@ -194,10 +187,7 @@ def macwilliams_verify(
 
 def scalar_permutation(space: PrimeFieldSpace, c: int, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
     """index -> index of the scalar multiple c * v."""
-    p, n = space.p, space.dim
-    v = space.all_vectors(config)
-    place = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    return ((v * c) % p) @ place
+    return _indices(space, space.all_vectors(config) * c)
 
 
 def is_f_invariant(space: PrimeFieldSpace, part: Partition, config: RunConfig = DEFAULT_CONFIG) -> bool:
@@ -235,13 +225,12 @@ def pami_onedim_check(
         zero_singleton = True
     p = space.p
     v = space.all_vectors(config)
-    place = np.array([p ** (space.dim - 1 - i) for i in range(space.dim)], dtype=np.int64)
     stmt3 = True
     witness = None
     if zero_singleton:
         seen: dict[tuple, tuple] = {}
         for g in _one_dim_representatives(space, config):
-            code_idx = np.sort(((np.outer(np.arange(p), g)) % p) @ place)
+            code_idx = np.sort(_indices(space, np.outer(np.arange(p), g)))
             lam_key = tuple(np.bincount(lam.class_ids[code_idx], minlength=lam.num_classes))
             syn = (v @ g) % p
             dual_idx = np.nonzero(syn == 0)[0]
@@ -302,7 +291,6 @@ def macwilliams_admits(
         raise BudgetError("space too large for exhaustive subspace check")
     zero_singleton = int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
     v = space.all_vectors(config)
-    place = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
     holds = zero_singleton
     witness = None
     if holds:
@@ -390,15 +378,12 @@ def inv_enumerate(
         cls = [int(delta.class_ids[i]) for i in range(space.order)]
         return [_binary_cols_to_matrix(cols, n) for cols in _inv_enumerate_binary(cls, n)]
     # generic small-p path: backtrack over columns with index arithmetic
-    place = [p ** (n - 1 - i) for i in range(n)]
     size = space.order
     cls = [int(x) for x in delta.class_ids]
-    add = [[0] * size for _ in range(size)]
-    vecs = [space.vector_of(i) for i in range(size)]
-    for a in range(size):
-        for b in range(size):
-            add[a][b] = sum(((x + y) % p) * pl for x, y, pl in zip(vecs[a], vecs[b], place))
-    smul = [[sum(((c * x) % p) * pl for x, pl in zip(vecs[a], place)) for a in range(size)] for c in range(p)]
+    v = space.all_vectors(config)
+    vecs = v.tolist()
+    add = _indices(space, v[:, None, :] + v[None, :, :]).tolist()
+    smul = [_indices(space, c * v).tolist() for c in range(p)]
     img = [0] * size
     cols = [0] * n
     out: list[np.ndarray] = []
@@ -445,16 +430,6 @@ def inv_enumerate(
     return out
 
 
-def apply_map_indices(
-    space: PrimeFieldSpace, mat: np.ndarray, config: RunConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """index -> index image table of a linear map."""
-    p, n = space.p, space.dim
-    v = space.all_vectors(config)
-    place = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    return ((v @ mat.T) % p) @ place
-
-
 def orbit_partition(
     space: PrimeFieldSpace,
     maps: Sequence[np.ndarray],
@@ -472,10 +447,11 @@ def orbit_partition(
             x = parent[x]
         return x
 
+    v = space.all_vectors(config)
     for mat in maps:
-        images = apply_map_indices(space, mat, config)
+        images = _indices(space, v @ mat.T).tolist()
         for a in range(size):
-            ra, rb = find(a), find(int(images[a]))
+            ra, rb = find(a), find(images[a])
             if ra != rb:
                 parent[rb] = ra
     roots = [find(x) for x in range(size)]
@@ -516,8 +492,8 @@ def mep_witness_search(
         if sorted_delta[i] == sorted_delta[i + 1] and sorted_orbit[i] != sorted_orbit[i + 1]:
             a, b = int(order[i]), int(order[i + 1])
             result["witness"] = {
-                "alpha": list(space.vector_of(a)),
-                "beta": list(space.vector_of(b)),
+                "alpha": list(space.group.element_from_index(a).residues),
+                "beta": list(space.group.element_from_index(b).residues),
                 "class_label": int(delta.class_ids[a]),
                 "inv_order": len(maps),
             }
@@ -558,14 +534,10 @@ def conjecture21_report(
     report["criteria"] = crit
     if crit["verdict"] == "non-reflexive":
         report["tiers"].append("criteria-non-reflexive")
-    brute = None
-    try:
-        brute = co_reflexivity_bruteforce(q_prime, n, k, config)
-        report["brute_force"] = brute
-        if not brute["reflexive"]:
-            report["tiers"].append("brute-force-non-reflexive")
-    except BudgetError:
-        report["brute_force"] = None
+    brute = co_reflexivity_bruteforce(q_prime, n, k)
+    report["brute_force"] = brute
+    if not brute["reflexive"]:
+        report["tiers"].append("brute-force-non-reflexive")
     witness = None
     space = PrimeFieldSpace(q_prime, (1,) * n)
     if (q_prime == 2 and n <= 5) or (q_prime == 3 and n <= 3):
@@ -575,9 +547,7 @@ def conjecture21_report(
         witness = search["witness"]
         if witness is not None:
             report["tiers"].append("explicit-witness")
-    nonreflexive = crit["verdict"] == "non-reflexive" or (
-        brute is not None and not brute["reflexive"]
-    )
+    nonreflexive = crit["verdict"] == "non-reflexive" or not brute["reflexive"]
     if witness is not None:
         report["refuted"] = True
         report["evidence"] = "explicit non-extendable one-dimensional isometry"

@@ -3,14 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from dualpart.exactarith import (
     CycInt,
     SparsePoly,
     cyclotomic_polynomial,
     euler_phi_degree,
-    match_binomial_factors,
     reduction_matrix,
     root_of_unity_sum,
 )
@@ -118,34 +117,3 @@ class TestSparsePoly:
         x = Fraction(3, 2)
         expect = sum(c * x**i for i, c in enumerate(coeffs))
         assert p.evaluate(x) == expect
-
-
-class TestBinomialFactorMatching:
-    def test_identical_lists_match(self):
-        left = [(3, Fraction(2), 1), (2, Fraction(5), 1)]
-        right = [(2, Fraction(5), 1), (3, Fraction(2), 1)]
-        pairing = match_binomial_factors(left, right)
-        assert pairing is not None
-        assert sorted(left[i] for i, _ in pairing) == sorted(right[j] for _, j in pairing)
-
-    def test_mismatched_constant_fails(self):
-        left = [(3, Fraction(2), 1)]
-        right = [(3, Fraction(4), 1)]
-        assert match_binomial_factors(left, right) is None
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 6), st.fractions(min_value=1, max_value=9), st.just(1)),
-            min_size=1,
-            max_size=5,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=60)
-    def test_permuted_lists_always_match(self, factors, rnd):
-        shuffled = list(factors)
-        rnd.shuffle(shuffled)
-        pairing = match_binomial_factors(factors, shuffled)
-        assert pairing is not None
-        for i, j in pairing:
-            assert factors[i] == shuffled[j]

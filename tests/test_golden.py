@@ -1,0 +1,55 @@
+"""Byte-for-byte CLI outputs on fixed inputs.
+
+Each case runs one ``dualpart`` command on the input files in
+``tests/golden/`` and compares its stdout with ``tests/golden/<case>.out``.
+To rewrite the expected files after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from dualpart.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "dual-mixed-hamming": ["dual", "group_mixed.json", "hamming"],
+    "dual-mixed-pk2": ["dual", "group_mixed.json", "Pk:2"],
+    "dual-z2-pk3-export": ["dual", "group_z2_5.json", "Pk:3", "--export"],
+    "dual-z3-poset": ["dual", "group_z3_4.json", "poset_v.json"],
+    "poset-hier": ["poset", "poset_hier.json"],
+    "poset-v": ["poset", "poset_v.json"],
+    "scan-co-q2": ["scan-co", "--q", "2", "--n", "3..9", "--k", "all"],
+    "scan-co-q3": ["scan-co", "--q", "3", "--n", "3..5", "--k", "all"],
+    "krawtchouk-roots": ["krawtchouk", "--n", "12", "--k", "4", "--q", "3", "--roots"],
+    "macwilliams-p3": ["macwilliams", "code_p3.txt", "--gamma", "hamming", "--lambda", "dual"],
+    "macwilliams-p2-blocks": ["macwilliams", "code_p2_blocks.txt", "--gamma", "Pk:2", "--lambda", "dual"],
+    "refute-2-4-2": ["refute", "2", "4", "2"],
+    "refute-3-3-2": ["refute", "3", "3", "2"],
+}
+
+
+def run_case(argv) -> bytes:
+    argv = [str(GOLDEN / a) if (GOLDEN / a).is_file() else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case):
+    assert run_case(CASES[case]) == (GOLDEN / f"{case}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.out").write_bytes(run_case(argv))

@@ -22,6 +22,7 @@ from dualpart.krawtchouk import (
     smallest_root_floor,
     thm42_threshold,
 )
+from oracles import convolution_coeffs, genfun_eval
 
 
 class TestBuildAndEval:
@@ -40,13 +41,20 @@ class TestBuildAndEval:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_three_engines_agree(self, q):
+        # the binomial sum against the generating-function oracle and the
+        # expanded polynomial
         for n in range(0, 13):
             for k in range(n + 1):
+                poly = ku_build(n, k, q)
                 for s in range(n + 1):
-                    a = ku_eval(n, k, q, s, "sum")
-                    b = ku_eval(n, k, q, s, "genfun")
-                    c = ku_eval(n, k, q, s, "poly")
-                    assert a == b == c
+                    a = ku_eval(n, k, q, s)
+                    assert a == genfun_eval(n, k, q, s) == poly(s)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+    def test_build_matches_convolution_oracle(self, q):
+        for n in range(0, 16):
+            for k in range(n + 3):
+                assert ku_build(n, k, q).coeffs == convolution_coeffs(n, k, q)
 
     def test_degree_is_k(self):
         import random
@@ -62,11 +70,11 @@ class TestBuildAndEval:
 
     def test_engine_range_errors(self):
         with pytest.raises(InputError):
-            ku_eval(4, 2, 2, 5, "sum")
+            ku_eval(4, 2, 2, 5)
         with pytest.raises(InputError):
-            ku_eval(4, 2, 2, -1, "genfun")
+            ku_eval(4, 2, 2, -1)
         # polynomial evaluation has no range restriction
-        assert isinstance(ku_eval(4, 2, 2, 9, "poly"), int)
+        assert ku_build(4, 2, 2)(9) == 96  # 6 - 8*9 + 2*81
 
 
 class TestIdentities:

@@ -92,15 +92,23 @@ class TestDistributionIdentity:
         rows = [[rng.randrange(2) for _ in range(6)] for _ in range(rng.randrange(4))]
         code = LinearCode.from_rows(space, rows)
         gamma = hamming(space)
-        lam = DualityContext(space.group).left_dual(gamma)
-        assert macwilliams_verify(code, lam, gamma)["holds"]
+        ctx = DualityContext(space.group)
+        assert macwilliams_verify(code, ctx.left_dual(gamma), gamma, ctx)["holds"]
 
     def test_f3_covering_partition(self):
         space = PrimeFieldSpace(3, (1,) * 4)
         gamma = co_vector_space_partition(space, 2)
-        lam = DualityContext(space.group).left_dual(gamma)
+        ctx = DualityContext(space.group)
         code = LinearCode.from_rows(space, [[1, 2, 0, 1]])
-        assert macwilliams_verify(code, lam, gamma)["holds"]
+        assert macwilliams_verify(code, ctx.left_dual(gamma), gamma, ctx)["holds"]
+
+    def test_context_of_another_space_rejected(self):
+        space = PrimeFieldSpace(2, (1,) * 4)
+        gamma = hamming(space)
+        ctx = DualityContext(PrimeFieldSpace(2, (1,) * 3).group)
+        code = LinearCode.from_rows(space, [[1, 1, 0, 0]])
+        with pytest.raises(InputError):
+            macwilliams_verify(code, gamma, gamma, ctx)
 
 
 class TestTheoremEquivalences:
@@ -218,8 +226,8 @@ class TestOrbitsAndWitness:
         w = res["witness"]
         assert w is not None
         # the pair shares a covering-weight class but lies in distinct orbits
-        a = space.index_of(w["alpha"])
-        b = space.index_of(w["beta"])
+        a = space.group.element(w["alpha"]).index
+        b = space.group.element(w["beta"]).index
         assert delta.class_ids[a] == delta.class_ids[b]
         assert res["inv_order"] > 0
 

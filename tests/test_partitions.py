@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -439,13 +440,55 @@ class TestSupportProfileEngine:
             assert sig == co_support_signature(3, 4, 2, t)
 
     def test_engines_agree_on_verdict(self):
-        a = co_reflexivity_bruteforce(2, 6, 3)
-        assert a["engine"] == "pairwise"
-        import dataclasses
+        # the support-profile verdict against the pairwise character-sum
+        # oracle, for every k
+        for q, n_max in ((2, 8), (3, 5), (4, 3), (5, 3)):
+            for n in range(1, n_max + 1):
+                group = build_group_product([[q]] * n)
+                ctx = DualityContext(group)
+                for k in range(1, n + 1):
+                    gamma = induce_CO(group, pk_covering(k, n))
+                    dual_classes = ctx.left_dual(gamma).num_classes
+                    got = co_reflexivity_bruteforce(q, n, k)
+                    assert got["co_classes"] == gamma.num_classes, (q, n, k)
+                    assert got["dual_classes"] == dual_classes, (q, n, k)
+                    assert got["reflexive"] == (gamma.num_classes == dual_classes)
 
-        from dualpart.config import DEFAULT_CONFIG
+    def test_bruteforce_rejects_bad_parameters(self):
+        with pytest.raises(InputError):
+            co_reflexivity_bruteforce(2, 4, 5)
+        with pytest.raises(InputError):
+            co_reflexivity_bruteforce(1, 4, 2)
 
-        tight = dataclasses.replace(DEFAULT_CONFIG, pair_work_cap=2**10)
-        b = co_reflexivity_bruteforce(2, 6, 3, tight)
-        assert b["engine"] == "support-profile"
-        assert a["dual_classes"] == b["dual_classes"]
+
+ORACLE_GROUPS = [
+    [[2], [2]],
+    [[3], [3], [3]],
+    [[2], [4], [8]],
+    [[5], [5]],
+    [[2], [2], [3], [3]],
+    [[2], [2, 3], [5]],
+    [[2], [4], [2, 3], [5], [2]],
+]
+
+
+class TestRightDualOracle:
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS, ids=str)
+    def test_right_dual_matches_transposed_table(self, spec):
+        group = build_group_product(spec)
+        m = group.exponent
+        unit = next(s for s in range(2, m + 2) if math.gcd(s, m) == 1)
+        rng = random.Random(str(spec))
+        ids = [rng.randrange(group.order // 4) for _ in range(group.order)]
+        partitions = [
+            induce_CO(group, pk_covering(2, group.n)),
+            Partition.from_keys(ids, host=group),
+        ]
+        for scale in (1, unit):
+            ctx = DualityContext(group, scale=scale)
+            assert np.array_equal(ctx.exponents, ctx.exponents.T)
+            for lam in partitions:
+                got = ctx.right_dual(lam)
+                want = ctx._dual(ctx.exponents.T, lam)
+                assert np.array_equal(got.class_ids, want.class_ids)
+                assert got.labels == want.labels
