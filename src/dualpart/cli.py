@@ -45,6 +45,8 @@ def _load_config() -> RunConfig:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise InputError(f"cannot read budget file {path}: {e}") from None
+        if not isinstance(overrides, dict):
+            raise InputError(f"budget file {path} must hold a JSON object")
         valid = {f.name for f in dataclasses.fields(RunConfig)}
         bad = set(overrides) - valid
         if bad:
@@ -96,7 +98,7 @@ def _parse_poset_json(doc: dict):
             omega = WeightFunction(
                 tuple(Fraction(doc["weights"][str(i)]) for i in range(n))
             )
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad weights: {e}") from None
     return p, omega
 
@@ -199,11 +201,15 @@ def cmd_scan_co(args) -> int:
 
     _load_config()
     n_range = _parse_range(args.n)
+    try:
+        k_only = None if args.k == "all" else int(args.k)
+    except ValueError:
+        raise InputError(f"bad k {args.k!r}: expected 'all' or an integer") from None
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
     for n in n_range:
         if n < 1:
             raise InputError("n must be positive")
-        ks = range(1, n + 1) if args.k == "all" else [int(args.k)]
+        ks = range(1, n + 1) if k_only is None else [k_only]
         for k in ks:
             if not 1 <= k <= n:
                 raise InputError(f"k = {k} out of range for n = {n}")
@@ -337,6 +343,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DualpartError as e:
         print(f"{e.code}: {e}", file=sys.stderr)
+        return 2
+    except AssertionError as e:
+        print(f"internal-error: {e}", file=sys.stderr)
         return 2
 
 

@@ -45,6 +45,10 @@ class RunConfig:
     aut_cap_n: int = 12
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{field.name} must be an integer, got {value!r}")
         if self.enumeration_cap <= 0 or self.pair_work_cap <= 0:
             raise InputError("caps must be positive")
 

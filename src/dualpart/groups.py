@@ -110,7 +110,13 @@ def build_group_product(
     spec: Sequence[Sequence[int]], config: RunConfig = DEFAULT_CONFIG
 ) -> GroupProduct:
     """Validated GroupProduct from a per-coordinate factor-order spec."""
-    g = GroupProduct(tuple(tuple(int(d) for d in factors) for factors in spec))
+    try:
+        coords = tuple(tuple(int(d) for d in factors) for factors in spec)
+    except (TypeError, ValueError):
+        raise InputError(
+            "group spec must be a list of coordinates, each a list of cyclic orders"
+        ) from None
+    g = GroupProduct(coords)
     if g.order > config.enumeration_cap:
         raise BudgetError(
             f"|H| = {g.order} exceeds enumeration cap {config.enumeration_cap}"

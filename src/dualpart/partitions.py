@@ -13,6 +13,7 @@ integer reduction matrix, so no precision is ever lost.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -42,6 +43,38 @@ from .posets import (
 # partitions of an enumerable host
 # ---------------------------------------------------------------------------
 
+def _coords_to_cyc(m: int, row: np.ndarray, k: int) -> tuple[CycInt, ...]:
+    """The k per-class character sums held in one row of coordinates."""
+    return tuple(CycInt(m, coeffs) for coeffs in row.reshape(k, -1).tolist())
+
+
+class SignatureLabels(collections.abc.Sequence):
+    """Labels of a dual partition, built when read.
+
+    Entry c is the tuple of per-class character sums (CycInt) of dual class
+    c, made from row c of the canonical coordinates.  Only the modulus and
+    the rows are kept, so a dual partition holds no pairing table.
+    """
+
+    __slots__ = ("m", "rows", "k")
+
+    def __init__(self, m: int, rows: np.ndarray, k: int):
+        self.m = m
+        self.rows = rows
+        self.k = k
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, c: int) -> tuple[CycInt, ...]:
+        return _coords_to_cyc(self.m, self.rows[c], self.k)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (SignatureLabels, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 class Partition:
     """A partition of an indexed host set.
 
@@ -54,7 +87,9 @@ class Partition:
         self.num_classes = int(self.class_ids.max()) + 1 if len(self.class_ids) else 0
         if np.unique(self.class_ids).size != self.num_classes:
             raise InputError("class ids must be contiguous and all present")
-        self.labels = list(labels) if labels is not None else None
+        if labels is not None and not isinstance(labels, SignatureLabels):
+            labels = list(labels)
+        self.labels = labels
         if self.labels is not None and len(self.labels) != self.num_classes:
             raise InputError("one label per class required")
         self.host = host
@@ -162,7 +197,11 @@ class DualityContext:
             [self.m // d for d in group.factor_orders], dtype=np.int64
         )
         e = (v * weights[None, :]) @ v.T
-        self.exponents = ((e * scale) % self.m).astype(np.int16)
+        if scale != 1:
+            e *= scale
+        e %= self.m
+        # int16 holds every exponent below 2^15; wider moduli need int32
+        self.exponents = e.astype(np.int16 if self.m <= 1 << 15 else np.int32)
         self._phi = euler_phi_degree(self.m)
         self._reduction = np.array(reduction_matrix(self.m), dtype=np.int64)
         self._last_left: Optional[tuple[Partition, Partition]] = None
@@ -174,57 +213,56 @@ class DualityContext:
 
         Returns an int64 array of shape (rows, classes * deg(Phi_m)).
         """
-        nrows = exponents.shape[0]
+        nrows, ncols = exponents.shape
         k = part.num_classes
         m, phi = self.m, self._phi
-        if m == 1:
-            sizes = part.class_sizes()
-            return np.tile(sizes.astype(np.int64), (nrows, 1))
         if m == 2:
-            # integer fast path: sum = size - 2 * (#exponent-1 entries)
-            onehot = np.zeros((exponents.shape[1], k), dtype=np.int64)
-            onehot[np.arange(exponents.shape[1]), part.class_ids] = 1
-            ones = exponents.astype(np.int64) @ onehot
-            return part.class_sizes().astype(np.int64)[None, :] - 2 * ones
+            # integer fast path: sum = size - 2 * (#exponent-1 entries),
+            # counted by one segment sum over the class-sorted columns
+            # (np.take keeps them C-contiguous, unlike exponents[:, order])
+            sizes = part.class_sizes()
+            order = np.argsort(part.class_ids, kind="stable")
+            starts = np.cumsum(sizes) - sizes
+            by_class = np.take(exponents, order, axis=1)
+            ones = np.add.reduceat(by_class, starts, axis=1, dtype=np.int64)
+            return sizes.astype(np.int64)[None, :] - 2 * ones
         # one bincount per row chunk over combined (class, exponent) keys;
-        # this stays fast even when most classes are singletons
+        # this stays fast even when most classes are singletons.  Rows
+        # e < phi of the reduction matrix are unit vectors, so only the
+        # counts of the higher exponents go through a product.
         coords = np.empty((nrows, k, phi), dtype=np.int64)
         keys_base = part.class_ids.astype(np.int64) * m
         km = k * m
-        chunk = max(1, (1 << 22) // max(1, exponents.shape[1]))
+        tail = self._reduction[phi:]
+        chunk = max(1, (1 << 22) // max(ncols, km))
         for start in range(0, nrows, chunk):
-            sub = exponents[start : start + chunk].astype(np.int64)
-            r = sub.shape[0]
-            keys = sub + keys_base[None, :]
+            keys = exponents[start : start + chunk] + keys_base[None, :]
+            r = keys.shape[0]
             keys += (np.arange(r, dtype=np.int64) * km)[:, None]
             counts = np.bincount(keys.ravel(), minlength=r * km).reshape(r, k, m)
-            coords[start : start + r] = counts @ self._reduction
+            out = coords[start : start + r]
+            np.matmul(counts[..., phi:], tail, out=out)
+            out += counts[..., :phi]
         return coords.reshape(nrows, k * phi)
-
-    def _coords_to_cyc(self, row: np.ndarray, k: int) -> tuple[CycInt, ...]:
-        phi = 1 if self.m <= 2 else self._phi
-        out = []
-        for c in range(k):
-            chunk = row[c * phi : (c + 1) * phi]
-            if self.m <= 2:
-                val = CycInt.from_int(int(chunk[0]), self.m)
-            else:
-                val = CycInt(self.m, [int(x) for x in chunk])
-            out.append(val)
-        return tuple(out)
 
     def signature(self, a_index: int, gamma: Partition) -> tuple[CycInt, ...]:
         """Per-class character sums for one element of G (a DualSignature)."""
         row = self._coords(self.exponents[a_index : a_index + 1], gamma)[0]
-        return self._coords_to_cyc(row, gamma.num_classes)
+        return _coords_to_cyc(self.m, row, gamma.num_classes)
 
     def _dual(self, exponents: np.ndarray, part: Partition) -> Partition:
         coords = self._coords(exponents, part)
-        uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
-        if len(uniq) * part.num_classes <= 1 << 20:
-            labels = [self._coords_to_cyc(uniq[c], part.num_classes) for c in range(len(uniq))]
+        # group rows by their bytes: after the shift, the big-endian bytes
+        # of a row sort as its numbers do, so classes are numbered in
+        # lexicographic row order
+        key = (coords - coords.min()).astype(">u8")
+        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        k = part.num_classes
+        if len(first) * k <= 1 << 20:
+            labels = SignatureLabels(self.m, coords[first], k)
         else:
-            labels = None  # too many signature objects to materialize eagerly
+            labels = None  # too many signatures to offer as labels
         return Partition(inverse.astype(np.int64), labels=labels, host=self.group)
 
     def left_dual(self, gamma: Partition) -> Partition:

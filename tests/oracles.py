@@ -7,6 +7,10 @@ by an independent method, so the tests can compare the two.
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from dualpart.exactarith import CycInt
+
 
 def genfun_eval(n, k, q, s):
     """Oracle: coefficient of x^k in (1-x)^s (1+(q-1)x)^(n-s)."""
@@ -45,3 +49,31 @@ def convolution_coeffs(n, k, q):
         for i, c in enumerate(term[: k + 1]):
             coeffs[i] += (-1) ** t * (q - 1) ** (k - t) * c
     return tuple(coeffs)
+
+
+def onehot_coords(ctx, exponents, part):
+    """Oracle: the canonical coordinates by a one-hot matmul for m = 2 and
+    by the full reduction matrix otherwise."""
+    k, m = part.num_classes, ctx.m
+    if m == 2:
+        onehot = np.zeros((exponents.shape[1], k), dtype=np.int64)
+        onehot[np.arange(exponents.shape[1]), part.class_ids] = 1
+        ones = exponents.astype(np.int64) @ onehot
+        return part.class_sizes().astype(np.int64)[None, :] - 2 * ones
+    keys = exponents.astype(np.int64) + part.class_ids.astype(np.int64)[None, :] * m
+    counts = np.stack([np.bincount(row, minlength=k * m) for row in keys])
+    return (counts.reshape(-1, k, m) @ ctx._reduction).reshape(len(keys), -1)
+
+
+def eager_dual(ctx, exponents, part):
+    """Oracle: class ids by ``np.unique(axis=0)`` over the rows, and every
+    label built at once as a tuple of CycInt."""
+    coords = onehot_coords(ctx, exponents, part)
+    uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
+    k = part.num_classes
+    phi = uniq.shape[1] // k
+    labels = [
+        tuple(CycInt(ctx.m, [int(x) for x in row[c * phi : (c + 1) * phi]]) for c in range(k))
+        for row in uniq
+    ]
+    return inverse.reshape(-1), labels

@@ -184,3 +184,52 @@ class TestBudgetEnv:
         path = write_json(tmp_path, "p.json", {"n": 2, "relations": []})
         code, _, err = run(capsys, "poset", path)
         assert code == 2 and "unknown budget keys" in err
+
+
+class TestErrorContract:
+    """Malformed input exits 2 with one ``code: message`` line on stderr."""
+
+    @staticmethod
+    def assert_one_line(code, out, err, reason):
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{reason}: ")
+
+    def test_coordinates_not_a_list(self, capsys, tmp_path):
+        path = write_json(tmp_path, "g.json", {"coordinates": 5})
+        self.assert_one_line(*run(capsys, "dual", path, "hamming"), "invalid-input")
+
+    def test_cyclic_order_not_a_number(self, capsys, tmp_path):
+        path = write_json(tmp_path, "g.json", {"coordinates": [["a"]]})
+        self.assert_one_line(*run(capsys, "dual", path, "hamming"), "invalid-input")
+
+    def test_poset_weight_divides_by_zero(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path, "p.json", {"n": 2, "relations": [], "weights": {"0": "1/0", "1": "1"}}
+        )
+        self.assert_one_line(*run(capsys, "poset", path), "invalid-input")
+
+    def test_scan_k_not_a_number(self, capsys):
+        args = ("scan-co", "--q", "2", "--n", "3", "--k", "foo")
+        self.assert_one_line(*run(capsys, *args), "invalid-input")
+
+    def test_budget_value_not_an_integer(self, capsys, tmp_path, monkeypatch):
+        budget = write_json(tmp_path, "budget.json", {"pair_work_cap": "big"})
+        monkeypatch.setenv("DUALPART_BUDGET", budget)
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": []})
+        self.assert_one_line(*run(capsys, "poset", path), "invalid-input")
+
+    def test_budget_file_not_an_object(self, capsys, tmp_path, monkeypatch):
+        budget = write_json(tmp_path, "budget.json", 5)
+        monkeypatch.setenv("DUALPART_BUDGET", budget)
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": []})
+        self.assert_one_line(*run(capsys, "poset", path), "invalid-input")
+
+    def test_invariant_failure_is_a_code(self, capsys, group_file, monkeypatch):
+        import dualpart.cli
+
+        def broken(*args, **kwargs):
+            raise AssertionError("bidual is not finer than the input partition")
+
+        monkeypatch.setattr(dualpart.cli, "reflexivity_check", broken)
+        self.assert_one_line(*run(capsys, "dual", group_file, "hamming"), "internal-error")

@@ -24,6 +24,8 @@ CASES = {
     "dual-mixed-pk2": ["dual", "group_mixed.json", "Pk:2"],
     "dual-z2-pk3-export": ["dual", "group_z2_5.json", "Pk:3", "--export"],
     "dual-z3-poset": ["dual", "group_z3_4.json", "poset_v.json"],
+    "dual-z3-poset-export": ["dual", "group_z3_4.json", "poset_v.json", "--export"],
+    "dual-z4z6-pk2-export": ["dual", "group_z4_z6.json", "Pk:2", "--export"],
     "poset-hier": ["poset", "poset_hier.json"],
     "poset-v": ["poset", "poset_v.json"],
     "scan-co-q2": ["scan-co", "--q", "2", "--n", "3..9", "--k", "all"],

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from dualpart.partitions import (
     DualityContext,
     F_poly,
     Partition,
+    SignatureLabels,
     co_dual_class_count,
     co_reflexivity_bruteforce,
     co_support_signature,
@@ -34,6 +37,7 @@ from dualpart.partitions import (
     theorem41_check,
 )
 from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
+from oracles import eager_dual, onehot_coords
 
 
 def vee():
@@ -492,3 +496,135 @@ class TestRightDualOracle:
                 want = ctx._dual(ctx.exponents.T, lam)
                 assert np.array_equal(got.class_ids, want.class_ids)
                 assert got.labels == want.labels
+
+
+# m = 2, odd primes and composites; every group has negative coordinates
+DUAL_ORACLE_GROUPS = [
+    [[2]] * 6,
+    [[2], [2, 2]],
+    [[3], [3], [3]],
+    [[7], [7]],
+    [[4], [2, 3]],
+    [[9], [3]],
+    [[2], [2, 3], [5]],
+    [[60]],
+]
+
+
+def random_partition(group, k, seed):
+    rng = random.Random(seed)
+    ids = list(range(k)) + [rng.randrange(k) for _ in range(group.order - k)]
+    rng.shuffle(ids)
+    return Partition.from_keys(ids, host=group)
+
+
+class TestDualOracle:
+    @pytest.mark.parametrize("spec", DUAL_ORACLE_GROUPS, ids=str)
+    def test_dual_matches_eager_form(self, spec):
+        group = build_group_product(spec)
+        m = group.exponent
+        unit = next(s for s in range(m - 1, 0, -1) if math.gcd(s, m) == 1)
+        partitions = [random_partition(group, max(1, group.order // r), r) for r in (1, 2, 4, 16)]
+        if group.n > 1:
+            partitions.append(induce_CO(group, pk_covering(2, group.n)))
+        negative = False
+        for scale in (1, unit):
+            ctx = DualityContext(group, scale=scale)
+            for part in partitions:
+                coords = ctx._coords(ctx.exponents, part)
+                assert np.array_equal(coords, onehot_coords(ctx, ctx.exponents, part))
+                negative |= bool((coords < 0).any())
+                got = ctx._dual(ctx.exponents, part)
+                ids, labels = eager_dual(ctx, ctx.exponents, part)
+                assert np.array_equal(got.class_ids, ids)
+                assert isinstance(got.labels, SignatureLabels)
+                assert got.labels == labels
+                assert [str(x) for x in got.labels] == [str(x) for x in labels]
+        assert negative
+
+    @pytest.mark.parametrize("spec", [[[2]] * 10, [[3]] * 6], ids=str)
+    def test_numbering_beyond_one_byte(self, spec):
+        # character sums spanning more than 256 values: the byte key must
+        # still sort as the numbers do
+        group = build_group_product(spec)
+        gamma = induce_CO(group, pk_covering(1, group.n))
+        ctx = DualityContext(group)
+        coords = ctx._coords(ctx.exponents, gamma)
+        assert coords.max() - coords.min() > 256
+        got = ctx._dual(ctx.exponents, gamma)
+        ids, labels = eager_dual(ctx, ctx.exponents, gamma)
+        assert np.array_equal(got.class_ids, ids)
+        assert got.labels == labels
+
+    def test_labels_of_modulus_one(self):
+        rows = np.array([[3, -1], [0, 2]])
+        labels = SignatureLabels(1, rows, 2)
+        assert labels == [
+            (CycInt.from_int(3, 1), CycInt.from_int(-1, 1)),
+            (CycInt.from_int(0, 1), CycInt.from_int(2, 1)),
+        ]
+        assert labels[-1] == labels[1]
+        with pytest.raises(IndexError):
+            labels[2]
+
+    def test_label_cap_leaves_labels_out(self):
+        # 2048 distinct signatures times 1024 classes exceeds 2^20 labels
+        group = build_group_product([[2]] * 11)
+        gamma = random_partition(group, 1024, 0)
+        lam = DualityContext(group).left_dual(gamma)
+        assert lam.labels is None and lam.export()["labels"] is None
+
+
+class TestDualGuards:
+    def test_verdict_builds_no_labels(self, monkeypatch):
+        built = []
+        init = CycInt.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        group = build_group_product([[120]])
+        gamma = random_partition(group, 60, 0)
+        ctx = DualityContext(group)
+        monkeypatch.setattr(CycInt, "__init__", counting_init)
+        report = reflexivity_check(ctx, gamma, compute_bidual=True)
+        lam = ctx.left_dual(gamma)
+        assert len(lam.labels) == lam.num_classes == report["dual_classes"]
+        assert not built
+        lam.labels[0]
+        assert len(built) == gamma.num_classes
+
+    def test_dual_does_not_keep_context_alive(self):
+        group = build_group_product([[2], [4], [3]])
+        gamma = random_partition(group, 6, 0)
+        gc.disable()
+        try:
+            ctx = DualityContext(group)
+            lam = ctx.left_dual(gamma)
+            bidual = ctx.right_dual(lam)
+            ref = weakref.ref(ctx)
+            del ctx
+            assert ref() is None
+            assert len(lam.labels) == lam.num_classes and bidual.labels is not None
+        finally:
+            gc.enable()
+
+    def test_histogram_chunks_bounded_by_cells(self, monkeypatch):
+        group = build_group_product([[256]])
+        gamma = random_partition(group, 128, 0)
+        ctx = DualityContext(group)
+        bound = max(1 << 22, gamma.num_classes * ctx.m)
+        asked = []
+        bincount = np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            asked.append(minlength)
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        coords = ctx._coords(ctx.exponents, gamma)
+        assert len(asked) > 1 and max(asked) <= bound
+        # the chunked rows equal the rows taken one at a time
+        for a in range(group.order):
+            assert np.array_equal(coords[a], ctx._coords(ctx.exponents[a : a + 1], gamma)[0])
