@@ -34,7 +34,12 @@ class RunConfig:
     """Caps and budgets.
 
     enumeration_cap: maximum group order for full element enumeration.
-    pair_work_cap:   maximum |G|*|H| for the pairwise character-sum engine.
+    pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
+                     the pairing table of the pairwise engine, 2^n * k for
+                     the support-lattice engine (n coordinates, k classes).
+                     The lattice serves every partition that carries a
+                     per-support-mask class array (the induced ones), the
+                     pairwise engine every other partition.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
     """
@@ -51,6 +56,13 @@ class RunConfig:
                 raise InputError(f"{field.name} must be an integer, got {value!r}")
         if self.enumeration_cap <= 0 or self.pair_work_cap <= 0:
             raise InputError("caps must be positive")
+
+    def check(self, field: str, asked: int, what: str) -> None:
+        """Raise BudgetError if ``asked`` exceeds the cap named ``field``;
+        the message names the amount asked for, the field and the cap."""
+        cap = getattr(self, field)
+        if asked > cap:
+            raise BudgetError(f"{what} = {asked} exceeds {field} = {cap}")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .exactarith import CycInt
 
 
@@ -83,18 +83,13 @@ class GroupProduct:
         self, config: RunConfig = DEFAULT_CONFIG
     ) -> Iterator["GroupElement"]:
         """All elements exactly once, in index order."""
-        if self.order > config.enumeration_cap:
-            raise BudgetError(
-                f"|H| = {self.order} exceeds enumeration cap "
-                f"{config.enumeration_cap}"
-            )
+        config.check("enumeration_cap", self.order, "|H|")
         for idx in range(self.order):
             yield self.element_from_index(idx)
 
     def residue_matrix(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
         """|H| x F matrix of residues in index order."""
-        if self.order > config.enumeration_cap:
-            raise BudgetError("group too large to materialize")
+        config.check("enumeration_cap", self.order, "|H| to materialize")
         orders = self.factor_orders
         total = self.order
         mat = np.empty((total, len(orders)), dtype=np.int64)
@@ -117,10 +112,7 @@ def build_group_product(
             "group spec must be a list of coordinates, each a list of cyclic orders"
         ) from None
     g = GroupProduct(coords)
-    if g.order > config.enumeration_cap:
-        raise BudgetError(
-            f"|H| = {g.order} exceeds enumeration cap {config.enumeration_cap}"
-        )
+    config.check("enumeration_cap", g.order, "|H|")
     return g
 
 

@@ -287,8 +287,7 @@ def macwilliams_admits(
     must have gamma-equidistributed duals.  Also requires the zero class to
     be a singleton of lam."""
     p, n = space.p, space.dim
-    if space.order * space.order > config.pair_work_cap:
-        raise BudgetError("space too large for exhaustive subspace check")
+    config.check("pair_work_cap", space.order**2, "|V|^2 for the subspace check")
     zero_singleton = int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
     v = space.all_vectors(config)
     holds = zero_singleton

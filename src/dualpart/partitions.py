@@ -2,28 +2,39 @@
 
 Partitions of enumerable group products, left/right dual partitions by exact
 character sums, the closed-form ideal-sum signatures, the polynomial attached
-to each codeword (three engines), generalized Krawtchouk matrices, and the
+to each codeword, generalized Krawtchouk matrices, and the
 reflexivity/equivalence checkers for weighted poset metrics and anti-chain
 coverings.
 
-Character sums are exact throughout: the inner loops run on integer exponent
-tables (numpy) and are reduced to canonical cyclotomic coordinates with an
-integer reduction matrix, so no precision is ever lost.
+Character sums are exact throughout.  A dual partition comes from one of two
+engines, by one rule:
+
+* the support lattice, for a partition that carries a class per support
+  mask (``Partition.mask_ids``: partitions induced by a weighted poset
+  metric, a covering metric or an ideal equivalence, and the lattice duals
+  of these).  Every class character sum is then a rational integer that
+  depends only on the support, so the 2^n x k table of sums is a Kronecker
+  transform of the mask-by-class indicator matrix; no pairing table is
+  built;
+* the pairwise engine for every other partition: integer exponent tables
+  (numpy) over the |G| x |H| pairing table, reduced to canonical cyclotomic
+  coordinates with an integer reduction matrix.
 """
 
 from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .exactarith import CycInt, SparsePoly, euler_phi_degree, reduction_matrix
 from .groups import GroupElement, GroupProduct
-from .metrics import Covering, WeightFunction, wpm_weight
+from .metrics import Covering, WeightFunction
 from .posets import (
     Poset,
     automorphisms,
@@ -43,9 +54,25 @@ from .posets import (
 # partitions of an enumerable host
 # ---------------------------------------------------------------------------
 
+# a dual partition with more signatures times classes offers no labels
+_LABEL_CAP = 1 << 20
+
+
 def _coords_to_cyc(m: int, row: np.ndarray, k: int) -> tuple[CycInt, ...]:
     """The k per-class character sums held in one row of coordinates."""
     return tuple(CycInt(m, coeffs) for coeffs in row.reshape(k, -1).tolist())
+
+
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and lexicographic rank of every distinct row.
+
+    Rows are grouped by their bytes: after the shift, the big-endian bytes
+    of a row sort as its numbers do.
+    """
+    key = (rows - rows.min()).astype(">u8")
+    view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return first, inverse.astype(np.int64)
 
 
 class SignatureLabels(collections.abc.Sequence):
@@ -80,12 +107,19 @@ class Partition:
 
     ``class_ids[i]`` is the class of element index i; ``labels[c]`` carries
     provenance (a weight value, or a canonical character-sum signature).
+    ``mask_ids``, on a support-induced partition of a group only, is the
+    class of every support mask (2^n entries, bit i for coordinate i), and
+    ``class_ids`` is its pullback; it is None on every other partition.
     """
 
-    def __init__(self, class_ids, labels=None, host=None):
-        self.class_ids = np.asarray(class_ids, dtype=np.int64)
-        self.num_classes = int(self.class_ids.max()) + 1 if len(self.class_ids) else 0
-        if np.unique(self.class_ids).size != self.num_classes:
+    def __init__(self, class_ids, labels=None, host=None, mask_ids=None):
+        ids = self.class_ids = np.asarray(class_ids, dtype=np.int64)
+        self.num_classes = int(ids.max()) + 1 if len(ids) else 0
+        if len(ids) and (
+            ids.min() < 0
+            or self.num_classes > len(ids)
+            or not np.bincount(ids, minlength=self.num_classes).all()
+        ):
             raise InputError("class ids must be contiguous and all present")
         if labels is not None and not isinstance(labels, SignatureLabels):
             labels = list(labels)
@@ -93,6 +127,7 @@ class Partition:
         if self.labels is not None and len(self.labels) != self.num_classes:
             raise InputError("one label per class required")
         self.host = host
+        self.mask_ids = mask_ids
 
     @property
     def host_size(self) -> int:
@@ -172,7 +207,12 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 class DualityContext:
-    """Precomputed pairing-exponent table for G ~ H (one matched product).
+    """Dual partitions over G ~ H (one matched product).
+
+    The engine is picked per partition: the support lattice when the
+    partition carries ``mask_ids``, the pairwise engine otherwise.  The
+    pairing-exponent table of the pairwise engine is built on first use (a
+    pairwise dual, ``signature`` or ``annihilator``).
 
     ``scale`` replaces the pairing by its scale-th power (for testing
     character independence); it must be invertible mod the exponent.
@@ -184,27 +224,32 @@ class DualityContext:
         config: RunConfig = DEFAULT_CONFIG,
         scale: int = 1,
     ):
-        if group.order * group.order > config.pair_work_cap:
-            raise BudgetError(
-                f"|G|*|H| = {group.order ** 2} exceeds pair work cap "
-                f"{config.pair_work_cap}"
-            )
         self.group = group
         self.m = group.exponent
+        if math.gcd(scale, self.m) != 1:
+            raise InputError(f"scale {scale} is not invertible mod the exponent {self.m}")
         self.config = config
-        v = group.residue_matrix(config)
-        weights = np.array(
-            [self.m // d for d in group.factor_orders], dtype=np.int64
-        )
-        e = (v * weights[None, :]) @ v.T
-        if scale != 1:
-            e *= scale
-        e %= self.m
-        # int16 holds every exponent below 2^15; wider moduli need int32
-        self.exponents = e.astype(np.int16 if self.m <= 1 << 15 else np.int32)
+        self.scale = scale
         self._phi = euler_phi_degree(self.m)
         self._reduction = np.array(reduction_matrix(self.m), dtype=np.int64)
+        self._table: Optional[np.ndarray] = None
         self._last_left: Optional[tuple[Partition, Partition]] = None
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """The |G| x |H| pairing-exponent table, built on first use."""
+        if self._table is None:
+            group, m = self.group, self.m
+            self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
+            v = group.residue_matrix(self.config)
+            weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
+            e = (v * weights[None, :]) @ v.T
+            if self.scale != 1:
+                e *= self.scale
+            e %= m
+            # int16 holds every exponent below 2^15; wider moduli need int32
+            self._table = e.astype(np.int16 if m <= 1 << 15 else np.int32)
+        return self._table
 
     # -- signatures -----------------------------------------------------
 
@@ -251,19 +296,55 @@ class DualityContext:
         return _coords_to_cyc(self.m, row, gamma.num_classes)
 
     def _dual(self, exponents: np.ndarray, part: Partition) -> Partition:
+        """The pairwise engine: one row of character sums per table row,
+        classes numbered in lexicographic row order."""
         coords = self._coords(exponents, part)
-        # group rows by their bytes: after the shift, the big-endian bytes
-        # of a row sort as its numbers do, so classes are numbered in
-        # lexicographic row order
-        key = (coords - coords.min()).astype(">u8")
-        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        first, ids = _rank_rows(coords)
         k = part.num_classes
-        if len(first) * k <= 1 << 20:
+        labels = None
+        if len(first) * k <= _LABEL_CAP:
             labels = SignatureLabels(self.m, coords[first], k)
-        else:
-            labels = None  # too many signatures to offer as labels
-        return Partition(inverse.astype(np.int64), labels=labels, host=self.group)
+        return Partition(ids, labels=labels, host=self.group)
+
+    def _lattice_dual(self, part: Partition) -> Partition:
+        """The support-lattice engine, from the 2^n x k table of sums.
+
+        Over coordinate i the non-identity entries sum a character to
+        h_i - 1 where it is trivial and to -1 otherwise, so the sum at
+        support U over the elements of support T is entry (U, T) of the
+        Kronecker product of M_i = [[1, h_i - 1], [1, -1]]: a Yates transform
+        of the mask-by-class indicator, k * n * 2^n steps, in integers that
+        every unit scale fixes.  An integer c has canonical coordinates
+        (c, 0, ..., 0) and every mask is a support (h_i >= 2), so classes and
+        labels are numbered as the pairwise engine numbers them.
+        """
+        group = self.group
+        if part.host is None or part.host.h != group.h:
+            raise InputError("support-induced partition does not live on this group")
+        n, k = group.n, part.num_classes
+        self.config.check("pair_work_cap", (1 << n) * k, "2^n * k support-lattice cells")
+        table = np.zeros((1 << n, k), dtype=np.int64)
+        table[np.arange(1 << n), part.mask_ids] = 1
+        for i, h in enumerate(group.h):
+            pair = table.reshape(-1, 2, 1 << i, k)  # axis 1 is mask bit i
+            identity = pair[:, 0].copy()
+            pair[:, 0] += (h - 1) * pair[:, 1]
+            np.subtract(identity, pair[:, 1], out=pair[:, 1])
+        first, mask_ids = _rank_rows(table)
+        labels = None
+        if len(first) * k <= _LABEL_CAP:
+            rows = np.zeros((len(first), k, self._phi), dtype=np.int64)
+            rows[:, :, 0] = table[first]
+            labels = SignatureLabels(self.m, rows.reshape(len(first), -1), k)
+        masks = _support_masks(group.h)
+        return Partition(mask_ids[masks], labels=labels, host=group, mask_ids=mask_ids)
+
+    def _dual_of(self, part: Partition) -> Partition:
+        if part.host_size != self.group.order:
+            raise InputError("partition does not live on this group")
+        if part.mask_ids is not None:
+            return self._lattice_dual(part)
+        return self._dual(self.exponents, part)
 
     def left_dual(self, gamma: Partition) -> Partition:
         """The left dual partition l(Gamma): elements of G grouped by exact
@@ -271,18 +352,14 @@ class DualityContext:
 
         The last result is kept, so asking again for the same Partition
         object (a check followed by an export, say) costs nothing."""
-        if gamma.host_size != self.group.order:
-            raise InputError("partition does not live on this group")
         if self._last_left is None or self._last_left[0] is not gamma:
-            self._last_left = (gamma, self._dual(self.exponents, gamma))
+            self._last_left = (gamma, self._dual_of(gamma))
         return self._last_left[1]
 
     def right_dual(self, lam: Partition) -> Partition:
-        """The right dual r(Lambda).  The pairing table is symmetric, so this
-        is the left-dual routine on the same table."""
-        if lam.host_size != self.group.order:
-            raise InputError("partition does not live on this group")
-        return self._dual(self.exponents, lam)
+        """The right dual r(Lambda).  The pairing is symmetric, so this is
+        the left-dual routine."""
+        return self._dual_of(lam)
 
     # -- codes ------------------------------------------------------------
 
@@ -318,28 +395,37 @@ def reflexivity_check(
 # induced partitions
 # ---------------------------------------------------------------------------
 
-def _support_masks(group: GroupProduct, config: RunConfig) -> np.ndarray:
-    """Bitmask of the support of every element, in index order."""
-    v = group.residue_matrix(config)
-    coord = np.array(group.factor_coordinate, dtype=np.int64)
-    n = group.n
-    nz = v != 0
-    masks = np.zeros(group.order, dtype=np.int64)
-    for f in range(v.shape[1]):
-        masks |= nz[:, f].astype(np.int64) << int(coord[f])
+def _support_masks(orders: Sequence[int]) -> np.ndarray:
+    """Bitmask of the support of every element of a product with these
+    coordinate orders h_i, in index order.
+
+    The index is mixed-radix with one digit of base h_i per coordinate, the
+    first coordinate most significant, and coordinate i is in the support
+    iff its digit is nonzero.
+    """
+    masks = np.zeros(1, dtype=np.min_scalar_type((1 << len(orders)) - 1))
+    for i, h in enumerate(orders):
+        bit = np.zeros(h, dtype=masks.dtype)
+        bit[1:] = 1 << i
+        masks = (masks[:, None] | bit[None, :]).ravel()
     return masks
 
 
 def _induce_by_mask_weight(
     group: GroupProduct, weight_of_mask: Callable[[int], object], config: RunConfig
 ) -> Partition:
-    if group.order > config.enumeration_cap:
-        raise BudgetError("group exceeds enumeration cap")
-    masks = _support_masks(group, config)
-    uniq = np.unique(masks)
-    table = {int(mk): weight_of_mask(int(mk)) for mk in uniq}
-    keys = [table[int(mk)] for mk in masks]
-    return Partition.from_keys(keys, host=group)
+    """Classes keyed by the weight of the support, numbered over the 2^n
+    masks and pulled back to G.  Every mask is a support (h_i >= 2), and the
+    masks are keyed in the order of their first elements in G, which is the
+    support order of (Z/2)^n; so the classes are numbered as over G."""
+    config.check("enumeration_cap", group.order, "|G| to induce a partition")
+    order = _support_masks((2,) * group.n)
+    on_masks = Partition.from_keys([weight_of_mask(int(mk)) for mk in order])
+    mask_ids = np.empty_like(on_masks.class_ids)
+    mask_ids[order] = on_masks.class_ids
+    return Partition(
+        mask_ids[_support_masks(group.h)], labels=on_masks.labels, host=group, mask_ids=mask_ids
+    )
 
 
 def induce_Q(
@@ -445,39 +531,19 @@ def signature_via_ideals(
 
 
 # ---------------------------------------------------------------------------
-# the codeword polynomial, three engines
+# the codeword polynomial
 # ---------------------------------------------------------------------------
 
-def _f_poly_bruteforce(
+def F_poly(
     group: GroupProduct,
     p: Poset,
     omega: WeightFunction,
     alpha: GroupElement,
-    config: RunConfig,
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> SparsePoly:
-    from .groups import pairing_exponent
-
-    m = group.exponent
-    by_weight: dict[Fraction, list[int]] = {}
-    for beta in group.enumerate_elements(config):
-        w = wpm_weight(p, omega, beta)
-        by_weight.setdefault(w, [0] * m)[pairing_exponent(alpha, beta)] += 1
-    terms = {}
-    for w, counts in by_weight.items():
-        val = CycInt.from_exponent_counts(m, counts).as_int()
-        if val is None:
-            raise AssertionError("weighted class sum is not a rational integer")
-        terms[w] = Fraction(val)
-    return SparsePoly(terms)
-
-
-def _f_poly_ideal_sum(
-    group: GroupProduct,
-    p: Poset,
-    omega: WeightFunction,
-    alpha: GroupElement,
-    config: RunConfig,
-) -> SparsePoly:
+    """The polynomial carrying all class character sums of alpha: the
+    coefficient of x^b is the sum of f(alpha, beta) over codewords of
+    (P, omega)-weight b, summed over ideals with the kernel phi."""
     h = group.h
     pbar = dual_poset(p)
     d = closure(pbar, alpha.support())
@@ -488,74 +554,6 @@ def _f_poly_ideal_sum(
             e = omega.varpi(i_set)
             terms[e] = terms.get(e, Fraction(0)) + val
     return SparsePoly(terms)
-
-
-def _f_poly_hierarchical(
-    group: GroupProduct,
-    p: Poset,
-    omega: WeightFunction,
-    alpha: GroupElement,
-    config: RunConfig,
-) -> SparsePoly:
-    if not is_hierarchical(p):
-        raise InputError("hierarchical engine requires a hierarchical poset")
-    h = group.h
-    pbar = dual_poset(p)
-    d = closure(pbar, alpha.support())
-    _, w_levels, sigma = levels(p)
-    r = sigma(d)
-
-    def xw(i: int) -> SparsePoly:
-        return SparsePoly.monomial(1, omega[i])
-
-    def prod(polys: Iterable[SparsePoly]) -> SparsePoly:
-        acc = SparsePoly.monomial(1)
-        for q in polys:
-            acc = acc * q
-        return acc
-
-    def lower_levels(t: int) -> SparsePoly:
-        # product of h_i x^omega(i) over levels 1..t-1
-        items = [i for j in range(t - 1) for i in w_levels[j]]
-        return prod(SparsePoly.monomial(h[i], omega[i]) for i in items)
-
-    one = SparsePoly.monomial(1)
-    wr = w_levels[r - 1]
-    main = lower_levels(r)
-    main = main * prod(one - xw(i) for i in wr & d)
-    main = main * prod(SparsePoly.monomial(h[i] - 1, omega[i]) + one for i in wr - d)
-    total = main
-    for t in range(1, r):
-        wt = w_levels[t - 1]
-        total = total + lower_levels(t) * prod(
-            SparsePoly.monomial(h[i] - 1, omega[i]) + one for i in wt
-        )
-    for t in range(2, r + 1):
-        total = total - lower_levels(t)
-    return total
-
-
-_F_ENGINES = {
-    "bruteforce": _f_poly_bruteforce,
-    "ideal_sum": _f_poly_ideal_sum,
-    "hierarchical": _f_poly_hierarchical,
-}
-
-
-def F_poly(
-    group: GroupProduct,
-    p: Poset,
-    omega: WeightFunction,
-    alpha: GroupElement,
-    engine: str = "ideal_sum",
-    config: RunConfig = DEFAULT_CONFIG,
-) -> SparsePoly:
-    """The polynomial carrying all class character sums of alpha: the
-    coefficient of x^b is the sum of f(alpha, beta) over codewords of
-    (P, omega)-weight b."""
-    if engine not in _F_ENGINES:
-        raise InputError(f"unknown engine {engine!r}")
-    return _F_ENGINES[engine](group, p, omega, alpha, config)
 
 
 def f_poly_degree_ideal(group: GroupProduct, p: Poset, omega: WeightFunction, alpha: GroupElement):
@@ -699,8 +697,6 @@ def theorem41_check(
     """Evaluate the three equivalent statements for anti-chain coverings."""
     if not t.is_antichain():
         raise InputError("covering must be an anti-chain")
-    import math
-
     gamma = induce_CO(group, t, config)
     ctx = DualityContext(group, config)
     lam = ctx.left_dual(gamma)

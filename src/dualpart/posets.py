@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, RunConfig
 
 
 def _mask(subset: Iterable[int]) -> int:
@@ -111,8 +111,7 @@ def closure_mask(p: Poset, mask: int) -> int:
 def ideals(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[frozenset[int]]:
     """All down-closed subsets, each exactly once (includes the empty set
     and the whole ground set)."""
-    if p.n > config.ideal_cap_n:
-        raise BudgetError(f"ideal enumeration capped at n <= {config.ideal_cap_n}")
+    config.check("ideal_cap_n", p.n, "poset size for ideal enumeration")
     return [_unmask(m, p.n) for m in ideal_masks(p)]
 
 
@@ -196,8 +195,7 @@ def automorphisms(
 ) -> list[tuple[int, ...]]:
     """All order automorphisms, optionally also preserving per-element
     labels; backtracking with (len, degree, label) invariant pruning."""
-    if p.n > config.aut_cap_n:
-        raise BudgetError(f"automorphism enumeration capped at n <= {config.aut_cap_n}")
+    config.check("aut_cap_n", p.n, "poset size for automorphism enumeration")
     len_p, _, _ = levels(p)
     updeg = [bin(p.up(v)).count("1") for v in range(p.n)]
     downdeg = [bin(p.down[v]).count("1") for v in range(p.n)]
@@ -252,8 +250,7 @@ def udp_check(p: Poset, omega, config: RunConfig = DEFAULT_CONFIG):
     bucketed by total weight and tested for coverage by the single orbit of
     the omega-preserving automorphism group.
     """
-    if p.n > config.aut_cap_n:
-        raise BudgetError(f"UDP check capped at n <= {config.aut_cap_n}")
+    config.check("aut_cap_n", p.n, "poset size for the UDP check")
     w = [omega[v] for v in range(p.n)]
     if any(x <= 0 for x in w):
         raise InputError("weights must be strictly positive")

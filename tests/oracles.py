@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from dualpart.exactarith import CycInt
+from dualpart.exactarith import CycInt, SparsePoly
+from dualpart.groups import pairing_exponent
+from dualpart.metrics import wpm_weight
+from dualpart.posets import closure, dual_poset, levels
 
 
 def genfun_eval(n, k, q, s):
@@ -77,3 +80,53 @@ def eager_dual(ctx, exponents, part):
         for row in uniq
     ]
     return inverse.reshape(-1), labels
+
+
+def f_poly_bruteforce(group, p, omega, alpha):
+    """Oracle for ``F_poly``: class character sums one pairing at a time,
+    keyed by the (P, omega)-weight of every codeword."""
+    m = group.exponent
+    by_weight = {}
+    for beta in group.enumerate_elements():
+        w = wpm_weight(p, omega, beta)
+        by_weight.setdefault(w, [0] * m)[pairing_exponent(alpha, beta)] += 1
+    terms = {}
+    for w, counts in by_weight.items():
+        val = CycInt.from_exponent_counts(m, counts).as_int()
+        assert val is not None, "weighted class sum is not a rational integer"
+        terms[w] = Fraction(val)
+    return SparsePoly(terms)
+
+
+def f_poly_hierarchical(group, p, omega, alpha):
+    """Oracle for ``F_poly`` on hierarchical posets: the closed product form
+    over the levels of P."""
+    h = group.h
+    d = closure(dual_poset(p), alpha.support())
+    _, w_levels, sigma = levels(p)
+    r = sigma(d)
+    one = SparsePoly.monomial(1)
+
+    def prod(polys):
+        acc = one
+        for q in polys:
+            acc = acc * q
+        return acc
+
+    def lower_levels(t):
+        # product of h_i x^omega(i) over levels 1..t-1
+        items = [i for j in range(t - 1) for i in w_levels[j]]
+        return prod(SparsePoly.monomial(h[i], omega[i]) for i in items)
+
+    def nonzero_or_one(i):
+        return SparsePoly.monomial(h[i] - 1, omega[i]) + one
+
+    wr = w_levels[r - 1]
+    total = lower_levels(r)
+    total = total * prod(one - SparsePoly.monomial(1, omega[i]) for i in wr & d)
+    total = total * prod(nonzero_or_one(i) for i in wr - d)
+    for t in range(1, r):
+        total = total + lower_levels(t) * prod(nonzero_or_one(i) for i in w_levels[t - 1])
+    for t in range(2, r + 1):
+        total = total - lower_levels(t)
+    return total

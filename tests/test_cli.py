@@ -170,6 +170,24 @@ class TestRefute:
         assert a == b
 
 
+class TestLatticeDual:
+    def test_z2_14_pk2_builds_no_pairing_table(self, capsys, tmp_path, monkeypatch):
+        # |G|^2 = 2^28 is over the default pair_work_cap; the support
+        # lattice needs 2^14 * 8 cells
+        from dualpart.partitions import DualityContext
+
+        def no_table(self):
+            raise AssertionError("pairing table built")
+
+        monkeypatch.setattr(DualityContext, "exponents", property(no_table))
+        path = write_json(tmp_path, "g.json", {"coordinates": [[2]] * 14})
+        code, out, err = run(capsys, "dual", path, "Pk:2")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["gamma_classes"] == doc["dual_classes"] == doc["bidual_classes"] == 8
+        assert doc["reflexive"] and doc["bidual_equals_gamma"]
+
+
 class TestBudgetEnv:
     def test_override_applies(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"ideal_cap_n": 2})

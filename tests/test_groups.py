@@ -113,3 +113,14 @@ def test_enumeration_cap_enforced():
     tight = RunConfig(enumeration_cap=8)
     with pytest.raises(BudgetError):
         build_group_product([[2]] * 4, tight)
+
+
+def test_cap_messages_name_field_amount_and_cap():
+    tight = RunConfig(enumeration_cap=8)
+    with pytest.raises(BudgetError, match=r"^\|H\| = 16 exceeds enumeration_cap = 8$"):
+        build_group_product([[2]] * 4, tight)
+    group = build_group_product([[2]] * 4)
+    with pytest.raises(BudgetError, match=r"^\|H\| to materialize = 16 exceeds enumeration_cap = 8$"):
+        group.residue_matrix(tight)
+    with pytest.raises(BudgetError, match=r"^\|H\| = 16 exceeds enumeration_cap = 8$"):
+        next(group.enumerate_elements(tight))

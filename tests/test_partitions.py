@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualpart.config import InputError
+from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.exactarith import CycInt, SparsePoly, root_of_unity_sum
 from dualpart.groups import build_group_product, pairing_exponent
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
@@ -37,7 +37,7 @@ from dualpart.partitions import (
     theorem41_check,
 )
 from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
-from oracles import eager_dual, onehot_coords
+from oracles import eager_dual, f_poly_bruteforce, f_poly_hierarchical, onehot_coords
 
 
 def vee():
@@ -238,9 +238,7 @@ class TestFPoly:
         group = build_group_product([[2]] * (p.n - 1) + [[3]])
         omega = WeightFunction.from_mapping(p.n, {i: i % 2 + 1 for i in range(p.n)})
         for a in group.enumerate_elements():
-            assert F_poly(group, p, omega, a, "bruteforce") == F_poly(
-                group, p, omega, a, "ideal_sum"
-            )
+            assert f_poly_bruteforce(group, p, omega, a) == F_poly(group, p, omega, a)
 
     @pytest.mark.parametrize("builder", POSET_BUILDERS[:4])
     def test_hierarchical_engine(self, builder):
@@ -252,21 +250,13 @@ class TestFPoly:
         group = build_group_product([[3]] + [[2]] * (p.n - 1))
         omega = WeightFunction.constant(p.n, 2)
         for a in group.enumerate_elements():
-            assert F_poly(group, p, omega, a, "hierarchical") == F_poly(
-                group, p, omega, a, "bruteforce"
-            )
-
-    def test_hierarchical_engine_rejects_others(self):
-        p = validate_and_close(3, [(0, 1)])
-        group = build_group_product([[2]] * 3)
-        with pytest.raises(InputError):
-            F_poly(group, p, WeightFunction.constant(3), group.identity(), "hierarchical")
+            assert f_poly_hierarchical(group, p, omega, a) == F_poly(group, p, omega, a)
 
     def test_identity_gives_weight_enumerator(self):
         group = build_group_product([[2], [3]])
         p = antichain(2)
         omega = WeightFunction.constant(2)
-        f = F_poly(group, p, omega, group.identity(), "ideal_sum")
+        f = F_poly(group, p, omega, group.identity())
         # Hamming weight enumerator of Z_2 x Z_3: 1 + 3x + 2x^2
         assert f == SparsePoly({Fraction(0): 1, Fraction(1): 3, Fraction(2): 2})
 
@@ -275,7 +265,7 @@ class TestFPoly:
         group = build_group_product([[2], [3], [2]])
         omega = WeightFunction.from_mapping(3, {0: 1, 1: 2, 2: "1/2"})
         for a in group.enumerate_elements():
-            f = F_poly(group, p, omega, a, "ideal_sum")
+            f = F_poly(group, p, omega, a)
             _, expect = f_poly_degree_ideal(group, p, omega, a)
             assert f.degree == expect
 
@@ -431,7 +421,7 @@ class TestSupportProfileEngine:
         group = build_group_product([[q]] * n)
         gamma = induce_CO(group, pk_covering(k, n))
         ctx = DualityContext(group)
-        assert ctx.left_dual(gamma).num_classes == co_dual_class_count(q, n, k)
+        assert ctx._dual(ctx.exponents, gamma).num_classes == co_dual_class_count(q, n, k)
 
     def test_signature_depends_only_on_support_size(self):
         group = build_group_product([[3]] * 4)
@@ -444,9 +434,9 @@ class TestSupportProfileEngine:
             assert sig == co_support_signature(3, 4, 2, t)
 
     def test_engines_agree_on_verdict(self):
-        # the support-profile verdict against the pairwise character-sum
-        # oracle, for every k
-        for q, n_max in ((2, 8), (3, 5), (4, 3), (5, 3)):
+        # the support-profile verdict against the support-lattice dual, for
+        # every k; the lattice builds no pairing table
+        for q, n_max in ((2, 14), (3, 9), (4, 6), (5, 6)):
             for n in range(1, n_max + 1):
                 group = build_group_product([[q]] * n)
                 ctx = DualityContext(group)
@@ -457,6 +447,7 @@ class TestSupportProfileEngine:
                     assert got["co_classes"] == gamma.num_classes, (q, n, k)
                     assert got["dual_classes"] == dual_classes, (q, n, k)
                     assert got["reflexive"] == (gamma.num_classes == dual_classes)
+                assert ctx._table is None
 
     def test_bruteforce_rejects_bad_parameters(self):
         with pytest.raises(InputError):
@@ -628,3 +619,156 @@ class TestDualGuards:
         # the chunked rows equal the rows taken one at a time
         for a in range(group.order):
             assert np.array_equal(coords[a], ctx._coords(ctx.exponents[a : a + 1], gamma)[0])
+
+
+# non-cyclic coordinates, mixed h_i, and exponents m = 2, 3, 4, 6, 12, 60
+LATTICE_GROUPS = [
+    [[2]] * 5,
+    [[2], [2, 2], [2]],
+    [[3]] * 4,
+    [[4], [2], [2, 2]],
+    [[2], [2, 3], [3]],
+    [[4], [2, 3], [2]],
+    [[4], [3], [5]],
+]
+
+
+def random_covering(n, rng):
+    members = [[i, (i + 1) % n] for i in range(0, n, 2)]
+    members += [rng.sample(range(n), 2) for _ in range(2)]
+    return covering_from_members(n, members)
+
+
+def levels_poset(sizes):
+    """Hierarchical: every element of a level lies below the next level."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    levels = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    return validate_and_close(bounds[-1], [(u, v) for lo, hi in zip(levels, levels[1:]) for u in lo for v in hi])
+
+
+def support_induced_partitions(group, seed):
+    """induce_CO, induce_Q and induce_from_ideal_classes on one group."""
+    n = group.n
+    rng = random.Random(seed)
+    rational = WeightFunction(tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)))
+    hier = levels_poset([1, n - 2, 1] if n > 2 else [1, n - 1])
+    parts = [
+        induce_CO(group, pk_covering(1, n)),
+        induce_CO(group, pk_covering(2, n)),
+        induce_CO(group, random_covering(n, rng)),
+        induce_Q(group, chain(n), WeightFunction.constant(n)),
+        induce_Q(group, chain(n), rational),
+        induce_Q(group, antichain(n), rational),
+        induce_Q(group, hier, WeightFunction.constant(n, 2)),
+        induce_Q(group, hier, rational),
+        induce_from_ideal_classes(group, hier, {i: rng.randrange(3) for i in ideals(hier)}),
+        induce_from_ideal_classes(group, antichain(n), {i: len(i) % 2 for i in ideals(antichain(n))}),
+    ]
+    assert all(part.mask_ids is not None for part in parts)
+    return parts
+
+
+def assert_same_dual(got, want):
+    assert got.mask_ids is not None and want.mask_ids is None
+    assert np.array_equal(got.class_ids, want.class_ids)
+    assert isinstance(got.labels, SignatureLabels)
+    assert np.array_equal(got.labels.rows, want.labels.rows)
+    assert got.labels == want.labels
+
+
+class TestLatticeOracle:
+    """The support lattice against the pairwise engine: identical class
+    numbering and identical labels, for the left dual and the bidual."""
+
+    @pytest.mark.parametrize("spec", LATTICE_GROUPS, ids=str)
+    def test_left_dual_and_bidual_match_pairwise(self, spec):
+        group = build_group_product(spec)
+        m = group.exponent
+        unit = next(s for s in range(m - 1, 0, -1) if math.gcd(s, m) == 1)
+        parts = support_induced_partitions(group, str(spec))
+        for scale in (1, unit):
+            ctx = DualityContext(group, scale=scale)
+            for gamma in parts:
+                lam = ctx.left_dual(gamma)
+                assert_same_dual(lam, ctx._dual(ctx.exponents, gamma))
+                assert_same_dual(ctx.right_dual(lam), ctx._dual(ctx.exponents, lam))
+
+    def test_lattice_builds_no_pairing_table(self):
+        group = build_group_product([[2], [3], [4]])
+        ctx = DualityContext(group)
+        rep = reflexivity_check(ctx, induce_CO(group, pk_covering(2, 3)), compute_bidual=True)
+        assert rep == {
+            "gamma_classes": 3,
+            "dual_classes": 8,
+            "reflexive": False,
+            "verdict": "non-reflexive",
+            "bidual_classes": 8,
+            "bidual_equals_gamma": False,
+        }
+        assert ctx._table is None
+
+    def test_other_partitions_take_the_pairwise_engine(self):
+        group = build_group_product([[2], [3]])
+        gamma = random_partition(group, 3, 0)
+        assert gamma.mask_ids is None
+        lam = DualityContext(group).left_dual(gamma)
+        assert lam.mask_ids is None and lam == brute_force_left_dual(group, gamma)
+
+    def test_partition_of_another_group_rejected(self):
+        a = build_group_product([[2], [3]])
+        b = build_group_product([[3], [2]])
+        with pytest.raises(InputError):
+            DualityContext(b).left_dual(induce_CO(a, pk_covering(1, 2)))
+
+    def test_unsortable_labels_numbered_as_over_the_group(self):
+        group = build_group_product([[3], [2], [2]])
+        p = antichain(3)
+        # {2} is the support of element 1, {0} that of element 4: over G the
+        # class of (2,) comes first, over the masks in plain order "x" would
+        tags = {i: 0 for i in ideals(p)}
+        tags[frozenset({0})], tags[frozenset({2})] = "x", (2,)
+        part = induce_from_ideal_classes(group, p, tags)
+        keys = [tags[closure(p, el.support())] for el in group.enumerate_elements()]
+        want = Partition.from_keys(keys)
+        assert want.labels == [0, (2,), "x"]
+        assert np.array_equal(part.class_ids, want.class_ids) and part.labels == want.labels
+
+
+class TestScaleAndBudgets:
+    def test_scale_must_be_a_unit(self):
+        group = build_group_product([[4], [6]])
+        for scale in (0, 2, 3, 12):
+            with pytest.raises(InputError, match="not invertible"):
+                DualityContext(group, scale=scale)
+        DualityContext(group, scale=5)
+
+    def test_pairing_table_cap_named_and_checked_first(self, monkeypatch):
+        from dualpart.groups import GroupProduct
+
+        def no_residues(*args, **kwargs):
+            raise AssertionError("residues built before the cap check")
+
+        group = build_group_product([[2]] * 6)
+        ctx = DualityContext(group, RunConfig(pair_work_cap=1000))
+        monkeypatch.setattr(GroupProduct, "residue_matrix", no_residues)
+        with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
+            ctx.exponents
+
+    def test_lattice_cap_named(self):
+        group = build_group_product([[2]] * 6)
+        gamma = induce_CO(group, pk_covering(2, 6))
+        ctx = DualityContext(group, RunConfig(pair_work_cap=255))
+        with pytest.raises(BudgetError, match=r"= 256 exceeds pair_work_cap = 255$"):
+            ctx.left_dual(gamma)
+
+    def test_induce_cap_named(self):
+        group = build_group_product([[2]] * 6)
+        with pytest.raises(BudgetError, match=r"^\|G\| to induce a partition = 64 exceeds enumeration_cap = 63$"):
+            induce_CO(group, pk_covering(1, 6), RunConfig(enumeration_cap=63))
+
+
+class TestPartitionIds:
+    @pytest.mark.parametrize("ids", [[0, 2], [-1, 0], [1, 1], [0, 1 << 40]])
+    def test_rejects_gaps_and_negatives(self, ids):
+        with pytest.raises(InputError):
+            Partition(ids)
