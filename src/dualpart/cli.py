@@ -205,14 +205,17 @@ def cmd_scan_co(args) -> int:
         k_only = None if args.k == "all" else int(args.k)
     except ValueError:
         raise InputError(f"bad k {args.k!r}: expected 'all' or an integer") from None
+    if args.q < 2:
+        raise InputError("q must be at least 2")
+    # n only grows along the range, so its first value bounds every row
+    if n_range and n_range[0] < 1:
+        raise InputError("n must be positive")
+    if n_range and k_only is not None and not 1 <= k_only <= n_range[0]:
+        raise InputError(f"k = {k_only} out of range for n = {n_range[0]}")
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
     for n in n_range:
-        if n < 1:
-            raise InputError("n must be positive")
         ks = range(1, n + 1) if k_only is None else [k_only]
         for k in ks:
-            if not 1 <= k <= n:
-                raise InputError(f"k = {k} out of range for n = {n}")
             v = co_nonreflexivity_verdict(n, k, args.q)
             bound = dual_class_lower_bound(n, k, args.q) if n <= 40 else ""
             if v["verdict"] == "undecided-by-criteria":

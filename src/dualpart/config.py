@@ -35,8 +35,10 @@ class RunConfig:
 
     enumeration_cap: maximum group order for full element enumeration.
     pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
-                     the pairing table of the pairwise engine, 2^n * k for
-                     the support-lattice engine (n coordinates, k classes).
+                     the pairing table of the pairwise engine, and again
+                     |G| * k * deg(Phi_m) for its cyclotomic coordinates (k
+                     classes, m the exponent); 2^n * k for the
+                     support-lattice engine (n coordinates).
                      The lattice serves every partition that carries a
                      per-support-mask class array (the induced ones), the
                      pairwise engine every other partition.

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterator, Sequence
+import math
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,14 +29,15 @@ from .partitions import (
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    """Trial division by 2 and by the odd d <= sqrt(p)."""
+    if p < 3:
+        return p == 2
+    return p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+def _gl_enumerable(p: int, n: int) -> bool:
+    """Whether GL(n, p) is within the invariance-subgroup search's guard."""
+    return (p == 2 and n <= 5) or (p == 3 and n <= 3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,9 +128,7 @@ class LinearCode:
     def codeword_indices(self) -> np.ndarray:
         """Element indices of all codewords, sorted."""
         p = self.space.p
-        if not self.basis:
-            return np.array([0], dtype=np.int64)
-        basis = np.array(self.basis, dtype=np.int64)
+        basis = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.space.dim)
         coeffs = np.array(
             list(itertools.product(range(p), repeat=self.dim)), dtype=np.int64
         )
@@ -198,15 +198,40 @@ def is_f_invariant(space: PrimeFieldSpace, part: Partition, config: RunConfig = 
     return True
 
 
-def _one_dim_representatives(space: PrimeFieldSpace, config: RunConfig) -> list[np.ndarray]:
-    """One generator per 1-dimensional code (first nonzero entry 1)."""
+def _one_dim_bases(space: PrimeFieldSpace, config: RunConfig) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The RREF basis of every 1-dimensional code (first nonzero entry 1)."""
+    for row in space.all_vectors(config)[1:].tolist():
+        if next(x for x in row if x) == 1:
+            yield (tuple(row),)
+
+
+def _distribution_clash(
+    space: PrimeFieldSpace,
+    lam: Partition,
+    gamma: Partition,
+    bases: Iterable[tuple[tuple[int, ...], ...]],
+    config: RunConfig,
+) -> tuple | None:
+    """The first two codes, in the order of ``bases`` (RREF bases), whose
+    lam-distributions agree while their duals' gamma-distributions differ;
+    None if no two codes do.  A dual word is a vector orthogonal to every
+    basis row, so the zero code's dual is the whole space."""
     v = space.all_vectors(config)
-    reps = []
-    for row in v[1:]:
-        nz = next(i for i, x in enumerate(row) if x)
-        if row[nz] == 1:
-            reps.append(row)
-    return reps
+    seen: dict[tuple, tuple] = {}
+    for basis in bases:
+        words = LinearCode(space, basis).codeword_indices()
+        lam_key = tuple(np.bincount(lam.class_ids[words], minlength=lam.num_classes))
+        gen = np.array(basis, dtype=np.int64).reshape(len(basis), space.dim)
+        dual = ((v @ gen.T) % space.p == 0).all(axis=1)
+        gam_dist = tuple(np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes))
+        first = seen.setdefault(lam_key, (gam_dist, basis))
+        if first[0] != gam_dist:
+            return first[1], basis
+    return None
+
+
+def _zero_is_singleton(lam: Partition) -> bool:
+    return int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
 
 
 def pami_onedim_check(
@@ -219,36 +244,18 @@ def pami_onedim_check(
     computed independently; they must agree for F-invariant partitions."""
     if not (is_f_invariant(space, lam, config) and is_f_invariant(space, gamma, config)):
         raise InputError("both partitions must be F-invariant")
-    if int(np.sum(lam.class_ids == lam.class_ids[0])) != 1:
-        zero_singleton = False
-    else:
-        zero_singleton = True
-    p = space.p
-    v = space.all_vectors(config)
-    stmt3 = True
-    witness = None
+    zero_singleton = _zero_is_singleton(lam)
+    clash = None
     if zero_singleton:
-        seen: dict[tuple, tuple] = {}
-        for g in _one_dim_representatives(space, config):
-            code_idx = np.sort(_indices(space, np.outer(np.arange(p), g)))
-            lam_key = tuple(np.bincount(lam.class_ids[code_idx], minlength=lam.num_classes))
-            syn = (v @ g) % p
-            dual_idx = np.nonzero(syn == 0)[0]
-            gam_dist = tuple(np.bincount(gamma.class_ids[dual_idx], minlength=gamma.num_classes))
-            if lam_key in seen and seen[lam_key][0] != gam_dist:
-                stmt3 = False
-                witness = (tuple(int(x) for x in seen[lam_key][1]), tuple(int(x) for x in g))
-                break
-            seen.setdefault(lam_key, (gam_dist, g))
-    else:
-        stmt3 = False
+        clash = _distribution_clash(space, lam, gamma, _one_dim_bases(space, config), config)
+    stmt3 = zero_singleton and clash is None
     ctx = DualityContext(space.group, config)
     stmt1 = lam.is_finer(ctx.left_dual(gamma))
     return {
-        "one_dim_statement": stmt3 and zero_singleton,
+        "one_dim_statement": stmt3,
         "finer_statement": stmt1,
-        "agree": (stmt3 and zero_singleton) == stmt1,
-        "witness": witness,
+        "agree": stmt3 == stmt1,
+        "witness": None if clash is None else (clash[0][0], clash[1][0]),
     }
 
 
@@ -286,82 +293,22 @@ def macwilliams_admits(
     """Exhaustive all-codes statement: codes with equal lam-distributions
     must have gamma-equidistributed duals.  Also requires the zero class to
     be a singleton of lam."""
-    p, n = space.p, space.dim
     config.check("pair_work_cap", space.order**2, "|V|^2 for the subspace check")
-    zero_singleton = int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
-    v = space.all_vectors(config)
-    holds = zero_singleton
-    witness = None
-    if holds:
-        seen: dict[tuple, tuple] = {}
-        for basis in subspace_rref_bases(p, n):
-            code = LinearCode(space, basis)
-            lam_key = tuple(np.bincount(lam.class_ids[code.codeword_indices()], minlength=lam.num_classes))
-            if basis:
-                syn = (v @ np.array(basis, dtype=np.int64).T) % p
-                dual_idx = np.nonzero((syn == 0).all(axis=1))[0]
-            else:
-                dual_idx = np.arange(space.order)
-            gam_dist = tuple(np.bincount(gamma.class_ids[dual_idx], minlength=gamma.num_classes))
-            if lam_key in seen and seen[lam_key] != gam_dist:
-                holds = False
-                witness = basis
-                break
-            seen.setdefault(lam_key, gam_dist)
-    return {"admits": holds, "zero_singleton": zero_singleton, "witness": witness}
+    zero_singleton = _zero_is_singleton(lam)
+    clash = None
+    if zero_singleton:
+        bases = subspace_rref_bases(space.p, space.dim)
+        clash = _distribution_clash(space, lam, gamma, bases, config)
+    return {
+        "admits": zero_singleton and clash is None,
+        "zero_singleton": zero_singleton,
+        "witness": None if clash is None else clash[1],
+    }
 
 
 # ---------------------------------------------------------------------------
 # the invariance subgroup inside GL(N, p)
 # ---------------------------------------------------------------------------
-
-def _inv_enumerate_binary(cls: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """All invertible F_2-maps preserving every class, as column bitmasks.
-
-    Backtracks over columns; every vector supported in the settled prefix
-    has a determined image, so class violations prune entire subtrees.
-    """
-    size = 1 << n
-    img = [0] * size
-    cols = [0] * n
-    out: list[tuple[int, ...]] = []
-
-    def rec(j: int, span: frozenset[int]) -> None:
-        if j == n:
-            out.append(tuple(cols))
-            return
-        bit = 1 << j
-        for c in range(1, size):
-            if c in span:
-                continue
-            news = []
-            ok = True
-            for s2 in range(bit):
-                s = s2 | bit
-                im = img[s2] ^ c
-                if cls[s] != cls[im]:
-                    ok = False
-                    break
-                news.append((s, im))
-            if not ok:
-                continue
-            for s, im in news:
-                img[s] = im
-            cols[j] = c
-            rec(j + 1, span | {im for _, im in news})
-    rec(0, frozenset([0]))
-    return out
-
-
-def _binary_cols_to_matrix(cols: Sequence[int], n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.int64)
-    for j, c in enumerate(cols):
-        for i in range(n):
-            # cols[j] is the image of index bit 2^j, which is vector entry
-            # n-1-j; entry i carries place value 2^(n-1-i)
-            m[i, n - 1 - j] = (c >> (n - 1 - i)) & 1
-    return m
-
 
 def inv_enumerate(
     space: PrimeFieldSpace,
@@ -371,62 +318,55 @@ def inv_enumerate(
     """All invertible linear maps preserving every class of delta, as N x N
     matrices (columns are the images of the standard basis)."""
     p, n = space.p, space.dim
-    if not ((p == 2 and n <= 5) or (p == 3 and n <= 3)):
+    if not _gl_enumerable(p, n):
         raise BudgetError("invariance-subgroup enumeration guarded to GL(5,2) / GL(3,3)")
-    if p == 2:
-        cls = [int(delta.class_ids[i]) for i in range(space.order)]
-        return [_binary_cols_to_matrix(cols, n) for cols in _inv_enumerate_binary(cls, n)]
-    # generic small-p path: backtrack over columns with index arithmetic
+    # backtrack over columns with index arithmetic; every vector supported
+    # on the settled columns has a determined image, so a class violation
+    # prunes the whole subtree
     size = space.order
-    cls = [int(x) for x in delta.class_ids]
+    cls = delta.class_ids.tolist()
+    # column j is the image of e_j, so it lies in the class of e_j
+    candidates = [np.nonzero(delta.class_ids == cls[p ** (n - 1 - j)])[0].tolist() for j in range(n)]
     v = space.all_vectors(config)
-    vecs = v.tolist()
     add = _indices(space, v[:, None, :] + v[None, :, :]).tolist()
     smul = [_indices(space, c * v).tolist() for c in range(p)]
     img = [0] * size
     cols = [0] * n
-    out: list[np.ndarray] = []
+    found: list[int] = []  # the columns of every map found, in a row
 
     def rec(j: int, span: frozenset[int]) -> None:
         if j == n:
-            mat = np.zeros((n, n), dtype=np.int64)
-            for jj, cidx in enumerate(cols):
-                mat[:, jj] = vecs[cidx]
-            out.append(mat)
+            found.extend(cols)
             return
+        # column j settles every s = s2 + coef * e_j from a source s2
+        # supported on coordinates 0..j-1; those carry the largest place
+        # values, so they are the multiples of p^(n-j), and adding is exact
         base = p ** (n - 1 - j)
-        for cidx in range(1, size):
+        sources = range(0, size, base * p)
+        for cidx in candidates[j]:
             if cidx in span:
                 continue
             news = []
-            ok = True
             for coef in range(1, p):
-                shifted = smul[coef][cidx]
-                for s2 in span_sources[j]:
-                    # prefix digits and digit j never collide, so plain
-                    # integer addition is exact here
-                    s = s2 + coef * base
+                shifted, off = smul[coef][cidx], coef * base
+                for s2 in sources:
                     im = add[img[s2]][shifted]
-                    if cls[s] != cls[im]:
-                        ok = False
+                    if cls[s2 + off] != cls[im]:
                         break
-                    news.append((s, im))
-                if not ok:
-                    break
-            if not ok:
-                continue
-            for s, im in news:
-                img[s] = im
-            cols[j] = cidx
-            rec(j + 1, span | {im for _, im in news})
+                    news.append((s2 + off, im))
+                else:
+                    continue  # every source of this coef kept its class
+                break  # a class violation rejects cidx
+            else:
+                for s, im in news:
+                    img[s] = im
+                cols[j] = cidx
+                rec(j + 1, span | {im for _, im in news})
 
-    # sources supported on coordinates 0..j-1 carry the largest place
-    # values, hence are exactly the multiples of p^(n-j)
-    span_sources = [
-        [i for i in range(size) if i % (p ** (n - j)) == 0] for j in range(n)
-    ]
     rec(0, frozenset([0]))
-    return out
+    # one array holds every map: entry (k, i, j) is coordinate i of column
+    # j of map k
+    return list(v[np.array(found, dtype=np.int64).reshape(-1, n)].transpose(0, 2, 1))
 
 
 def orbit_partition(
@@ -434,29 +374,18 @@ def orbit_partition(
     maps: Sequence[np.ndarray],
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Partition:
-    """Orbits of a set of linear maps acting on the space (union-find;
-    the result is the orbit partition of the generated group when the input
-    is closed, and of the generated groupoid closure in general)."""
-    size = space.order
-    parent = list(range(size))
+    """Orbits of a group of linear maps acting on the space, numbered in the
+    order of their least elements.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    The maps must form a group, as those of ``inv_enumerate`` do: then the
+    orbit of v is the set of its images, and the least image names it
+    whatever order the maps come in."""
     v = space.all_vectors(config)
+    least = np.arange(space.order, dtype=np.int64)
     for mat in maps:
-        images = _indices(space, v @ mat.T).tolist()
-        for a in range(size):
-            ra, rb = find(a), find(images[a])
-            if ra != rb:
-                parent[rb] = ra
-    roots = [find(x) for x in range(size)]
-    uniq = sorted(set(roots))
-    remap = {r: i for i, r in enumerate(uniq)}
-    return Partition(np.array([remap[r] for r in roots], dtype=np.int64), host=space.group)
+        np.minimum(least, _indices(space, v @ mat.T), out=least)
+    _, ids = np.unique(least, return_inverse=True)
+    return Partition(ids, host=space.group)
 
 
 def mep_witness_search(
@@ -538,8 +467,8 @@ def conjecture21_report(
     if not brute["reflexive"]:
         report["tiers"].append("brute-force-non-reflexive")
     witness = None
-    space = PrimeFieldSpace(q_prime, (1,) * n)
-    if (q_prime == 2 and n <= 5) or (q_prime == 3 and n <= 3):
+    if _gl_enumerable(q_prime, n):
+        space = PrimeFieldSpace(q_prime, (1,) * n)
         delta = co_vector_space_partition(space, k, config)
         search = mep_witness_search(space, delta, config)
         report["witness_search"] = search

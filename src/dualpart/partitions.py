@@ -261,6 +261,7 @@ class DualityContext:
         nrows, ncols = exponents.shape
         k = part.num_classes
         m, phi = self.m, self._phi
+        self.config.check("pair_work_cap", nrows * k * phi, "rows * k * deg(Phi_m) coordinate cells")
         if m == 2:
             # integer fast path: sum = size - 2 * (#exponent-1 entries),
             # counted by one segment sum over the class-sorted columns

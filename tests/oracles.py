@@ -130,3 +130,56 @@ def f_poly_hierarchical(group, p, omega, alpha):
     for t in range(2, r + 1):
         total = total - lower_levels(t)
     return total
+
+
+def inv_enumerate_binary(cls, n):
+    """Oracle for ``inv_enumerate`` at p = 2: every invertible F_2-map
+    preserving the classes ``cls`` (one id per element index), as tuples of
+    column bitmasks.
+
+    Backtracks over columns on bitmasks; every vector supported in the
+    settled prefix has a determined image, so class violations prune entire
+    subtrees.
+    """
+    size = 1 << n
+    img = [0] * size
+    cols = [0] * n
+    out = []
+
+    def rec(j, span):
+        if j == n:
+            out.append(tuple(cols))
+            return
+        bit = 1 << j
+        for c in range(1, size):
+            if c in span:
+                continue
+            news = []
+            ok = True
+            for s2 in range(bit):
+                s = s2 | bit
+                im = img[s2] ^ c
+                if cls[s] != cls[im]:
+                    ok = False
+                    break
+                news.append((s, im))
+            if not ok:
+                continue
+            for s, im in news:
+                img[s] = im
+            cols[j] = c
+            rec(j + 1, span | {im for _, im in news})
+
+    rec(0, frozenset([0]))
+    return out
+
+
+def binary_cols_to_matrix(cols, n):
+    """The n x n matrix of column bitmasks from ``inv_enumerate_binary``."""
+    m = np.zeros((n, n), dtype=np.int64)
+    for j, c in enumerate(cols):
+        for i in range(n):
+            # cols[j] is the image of index bit 2^j, which is vector entry
+            # n-1-j; entry i carries place value 2^(n-1-i)
+            m[i, n - 1 - j] = (c >> (n - 1 - i)) & 1
+    return m

@@ -231,6 +231,13 @@ class TestErrorContract:
         args = ("scan-co", "--q", "2", "--n", "3", "--k", "foo")
         self.assert_one_line(*run(capsys, *args), "invalid-input")
 
+    @pytest.mark.parametrize(
+        "args",
+        [("--q", "1", "--n", "3"), ("--q", "2", "--n", "0..3"), ("--q", "2", "--n", "3..6", "--k", "5")],
+    )
+    def test_scan_arguments_checked_before_the_header(self, capsys, args):
+        self.assert_one_line(*run(capsys, "scan-co", *args), "invalid-input")
+
     def test_budget_value_not_an_integer(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"pair_work_cap": "big"})
         monkeypatch.setenv("DUALPART_BUDGET", budget)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import dualpart.macwilliams as macwilliams
 from dualpart.config import BudgetError, InputError
 from dualpart.macwilliams import (
     LinearCode,
@@ -25,6 +26,7 @@ from dualpart.macwilliams import (
 )
 from dualpart.metrics import pk_covering
 from dualpart.partitions import DualityContext, Partition, induce_CO
+from oracles import binary_cols_to_matrix, inv_enumerate_binary
 
 
 def hamming(space):
@@ -193,6 +195,19 @@ class TestInvarianceSubgroup:
         maps = inv_enumerate(space, co_vector_space_partition(space, 3))
         assert gl4 % len(maps) == 0
 
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (4, 3), (4, 4), (5, 1), (5, 2), (5, 3)])
+    def test_binary_matches_bitmask_oracle(self, n, k):
+        # k = 1 is the Hamming partition
+        space = PrimeFieldSpace(2, (1,) * n)
+        delta = co_vector_space_partition(space, k)
+        maps = [tuple(map(tuple, m.tolist())) for m in inv_enumerate(space, delta)]
+        oracle = {
+            tuple(map(tuple, binary_cols_to_matrix(cols, n).tolist()))
+            for cols in inv_enumerate_binary(delta.class_ids.tolist(), n)
+        }
+        assert len(set(maps)) == len(maps)
+        assert set(maps) == oracle
+
     def test_size_guard(self):
         space = PrimeFieldSpace(2, (1,) * 6)
         with pytest.raises(BudgetError):
@@ -213,6 +228,19 @@ class TestOrbitsAndWitness:
         ]
         orb = orbit_partition(space, perms)
         assert orb == hamming(space)
+
+    @pytest.mark.parametrize("p,n,k", [(2, 5, 3), (3, 3, 2), (2, 4, 2)])
+    def test_numbering_ignores_map_order(self, p, n, k):
+        space = PrimeFieldSpace(p, (1,) * n)
+        maps = inv_enumerate(space, co_vector_space_partition(space, k))
+        orb = orbit_partition(space, maps)
+        shuffled = list(maps)
+        random.Random(7).shuffle(shuffled)
+        for order in (maps[::-1], shuffled):
+            assert np.array_equal(orbit_partition(space, order).class_ids, orb.class_ids)
+        # classes numbered in the order of their least elements
+        _, least = np.unique(orb.class_ids, return_index=True)
+        assert np.all(np.diff(least) > 0)
 
     def test_hamming_f2_4_no_witness(self):
         space = PrimeFieldSpace(2, (1,) * 4)
@@ -249,6 +277,32 @@ class TestConjectureReports:
     def test_rejects_composite(self):
         with pytest.raises(InputError):
             conjecture21_report(4, 5, 3)
+
+    @pytest.mark.parametrize("q", [5, 1000003])
+    def test_primality_tested_once(self, q, monkeypatch):
+        # outside the witness branch (q = 2 or 3) no space is built, so
+        # nothing tests q again
+        calls = []
+        is_prime = macwilliams._is_prime
+
+        def counted(p):
+            calls.append(p)
+            return is_prime(p)
+
+        monkeypatch.setattr(macwilliams, "_is_prime", counted)
+        rep = conjecture21_report(q, 3, 2)
+        assert calls == [q]
+        assert "witness_search" not in rep
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**4
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 100):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [p for p in range(-3, limit) if macwilliams._is_prime(p)] == np.nonzero(sieve)[0].tolist()
 
 
 class TestCharacterIndependence:

@@ -761,6 +761,21 @@ class TestScaleAndBudgets:
         with pytest.raises(BudgetError, match=r"= 256 exceeds pair_work_cap = 255$"):
             ctx.left_dual(gamma)
 
+    def test_coordinate_cap_named(self):
+        # Z/48 with 24 classes: a 48 x 48 table passes a cap of 10,000 cells,
+        # but its coordinates take 48 * 24 * deg(Phi_48) = 18,432 cells
+        group = build_group_product([[48]])
+        gamma = Partition(np.arange(48) % 24, host=group)
+        ctx = DualityContext(group, RunConfig(pair_work_cap=10_000))
+        assert ctx.exponents.size == 2304
+        with pytest.raises(
+            BudgetError,
+            match=r"^rows \* k \* deg\(Phi_m\) coordinate cells = 18432 exceeds pair_work_cap = 10000$",
+        ):
+            ctx.left_dual(gamma)
+        # two classes take 48 * 2 * 16 = 1,536 cells
+        ctx.left_dual(Partition(np.arange(48) % 2, host=group))
+
     def test_induce_cap_named(self):
         group = build_group_product([[2]] * 6)
         with pytest.raises(BudgetError, match=r"^\|G\| to induce a partition = 64 exceeds enumeration_cap = 63$"):
