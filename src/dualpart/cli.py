@@ -185,9 +185,12 @@ def _parse_range(spec: str) -> range:
     if ".." in spec:
         a, b = spec.split("..", 1)
         try:
-            return range(int(a), int(b) + 1)
+            lo, hi = int(a), int(b)
         except ValueError:
             raise InputError(f"bad range {spec!r}") from None
+        if hi < lo:
+            raise InputError(f"bad range {spec!r}: end below start")
+        return range(lo, hi + 1)
     try:
         v = int(spec)
     except ValueError:
@@ -208,9 +211,9 @@ def cmd_scan_co(args) -> int:
     if args.q < 2:
         raise InputError("q must be at least 2")
     # n only grows along the range, so its first value bounds every row
-    if n_range and n_range[0] < 1:
+    if n_range[0] < 1:
         raise InputError("n must be positive")
-    if n_range and k_only is not None and not 1 <= k_only <= n_range[0]:
+    if k_only is not None and not 1 <= k_only <= n_range[0]:
         raise InputError(f"k = {k_only} out of range for n = {n_range[0]}")
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
     for n in n_range:

@@ -22,12 +22,6 @@ NEG_INF = float("-inf")
 # dense integer polynomials (constant term first), internal helpers
 # ---------------------------------------------------------------------------
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials; den must divide num and be monic
     up to +-1 leading coefficient."""
@@ -91,21 +85,6 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
                     row[j] -= top * phi[j]
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _reduce_mod_cyclotomic(coeffs: list[int], m: int) -> tuple[int, ...]:
-    """Reduce an integer polynomial (any degree) modulo Phi_m."""
-    phi = _cyclotomic_coeffs(m)
-    d = len(phi) - 1
-    c = list(coeffs)
-    for i in range(len(c) - 1, d - 1, -1):
-        top = c[i]
-        if top:
-            c[i] = 0
-            for j in range(d + 1):
-                c[i - d + j] -= top * phi[j]
-    c = c[:d] + [0] * max(0, d - len(c))
-    return tuple(c[:d])
 
 
 def euler_phi_degree(m: int) -> int:
@@ -195,7 +174,8 @@ class CycInt:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         prod[i + j] += a * b
-        return CycInt(self.m, _reduce_mod_cyclotomic(prod, self.m))
+        # zeta^e = zeta^(e mod m), and row e of the reduction is zeta^e
+        return CycInt.from_exponent_counts(self.m, prod)
 
     __rmul__ = __mul__
 

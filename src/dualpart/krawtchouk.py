@@ -1,9 +1,12 @@
 """Exact Krawtchouk polynomials and the covering non-reflexivity criteria.
 
-Coefficients are exact rationals; integer-argument values are exact integers;
-root isolation uses exact-sign bisection seeded by sign changes on a
-progressively refined rational grid (the polynomials at hand have distinct
-real roots, so a fine enough grid always separates them).
+Coefficients are exact rationals; integer-argument values are exact integers.
+The criteria chain tries the closed-form families first and ends at the
+distinct-value count of KU_(n-1,s); it isolates no root.  Root isolation
+serves ``ku_roots`` and ``ku_derivative_roots`` only: exact-sign bisection
+seeded by sign changes on a progressively refined rational grid (the
+polynomials at hand have distinct real roots, so a fine enough grid always
+separates them).
 """
 
 from __future__ import annotations
@@ -201,59 +204,16 @@ def ku_derivative_roots(
     return isolate_real_roots(_int_coeffs_of(der), Fraction(0), Fraction(n), k - 1, width)
 
 
-def smallest_root_floor(n: int, k: int, q: int) -> int:
-    """floor of the smallest root, by exact integer scan: values before the
-    first root are positive since KU_(n,k)(0) > 0."""
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
-    for s in range(n + 1):
-        v = ku_eval(n, k, q, s)
-        if v == 0:
-            return s
-        if v < 0:
-            return s - 1
-    raise AssertionError("no sign change in [0,n] despite guaranteed roots")
-
-
-def _floor_of_interval(int_coeffs, lo: Fraction, hi: Fraction) -> int:
-    """floor of the unique root inside an isolating interval."""
-    while math.floor(lo) != math.floor(hi):
-        boundary = Fraction(math.floor(hi))
-        s = _sign_at(int_coeffs, boundary)
-        if s == 0:
-            return int(boundary)
-        if s == _sign_at(int_coeffs, lo):
-            lo = boundary
-        else:
-            hi = boundary
-        if hi - lo == 0:
-            break
-        mid = (lo + hi) / 2
-        sm = _sign_at(int_coeffs, mid)
-        if sm == 0:
-            lo = hi = mid
-        elif sm == _sign_at(int_coeffs, lo):
-            lo = mid
-        else:
-            hi = mid
-    return math.floor(lo)
-
-
-def derivative_smallest_root_floor(n: int, k: int, q: int) -> int:
-    """floor of the smallest derivative root, via exact isolation."""
-    roots = ku_derivative_roots(n, k, q, width=Fraction(1, 4))
-    if not roots:
-        raise InputError("derivative of a linear polynomial has no root")
-    lo, hi = roots[0]
-    if lo == hi:
-        return math.floor(lo)
-    der = _int_coeffs_of(ku_build(n, k, q).derivative_coeffs())
-    return _floor_of_interval(der, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # value vectors and distinct-value bounds
 # ---------------------------------------------------------------------------
+
+def _value_rows(n: int, k: int, q: int):
+    """(s, [KU_(n-1,s)(j) for j in 0..n-1]) over the multiples s of k in
+    [1, n-1], in s order; each row is evaluated only when it is read."""
+    for s in range(k, n, k):
+        yield s, [ku_eval(n - 1, s, q, j) for j in range(n)]
+
 
 def ku_value_vector(n: int, k: int, q: int, t: int) -> tuple[int, ...]:
     """The dual-class fingerprint of a support size t in [1,n]: the values
@@ -264,18 +224,13 @@ def ku_value_vector(n: int, k: int, q: int, t: int) -> tuple[int, ...]:
     """
     if not 1 <= t <= n:
         raise InputError("support size out of range")
-    return tuple(
-        ku_eval(n - 1, s, q, t - 1) for s in range(k, n, k)
-    )
+    return tuple(row[t - 1] for _, row in _value_rows(n, k, q))
 
 
 def dual_class_lower_bound(n: int, k: int, q: int) -> int:
     """|Lambda| >= max_s |{KU_(n-1,s)(j)}| + 1 over multiples s of k."""
-    best = 1  # the identity singleton
-    for s in range(k, n, k):
-        vals = {ku_eval(n - 1, s, q, j) for j in range(n)}
-        best = max(best, len(vals) + 1)
-    return best
+    # with no multiple of k below n, only the identity singleton is known
+    return max((len(set(row)) + 1 for _, row in _value_rows(n, k, q)), default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +354,19 @@ def co_nonreflexivity_verdict(n: int, k: int, q: int) -> dict:
             return verdict("non-reflexive", "k3-threshold-3.3")
         if q == 2 and n >= 5:
             return verdict("non-reflexive", "q2-k3")
-    # generic Krawtchouk criteria
+    # generic Krawtchouk criterion.  K = KU_(n-1,s) strictly decreases on
+    # [0, r1'], r1' its smallest derivative root, and r1 <= r1' < n-1 for
+    # its smallest root r1, so the distinct-value count minus one is at
+    # least floor(r1') >= floor(r1): it fires wherever the smallest-root
+    # and derivative-root floor criteria would.
     need = Fraction(n, k)
-    for s in range(k, n, k):
-        vals = {ku_eval(n - 1, s, q, j) for j in range(n)}
-        if len(vals) - 1 >= need:
+    for s, row in _value_rows(n, k, q):
+        distinct = len(set(row))
+        if distinct - 1 >= need:
             return verdict(
                 "non-reflexive",
                 "distinct-value-count",
                 s=s,
-                lambda_lower_bound=len(vals) + 1,
+                lambda_lower_bound=distinct + 1,
             )
-    for s in range(k, n, k):
-        if smallest_root_floor(n - 1, s, q) >= need:
-            return verdict("non-reflexive", "smallest-root-floor", s=s)
-    if n >= 3:
-        for s in range(k, n, k):
-            if s >= 2 and derivative_smallest_root_floor(n - 1, s, q) >= need:
-                return verdict("non-reflexive", "derivative-root-floor", s=s)
     return verdict("undecided-by-criteria", "none")

@@ -7,7 +7,6 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import InputError
@@ -143,19 +142,13 @@ def antichain_reduce(t: Covering) -> Covering:
     return Covering(t.n, tuple(out), pk=t.pk)
 
 
-def pk_covering(k: int, n: int, materialize: bool = False) -> Covering:
+def pk_covering(k: int, n: int) -> Covering:
     """The covering by all k-subsets of range(n).
 
-    By default the member list is kept logical (weight uses the exact
-    ceiling formula); materialization is available for cross-checks.
+    The member list is kept logical: weight uses the exact ceiling formula.
     """
     if not 1 <= k <= n:
         raise InputError(f"k = {k} out of range [1, {n}]")
-    if materialize:
-        if n > 12:
-            raise InputError("materialization limited to |Omega| <= 12")
-        members = tuple(frozenset(c) for c in combinations(range(n), k))
-        return Covering(n, members, pk=k)
     return Covering(n, (), pk=k)
 
 

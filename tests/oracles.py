@@ -1,7 +1,9 @@
 """Alternative engines kept as test oracles.
 
 Each computes a quantity that the library computes by one production path,
-by an independent method, so the tests can compare the two.
+by an independent method, so the tests can compare the two.  The two root
+floors are the paper's criteria that the distinct-value count subsumes; the
+tests state that domination with them.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 
 from dualpart.exactarith import CycInt, SparsePoly
 from dualpart.groups import pairing_exponent
+from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.metrics import wpm_weight
 from dualpart.posets import closure, dual_poset, levels
 
@@ -25,6 +28,39 @@ def genfun_eval(n, k, q, s):
         for i in range(k, 0, -1):
             coeffs[i] += (q - 1) * coeffs[i - 1]
     return coeffs[k]
+
+
+def hamming_sum_profile(q, n, t):
+    """Oracle: the coefficients of (1 - x)^t (1 + (q-1)x)^(n-t), by one
+    convolution per coordinate."""
+    coeffs = [1]
+    for _ in range(t):
+        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    for _ in range(n - t):
+        coeffs = [a + (q - 1) * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def smallest_root_floor(n, k, q):
+    """Oracle: floor of the smallest root of KU_(n,k), by an integer sign
+    scan; values before the first root are positive since KU_(n,k)(0) > 0."""
+    for s in range(n + 1):
+        v = ku_eval(n, k, q, s)
+        if v <= 0:
+            return s if v == 0 else s - 1
+    raise AssertionError("no sign change in [0,n] despite guaranteed roots")
+
+
+def derivative_smallest_root_floor(n, k, q):
+    """Oracle: floor of the smallest root of KU_(n,k)', k >= 2, by an
+    integer sign scan: KU_(n,k) decreases from KU_(n,k)(0) > 0 up to that
+    root, so the derivative is negative before it."""
+    der = ku_build(n, k, q).derivative_coeffs()
+    for s in range(n + 1):
+        v = sum(c * s**i for i, c in enumerate(der))
+        if v >= 0:
+            return s if v == 0 else s - 1
+    raise AssertionError("no sign change of the derivative in [0,n]")
 
 
 def _poly_mul(a, b):

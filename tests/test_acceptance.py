@@ -35,7 +35,7 @@ from dualpart.partitions import (
     DualityContext,
     Partition,
     co_reflexivity_bruteforce,
-    co_support_signature,
+    co_support_signatures,
     induce_CO,
     induce_Q,
     macwilliams_identity_holds,
@@ -238,16 +238,18 @@ def test_criterion_06_value_vector_oracle():
     for q in (2, 3):
         for n in range(2, 13):
             for k in range(1, n + 1):
+                sigs = co_support_signatures(q, n, k)
                 sig = {}
                 vec = {}
                 for t in range(1, n + 1):
-                    sig.setdefault(co_support_signature(q, n, k, t), []).append(t)
+                    sig.setdefault(sigs[t], []).append(t)
                     vec.setdefault(ku_value_vector(n, k, q, t), []).append(t)
                 assert sorted(sig.values()) == sorted(vec.values()), (q, n, k)
     # spot check against a full elementwise dual partition
     group = build_group_product([[2]] * 6)
     gamma = induce_CO(group, pk_covering(2, 6))
     lam = DualityContext(group).left_dual(gamma)
+    sigs = co_support_signatures(2, 6, 2)
     by_t = {}
     for idx in range(1, group.order):
         t = len(group.element_from_index(idx).support())
@@ -255,9 +257,8 @@ def test_criterion_06_value_vector_oracle():
     for t, classes in by_t.items():
         assert len(classes) == 1
         assert classes == {int(lam.class_ids[i]) for i in range(1, group.order)
-                           if co_support_signature(2, 6, 2, len(
-                               group.element_from_index(i).support()))
-                           == co_support_signature(2, 6, 2, t)}
+                           if sigs[len(group.element_from_index(i).support())]
+                           == sigs[t]}
     print("criterion 6 (value-vector classification oracle): PASS")
 
 

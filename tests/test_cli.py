@@ -117,10 +117,6 @@ class TestScanCo:
         lines = out.strip().splitlines()
         assert code == 0 and len(lines) == 1 + 2 + 3 + 4
 
-    def test_empty_range_header_only(self, capsys):
-        code, out, _ = run(capsys, "scan-co", "--q", "2", "--n", "5..4")
-        assert code == 0 and len(out.strip().splitlines()) == 1
-
 
 class TestKrawtchouk:
     def test_values_and_roots(self, capsys):
@@ -233,7 +229,12 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "args",
-        [("--q", "1", "--n", "3"), ("--q", "2", "--n", "0..3"), ("--q", "2", "--n", "3..6", "--k", "5")],
+        [
+            ("--q", "1", "--n", "3"),
+            ("--q", "2", "--n", "0..3"),
+            ("--q", "2", "--n", "3..6", "--k", "5"),
+            ("--q", "2", "--n", "5..3"),
+        ],
     )
     def test_scan_arguments_checked_before_the_header(self, capsys, args):
         self.assert_one_line(*run(capsys, "scan-co", *args), "invalid-input")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dualpart.config import InputError
 from dualpart.krawtchouk import (
     co_nonreflexivity_verdict,
-    derivative_smallest_root_floor,
     dual_class_lower_bound,
     eq45_w,
     eq45_w_floor,
@@ -19,10 +18,9 @@ from dualpart.krawtchouk import (
     ku_roots,
     ku_value_vector,
     lemma415_convergence,
-    smallest_root_floor,
     thm42_threshold,
 )
-from oracles import convolution_coeffs, genfun_eval
+from oracles import convolution_coeffs, derivative_smallest_root_floor, genfun_eval, smallest_root_floor
 
 
 class TestBuildAndEval:
@@ -133,6 +131,10 @@ class TestRoots:
                     lo, hi = ku_roots(n, k, q, width=Fraction(1, 100))[0]
                     f = smallest_root_floor(n, k, q)
                     assert f <= hi and lo <= f + 1
+                    if k >= 2:
+                        lo, hi = ku_derivative_roots(n, k, q, width=Fraction(1, 100))[0]
+                        f = derivative_smallest_root_floor(n, k, q)
+                        assert f <= hi and lo <= f + 1
 
     def test_derivative_floor_spot(self):
         # k=2 derivative root is the exact rational vertex
@@ -235,6 +237,16 @@ class TestVerdicts:
     def test_expected_verdicts(self, n, k, q, expect):
         assert co_nonreflexivity_verdict(n, k, q)["verdict"] == expect
 
+    def test_distinct_value_count_dominates_root_floors(self):
+        # why the chain needs no root-floor criterion after the count
+        for q in (2, 3, 5):
+            for n in range(2, 25):
+                for s in range(1, n + 1):
+                    count = len({ku_eval(n, s, q, j) for j in range(n + 1)}) - 1
+                    assert count >= smallest_root_floor(n, s, q), (q, n, s)
+                    if s >= 2:
+                        assert count >= derivative_smallest_root_floor(n, s, q), (q, n, s)
+
     def test_verdicts_never_contradict_brute_force(self):
         from dualpart.partitions import co_reflexivity_bruteforce
 
@@ -248,13 +260,14 @@ class TestVerdicts:
                     assert brute["reflexive"] == (v["verdict"] == "reflexive"), (q, n, k, v)
 
     def test_value_vector_classifies_dual_classes(self):
-        from dualpart.partitions import co_support_signature
+        from dualpart.partitions import co_support_signatures
 
         q, n, k = 3, 6, 2
+        sigs = co_support_signatures(q, n, k)
         sig_classes = {}
         vec_classes = {}
         for t in range(1, n + 1):
-            sig_classes.setdefault(co_support_signature(q, n, k, t), []).append(t)
+            sig_classes.setdefault(sigs[t], []).append(t)
             vec_classes.setdefault(ku_value_vector(n, k, q, t), []).append(t)
         assert sorted(sig_classes.values()) == sorted(vec_classes.values())
 

@@ -305,6 +305,15 @@ def test_is_prime_matches_sieve():
     assert [p for p in range(-3, limit) if macwilliams._is_prime(p)] == np.nonzero(sieve)[0].tolist()
 
 
+def test_is_prime_large():
+    assert macwilliams._is_prime(10**16 + 61)
+    # psi_12 is a strong pseudoprime to every prime base up to 37, not to 41
+    assert not macwilliams._is_prime(318_665_857_834_031_151_167_461)
+    # exactness ends at psi_13, where q is refused
+    with pytest.raises(InputError):
+        macwilliams._is_prime(3_317_044_064_679_887_385_961_981)
+
+
 class TestCharacterIndependence:
     def test_dual_partitions_agree_for_chi_squared(self):
         space = PrimeFieldSpace(3, (1, 1, 1))

@@ -89,7 +89,7 @@ class TestPkCovering:
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (4, 4)])
     def test_fast_path_agrees_with_materialized_search(self, n, k):
         logical = pk_covering(k, n)
-        full = pk_covering(k, n, materialize=True)
+        full = covering_from_members(n, itertools.combinations(range(n), k))
         for size in range(n + 1):
             for sub in itertools.combinations(range(n), size):
                 assert logical.weight(sub) == covering_weight(full, sub)

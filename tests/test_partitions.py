@@ -20,9 +20,9 @@ from dualpart.partitions import (
     SignatureLabels,
     co_dual_class_count,
     co_reflexivity_bruteforce,
-    co_support_signature,
+    co_support_signatures,
     f_poly_degree_ideal,
-    hamming_sum_profile,
+    hamming_sum_profiles,
     induce_CO,
     induce_Q,
     induce_from_ideal_classes,
@@ -37,7 +37,7 @@ from dualpart.partitions import (
     theorem41_check,
 )
 from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
-from oracles import eager_dual, f_poly_bruteforce, f_poly_hierarchical, onehot_coords
+from oracles import eager_dual, f_poly_bruteforce, f_poly_hierarchical, hamming_sum_profile, onehot_coords
 
 
 def vee():
@@ -412,9 +412,25 @@ class TestSupportProfileEngine:
     def test_profile_matches_krawtchouk_values(self, q, n):
         from dualpart.krawtchouk import ku_eval
 
-        for t in range(n + 1):
-            prof = hamming_sum_profile(q, n, t)
+        for t, prof in enumerate(hamming_sum_profiles(q, n)):
             assert prof == [ku_eval(n, l, q, t) for l in range(n + 1)]
+
+    def test_profiles_match_convolution_oracle(self):
+        for q in range(2, 7):
+            for n in range(21):
+                assert hamming_sum_profiles(q, n) == [hamming_sum_profile(q, n, t) for t in range(n + 1)]
+
+    def test_bruteforce_evaluates_no_krawtchouk_value(self, monkeypatch):
+        # the confirmation stays independent of the formulas the criteria use
+        from dualpart import krawtchouk
+
+        def refuse(*args):
+            raise AssertionError("ku_eval called")
+
+        monkeypatch.setattr(krawtchouk, "ku_eval", refuse)
+        for q, n in ((2, 12), (3, 7), (5, 5)):
+            for k in range(1, n + 1):
+                co_reflexivity_bruteforce(q, n, k)
 
     @pytest.mark.parametrize("q,n,k", [(2, 5, 3), (2, 6, 2), (3, 4, 2), (3, 5, 3)])
     def test_dual_class_count_matches_pairwise_engine(self, q, n, k):
@@ -427,11 +443,12 @@ class TestSupportProfileEngine:
         group = build_group_product([[3]] * 4)
         gamma = induce_CO(group, pk_covering(2, 4))
         ctx = DualityContext(group)
+        sigs = co_support_signatures(3, 4, 2)
         for idx in range(1, group.order):
             el = group.element_from_index(idx)
             t = len(el.support())
             sig = tuple(v.as_int() for v in ctx.signature(idx, gamma))
-            assert sig == co_support_signature(3, 4, 2, t)
+            assert sig == sigs[t]
 
     def test_engines_agree_on_verdict(self):
         # the support-profile verdict against the support-lattice dual, for
