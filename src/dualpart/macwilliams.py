@@ -1,7 +1,12 @@
 """Linear codes over prime fields: dual codes, distribution identities,
 partition-admits-MacWilliams equivalences, the invariance subgroup of a
-partition inside GL(N, p), orbit partitions, and the extension-property
-witness search.
+partition inside GL(N, p) and its orbit partition, and the
+extension-property witness search.
+
+The invariance subgroup is never listed.  A stabilizer-chain search finds
+strong generators for it; its order (``inv_order``) is the product of the
+basic-orbit lengths, and its orbits are the closures of the space's
+elements under those generators.
 
 The ambient space prod_i F_p^(k_i) is welded to the group-product view (all
 cyclic factors of order p), so dual codes agree with character-sum
@@ -332,82 +337,99 @@ def macwilliams_admits(
 # the invariance subgroup inside GL(N, p)
 # ---------------------------------------------------------------------------
 
-def inv_enumerate(
+def _closure(points: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
+    """The least set holding ``points`` that every index permutation in
+    ``gens`` maps into itself: a union of orbits of the group they make."""
+    seen = set(points)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return seen
+
+
+def _invariance_orbits(
     space: PrimeFieldSpace,
     delta: Partition,
     config: RunConfig = DEFAULT_CONFIG,
-) -> list[np.ndarray]:
-    """All invertible linear maps preserving every class of delta, as N x N
-    matrices (columns are the images of the standard basis)."""
+) -> tuple[int, Partition]:
+    """The order of Inv(delta), the invertible linear maps preserving every
+    class of delta, and its orbit partition of the space, numbered in the
+    order of the orbits' least elements.
+
+    A stabilizer-chain search; it never lists the group.  G_l is the
+    subgroup fixing e_0..e_(l-1).  Level l, from N-1 down to 0, finds the
+    basic orbit of e_l under G_l: it tries each vector c of the class of
+    e_l as the image of e_l, with e_0..e_(l-1) fixed, and keeps the first
+    full map found as a strong generator.  A c already in the closure of
+    e_l under the generators found so far (all in G_l) is skipped; when c
+    fails, so does every image of c under them.  |Inv(delta)| is the
+    product of the basic-orbit lengths (orbit-stabilizer), and the
+    generators generate Inv(delta), so its orbits are their closures."""
     p, n = space.p, space.dim
     if not _gl_enumerable(p, n):
-        raise BudgetError("invariance-subgroup enumeration guarded to GL(5,2) / GL(3,3)")
-    # backtrack over columns with index arithmetic; every vector supported
-    # on the settled columns has a determined image, so a class violation
-    # prunes the whole subtree
+        raise BudgetError("invariance-subgroup search guarded to GL(5,2) / GL(3,3)")
     size = space.order
     cls = delta.class_ids.tolist()
+    unit = [p ** (n - 1 - j) for j in range(n)]  # the index of e_j
     # column j is the image of e_j, so it lies in the class of e_j
-    candidates = [np.nonzero(delta.class_ids == cls[p ** (n - 1 - j)])[0].tolist() for j in range(n)]
+    candidates = [[c for c in range(size) if cls[c] == cls[u]] for u in unit]
     v = space.all_vectors(config)
     add = _indices(space, v[:, None, :] + v[None, :, :]).tolist()
     smul = [_indices(space, c * v).tolist() for c in range(p)]
-    img = [0] * size
-    cols = [0] * n
-    found: list[int] = []  # the columns of every map found, in a row
+    # img maps every vector supported on the settled columns; the vectors
+    # supported on columns 0..j-1 carry the largest place values, so they
+    # are the multiples of p^(n-j), and adding coef * e_j to one is exact
+    img = list(range(size))
 
-    def rec(j: int, span: frozenset[int]) -> None:
+    def settle(j: int, c: int) -> bool:
+        """Set column j to c; False at the first class violation."""
+        base = unit[j]
+        for coef in range(1, p):
+            shifted, off = smul[coef][c], coef * base
+            for s2 in range(0, size, base * p):
+                im = add[img[s2]][shifted]
+                if cls[s2 + off] != cls[im]:
+                    return False
+                img[s2 + off] = im
+        return True
+
+    def complete(j: int) -> bool:
+        """Whether columns j..n-1 extend the settled ones to a map of
+        Inv(delta), which img then holds."""
         if j == n:
-            found.extend(cols)
-            return
-        # column j settles every s = s2 + coef * e_j from a source s2
-        # supported on coordinates 0..j-1; those carry the largest place
-        # values, so they are the multiples of p^(n-j), and adding is exact
-        base = p ** (n - 1 - j)
-        sources = range(0, size, base * p)
-        for cidx in candidates[j]:
-            if cidx in span:
+            return True
+        span = {img[s] for s in range(0, size, unit[j] * p)}
+        return any(c not in span and settle(j, c) and complete(j + 1) for c in candidates[j])
+
+    gens: list[list[int]] = []
+    order = 1
+    for lvl in reversed(range(n)):
+        # img stays the identity on the span of e_0..e_(lvl-1), the
+        # multiples of p^(n-lvl): the levels searched before settle only
+        # vectors outside it, and a c inside it would make the map singular
+        orbit = _closure([unit[lvl]], gens)
+        failed: set[int] = set()
+        for c in candidates[lvl]:
+            if c in orbit or c in failed or c % (unit[lvl] * p) == 0:
                 continue
-            news = []
-            for coef in range(1, p):
-                shifted, off = smul[coef][cidx], coef * base
-                for s2 in sources:
-                    im = add[img[s2]][shifted]
-                    if cls[s2 + off] != cls[im]:
-                        break
-                    news.append((s2 + off, im))
-                else:
-                    continue  # every source of this coef kept its class
-                break  # a class violation rejects cidx
+            if settle(lvl, c) and complete(lvl + 1):
+                gens.append(img.copy())
+                orbit = _closure(orbit, gens)
             else:
-                for s, im in news:
-                    img[s] = im
-                cols[j] = cidx
-                rec(j + 1, span | {im for _, im in news})
-
-    rec(0, frozenset([0]))
-    # one array holds every map: entry (k, i, j) is coordinate i of column
-    # j of map k
-    return list(v[np.array(found, dtype=np.int64).reshape(-1, n)].transpose(0, 2, 1))
-
-
-def orbit_partition(
-    space: PrimeFieldSpace,
-    maps: Sequence[np.ndarray],
-    config: RunConfig = DEFAULT_CONFIG,
-) -> Partition:
-    """Orbits of a group of linear maps acting on the space, numbered in the
-    order of their least elements.
-
-    The maps must form a group, as those of ``inv_enumerate`` do: then the
-    orbit of v is the set of its images, and the least image names it
-    whatever order the maps come in."""
-    v = space.all_vectors(config)
-    least = np.arange(space.order, dtype=np.int64)
-    for mat in maps:
-        np.minimum(least, _indices(space, v @ mat.T), out=least)
-    _, ids = np.unique(least, return_inverse=True)
-    return Partition(ids, host=space.group)
+                failed |= _closure([c], gens)
+        order *= len(orbit)
+    ids = [-1] * size
+    num = 0
+    for x in range(size):
+        if ids[x] < 0:
+            for y in _closure([x], gens):
+                ids[y] = num
+            num += 1
+    return order, Partition(np.array(ids, dtype=np.int64), host=space.group)
 
 
 def mep_witness_search(
@@ -420,13 +442,17 @@ def mep_witness_search(
 
     Such a pair alpha, beta defines an injective map F.alpha -> H sending
     alpha to beta that preserves classes but extends to no class-preserving
-    automorphism."""
-    maps = inv_enumerate(space, delta, config)
-    orb = orbit_partition(space, maps, config)
+    automorphism.
+
+    ``inv_order`` is |Inv(delta)|, the product of the basic-orbit lengths
+    down the stabilizer chain of ``_invariance_orbits``; the orbits come
+    from the strong generators that search finds, so no list of the group
+    is built."""
+    inv_order, orb = _invariance_orbits(space, delta, config)
     if not orb.is_finer(delta):
         raise AssertionError("orbit partition must refine the input partition")
     result = {
-        "inv_order": len(maps),
+        "inv_order": inv_order,
         "orbit_classes": orb.num_classes,
         "delta_classes": delta.num_classes,
         "witness": None,
@@ -445,7 +471,7 @@ def mep_witness_search(
                 "alpha": list(space.group.element_from_index(a).residues),
                 "beta": list(space.group.element_from_index(b).residues),
                 "class_label": int(delta.class_ids[a]),
-                "inv_order": len(maps),
+                "inv_order": inv_order,
             }
             return result
     raise AssertionError("class counts differ but no split class found")
@@ -471,8 +497,8 @@ def conjecture21_report(
     F_q^n satisfies the extension property.
 
     Non-reflexivity refutes the extension property (the orbit equality
-    implies reflexivity); a concrete witness pair is attached whenever the
-    invariance subgroup is enumerable."""
+    implies reflexivity); the witness search runs, and attaches a concrete
+    pair when it finds one, within the GL(5,2) / GL(3,3) guard."""
     from .krawtchouk import co_nonreflexivity_verdict
 
     if not _is_prime(q_prime):

@@ -3,7 +3,8 @@
 Each computes a quantity that the library computes by one production path,
 by an independent method, so the tests can compare the two.  The two root
 floors are the paper's criteria that the distinct-value count subsumes; the
-tests state that domination with them.
+tests state that domination with them.  The invariance subgroup is listed
+map by map here, where the library only counts it down a stabilizer chain.
 """
 
 import math
@@ -15,6 +16,7 @@ from dualpart.exactarith import CycInt, SparsePoly
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.metrics import wpm_weight
+from dualpart.partitions import Partition
 from dualpart.posets import closure, dual_poset, levels
 
 
@@ -166,6 +168,81 @@ def f_poly_hierarchical(group, p, omega, alpha):
     for t in range(2, r + 1):
         total = total - lower_levels(t)
     return total
+
+
+def _vector_indices(space, vectors):
+    """Element indices of vectors (last axis, entries mod p): first entry
+    most significant, as in ``space.group``."""
+    place = space.p ** np.arange(space.dim - 1, -1, -1, dtype=np.int64)
+    return (vectors % space.p) @ place
+
+
+def inv_enumerate(space, delta):
+    """Oracle for the order of the invariance subgroup: every invertible
+    linear map of ``space`` preserving every class of ``delta``, as N x N
+    matrices (columns are the images of the standard basis).
+
+    Backtracks over columns with index arithmetic; every vector supported
+    on the settled columns has a determined image, so a class violation
+    prunes the whole subtree."""
+    p, n = space.p, space.dim
+    size = space.order
+    cls = delta.class_ids.tolist()
+    # column j is the image of e_j, so it lies in the class of e_j
+    candidates = [np.nonzero(delta.class_ids == cls[p ** (n - 1 - j)])[0].tolist() for j in range(n)]
+    v = space.all_vectors()
+    add = _vector_indices(space, v[:, None, :] + v[None, :, :]).tolist()
+    smul = [_vector_indices(space, c * v).tolist() for c in range(p)]
+    img = [0] * size
+    cols = [0] * n
+    found = []  # the columns of every map found, in a row
+
+    def rec(j, span):
+        if j == n:
+            found.extend(cols)
+            return
+        # column j settles every s = s2 + coef * e_j from a source s2
+        # supported on coordinates 0..j-1: the multiples of p^(n-j)
+        base = p ** (n - 1 - j)
+        sources = range(0, size, base * p)
+        for cidx in candidates[j]:
+            if cidx in span:
+                continue
+            news = []
+            for coef in range(1, p):
+                shifted, off = smul[coef][cidx], coef * base
+                for s2 in sources:
+                    im = add[img[s2]][shifted]
+                    if cls[s2 + off] != cls[im]:
+                        break
+                    news.append((s2 + off, im))
+                else:
+                    continue  # every source of this coef kept its class
+                break  # a class violation rejects cidx
+            else:
+                for s, im in news:
+                    img[s] = im
+                cols[j] = cidx
+                rec(j + 1, span | {im for _, im in news})
+
+    rec(0, frozenset([0]))
+    # entry (k, i, j) is coordinate i of column j of map k
+    return list(v[np.array(found, dtype=np.int64).reshape(-1, n)].transpose(0, 2, 1))
+
+
+def orbit_partition(space, maps):
+    """Oracle for the orbit partition: the orbits of a group of linear maps
+    on the space, numbered in the order of their least elements.
+
+    The maps must form a group, as those of ``inv_enumerate`` do: then the
+    orbit of v is the set of its images, and the least image names it
+    whatever order the maps come in."""
+    v = space.all_vectors()
+    least = np.arange(space.order, dtype=np.int64)
+    for mat in maps:
+        np.minimum(least, _vector_indices(space, v @ mat.T), out=least)
+    _, ids = np.unique(least, return_inverse=True)
+    return Partition(ids, host=space.group)
 
 
 def inv_enumerate_binary(cls, n):

@@ -344,7 +344,7 @@ def test_criterion_10_conjecture_refutation():
     space = PrimeFieldSpace(2, (1,) * 5)
     res = mep_witness_search(space, co_vector_space_partition(space, 3))
     assert res["witness"] is not None
-    assert res["inv_order"] == 120  # full enumeration inside GL(5,2)
+    assert res["inv_order"] == 120  # product of the basic-orbit lengths: S_5
     rep = conjecture21_report(2, 5, 3)
     assert rep["refuted"] and "explicit-witness" in rep["tiers"]
     rep2 = conjecture21_report(3, 3, 2)

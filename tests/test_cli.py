@@ -160,6 +160,15 @@ class TestRefute:
         code, out, _ = run(capsys, "refute", "2", "4", "3")
         assert code == 0 and not json.loads(out)["refuted"]
 
+    @pytest.mark.parametrize("k,order", [(4, 322_560), (5, 9_999_360)])
+    def test_large_invariance_groups_answer(self, capsys, k, order):
+        # 9,999,360 = |GL(5,2)|: the group is counted, not listed
+        code, out, _ = run(capsys, "refute", "2", "5", str(k))
+        search = json.loads(out)["witness_search"]
+        assert code == 0 and search["inv_order"] == order
+        assert search["orbit_classes"] == search["delta_classes"]
+        assert search["witness"] is None
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run(capsys, "refute", "3", "3", "2")
         _, b, _ = run(capsys, "refute", "3", "3", "2")

@@ -36,8 +36,12 @@ CASES = {
     "macwilliams-p3": ["macwilliams", "code_p3.txt", "--gamma", "hamming", "--lambda", "dual"],
     "macwilliams-p2-blocks": ["macwilliams", "code_p2_blocks.txt", "--gamma", "Pk:2", "--lambda", "dual"],
     "refute-2-4-2": ["refute", "2", "4", "2"],
+    "refute-2-4-3": ["refute", "2", "4", "3"],
+    "refute-2-4-4": ["refute", "2", "4", "4"],
+    "refute-2-5-2": ["refute", "2", "5", "2"],
     "refute-2-5-3": ["refute", "2", "5", "3"],
     "refute-3-3-2": ["refute", "3", "3", "2"],
+    "refute-3-3-3": ["refute", "3", "3", "3"],
 }
 
 

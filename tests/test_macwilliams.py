@@ -13,12 +13,10 @@ from dualpart.macwilliams import (
     conjecture21_report,
     distribution,
     dual_code,
-    inv_enumerate,
     is_f_invariant,
     macwilliams_admits,
     macwilliams_verify,
     mep_witness_search,
-    orbit_partition,
     pami_onedim_check,
     parse_code_file,
     rref_mod_p,
@@ -26,7 +24,7 @@ from dualpart.macwilliams import (
 )
 from dualpart.metrics import pk_covering
 from dualpart.partitions import DualityContext, Partition, induce_CO
-from oracles import binary_cols_to_matrix, inv_enumerate_binary
+from oracles import binary_cols_to_matrix, inv_enumerate, inv_enumerate_binary, orbit_partition
 
 
 def hamming(space):
@@ -211,7 +209,7 @@ class TestInvarianceSubgroup:
     def test_size_guard(self):
         space = PrimeFieldSpace(2, (1,) * 6)
         with pytest.raises(BudgetError):
-            inv_enumerate(space, hamming(space))
+            mep_witness_search(space, hamming(space))
 
 
 class TestOrbitsAndWitness:
@@ -258,6 +256,101 @@ class TestOrbitsAndWitness:
         b = space.group.element(w["beta"]).index
         assert delta.class_ids[a] == delta.class_ids[b]
         assert res["inv_order"] > 0
+
+
+def _index_perm(space, mat):
+    """The index permutation of the linear map with matrix ``mat``."""
+    v = space.all_vectors()
+    place = space.p ** np.arange(space.dim - 1, -1, -1)
+    return ((v @ mat.T) % space.p @ place).tolist()
+
+
+def _random_partition(space, rng, kind):
+    """Random labels on the space (kind 0), or on the orbits of a random
+    coordinate permutation (kind 1), or of it and the scalars (kind 2): the
+    last two have nontrivial invariance groups, the first two are mostly
+    not F-invariant."""
+    labels = [rng.randrange(3) for _ in range(space.order)]
+    if kind == 0:
+        return Partition.from_keys(labels, host=space.group)
+    n = space.dim
+    perms = [_index_perm(space, np.eye(n, dtype=np.int64)[:, rng.sample(range(n), n)])]
+    if kind == 2:
+        perms += [_index_perm(space, c * np.eye(n, dtype=np.int64)) for c in range(2, space.p)]
+    keys = [None] * space.order
+    for x in range(space.order):
+        if keys[x] is None:
+            orbit, stack = {x}, [x]
+            while stack:
+                y = stack.pop()
+                for g in perms:
+                    if g[y] not in orbit:
+                        orbit.add(g[y])
+                        stack.append(g[y])
+            for y in orbit:
+                keys[y] = labels[x]
+    return Partition.from_keys(keys, host=space.group)
+
+
+RANDOM_SPACES = [PrimeFieldSpace(2, (1,) * 4), PrimeFieldSpace(2, (1,) * 5),
+                 PrimeFieldSpace(3, (1,) * 2), PrimeFieldSpace(3, (1,) * 3)]
+RANDOM_CASES = [
+    (space, _random_partition(space, random.Random(seed), seed % 3))
+    for seed in range(6)
+    for space in RANDOM_SPACES
+]
+
+
+class TestStabilizerChain:
+    """The chain's order and orbits against the listed group."""
+
+    @staticmethod
+    def check(space, delta):
+        order, orb = macwilliams._invariance_orbits(space, delta)
+        maps = inv_enumerate(space, delta)
+        assert order == len(maps)
+        assert np.array_equal(orb.class_ids, orbit_partition(space, maps).class_ids)
+        return order
+
+    @pytest.mark.parametrize(
+        "p,n,k",
+        [(2, n, k) for n in range(1, 5) for k in range(1, n + 1)]
+        + [(2, 5, k) for k in (1, 2, 3)]
+        + [(3, n, k) for n in range(1, 4) for k in range(1, n + 1)],
+    )
+    def test_covering(self, p, n, k):
+        space = PrimeFieldSpace(p, (1,) * n)
+        self.check(space, co_vector_space_partition(space, k))
+
+    @pytest.mark.parametrize(
+        "p,blocks", [(2, (2, 1)), (2, (2, 2)), (2, (3, 2)), (2, (1, 4)), (3, (2, 1)), (3, (3,))]
+    )
+    def test_hamming_with_blocks(self, p, blocks):
+        space = PrimeFieldSpace(p, blocks)
+        self.check(space, hamming(space))
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_singletons_trivial_group(self, p, n):
+        space = PrimeFieldSpace(p, (1,) * n)
+        singles = Partition(np.arange(space.order), host=space.group)
+        assert self.check(space, singles) == 1
+
+    @pytest.mark.parametrize("p,n,gl", [(2, 2, 6), (2, 3, 168), (3, 2, 48)])
+    def test_one_class_full_gl(self, p, n, gl):
+        # every map preserves the one class, so a singular column must be
+        # refused by the span checks, not by a class violation
+        space = PrimeFieldSpace(p, (1,) * n)
+        assert self.check(space, Partition(np.zeros(space.order, dtype=np.int64))) == gl
+
+    @pytest.mark.parametrize("case", range(len(RANDOM_CASES)))
+    def test_random(self, case):
+        self.check(*RANDOM_CASES[case])
+
+    def test_random_cases_vary(self):
+        orders = [macwilliams._invariance_orbits(*c)[0] for c in RANDOM_CASES]
+        assert min(orders) == 1 and max(orders) > 2
+        f_invariant = {is_f_invariant(s, d) for s, d in RANDOM_CASES if s.p == 3}
+        assert f_invariant == {False, True}
 
 
 class TestConjectureReports:
