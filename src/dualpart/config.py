@@ -36,12 +36,16 @@ class RunConfig:
     enumeration_cap: maximum group order for full element enumeration.
     pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
                      the pairing table of the pairwise engine, and again
-                     |G| * k * deg(Phi_m) for its cyclotomic coordinates (k
-                     classes, m the exponent); 2^n * k for the
+                     rows * k * deg(Phi_m) for its cyclotomic coordinates
+                     (k classes, m the exponent) and m * deg(Phi_m) for
+                     the reduction matrix behind them; 2^n * k for the
                      support-lattice engine (n coordinates).
                      The lattice serves every partition that carries a
                      per-support-mask class array (the induced ones), the
-                     pairwise engine every other partition.
+                     pairwise engine every other partition.  A subset of
+                     the pairing rows (one per codeword for the annihilator,
+                     one per class for the Krawtchouk matrix) counts
+                     rows * |H| cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
     """

@@ -165,12 +165,12 @@ def support(beta: GroupElement) -> frozenset[int]:
     return beta.support()
 
 
-def pairing_exponent(alpha: GroupElement, beta: GroupElement, scale: int = 1) -> int:
+def pairing_exponent(alpha: GroupElement, beta: GroupElement) -> int:
     """Exponent e with f(alpha, beta) = zeta_m^e, m the group exponent.
 
     Per cyclic factor of order d the standard pairing contributes
-    zeta_d^(a*b) = zeta_m^((m/d)*a*b).  ``scale`` replaces the character by
-    its scale-th power (used for character-independence tests).
+    zeta_d^(a*b) = zeta_m^((m/d)*a*b).  This is the reference for one
+    entry; ``DualityContext`` computes whole rows of the same exponents.
     """
     if alpha.group.coordinates != beta.group.coordinates:
         raise InputError("mismatched group shapes")
@@ -178,7 +178,7 @@ def pairing_exponent(alpha: GroupElement, beta: GroupElement, scale: int = 1) ->
     e = 0
     for a, b, d in zip(alpha.residues, beta.residues, alpha.group.factor_orders):
         e += (m // d) * a * b
-    return (scale * e) % m
+    return e % m
 
 
 def pairing(alpha: GroupElement, beta: GroupElement) -> CycInt:

@@ -535,7 +535,12 @@ def conjecture21_report(
         )
     else:
         report["refuted"] = False
-        report["evidence"] = "no implemented criterion applies; instance open"
+        checked = (
+            "every class is one orbit of the invariance group, so no one-dimensional witness exists"
+            if "witness_search" in report
+            else "no witness search outside GL(5,2) / GL(3,3)"
+        )
+        report["evidence"] = f"reflexive; {checked}; instance open"
     return report
 
 

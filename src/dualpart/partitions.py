@@ -19,6 +19,9 @@ engines, by one rule:
 * the pairwise engine for every other partition: integer exponent tables
   (numpy) over the |G| x |H| pairing table, reduced to canonical cyclotomic
   coordinates with an integer reduction matrix.
+
+The full pairing table belongs to the pairwise engine alone; the Krawtchouk
+matrix and the annihilator code compute only the pairing rows they read.
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ from .posets import (
 _LABEL_CAP = 1 << 20
 
 
-def _coords_to_cyc(m: int, row: np.ndarray, k: int) -> tuple[CycInt, ...]:
-    """The k per-class character sums held in one row of coordinates."""
-    return tuple(CycInt(m, coeffs) for coeffs in row.reshape(k, -1).tolist())
-
-
 def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index and lexicographic rank of every distinct row.
 
@@ -95,7 +93,8 @@ class SignatureLabels(collections.abc.Sequence):
         return len(self.rows)
 
     def __getitem__(self, c: int) -> tuple[CycInt, ...]:
-        return _coords_to_cyc(self.m, self.rows[c], self.k)
+        rows = self.rows[c].reshape(self.k, -1).tolist()
+        return tuple(CycInt(self.m, coeffs) for coeffs in rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (SignatureLabels, list, tuple)):
@@ -212,27 +211,17 @@ class DualityContext:
 
     The engine is picked per partition: the support lattice when the
     partition carries ``mask_ids``, the pairwise engine otherwise.  The
-    pairing-exponent table of the pairwise engine is built on first use (a
-    pairwise dual, ``signature`` or ``annihilator``).
-
-    ``scale`` replaces the pairing by its scale-th power (for testing
-    character independence); it must be invertible mod the exponent.
+    pairing-exponent table of the pairwise engine is built on first use, by
+    a pairwise dual only; ``annihilator`` and ``krawtchouk_matrix`` compute
+    just the rows they read.
     """
 
-    def __init__(
-        self,
-        group: GroupProduct,
-        config: RunConfig = DEFAULT_CONFIG,
-        scale: int = 1,
-    ):
+    def __init__(self, group: GroupProduct, config: RunConfig = DEFAULT_CONFIG):
         self.group = group
         self.m = group.exponent
-        if math.gcd(scale, self.m) != 1:
-            raise InputError(f"scale {scale} is not invertible mod the exponent {self.m}")
         self.config = config
-        self.scale = scale
         self._phi = euler_phi_degree(self.m)
-        self._reduction = np.array(reduction_matrix(self.m), dtype=np.int64)
+        self._reduction: Optional[np.ndarray] = None  # built by _coords
         self._table: Optional[np.ndarray] = None
         self._last_left: Optional[tuple[Partition, Partition]] = None
 
@@ -240,22 +229,30 @@ class DualityContext:
     def exponents(self) -> np.ndarray:
         """The |G| x |H| pairing-exponent table, built on first use."""
         if self._table is None:
-            group, m = self.group, self.m
-            self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
-            v = group.residue_matrix(self.config)
-            weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
-            e = (v * weights[None, :]) @ v.T
-            if self.scale != 1:
-                e *= self.scale
-            e %= m
-            # int16 holds every exponent below 2^15; wider moduli need int32
-            self._table = e.astype(np.int16 if m <= 1 << 15 else np.int32)
+            self._table = self._pairing_rows()
         return self._table
 
-    # -- signatures -----------------------------------------------------
+    def _pairing_rows(self, index: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pairing exponents of the elements of G at ``index`` (all of G
+        when None) against all of H: entry (r, b) is the e with
+        f(a_r, b) = zeta_m^e, as ``groups.pairing_exponent`` gives it."""
+        group, m = self.group, self.m
+        if index is None:
+            self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
+        else:
+            self.config.check("pair_work_cap", len(index) * group.order, "rows * |H| pairing cells")
+        v = group.residue_matrix(self.config)
+        weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
+        e = ((v if index is None else v[index]) * weights[None, :]) @ v.T
+        e %= m
+        # int16 holds every exponent below 2^15; wider moduli need int32
+        return e.astype(np.int16 if m <= 1 << 15 else np.int32)
+
+    # -- character sums ---------------------------------------------------
 
     def _coords(self, exponents: np.ndarray, part: Partition) -> np.ndarray:
-        """Canonical cyclotomic coordinates of all per-class character sums.
+        """Canonical cyclotomic coordinates of the per-class character sums
+        of every given pairing row (a row of G against all of H).
 
         Returns an int64 array of shape (rows, classes * deg(Phi_m)).
         """
@@ -263,16 +260,9 @@ class DualityContext:
         k = part.num_classes
         m, phi = self.m, self._phi
         self.config.check("pair_work_cap", nrows * k * phi, "rows * k * deg(Phi_m) coordinate cells")
-        if m == 2:
-            # integer fast path: sum = size - 2 * (#exponent-1 entries),
-            # counted by one segment sum over the class-sorted columns
-            # (np.take keeps them C-contiguous, unlike exponents[:, order])
-            sizes = part.class_sizes()
-            order = np.argsort(part.class_ids, kind="stable")
-            starts = np.cumsum(sizes) - sizes
-            by_class = np.take(exponents, order, axis=1)
-            ones = np.add.reduceat(by_class, starts, axis=1, dtype=np.int64)
-            return sizes.astype(np.int64)[None, :] - 2 * ones
+        if self._reduction is None:
+            self.config.check("pair_work_cap", m * phi, "m * deg(Phi_m) reduction matrix cells")
+            self._reduction = np.array(reduction_matrix(m), dtype=np.int64)
         # one bincount per row chunk over combined (class, exponent) keys;
         # this stays fast even when most classes are singletons.  Rows
         # e < phi of the reduction matrix are unit vectors, so only the
@@ -291,11 +281,6 @@ class DualityContext:
             np.matmul(counts[..., phi:], tail, out=out)
             out += counts[..., :phi]
         return coords.reshape(nrows, k * phi)
-
-    def signature(self, a_index: int, gamma: Partition) -> tuple[CycInt, ...]:
-        """Per-class character sums for one element of G (a DualSignature)."""
-        row = self._coords(self.exponents[a_index : a_index + 1], gamma)[0]
-        return _coords_to_cyc(self.m, row, gamma.num_classes)
 
     def _dual(self, exponents: np.ndarray, part: Partition) -> Partition:
         """The pairwise engine: one row of character sums per table row,
@@ -316,7 +301,7 @@ class DualityContext:
         support U over the elements of support T is entry (U, T) of the
         Kronecker product of M_i = [[1, h_i - 1], [1, -1]]: a Yates transform
         of the mask-by-class indicator, k * n * 2^n steps, in integers that
-        every unit scale fixes.  An integer c has canonical coordinates
+        every Galois automorphism fixes.  An integer c has canonical coordinates
         (c, 0, ..., 0) and every mask is a support (h_i >= 2), so classes and
         labels are numbered as the pairwise engine numbers them.
         """
@@ -367,8 +352,11 @@ class DualityContext:
 
     def annihilator(self, code_indices: Sequence[int]) -> np.ndarray:
         """Indices of the annihilator code: all b with f(a, b) = 1 for every
-        a in the given additive code."""
-        rows = self.exponents[np.asarray(code_indices, dtype=np.int64)]
+        a in the given additive code, from the code's pairing rows only."""
+        code = np.asarray(code_indices, dtype=np.int64)
+        if len(code) and not (0 <= code.min() and code.max() < self.group.order):
+            raise InputError(f"code index out of range [0, {self.group.order})")
+        rows = self._pairing_rows(code)
         return np.nonzero((rows == 0).all(axis=0))[0]
 
 
@@ -587,14 +575,15 @@ def krawtchouk_matrix(
 
     The precondition (lam finer than l(gamma)) is verified, not assumed;
     on failure the violating element pair is reported instead of a matrix.
+    Row A comes from the pairing row of the first element of A, not from
+    the labels of l(gamma), which are None above ``_LABEL_CAP``.
     """
     ldual = ctx.left_dual(gamma)
     if not lam.is_finer(ldual):
         return KrawtchoukMatrixResult(False, None, lam.finer_violation(ldual), lam, gamma)
-    rho = []
-    for a in range(lam.num_classes):
-        rep = int(lam.members(a)[0])
-        rho.append(list(ctx.signature(rep, gamma)))
+    _, reps = np.unique(lam.class_ids, return_index=True)
+    coords = ctx._coords(ctx._pairing_rows(reps), gamma)
+    rho = [list(sums) for sums in SignatureLabels(ctx.m, coords, gamma.num_classes)]
     return KrawtchoukMatrixResult(True, rho, None, lam, gamma)
 
 

@@ -5,6 +5,8 @@ by an independent method, so the tests can compare the two.  The two root
 floors are the paper's criteria that the distinct-value count subsumes; the
 tests state that domination with them.  The invariance subgroup is listed
 map by map here, where the library only counts it down a stabilizer chain.
+The pairing table of a second character chi^u lets the tests check that a
+dual partition does not depend on the character.
 """
 
 import math
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dualpart.exactarith import CycInt, SparsePoly
+from dualpart.exactarith import CycInt, SparsePoly, reduction_matrix
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.metrics import wpm_weight
@@ -103,7 +105,16 @@ def onehot_coords(ctx, exponents, part):
         return part.class_sizes().astype(np.int64)[None, :] - 2 * ones
     keys = exponents.astype(np.int64) + part.class_ids.astype(np.int64)[None, :] * m
     counts = np.stack([np.bincount(row, minlength=k * m) for row in keys])
-    return (counts.reshape(-1, k, m) @ ctx._reduction).reshape(len(keys), -1)
+    reduction = np.array(reduction_matrix(m), dtype=np.int64)
+    return (counts.reshape(-1, k, m) @ reduction).reshape(len(keys), -1)
+
+
+def scaled_exponents(ctx, u):
+    """The pairing table of the character chi^u, u a unit mod m: every
+    exponent times u, mod m, in the dtype of the context's table."""
+    table = ctx.exponents
+    assert math.gcd(u, ctx.m) == 1, "the scale must be a unit mod m"
+    return (table.astype(np.int64) * u % ctx.m).astype(table.dtype)
 
 
 def eager_dual(ctx, exponents, part):

@@ -23,10 +23,12 @@ from dualpart.krawtchouk import (
     lemma415_convergence,
 )
 from dualpart.macwilliams import (
+    LinearCode,
     PrimeFieldSpace,
     co_vector_space_partition,
     conjecture21_report,
     macwilliams_admits,
+    macwilliams_verify,
     mep_witness_search,
     pami_onedim_check,
 )
@@ -38,12 +40,13 @@ from dualpart.partitions import (
     co_support_signatures,
     induce_CO,
     induce_Q,
+    krawtchouk_matrix,
     macwilliams_identity_holds,
     theorem32_check,
     theorem41_check,
 )
 from dualpart.posets import validate_and_close
-from oracles import genfun_eval
+from oracles import genfun_eval, scaled_exponents
 
 
 GROUP_SPECS = [
@@ -152,6 +155,34 @@ def test_criterion_02_distribution_identity():
         assert macwilliams_identity_holds(ctx, code, lam, gamma)
         done += 1
     print("criterion 2 (distribution identity): PASS")
+
+
+def test_criterion_02_krawtchouk_rows_are_lattice_labels():
+    # rho read off pairing rows equals l(Gamma)'s labels from the support
+    # lattice, and neither builds the pairing table
+    for i, spec in enumerate(GROUP_SPECS):
+        group = _group(i)
+        ctx = DualityContext(group)
+        n = group.n
+        chain = validate_and_close(n, [(u, u + 1) for u in range(n - 1)])
+        gammas = [induce_CO(group, pk_covering(k, n)) for k in range(1, n + 1)]
+        gammas.append(induce_Q(group, chain, WeightFunction.constant(n)))
+        for gamma in gammas:
+            lam = ctx.left_dual(gamma)
+            assert lam.mask_ids is not None
+            res = krawtchouk_matrix(ctx, lam, gamma)
+            assert res.ok and len(res.rho) == lam.num_classes
+            for a, row in enumerate(res.rho):
+                assert tuple(row) == lam.labels[a], (spec, a)
+        assert ctx._table is None, spec
+    for p, n in ((2, 6), (3, 4), (5, 3)):
+        space = PrimeFieldSpace(p, (1,) * n)
+        code = LinearCode.from_rows(space, [[1] * n, [0, 1] + [0] * (n - 2)])
+        for k in (1, 2):
+            gamma = co_vector_space_partition(space, k)
+            ctx = DualityContext(space.group)
+            assert macwilliams_verify(code, ctx.left_dual(gamma), gamma, ctx)["holds"]
+            assert ctx._table is None
 
 
 def _compositions(n):
@@ -357,6 +388,8 @@ def test_criterion_11_character_independence():
     rng = random.Random(3)
     for n in (1, 2, 3):
         space = PrimeFieldSpace(3, (1,) * n)
+        ctx = DualityContext(space.group)
+        squared = scaled_exponents(ctx, 2)
         candidates = [co_vector_space_partition(space, k) for k in range(1, n + 1)]
         for _ in range(10):
             # random scalar-invariant partition: classes assigned per line
@@ -370,7 +403,7 @@ def test_criterion_11_character_independence():
                     ids[idx] = ids[rep]
             candidates.append(Partition.from_keys(ids, host=space.group))
         for gamma in candidates:
-            d1 = DualityContext(space.group, scale=1).left_dual(gamma)
-            d2 = DualityContext(space.group, scale=2).left_dual(gamma)
+            d1 = ctx._dual(ctx.exponents, gamma)
+            d2 = ctx._dual(squared, gamma)
             assert d1 == d2
     print("criterion 11 (character independence): PASS")

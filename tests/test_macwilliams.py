@@ -24,7 +24,7 @@ from dualpart.macwilliams import (
 )
 from dualpart.metrics import pk_covering
 from dualpart.partitions import DualityContext, Partition, induce_CO
-from oracles import binary_cols_to_matrix, inv_enumerate, inv_enumerate_binary, orbit_partition
+from oracles import binary_cols_to_matrix, inv_enumerate, inv_enumerate_binary, orbit_partition, scaled_exponents
 
 
 def hamming(space):
@@ -366,6 +366,16 @@ class TestConjectureReports:
     def test_243_open(self):
         rep = conjecture21_report(2, 4, 3)
         assert not rep["refuted"]
+        assert rep["evidence"] == (
+            "reflexive; every class is one orbit of the invariance group, "
+            "so no one-dimensional witness exists; instance open"
+        )
+
+    @pytest.mark.parametrize("q,n,k", [(2, 6, 1), (5, 2, 1)])
+    def test_open_without_search(self, q, n, k):
+        rep = conjecture21_report(q, n, k)
+        assert not rep["refuted"] and "witness_search" not in rep
+        assert rep["evidence"] == "reflexive; no witness search outside GL(5,2) / GL(3,3); instance open"
 
     def test_rejects_composite(self):
         with pytest.raises(InputError):
@@ -410,10 +420,11 @@ def test_is_prime_large():
 class TestCharacterIndependence:
     def test_dual_partitions_agree_for_chi_squared(self):
         space = PrimeFieldSpace(3, (1, 1, 1))
+        ctx = DualityContext(space.group)
         for gamma in [hamming(space), co_vector_space_partition(space, 2)]:
-            d1 = DualityContext(space.group, scale=1).left_dual(gamma)
-            d2 = DualityContext(space.group, scale=2).left_dual(gamma)
-            assert d1 == d2
+            d1 = ctx._dual(ctx.exponents, gamma)
+            d2 = ctx._dual(scaled_exponents(ctx, 2), gamma)
+            assert d1 == d2 == ctx.left_dual(gamma)
 
 
 class TestCodeFiles:

@@ -37,7 +37,14 @@ from dualpart.partitions import (
     theorem41_check,
 )
 from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
-from oracles import eager_dual, f_poly_bruteforce, f_poly_hierarchical, hamming_sum_profile, onehot_coords
+from oracles import (
+    eager_dual,
+    f_poly_bruteforce,
+    f_poly_hierarchical,
+    hamming_sum_profile,
+    onehot_coords,
+    scaled_exponents,
+)
 
 
 def vee():
@@ -66,6 +73,12 @@ class TestPartition:
         p = Partition.from_keys([1, 0, 1])
         doc = p.export()
         assert doc["classes"] == [[1], [0, 2]]
+
+
+def signature(ctx, idx, gamma):
+    """The per-class character sums of element idx, from its pairing row."""
+    row = ctx._coords(ctx.exponents[idx : idx + 1], gamma)
+    return SignatureLabels(ctx.m, row, gamma.num_classes)[0]
 
 
 def brute_force_left_dual(group, gamma):
@@ -109,7 +122,7 @@ class TestDualityContext:
         group = build_group_product([[2], [3]])
         gamma = induce_CO(group, pk_covering(1, 2))
         ctx = DualityContext(group)
-        sig = ctx.signature(0, gamma)
+        sig = signature(ctx, 0, gamma)
         sizes = gamma.class_sizes()
         assert [v.as_int() for v in sig] == list(sizes)
 
@@ -124,6 +137,37 @@ class TestDualityContext:
                 pairing_exponent(group.element_from_index(a), b) == 0 for a in code
             )
             assert (b_idx in ann) == trivial
+
+    def test_annihilator_rejects_out_of_range_indices(self):
+        group = build_group_product([[2]] * 3)
+        ctx = DualityContext(group)
+        gamma = induce_CO(group, pk_covering(1, 3))
+        lam = ctx.left_dual(gamma)
+        for bad in ([-1], [8], [0, -1], [0, 8]):
+            with pytest.raises(InputError, match=r"code index out of range \[0, 8\)$"):
+                ctx.annihilator(bad)
+            with pytest.raises(InputError, match="out of range"):
+                macwilliams_identity_holds(ctx, bad, lam, gamma)
+        # both ends of the range are codewords of the repetition code
+        assert ctx.annihilator([0, 7]).tolist() == [0, 3, 5, 6]
+        assert macwilliams_identity_holds(ctx, [0, 7], lam, gamma)
+        assert ctx._table is None
+
+    def test_int32_rows_without_the_table(self):
+        # exponent 40000 > 2^15 needs int32; the full 40000^2 table is refused
+        group = build_group_product([[40000]])
+        ctx = DualityContext(group, RunConfig(pair_work_cap=100_000))
+        assert ctx.annihilator([1]).tolist() == [0]
+        assert ctx.annihilator([20000]).tolist() == list(range(0, 40000, 2))
+        rows = ctx._pairing_rows(np.array([1, 20000]))
+        assert rows.dtype == np.int32
+        for r, a in enumerate((1, 20000)):
+            alpha = group.element_from_index(a)
+            for b in (1, 2, 39999, 20000, 12345):
+                assert rows[r, b] == pairing_exponent(alpha, group.element_from_index(b))
+        with pytest.raises(BudgetError, match=r"^\|G\|\*\|H\| pairing table cells = 1600000000 exceeds"):
+            ctx.exponents
+        assert ctx._table is None and ctx._reduction is None
 
     def test_reflexivity_check_bidual(self):
         group = build_group_product([[2]] * 4)
@@ -217,7 +261,7 @@ class TestIdealSumKernels:
         gamma = induce_Q(group, p, omega)
         ctx = DualityContext(group)
         for a in group.enumerate_elements():
-            sig = ctx.signature(a.index, gamma)
+            sig = signature(ctx, a.index, gamma)
             for c, label in enumerate(gamma.labels):
                 assert sig[c].as_int() == signature_via_ideals(a, p, omega, label)
 
@@ -293,7 +337,7 @@ class TestKrawtchoukMatrix:
         ctx = DualityContext(group)
         lam = ctx.left_dual(gamma)
         for a in range(lam.num_classes):
-            sigs = {ctx.signature(int(i), gamma) for i in lam.members(a)}
+            sigs = {signature(ctx, int(i), gamma) for i in lam.members(a)}
             assert len(sigs) == 1
 
     def test_precondition_violation_reports_witness(self):
@@ -447,7 +491,7 @@ class TestSupportProfileEngine:
         for idx in range(1, group.order):
             el = group.element_from_index(idx)
             t = len(el.support())
-            sig = tuple(v.as_int() for v in ctx.signature(idx, gamma))
+            sig = tuple(v.as_int() for v in signature(ctx, idx, gamma))
             assert sig == sigs[t]
 
     def test_engines_agree_on_verdict(self):
@@ -496,14 +540,19 @@ class TestRightDualOracle:
             induce_CO(group, pk_covering(2, group.n)),
             Partition.from_keys(ids, host=group),
         ]
-        for scale in (1, unit):
-            ctx = DualityContext(group, scale=scale)
-            assert np.array_equal(ctx.exponents, ctx.exponents.T)
-            for lam in partitions:
-                got = ctx.right_dual(lam)
-                want = ctx._dual(ctx.exponents.T, lam)
-                assert np.array_equal(got.class_ids, want.class_ids)
-                assert got.labels == want.labels
+        ctx = DualityContext(group)
+        scaled = scaled_exponents(ctx, unit)
+        for table in (ctx.exponents, scaled):
+            assert np.array_equal(table, table.T)
+        for lam in partitions:
+            got = ctx.right_dual(lam)
+            want = ctx._dual(ctx.exponents.T, lam)
+            assert np.array_equal(got.class_ids, want.class_ids)
+            assert got.labels == want.labels
+            got_u, want_u = ctx._dual(scaled, lam), ctx._dual(scaled.T, lam)
+            assert np.array_equal(got_u.class_ids, want_u.class_ids)
+            assert got_u.labels == want_u.labels
+            assert got_u == got  # the dual under chi^unit is the dual under chi
 
 
 # m = 2, odd primes and composites; every group has negative coordinates
@@ -536,18 +585,21 @@ class TestDualOracle:
         if group.n > 1:
             partitions.append(induce_CO(group, pk_covering(2, group.n)))
         negative = False
-        for scale in (1, unit):
-            ctx = DualityContext(group, scale=scale)
-            for part in partitions:
-                coords = ctx._coords(ctx.exponents, part)
-                assert np.array_equal(coords, onehot_coords(ctx, ctx.exponents, part))
+        ctx = DualityContext(group)
+        for part in partitions:
+            duals = []
+            for table in (ctx.exponents, scaled_exponents(ctx, unit)):
+                coords = ctx._coords(table, part)
+                assert np.array_equal(coords, onehot_coords(ctx, table, part))
                 negative |= bool((coords < 0).any())
-                got = ctx._dual(ctx.exponents, part)
-                ids, labels = eager_dual(ctx, ctx.exponents, part)
+                got = ctx._dual(table, part)
+                ids, labels = eager_dual(ctx, table, part)
                 assert np.array_equal(got.class_ids, ids)
                 assert isinstance(got.labels, SignatureLabels)
                 assert got.labels == labels
                 assert [str(x) for x in got.labels] == [str(x) for x in labels]
+                duals.append(got)
+            assert duals[0] == duals[1]  # the dual under chi^unit is the dual under chi
         assert negative
 
     @pytest.mark.parametrize("spec", [[[2]] * 10, [[3]] * 6], ids=str)
@@ -703,12 +755,12 @@ class TestLatticeOracle:
         m = group.exponent
         unit = next(s for s in range(m - 1, 0, -1) if math.gcd(s, m) == 1)
         parts = support_induced_partitions(group, str(spec))
-        for scale in (1, unit):
-            ctx = DualityContext(group, scale=scale)
+        ctx = DualityContext(group)
+        for table in (ctx.exponents, scaled_exponents(ctx, unit)):
             for gamma in parts:
                 lam = ctx.left_dual(gamma)
-                assert_same_dual(lam, ctx._dual(ctx.exponents, gamma))
-                assert_same_dual(ctx.right_dual(lam), ctx._dual(ctx.exponents, lam))
+                assert_same_dual(lam, ctx._dual(table, gamma))
+                assert_same_dual(ctx.right_dual(lam), ctx._dual(table, lam))
 
     def test_lattice_builds_no_pairing_table(self):
         group = build_group_product([[2], [3], [4]])
@@ -752,13 +804,6 @@ class TestLatticeOracle:
 
 
 class TestScaleAndBudgets:
-    def test_scale_must_be_a_unit(self):
-        group = build_group_product([[4], [6]])
-        for scale in (0, 2, 3, 12):
-            with pytest.raises(InputError, match="not invertible"):
-                DualityContext(group, scale=scale)
-        DualityContext(group, scale=5)
-
     def test_pairing_table_cap_named_and_checked_first(self, monkeypatch):
         from dualpart.groups import GroupProduct
 
@@ -770,6 +815,28 @@ class TestScaleAndBudgets:
         monkeypatch.setattr(GroupProduct, "residue_matrix", no_residues)
         with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
             ctx.exponents
+
+    def test_pairing_rows_cap_named(self):
+        group = build_group_product([[2]] * 6)
+        ctx = DualityContext(group, RunConfig(pair_work_cap=127))
+        assert len(ctx.annihilator([0])) == 64
+        with pytest.raises(BudgetError, match=r"^rows \* \|H\| pairing cells = 128 exceeds pair_work_cap = 127$"):
+            ctx.annihilator([0, 1])
+
+    def test_reduction_matrix_built_on_first_use_and_capped(self):
+        # Z/40000: one row of one class is 16,000 coordinate cells, but the
+        # reduction matrix is 40000 * deg(Phi_40000) = 640,000,000 cells
+        group = build_group_product([[40000]])
+        ctx = DualityContext(group)
+        assert ctx._reduction is None
+        with pytest.raises(
+            BudgetError,
+            match=r"^m \* deg\(Phi_m\) reduction matrix cells = 640000000 exceeds pair_work_cap = 67108864$",
+        ):
+            ctx._coords(np.zeros((1, 40000), dtype=np.int32), Partition(np.zeros(40000, dtype=np.int64), host=group))
+        # the lattice needs no reduction matrix
+        assert ctx.left_dual(induce_CO(group, pk_covering(1, 1))).num_classes == 2
+        assert ctx._reduction is None
 
     def test_lattice_cap_named(self):
         group = build_group_product([[2]] * 6)
