@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -88,7 +89,7 @@ def _emit(payload) -> None:
 def _parse_poset_json(doc: dict):
     try:
         n = int(doc["n"])
-        relations = [(int(u), int(v)) for u, v in doc.get("relations", [])]
+        relations = [(operator.index(u), operator.index(v)) for u, v in doc.get("relations", [])]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad poset JSON: {e}") from None
     p = validate_and_close(n, relations)
@@ -98,7 +99,7 @@ def _parse_poset_json(doc: dict):
             omega = WeightFunction(
                 tuple(Fraction(doc["weights"][str(i)]) for i in range(n))
             )
-        except (KeyError, ValueError, ZeroDivisionError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad weights: {e}") from None
     return p, omega
 
@@ -129,7 +130,10 @@ def _resolve_partition(group, spec: str, config: RunConfig):
             omega = WeightFunction.constant(p.n)
         return induce_Q(group, p, omega, config)
     if "members" in doc:
-        t = covering_from_members(int(doc["n"]), doc["members"])
+        try:
+            t = covering_from_members(int(doc["n"]), doc["members"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"bad covering JSON: {e}") from None
         return induce_CO(group, t, config)
     raise InputError(f"{spec}: JSON has neither 'relations' nor 'members'")
 

@@ -45,7 +45,8 @@ class RunConfig:
                      pairwise engine every other partition.  A subset of
                      the pairing rows (one per codeword for the annihilator,
                      one per class for the Krawtchouk matrix) counts
-                     rows * |H| cells.
+                     rows * |H| cells.  The covering weights of a
+                     member-listed covering cost 2^n * members cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
     """

@@ -1,17 +1,17 @@
-"""Weight functions: weighted poset weight and combinatorial (covering)
-weight, with anti-chain canonicalization and the all-k-subsets fast path.
+"""Weight functions: poset weights omega and the combinatorial (covering)
+weight of every support mask, with anti-chain canonicalization and the
+all-k-subsets fast path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .config import InputError
-from .groups import GroupElement
-from .posets import Poset, closure
+import numpy as np
+
+from .config import DEFAULT_CONFIG, InputError, RunConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,9 +47,18 @@ class WeightFunction:
         return all(v.denominator == 1 for v in self.values)
 
 
-def wpm_weight(p: Poset, omega: WeightFunction, beta: GroupElement) -> Fraction:
-    """The (P, omega)-weight: varpi of the ideal closure of the support."""
-    return omega.varpi(closure(p, beta.support()))
+def _over_masks(values, op) -> np.ndarray:
+    """Fold values[i] over the bits of every mask U < 2^n: entry 0 is 0 and
+    entry U + 2^i is op(entry U, values[i]) for U < 2^i.
+
+    With ``np.add`` over ones this is the popcount, over weights the subset
+    sums; with ``np.bitwise_or`` over ``Poset.down`` the ideal closures.
+    """
+    values = np.asarray(values)
+    out = np.zeros(1 << len(values), dtype=values.dtype)
+    for i, v in enumerate(values):
+        op(out[: 1 << i], v, out=out[1 << i : 2 << i])
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +73,8 @@ class Covering:
     def __post_init__(self):
         if self.pk is not None and not self.members:
             return  # logical P(k, Omega); members never materialized
+        if any(isinstance(i, bool) or not isinstance(i, int) for m in self.members for i in m):
+            raise InputError("covering members must hold integer coordinates")
         if any(not m or not m <= frozenset(range(self.n)) for m in self.members):
             raise InputError("covering members must be nonempty subsets of Omega")
         union = frozenset().union(*self.members) if self.members else frozenset()
@@ -84,47 +95,24 @@ class Covering:
             sum(len(m) for m in self.members) == self.n and self.is_antichain()
         )
 
-    def weight(self, subset: Iterable[int]) -> int:
-        """Covering weight of a subset (ceiling fast path for P(k))."""
-        a = frozenset(subset)
+    def mask_weights(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Covering weight of every subset of Omega, indexed by its bitmask.
+
+        For P(k) it is ceil(|U| / k).  Otherwise every element lies in a
+        member, so w(U) <= |U|; from there w(U) <- min(w(U), 1 + w(U & ~M)),
+        once per member M in turn, leaves w(U) at most the least cover of U
+        by the members so far (a 0/1 knapsack), so one pass is exact.
+        """
+        popcount = _over_masks(np.ones(self.n, dtype=np.int64), np.add)
         if self.pk is not None:
-            return -(-len(a) // self.pk)
-        return covering_weight(self, a)
-
-
-def covering_weight(t: Covering, subset: Iterable[int]) -> int:
-    """Exact minimum number of members needed to cover the subset.
-
-    Breadth-first search over covered-portion bitmasks; each member
-    contributes only its intersection with the target set.
-    """
-    if t.pk is not None and not t.members:
-        raise InputError("logical P(k) covering has no materialized members")
-    target = 0
-    for i in subset:
-        target |= 1 << i
-    if target == 0:
-        return 0
-    moves = []
-    for m in t.members:
-        mask = 0
-        for i in m:
-            mask |= 1 << i
-        mask &= target
-        if mask:
-            moves.append(mask)
-    seen = {0}
-    frontier = deque([(0, 0)])
-    while frontier:
-        covered, steps = frontier.popleft()
-        for mv in moves:
-            nxt = covered | mv
-            if nxt == target:
-                return steps + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, steps + 1))
-    raise InputError("subset is not coverable (covering invariant violated)")
+            return -(-popcount // self.pk)
+        cells = (1 << self.n) * len(self.members)
+        config.check("pair_work_cap", cells, "2^n * members covering-weight cells")
+        masks = np.arange(1 << self.n, dtype=np.int64)
+        w = popcount
+        for m in self.members:
+            np.minimum(w, w[masks & ~sum(1 << i for i in m)] + 1, out=w)
+        return w
 
 
 def antichain_reduce(t: Covering) -> Covering:
@@ -145,7 +133,8 @@ def antichain_reduce(t: Covering) -> Covering:
 def pk_covering(k: int, n: int) -> Covering:
     """The covering by all k-subsets of range(n).
 
-    The member list is kept logical: weight uses the exact ceiling formula.
+    The member list is kept logical: ``mask_weights`` uses the exact
+    ceiling formula.
     """
     if not 1 <= k <= n:
         raise InputError(f"k = {k} out of range [1, {n}]")

@@ -38,13 +38,12 @@ import numpy as np
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .exactarith import CycInt, SparsePoly, euler_phi_degree, reduction_matrix
 from .groups import GroupElement, GroupProduct
-from .metrics import Covering, WeightFunction
+from .metrics import Covering, WeightFunction, _over_masks
 from .posets import (
     Poset,
     automorphisms,
     apply_perm,
     closure,
-    closure_mask,
     dual_poset,
     extremes,
     ideals,
@@ -401,21 +400,16 @@ def _support_masks(orders: Sequence[int]) -> np.ndarray:
     return masks
 
 
-def _induce_by_mask_weight(
-    group: GroupProduct, weight_of_mask: Callable[[int], object], config: RunConfig
+def _induce_by_keys(
+    group: GroupProduct, keys: np.ndarray, config: RunConfig, label: Callable = int
 ) -> Partition:
-    """Classes keyed by the weight of the support, numbered over the 2^n
-    masks and pulled back to G.  Every mask is a support (h_i >= 2), and the
-    masks are keyed in the order of their first elements in G, which is the
-    support order of (Z/2)^n; so the classes are numbered as over G."""
+    """Mask U in the class of number ``keys[U]``, classes in increasing key
+    order and labelled ``label(key)``, pulled back to G.  Every mask is a
+    support (h_i >= 2), so ``Partition.from_keys`` numbers G the same way."""
     config.check("enumeration_cap", group.order, "|G| to induce a partition")
-    order = _support_masks((2,) * group.n)
-    on_masks = Partition.from_keys([weight_of_mask(int(mk)) for mk in order])
-    mask_ids = np.empty_like(on_masks.class_ids)
-    mask_ids[order] = on_masks.class_ids
-    return Partition(
-        mask_ids[_support_masks(group.h)], labels=on_masks.labels, host=group, mask_ids=mask_ids
-    )
+    uniq, mask_ids = np.unique(keys, return_inverse=True)
+    labels = [label(key) for key in uniq.tolist()]
+    return Partition(mask_ids[_support_masks(group.h)], labels=labels, host=group, mask_ids=mask_ids)
 
 
 def induce_Q(
@@ -424,15 +418,19 @@ def induce_Q(
     omega: WeightFunction,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Partition:
-    """Partition by (P, omega)-weight; classes keyed by weight value."""
+    """Partition by (P, omega)-weight; classes keyed by weight value.
+
+    Mask U weighs varpi of its ideal closure, in omega scaled to integers by
+    the lcm ``den`` of its denominators (so the order is kept): int64 below
+    2^62 in total, Python ints otherwise.  Labels are ``Fraction(key, den)``.
+    """
     if p.n != group.n or omega.n != group.n:
         raise InputError("poset/weights do not match the coordinate set")
-
-    def weight(mask: int) -> Fraction:
-        cl = closure_mask(p, mask)
-        return omega.varpi(i for i in range(p.n) if cl >> i & 1)
-
-    return _induce_by_mask_weight(group, weight, config)
+    den = math.lcm(*(v.denominator for v in omega.values))
+    scaled = [int(v * den) for v in omega.values]
+    sums = _over_masks(np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 62 else object), np.add)
+    closures = _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
+    return _induce_by_keys(group, sums[closures], config, lambda s: Fraction(s, den))
 
 
 def induce_CO(
@@ -441,11 +439,7 @@ def induce_CO(
     """Partition by covering weight; classes keyed by T-weight."""
     if t.n != group.n:
         raise InputError("covering does not match the coordinate set")
-
-    def weight(mask: int) -> int:
-        return t.weight(i for i in range(t.n) if mask >> i & 1)
-
-    return _induce_by_mask_weight(group, weight, config)
+    return _induce_by_keys(group, t.mask_weights(config), config)
 
 
 def induce_from_ideal_classes(
@@ -454,15 +448,25 @@ def induce_from_ideal_classes(
     ideal_labels: dict,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> Partition:
-    """Pull an equivalence on I(P) back through the support closure."""
+    """Pull an equivalence on I(P) back through the support closure.
+
+    Each distinct closure is looked up in ``ideal_labels`` once, in the
+    order of its first element in G, for ``Partition.from_keys``: mask U
+    first occurs at digit 1 exactly on U, in the order of U bit-reversed.
+    """
     all_ideals = set(ideals(p, config))
     if set(ideal_labels) != all_ideals:
         raise InputError("equivalence labels must cover I(P) exactly")
-
-    def label(mask: int):
-        return ideal_labels[frozenset(i for i in range(p.n) if closure_mask(p, mask) >> i & 1)]
-
-    return _induce_by_mask_weight(group, label, config)
+    closures = _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
+    reverse = _over_masks(1 << np.arange(p.n - 1, -1, -1), np.add)  # an involution
+    uniq, first, inverse = np.unique(closures[reverse], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    named = Partition.from_keys(
+        [ideal_labels[frozenset(i for i in range(p.n) if c >> i & 1)] for c in uniq[order].tolist()]
+    )
+    class_of = np.empty(len(uniq), dtype=np.int64)
+    class_of[order] = named.class_ids
+    return _induce_by_keys(group, class_of[inverse[reverse]], config, named.labels.__getitem__)
 
 
 # ---------------------------------------------------------------------------

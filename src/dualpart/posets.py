@@ -99,15 +99,6 @@ def closure(p: Poset, subset: Iterable[int]) -> frozenset[int]:
     return _unmask(m, p.n)
 
 
-def closure_mask(p: Poset, mask: int) -> int:
-    out = 0
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out |= p.down[v]
-    return out
-
-
 def ideals(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[frozenset[int]]:
     """All down-closed subsets, each exactly once (includes the empty set
     and the whole ground set)."""

@@ -6,20 +6,53 @@ floors are the paper's criteria that the distinct-value count subsumes; the
 tests state that domination with them.  The invariance subgroup is listed
 map by map here, where the library only counts it down a stabilizer chain.
 The pairing table of a second character chi^u lets the tests check that a
-dual partition does not depend on the character.
+dual partition does not depend on the character.  The weights of single
+codewords and subsets stand against the library's arrays over all support
+masks.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
+from dualpart.config import InputError
 from dualpart.exactarith import CycInt, SparsePoly, reduction_matrix
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
-from dualpart.metrics import wpm_weight
 from dualpart.partitions import Partition
 from dualpart.posets import closure, dual_poset, levels
+
+
+def wpm_weight(p, omega, beta):
+    """Oracle: the (P, omega)-weight of one codeword, varpi of the ideal
+    closure of its support."""
+    return omega.varpi(closure(p, beta.support()))
+
+
+def covering_weight(t, subset):
+    """Oracle: the least number of members covering the subset, by a
+    breadth-first search over covered-portion bitmasks; each member
+    contributes only its intersection with the target set."""
+    if t.pk is not None and not t.members:
+        raise InputError("logical P(k) covering has no materialized members")
+    target = sum(1 << i for i in set(subset))
+    if target == 0:
+        return 0
+    moves = [mask for mask in (sum(1 << i for i in m) & target for m in t.members) if mask]
+    seen = {0}
+    frontier = deque([(0, 0)])
+    while frontier:
+        covered, steps = frontier.popleft()
+        for mv in moves:
+            nxt = covered | mv
+            if nxt == target:
+                return steps + 1
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append((nxt, steps + 1))
+    raise AssertionError("subset is not coverable (covering invariant violated)")
 
 
 def genfun_eval(n, k, q, s):

@@ -248,6 +248,33 @@ class TestErrorContract:
     def test_scan_arguments_checked_before_the_header(self, capsys, args):
         self.assert_one_line(*run(capsys, "scan-co", *args), "invalid-input")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "members": [[0, 1.0], [2]]},
+            {"n": 3, "members": [[0, True], [1], [2]]},
+            {"n": "x", "members": [[0]]},
+            {"n": 3, "members": 5},
+            {"n": 3, "relations": [], "weights": {"0": 1, "1": 1, "2": [1]}},
+            {"n": 3, "relations": [[0, 1.5]]},
+        ],
+        ids=["float-member", "bool-member", "n-not-a-number", "members-not-a-list",
+             "weight-a-list", "float-relation"],
+    )
+    def test_malformed_covering_or_poset(self, capsys, tmp_path, doc):
+        group = write_json(tmp_path, "g3.json", {"coordinates": [[2], [2], [2]]})
+        path = write_json(tmp_path, "t.json", doc)
+        self.assert_one_line(*run(capsys, "dual", group, path), "invalid-input")
+
+    def test_covering_relaxation_over_budget(self, capsys, tmp_path, monkeypatch):
+        budget = write_json(tmp_path, "budget.json", {"pair_work_cap": 20})
+        monkeypatch.setenv("DUALPART_BUDGET", budget)
+        group = write_json(tmp_path, "g3.json", {"coordinates": [[2], [2], [2]]})
+        path = write_json(tmp_path, "t.json", {"n": 3, "members": [[0, 1], [1, 2], [0, 2]]})
+        code, out, err = run(capsys, "dual", group, path)
+        self.assert_one_line(code, out, err, "budget-exceeded")
+        assert "covering-weight cells = 24 exceeds pair_work_cap = 20" in err
+
     def test_budget_value_not_an_integer(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"pair_work_cap": "big"})
         monkeypatch.setenv("DUALPART_BUDGET", budget)

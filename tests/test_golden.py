@@ -22,9 +22,12 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "dual-mixed-hamming": ["dual", "group_mixed.json", "hamming"],
     "dual-mixed-pk2": ["dual", "group_mixed.json", "Pk:2"],
+    "dual-mixed-rational-poset-export": ["dual", "group_mixed.json", "poset_mixed_rational.json", "--export"],
+    "dual-z2-covering-export": ["dual", "group_z2_6.json", "covering_z2_6.json", "--export"],
     "dual-z2-pk3-export": ["dual", "group_z2_5.json", "Pk:3", "--export"],
     "dual-z3-poset": ["dual", "group_z3_4.json", "poset_v.json"],
     "dual-z3-poset-export": ["dual", "group_z3_4.json", "poset_v.json", "--export"],
+    "dual-z3-huge-weight-export": ["dual", "group_z3_4.json", "poset_huge_weight.json", "--export"],
     "dual-z4z6-pk2-export": ["dual", "group_z4_z6.json", "Pk:2", "--export"],
     "poset-hier": ["poset", "poset_hier.json"],
     "poset-v": ["poset", "poset_v.json"],

@@ -38,12 +38,14 @@ from dualpart.partitions import (
 )
 from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
 from oracles import (
+    covering_weight,
     eager_dual,
     f_poly_bruteforce,
     f_poly_hierarchical,
     hamming_sum_profile,
     onehot_coords,
     scaled_exponents,
+    wpm_weight,
 )
 
 
@@ -181,20 +183,28 @@ class TestInducedPartitions:
     def test_induce_q_matches_elementwise(self):
         group = build_group_product([[2], [3], [2]])
         p = vee()
-        omega = WeightFunction.from_mapping(3, {0: 1, 1: "3/2", 2: 2})
-        part = induce_Q(group, p, omega)
-        from dualpart.metrics import wpm_weight
-
-        for el in group.enumerate_elements():
-            w = wpm_weight(p, omega, el)
-            assert part.labels[part.class_ids[el.index]] == w
+        for weights in [
+            {0: 1, 1: "3/2", 2: 2},
+            # scaled totals 2^62 - 1 (int64) and 2^62 on: Python-int sums
+            {0: 2**60, 1: 2**60, 2: 2**61 - 1},
+            {0: 2**60, 1: 2**60, 2: 2**61},
+            {0: "1e400", 1: "1/3", 2: "2/7"},
+            {0: "1e-30", 1: "1/3", 2: "2/7"},
+        ]:
+            omega = WeightFunction.from_mapping(3, weights)
+            part = induce_Q(group, p, omega)
+            keys = [wpm_weight(p, omega, el) for el in group.enumerate_elements()]
+            for el, w in zip(group.enumerate_elements(), keys):
+                assert part.labels[part.class_ids[el.index]] == w
+            want = Partition.from_keys(keys)
+            assert np.array_equal(part.class_ids, want.class_ids) and part.labels == want.labels
 
     def test_induce_co_matches_elementwise(self):
         group = build_group_product([[2], [2], [3]])
         t = covering_from_members(3, [[0, 1], [1, 2]])
         part = induce_CO(group, t)
         for el in group.enumerate_elements():
-            assert part.labels[part.class_ids[el.index]] == t.weight(el.support())
+            assert part.labels[part.class_ids[el.index]] == covering_weight(t, el.support())
 
     def test_induce_from_ideal_classes(self):
         group = build_group_product([[2]] * 3)
