@@ -203,10 +203,10 @@ def _parse_range(spec: str) -> range:
 
 
 def cmd_scan_co(args) -> int:
-    from .krawtchouk import co_nonreflexivity_verdict, dual_class_lower_bound
-    from .partitions import co_reflexivity_bruteforce
+    from .krawtchouk import co_nonreflexivity_verdict, dual_class_lower_bound, ku_distinct_counts
+    from .partitions import co_profile_prefix_sums, co_reflexivity_bruteforce
 
-    _load_config()
+    config = _load_config()
     n_range = _parse_range(args.n)
     try:
         k_only = None if args.k == "all" else int(args.k)
@@ -219,16 +219,22 @@ def cmd_scan_co(args) -> int:
         raise InputError("n must be positive")
     if k_only is not None and not 1 <= k_only <= n_range[0]:
         raise InputError(f"k = {k_only} out of range for n = {n_range[0]}")
+    config.check("krawtchouk_cap_n", n_range[-1], "scan-co last n")
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
     for n in n_range:
+        # the data of an n, read by every k; the criteria side and the
+        # confirmation side share none of it, and the confirmation stops
+        # at n = 64
+        distinct = ku_distinct_counts(n, args.q)
+        prefix = co_profile_prefix_sums(args.q, n) if n <= 64 else None
         ks = range(1, n + 1) if k_only is None else [k_only]
         for k in ks:
-            v = co_nonreflexivity_verdict(n, k, args.q)
-            bound = dual_class_lower_bound(n, k, args.q) if n <= 40 else ""
+            v = co_nonreflexivity_verdict(n, k, args.q, distinct)
+            bound = dual_class_lower_bound(n, k, args.q, distinct) if n <= 40 else ""
             if v["verdict"] == "undecided-by-criteria":
                 confirmed = "skipped"
-            elif n <= 64:
-                brute = co_reflexivity_bruteforce(args.q, n, k)
+            elif prefix is not None:
+                brute = co_reflexivity_bruteforce(args.q, n, k, prefix)
                 confirmed = (
                     "yes"
                     if brute["reflexive"] == (v["verdict"] == "reflexive")
@@ -246,7 +252,9 @@ def cmd_scan_co(args) -> int:
 def cmd_krawtchouk(args) -> int:
     from .krawtchouk import ku_build, ku_eval, ku_roots
 
-    _load_config()
+    config = _load_config()
+    config.check("krawtchouk_cap_n", args.n, "krawtchouk --n")
+    config.check("krawtchouk_cap_n", args.k, "krawtchouk --k")
     poly = ku_build(args.n, args.k, args.q)
     report = {
         "n": args.n,

@@ -49,12 +49,19 @@ class RunConfig:
                      member-listed covering cost 2^n * members cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
+    krawtchouk_cap_n: maximum n and k of ``krawtchouk --n/--k`` and
+                     maximum last n of a ``scan-co`` range, checked
+                     before any polynomial is built.  A scan row costs
+                     O(n^2) big-integer operations for its value table
+                     and profiles; a polynomial of degree k costs O(k^2)
+                     for its coefficients, and its root isolation more.
     """
 
     enumeration_cap: int = 1 << 24
     pair_work_cap: int = 1 << 26
     ideal_cap_n: int = 20
     aut_cap_n: int = 12
+    krawtchouk_cap_n: int = 512
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):

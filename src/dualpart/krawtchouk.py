@@ -2,7 +2,8 @@
 
 Coefficients are exact rationals; integer-argument values are exact integers.
 The criteria chain tries the closed-form families first and ends at the
-distinct-value count of KU_(n-1,s); it isolates no root.  Root isolation
+distinct-value count of KU_(n-1,s), read from one recurrence table of the
+values per n (``ku_value_table``); it isolates no root.  Root isolation
 serves ``ku_roots`` and ``ku_derivative_roots`` only: exact-sign bisection
 seeded by sign changes on a progressively refined rational grid (the
 polynomials at hand have distinct real roots, so a fine enough grid always
@@ -208,11 +209,33 @@ def ku_derivative_roots(
 # value vectors and distinct-value bounds
 # ---------------------------------------------------------------------------
 
-def _value_rows(n: int, k: int, q: int):
-    """(s, [KU_(n-1,s)(j) for j in 0..n-1]) over the multiples s of k in
-    [1, n-1], in s order; each row is evaluated only when it is read."""
-    for s in range(k, n, k):
-        yield s, [ku_eval(n - 1, s, q, j) for j in range(n)]
+def ku_value_table(n: int, q: int) -> list[list[int]]:
+    """Rows s = 0..n-1 of the values KU_(n-1,s)(j) at j = 0..n-1.
+
+    Each column j follows the three-term recurrence in s, with N = n - 1:
+    (s+1) K_(s+1)(j) = (s + (q-1)(N-s) - qj) K_s(j) - (q-1)(N-s+1) K_(s-1)(j),
+    from K_0 = 1; the division is exact.  O(n^2) integer operations for
+    all n rows.
+    """
+    if n < 1 or q < 2:
+        raise InputError("need n >= 1 and q >= 2")
+    top = n - 1
+    prev, cur = [0] * n, [1] * n
+    table = [cur]
+    for s in range(top):
+        a = s + (q - 1) * (top - s)
+        b = (q - 1) * (top - s + 1)
+        prev, cur = cur, [
+            ((a - q * j) * c - b * p) // (s + 1) for j, (c, p) in enumerate(zip(cur, prev))
+        ]
+        table.append(cur)
+    return table
+
+
+def ku_distinct_counts(n: int, q: int) -> list[int]:
+    """Entry s: how many distinct values KU_(n-1,s) takes on 0..n-1, for
+    s in 0..n-1.  Every k of an n reads the entries at its multiples."""
+    return [len(set(row)) for row in ku_value_table(n, q)]
 
 
 def ku_value_vector(n: int, k: int, q: int, t: int) -> tuple[int, ...]:
@@ -224,13 +247,19 @@ def ku_value_vector(n: int, k: int, q: int, t: int) -> tuple[int, ...]:
     """
     if not 1 <= t <= n:
         raise InputError("support size out of range")
-    return tuple(row[t - 1] for _, row in _value_rows(n, k, q))
+    table = ku_value_table(n, q)
+    return tuple(table[s][t - 1] for s in range(k, n, k))
 
 
-def dual_class_lower_bound(n: int, k: int, q: int) -> int:
-    """|Lambda| >= max_s |{KU_(n-1,s)(j)}| + 1 over multiples s of k."""
+def dual_class_lower_bound(n: int, k: int, q: int, distinct: Sequence[int] | None = None) -> int:
+    """|Lambda| >= max_s |{KU_(n-1,s)(j)}| + 1 over multiples s of k.
+
+    ``distinct`` is ``ku_distinct_counts(n, q)``, built here when not
+    given."""
+    if distinct is None:
+        distinct = ku_distinct_counts(n, q)
     # with no multiple of k below n, only the identity singleton is known
-    return max((len(set(row)) + 1 for _, row in _value_rows(n, k, q)), default=1)
+    return max((distinct[s] + 1 for s in range(k, n, k)), default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +344,16 @@ def lemma415_convergence(k: int, q: int, n_list: Sequence[int]) -> list[dict]:
 # the criteria chain
 # ---------------------------------------------------------------------------
 
-def co_nonreflexivity_verdict(n: int, k: int, q: int) -> dict:
+def co_nonreflexivity_verdict(
+    n: int, k: int, q: int, distinct: Sequence[int] | None = None
+) -> dict:
     """Sufficient-criteria verdict for the all-k-subsets covering partition
     of a q^n product: reflexive, non-reflexive, or undecided-by-criteria.
 
     The criteria are tried in a fixed order and the first that fires is
     reported; they are sufficient conditions, so 'undecided' only means none
-    applies (the caller may fall back to brute force).
+    applies (the caller may fall back to brute force).  ``distinct`` is
+    ``ku_distinct_counts(n, q)``, built here when not given and needed.
     """
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
@@ -359,14 +391,15 @@ def co_nonreflexivity_verdict(n: int, k: int, q: int) -> dict:
     # its smallest root r1, so the distinct-value count minus one is at
     # least floor(r1') >= floor(r1): it fires wherever the smallest-root
     # and derivative-root floor criteria would.
+    if distinct is None:
+        distinct = ku_distinct_counts(n, q)
     need = Fraction(n, k)
-    for s, row in _value_rows(n, k, q):
-        distinct = len(set(row))
-        if distinct - 1 >= need:
+    for s in range(k, n, k):
+        if distinct[s] - 1 >= need:
             return verdict(
                 "non-reflexive",
                 "distinct-value-count",
                 s=s,
-                lambda_lower_bound=distinct + 1,
+                lambda_lower_bound=distinct[s] + 1,
             )
     return verdict("undecided-by-criteria", "none")

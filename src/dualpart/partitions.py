@@ -743,30 +743,47 @@ def hamming_sum_profiles(q: int, n: int) -> list[list[int]]:
     return profiles[::-1]
 
 
-def co_support_signatures(q: int, n: int, k: int) -> list[tuple[int, ...]]:
+def co_profile_prefix_sums(q: int, n: int) -> list[list[int]]:
+    """Entry t: the running sums of profile t of ``hamming_sum_profiles``,
+    with 0 in front, so that the sum over weights lo..hi-1 is
+    ``pre[hi] - pre[lo]``.  Every k of an n reads the same sums."""
+    return [list(itertools.accumulate(prof, initial=0)) for prof in hamming_sum_profiles(q, n)]
+
+
+def co_support_signatures(
+    q: int, n: int, k: int, prefix: Sequence[Sequence[int]] | None = None
+) -> list[tuple[int, ...]]:
     """Per-CO-class character sums for an element of each support size t
-    in 0..n (entry t)."""
+    in 0..n (entry t).  ``prefix`` is ``co_profile_prefix_sums(q, n)``,
+    built here when not given."""
+    if prefix is None:
+        prefix = co_profile_prefix_sums(q, n)
     # class 0 is weight 0; class b >= 1 is weights (b-1)k+1 .. min(bk, n)
     bounds = [(0, 1)] + [((b - 1) * k + 1, min(b * k, n) + 1) for b in range(1, -(-n // k) + 1)]
     # an inner list, not a generator: the generator form peaked about 1 MiB
     # higher over the criteria scans, its garbage freed only by the gc
-    return [tuple([sum(prof[lo:hi]) for lo, hi in bounds]) for prof in hamming_sum_profiles(q, n)]
+    return [tuple([pre[hi] - pre[lo] for lo, hi in bounds]) for pre in prefix]
 
 
-def co_dual_class_count(q: int, n: int, k: int) -> int:
+def co_dual_class_count(
+    q: int, n: int, k: int, prefix: Sequence[Sequence[int]] | None = None
+) -> int:
     """|l(CO(X^n, P(k)))| for |X| = q: distinct nonzero-support signatures
     plus the guaranteed identity singleton."""
-    return len(set(co_support_signatures(q, n, k)[1:])) + 1
+    return len(set(co_support_signatures(q, n, k, prefix)[1:])) + 1
 
 
-def co_reflexivity_bruteforce(q: int, n: int, k: int) -> dict:
+def co_reflexivity_bruteforce(
+    q: int, n: int, k: int, prefix: Sequence[Sequence[int]] | None = None
+) -> dict:
     """Exact reflexivity of CO(X^n, P(k, Omega)) from the per-support-size
     character-sum profile (element-complete, since the signature of an
-    element depends only on its support size)."""
+    element depends only on its support size).  ``prefix`` is
+    ``co_profile_prefix_sums(q, n)``, built here when not given."""
     if q < 2 or not 1 <= k <= n:
         raise InputError("need q >= 2 and 1 <= k <= n")
     co_classes = -(-n // k) + 1
-    dual_classes = co_dual_class_count(q, n, k)
+    dual_classes = co_dual_class_count(q, n, k, prefix)
     return {
         "q": q,
         "n": n,

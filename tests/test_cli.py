@@ -275,6 +275,22 @@ class TestErrorContract:
         self.assert_one_line(code, out, err, "budget-exceeded")
         assert "covering-weight cells = 24 exceeds pair_work_cap = 20" in err
 
+    @pytest.mark.parametrize(
+        "args,what",
+        [
+            (("krawtchouk", "--n", "9", "--k", "2", "--q", "2"), "krawtchouk --n = 9"),
+            (("krawtchouk", "--n", "4", "--k", "9", "--q", "2"), "krawtchouk --k = 9"),
+            (("scan-co", "--q", "2", "--n", "3..9"), "scan-co last n = 9"),
+        ],
+        ids=["krawtchouk-n", "krawtchouk-k", "scan-co-last-n"],
+    )
+    def test_krawtchouk_inputs_over_budget(self, capsys, tmp_path, monkeypatch, args, what):
+        budget = write_json(tmp_path, "budget.json", {"krawtchouk_cap_n": 8})
+        monkeypatch.setenv("DUALPART_BUDGET", budget)
+        code, out, err = run(capsys, *args)
+        self.assert_one_line(code, out, err, "budget-exceeded")
+        assert f"{what} exceeds krawtchouk_cap_n = 8" in err
+
     def test_budget_value_not_an_integer(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"pair_work_cap": "big"})
         monkeypatch.setenv("DUALPART_BUDGET", budget)

@@ -16,6 +16,7 @@ from dualpart.krawtchouk import (
     ku_eval,
     ku_partial_sum,
     ku_roots,
+    ku_value_table,
     ku_value_vector,
     lemma415_convergence,
     thm42_threshold,
@@ -53,6 +54,17 @@ class TestBuildAndEval:
         for n in range(0, 16):
             for k in range(n + 3):
                 assert ku_build(n, k, q).coeffs == convolution_coeffs(n, k, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+    def test_value_table_matches_binomial_sum(self, q):
+        # the recurrence table against the binomial sum, n = 1 and 2 included
+        for n in range(1, 31):
+            want = [[ku_eval(n - 1, s, q, j) for j in range(n)] for s in range(n)]
+            assert ku_value_table(n, q) == want, (q, n)
+
+    def test_value_table_rejects_empty_n(self):
+        with pytest.raises(InputError):
+            ku_value_table(0, 2)
 
     def test_degree_is_k(self):
         import random
@@ -258,6 +270,19 @@ class TestVerdicts:
                         continue
                     brute = co_reflexivity_bruteforce(q, n, k)
                     assert brute["reflexive"] == (v["verdict"] == "reflexive"), (q, n, k, v)
+
+    def test_criteria_read_no_support_profile(self, monkeypatch):
+        # the criteria stay independent of the profiles that confirm them
+        from dualpart import partitions
+
+        def refuse(*args):
+            raise AssertionError("hamming_sum_profiles called")
+
+        monkeypatch.setattr(partitions, "hamming_sum_profiles", refuse)
+        for q, n in ((2, 12), (3, 7), (5, 5)):
+            for k in range(1, n + 1):
+                co_nonreflexivity_verdict(n, k, q)
+                dual_class_lower_bound(n, k, q)
 
     def test_value_vector_classifies_dual_classes(self):
         from dualpart.partitions import co_support_signatures

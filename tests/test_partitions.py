@@ -19,6 +19,7 @@ from dualpart.partitions import (
     Partition,
     SignatureLabels,
     co_dual_class_count,
+    co_profile_prefix_sums,
     co_reflexivity_bruteforce,
     co_support_signatures,
     f_poly_degree_ideal,
@@ -479,12 +480,14 @@ class TestSupportProfileEngine:
         from dualpart import krawtchouk
 
         def refuse(*args):
-            raise AssertionError("ku_eval called")
+            raise AssertionError("Krawtchouk value evaluated")
 
         monkeypatch.setattr(krawtchouk, "ku_eval", refuse)
+        monkeypatch.setattr(krawtchouk, "ku_value_table", refuse)
         for q, n in ((2, 12), (3, 7), (5, 5)):
+            prefix = co_profile_prefix_sums(q, n)
             for k in range(1, n + 1):
-                co_reflexivity_bruteforce(q, n, k)
+                assert co_reflexivity_bruteforce(q, n, k, prefix) == co_reflexivity_bruteforce(q, n, k)
 
     @pytest.mark.parametrize("q,n,k", [(2, 5, 3), (2, 6, 2), (3, 4, 2), (3, 5, 3)])
     def test_dual_class_count_matches_pairwise_engine(self, q, n, k):
