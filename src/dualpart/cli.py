@@ -42,9 +42,9 @@ def _load_config() -> RunConfig:
     path = os.environ.get(BUDGET_ENV)
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise InputError(f"cannot read budget file {path}: {e}") from None
         if not isinstance(overrides, dict):
             raise InputError(f"budget file {path} must hold a JSON object")
@@ -58,9 +58,9 @@ def _load_config() -> RunConfig:
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: line {e.lineno}: {e.msg}") from None
@@ -281,9 +281,9 @@ def cmd_macwilliams(args) -> int:
 
     config = _load_config()
     try:
-        with open(args.code_file) as fh:
+        with open(args.code_file, encoding="utf-8") as fh:
             code = parse_code_file(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {args.code_file}: {e}") from None
     group = code.space.group
     gamma = _resolve_partition(group, args.gamma, config)

@@ -42,11 +42,11 @@ class RunConfig:
                      support-lattice engine (n coordinates).
                      The lattice serves every partition that carries a
                      per-support-mask class array (the induced ones), the
-                     pairwise engine every other partition.  A subset of
-                     the pairing rows (one per codeword for the annihilator,
-                     one per class for the Krawtchouk matrix) counts
-                     rows * |H| cells.  The covering weights of a
-                     member-listed covering cost 2^n * members cells.
+                     pairwise engine every other partition; both keep
+                     rows * k * deg(Phi_m) coordinate cells as the labels
+                     of the dual, one row per dual class.  The covering
+                     weights of a member-listed covering cost
+                     2^n * members cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
     krawtchouk_cap_n: maximum n and k of ``krawtchouk --n/--k`` and

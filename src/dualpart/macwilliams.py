@@ -9,8 +9,9 @@ basic-orbit lengths, and its orbits are the closures of the space's
 elements under those generators.
 
 The ambient space prod_i F_p^(k_i) is welded to the group-product view (all
-cyclic factors of order p), so dual codes agree with character-sum
-annihilators and partitions transfer between the two views unchanged.
+cyclic factors of order p), so the dual code of C is its character dual
+C~ = {b : f(a, b) = 1 for every a in C}, and partitions transfer between
+the two views unchanged.
 """
 
 from __future__ import annotations
@@ -180,10 +181,6 @@ class LinearCode:
         return LinearCode.from_rows(self.space, rows)
 
 
-def dual_code(c: LinearCode) -> LinearCode:
-    return c.dual()
-
-
 def distribution(code: LinearCode, part: Partition) -> tuple[int, ...]:
     """Per-class codeword counts (the partition distribution of the code)."""
     ids = part.class_ids[code.codeword_indices()]
@@ -197,14 +194,15 @@ def macwilliams_verify(
     ctx: DualityContext,
 ) -> dict:
     """Exact check of the distribution identity for one code; ``ctx`` is
-    the duality context of the code's space."""
+    the duality context of the code's space, where the dual code is C~."""
     if ctx.group != code.space.group:
         raise InputError("duality context is not over the code's space")
-    ok = macwilliams_identity_holds(ctx, code.codeword_indices(), lam, gamma)
+    dual = code.dual()
+    ok = macwilliams_identity_holds(ctx, code.codeword_indices(), dual.codeword_indices(), lam, gamma)
     return {
         "holds": ok,
         "code_dim": code.dim,
-        "dual_dim": code.dual().dim,
+        "dual_dim": dual.dim,
     }
 
 

@@ -20,8 +20,9 @@ engines, by one rule:
   (numpy) over the |G| x |H| pairing table, reduced to canonical cyclotomic
   coordinates with an integer reduction matrix.
 
-The full pairing table belongs to the pairwise engine alone; the Krawtchouk
-matrix and the annihilator code compute only the pairing rows they read.
+Every dual partition keeps its class character sums as labels, built when
+read; the Krawtchouk matrix reads its rows there.  The pairing table belongs
+to the pairwise engine alone.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .posets import (
 # partitions of an enumerable host
 # ---------------------------------------------------------------------------
 
-# a dual partition with more signatures times classes offers no labels
+# ``Partition.export`` leaves out signature labels of more entries
 _LABEL_CAP = 1 << 20
 
 
@@ -193,11 +194,16 @@ class Partition:
         return self.num_classes
 
     def export(self) -> dict:
-        """JSON-friendly form: sorted element-index lists plus labels."""
+        """JSON-friendly form: sorted element-index lists plus labels; the
+        labels of a dual partition are left out above ``_LABEL_CAP``
+        entries (dual classes times input classes)."""
+        labels = self.labels
+        if isinstance(labels, SignatureLabels) and len(labels) * labels.k > _LABEL_CAP:
+            labels = None
         return {
             "num_classes": self.num_classes,
             "classes": [sorted(int(i) for i in self.members(c)) for c in range(self.num_classes)],
-            "labels": [str(l) for l in self.labels] if self.labels else None,
+            "labels": [str(l) for l in labels] if labels else None,
         }
 
 
@@ -211,8 +217,7 @@ class DualityContext:
     The engine is picked per partition: the support lattice when the
     partition carries ``mask_ids``, the pairwise engine otherwise.  The
     pairing-exponent table of the pairwise engine is built on first use, by
-    a pairwise dual only; ``annihilator`` and ``krawtchouk_matrix`` compute
-    just the rows they read.
+    a pairwise dual only.
     """
 
     def __init__(self, group: GroupProduct, config: RunConfig = DEFAULT_CONFIG):
@@ -226,26 +231,19 @@ class DualityContext:
 
     @property
     def exponents(self) -> np.ndarray:
-        """The |G| x |H| pairing-exponent table, built on first use."""
+        """The |G| x |H| pairing-exponent table, built on first use: entry
+        (a, b) is the e with f(a, b) = zeta_m^e, as
+        ``groups.pairing_exponent`` gives it."""
         if self._table is None:
-            self._table = self._pairing_rows()
-        return self._table
-
-    def _pairing_rows(self, index: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pairing exponents of the elements of G at ``index`` (all of G
-        when None) against all of H: entry (r, b) is the e with
-        f(a_r, b) = zeta_m^e, as ``groups.pairing_exponent`` gives it."""
-        group, m = self.group, self.m
-        if index is None:
+            group, m = self.group, self.m
             self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
-        else:
-            self.config.check("pair_work_cap", len(index) * group.order, "rows * |H| pairing cells")
-        v = group.residue_matrix(self.config)
-        weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
-        e = ((v if index is None else v[index]) * weights[None, :]) @ v.T
-        e %= m
-        # int16 holds every exponent below 2^15; wider moduli need int32
-        return e.astype(np.int16 if m <= 1 << 15 else np.int32)
+            v = group.residue_matrix(self.config)
+            weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
+            e = (v * weights[None, :]) @ v.T
+            e %= m
+            # int16 holds every exponent below 2^15; wider moduli need int32
+            self._table = e.astype(np.int16 if m <= 1 << 15 else np.int32)
+        return self._table
 
     # -- character sums ---------------------------------------------------
 
@@ -286,10 +284,7 @@ class DualityContext:
         classes numbered in lexicographic row order."""
         coords = self._coords(exponents, part)
         first, ids = _rank_rows(coords)
-        k = part.num_classes
-        labels = None
-        if len(first) * k <= _LABEL_CAP:
-            labels = SignatureLabels(self.m, coords[first], k)
+        labels = SignatureLabels(self.m, coords[first], part.num_classes)
         return Partition(ids, labels=labels, host=self.group)
 
     def _lattice_dual(self, part: Partition) -> Partition:
@@ -317,11 +312,12 @@ class DualityContext:
             pair[:, 0] += (h - 1) * pair[:, 1]
             np.subtract(identity, pair[:, 1], out=pair[:, 1])
         first, mask_ids = _rank_rows(table)
-        labels = None
-        if len(first) * k <= _LABEL_CAP:
-            rows = np.zeros((len(first), k, self._phi), dtype=np.int64)
-            rows[:, :, 0] = table[first]
-            labels = SignatureLabels(self.m, rows.reshape(len(first), -1), k)
+        self.config.check(
+            "pair_work_cap", len(first) * k * self._phi, "rows * k * deg(Phi_m) coordinate cells"
+        )
+        rows = np.zeros((len(first), k, self._phi), dtype=np.int64)
+        rows[:, :, 0] = table[first]
+        labels = SignatureLabels(self.m, rows.reshape(len(first), -1), k)
         masks = _support_masks(group.h)
         return Partition(mask_ids[masks], labels=labels, host=group, mask_ids=mask_ids)
 
@@ -346,17 +342,6 @@ class DualityContext:
         """The right dual r(Lambda).  The pairing is symmetric, so this is
         the left-dual routine."""
         return self._dual_of(lam)
-
-    # -- codes ------------------------------------------------------------
-
-    def annihilator(self, code_indices: Sequence[int]) -> np.ndarray:
-        """Indices of the annihilator code: all b with f(a, b) = 1 for every
-        a in the given additive code, from the code's pairing rows only."""
-        code = np.asarray(code_indices, dtype=np.int64)
-        if len(code) and not (0 <= code.min() and code.max() < self.group.order):
-            raise InputError(f"code index out of range [0, {self.group.order})")
-        rows = self._pairing_rows(code)
-        return np.nonzero((rows == 0).all(axis=0))[0]
 
 
 def reflexivity_check(
@@ -579,31 +564,40 @@ def krawtchouk_matrix(
 
     The precondition (lam finer than l(gamma)) is verified, not assumed;
     on failure the violating element pair is reported instead of a matrix.
-    Row A comes from the pairing row of the first element of A, not from
-    the labels of l(gamma), which are None above ``_LABEL_CAP``.
+    Row A is the label of the l(gamma) class that holds A.
     """
     ldual = ctx.left_dual(gamma)
     if not lam.is_finer(ldual):
         return KrawtchoukMatrixResult(False, None, lam.finer_violation(ldual), lam, gamma)
     _, reps = np.unique(lam.class_ids, return_index=True)
-    coords = ctx._coords(ctx._pairing_rows(reps), gamma)
-    rho = [list(sums) for sums in SignatureLabels(ctx.m, coords, gamma.num_classes)]
+    rho = [list(ldual.labels[c]) for c in ldual.class_ids[reps].tolist()]
     return KrawtchoukMatrixResult(True, rho, None, lam, gamma)
+
+
+def _code_index_set(ctx: DualityContext, indices: Sequence[int]) -> np.ndarray:
+    """The distinct element indices of a code, sorted and range-checked."""
+    code = np.unique(np.asarray(indices, dtype=np.int64))
+    if len(code) and not (0 <= code[0] and code[-1] < ctx.group.order):
+        raise InputError(f"code index out of range [0, {ctx.group.order})")
+    return code
 
 
 def macwilliams_identity_holds(
     ctx: DualityContext,
     code_indices: Sequence[int],
+    dual_indices: Sequence[int],
     lam: Partition,
     gamma: Partition,
 ) -> bool:
-    """Exact check of |C| |C~ ^ B| = sum_A |C ^ A| rho(A, B) for every B,
-    with C~ the annihilator code."""
+    """Exact check of |C| |C~ ^ B| = sum_A |C ^ A| rho(A, B) for every B.
+
+    ``dual_indices`` is the character dual C~ of C, all b with f(a, b) = 1
+    for every a in C, which the check takes as given."""
+    code = _code_index_set(ctx, code_indices)
+    dual = _code_index_set(ctx, dual_indices)
     res = krawtchouk_matrix(ctx, lam, gamma)
     if not res.ok:
         raise InputError(f"lambda is not finer than l(gamma); witness {res.witness}")
-    code = np.asarray(sorted(set(int(i) for i in code_indices)), dtype=np.int64)
-    dual = ctx.annihilator(code)
     c_dist = np.bincount(lam.class_ids[code], minlength=lam.num_classes)
     d_dist = np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes)
     size = len(code)

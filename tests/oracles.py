@@ -6,9 +6,11 @@ floors are the paper's criteria that the distinct-value count subsumes; the
 tests state that domination with them.  The invariance subgroup is listed
 map by map here, where the library only counts it down a stabilizer chain.
 The pairing table of a second character chi^u lets the tests check that a
-dual partition does not depend on the character.  The weights of single
-codewords and subsets stand against the library's arrays over all support
-masks.
+dual partition does not depend on the character.  The annihilator of a code,
+from its pairing rows, stands against the dual code, and the character sums
+of single elements against the labels of a dual partition.  The weights of
+single codewords and subsets stand against the library's arrays over all
+support masks.
 """
 
 import math
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from dualpart.config import InputError
-from dualpart.exactarith import CycInt, SparsePoly, reduction_matrix
+from dualpart.exactarith import CycInt, SparsePoly, reduction_matrix, root_of_unity_sum
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.partitions import Partition
@@ -140,6 +142,28 @@ def onehot_coords(ctx, exponents, part):
     counts = np.stack([np.bincount(row, minlength=k * m) for row in keys])
     reduction = np.array(reduction_matrix(m), dtype=np.int64)
     return (counts.reshape(-1, k, m) @ reduction).reshape(len(keys), -1)
+
+
+def annihilator(group, code_indices):
+    """Oracle: the annihilator code, every b with f(a, b) = 1 for all a in
+    the given additive code, from the code's pairing rows against all of
+    the group."""
+    m = group.exponent
+    v = group.residue_matrix()
+    weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
+    rows = (v[np.asarray(code_indices, dtype=np.int64)] * weights) @ v.T % m
+    return np.nonzero((rows == 0).all(axis=0))[0]
+
+
+def character_sums(group, index, gamma):
+    """Oracle: the per-class character sums of the element at each given
+    index, one pairing at a time."""
+    els = list(group.enumerate_elements())
+    members = [[els[int(b)] for b in gamma.members(c)] for c in range(gamma.num_classes)]
+    return [
+        tuple(root_of_unity_sum(group.exponent, [pairing_exponent(els[a], b) for b in cls]) for cls in members)
+        for a in index
+    ]
 
 
 def scaled_exponents(ctx, u):

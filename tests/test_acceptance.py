@@ -46,7 +46,7 @@ from dualpart.partitions import (
     theorem41_check,
 )
 from dualpart.posets import validate_and_close
-from oracles import genfun_eval, scaled_exponents
+from oracles import annihilator, character_sums, genfun_eval, scaled_exponents
 
 
 GROUP_SPECS = [
@@ -152,29 +152,60 @@ def test_criterion_02_distribution_identity():
             gamma = induce_Q(group, p, w)
         lam = ctx.left_dual(gamma)
         code = _random_subgroup(group, rng)
-        assert macwilliams_identity_holds(ctx, code, lam, gamma)
+        assert macwilliams_identity_holds(ctx, code, annihilator(group, code), lam, gamma)
         done += 1
     print("criterion 2 (distribution identity): PASS")
 
 
+def _negation(group):
+    """Index of -x for every element index x."""
+    return [group.element_from_index(x).inverse().index for x in range(group.order)]
+
+
+def _split_first(part):
+    """The partition finer than ``part`` that splits the first element of
+    each class from the rest of it."""
+    _, first = np.unique(part.class_ids, return_index=True)
+    alone = np.zeros(part.host_size, dtype=np.int64)
+    alone[first] = 1
+    return Partition.from_keys(list(zip(part.class_ids.tolist(), alone.tolist())), host=part.host)
+
+
 def test_criterion_02_krawtchouk_rows_are_lattice_labels():
-    # rho read off pairing rows equals l(Gamma)'s labels from the support
-    # lattice, and neither builds the pairing table
+    # each rho row equals the character sums of its lambda class's first
+    # element, one pairing at a time, for lambda strictly finer than
+    # l(Gamma), so rho is read through the class mapping; on both engines,
+    # the lattice building no pairing table
+    rng = random.Random(11)
+    engines = set()
     for i, spec in enumerate(GROUP_SPECS):
         group = _group(i)
+        if group.order > 256:
+            continue
         ctx = DualityContext(group)
         n = group.n
         chain = validate_and_close(n, [(u, u + 1) for u in range(n - 1)])
         gammas = [induce_CO(group, pk_covering(k, n)) for k in range(1, n + 1)]
         gammas.append(induce_Q(group, chain, WeightFunction.constant(n)))
+        # a random partition closed under negation, so x and -x share a
+        # dual class; it carries no masks, so the pairwise engine runs
+        neg = _negation(group)
+        keys = [rng.randrange(3) for _ in range(group.order)]
+        gammas.append(Partition.from_keys([min(keys[x], keys[neg[x]]) for x in range(group.order)], host=group))
         for gamma in gammas:
-            lam = ctx.left_dual(gamma)
-            assert lam.mask_ids is not None
+            ldual = ctx.left_dual(gamma)
+            if ldual.num_classes == group.order:
+                continue
+            lam = _split_first(ldual)
+            assert lam.num_classes > ldual.num_classes
             res = krawtchouk_matrix(ctx, lam, gamma)
             assert res.ok and len(res.rho) == lam.num_classes
-            for a, row in enumerate(res.rho):
-                assert tuple(row) == lam.labels[a], (spec, a)
-        assert ctx._table is None, spec
+            _, reps = np.unique(lam.class_ids, return_index=True)
+            want = character_sums(group, reps.tolist(), gamma)
+            assert [tuple(row) for row in res.rho] == want, spec
+            engines.add("lattice" if gamma.mask_ids is not None else "pairwise")
+            assert (ctx._table is None) == (gamma.mask_ids is not None), spec
+    assert engines == {"lattice", "pairwise"}
     for p, n in ((2, 6), (3, 4), (5, 3)):
         space = PrimeFieldSpace(p, (1,) * n)
         code = LinearCode.from_rows(space, [[1] * n, [0, 1] + [0] * (n - 2)])

@@ -148,6 +148,26 @@ class TestMacwilliams:
         code, _, err = run(capsys, "macwilliams", "/nonexistent", "--gamma", "hamming")
         assert code == 2 and "invalid-input" in err
 
+    @pytest.mark.parametrize("gamma,lam", [("hamming", "dual"), ("Pk:2", "hamming")])
+    def test_dimension_10_code_reads_no_pairing_row(self, capsys, tmp_path, monkeypatch, gamma, lam):
+        # rho comes from the labels of l(gamma) and C~ from the dual code;
+        # 2^10 codewords of length 16 would be 2^26 pairing cells
+        from dualpart.groups import GroupProduct
+        from dualpart.partitions import DualityContext
+
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("pairing rows built")
+
+        monkeypatch.setattr(GroupProduct, "residue_matrix", no_pairing)
+        monkeypatch.setattr(DualityContext, "exponents", property(no_pairing))
+        rows = [[int(i == j) for j in range(10)] + [(i * j + i + j) % 2 for j in range(6)] for i in range(10)]
+        path = tmp_path / "code.txt"
+        path.write_text("2 16" + " 1" * 16 + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run(capsys, "macwilliams", str(path), "--gamma", gamma, "--lambda", lam)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["holds"] and doc["code_dim"] == 10 and doc["dual_dim"] == 6
+
 
 class TestRefute:
     def test_253(self, capsys):
@@ -300,6 +320,23 @@ class TestErrorContract:
     def test_budget_file_not_an_object(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", 5)
         monkeypatch.setenv("DUALPART_BUDGET", budget)
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": []})
+        self.assert_one_line(*run(capsys, "poset", path), "invalid-input")
+
+    def test_group_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'{"coordinates": [[2]], "name": "\xff"}')
+        self.assert_one_line(*run(capsys, "dual", str(path), "hamming"), "invalid-input")
+
+    def test_code_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "code.txt"
+        path.write_bytes(b"2 2 1 1\n1 1\xff\n")
+        self.assert_one_line(*run(capsys, "macwilliams", str(path), "--gamma", "hamming"), "invalid-input")
+
+    def test_budget_file_not_utf8(self, capsys, tmp_path, monkeypatch):
+        budget = tmp_path / "budget.json"
+        budget.write_bytes(b'{"ideal_cap_n": 20, "\xff": 1}')
+        monkeypatch.setenv("DUALPART_BUDGET", str(budget))
         path = write_json(tmp_path, "p.json", {"n": 2, "relations": []})
         self.assert_one_line(*run(capsys, "poset", path), "invalid-input")
 

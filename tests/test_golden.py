@@ -41,6 +41,8 @@ CASES = {
     "scan-co-q3-confirm-cut": ["scan-co", "--q", "3", "--n", "63..65", "--k", "all"],
     "krawtchouk-roots": ["krawtchouk", "--n", "12", "--k", "4", "--q", "3", "--roots"],
     "macwilliams-p3": ["macwilliams", "code_p3.txt", "--gamma", "hamming", "--lambda", "dual"],
+    # Hamming (6 classes) is strictly finer than l(Pk:3) (4 classes)
+    "macwilliams-p3-pk3-hamming": ["macwilliams", "code_p3.txt", "--gamma", "Pk:3", "--lambda", "hamming"],
     "macwilliams-p2-blocks": ["macwilliams", "code_p2_blocks.txt", "--gamma", "Pk:2", "--lambda", "dual"],
     "refute-2-4-2": ["refute", "2", "4", "2"],
     "refute-2-4-3": ["refute", "2", "4", "3"],

@@ -39,6 +39,7 @@ from dualpart.partitions import (
 )
 from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
 from oracles import (
+    annihilator,
     covering_weight,
     eager_dual,
     f_poly_bruteforce,
@@ -132,8 +133,7 @@ class TestDualityContext:
     def test_annihilator_is_character_kernel(self):
         group = build_group_product([[2]] * 4)
         code = [0, 3, 12, 15]  # indices of an additive code
-        ctx = DualityContext(group)
-        ann = set(int(x) for x in ctx.annihilator(code))
+        ann = set(int(x) for x in annihilator(group, code))
         for b_idx in range(group.order):
             b = group.element_from_index(b_idx)
             trivial = all(
@@ -146,31 +146,16 @@ class TestDualityContext:
         ctx = DualityContext(group)
         gamma = induce_CO(group, pk_covering(1, 3))
         lam = ctx.left_dual(gamma)
+        # both ends of the range are codewords of the repetition code
+        code, dual = [0, 7], [0, 3, 5, 6]
+        assert annihilator(group, code).tolist() == dual
         for bad in ([-1], [8], [0, -1], [0, 8]):
             with pytest.raises(InputError, match=r"code index out of range \[0, 8\)$"):
-                ctx.annihilator(bad)
-            with pytest.raises(InputError, match="out of range"):
-                macwilliams_identity_holds(ctx, bad, lam, gamma)
-        # both ends of the range are codewords of the repetition code
-        assert ctx.annihilator([0, 7]).tolist() == [0, 3, 5, 6]
-        assert macwilliams_identity_holds(ctx, [0, 7], lam, gamma)
+                macwilliams_identity_holds(ctx, bad, dual, lam, gamma)
+            with pytest.raises(InputError, match=r"code index out of range \[0, 8\)$"):
+                macwilliams_identity_holds(ctx, code, bad, lam, gamma)
+        assert macwilliams_identity_holds(ctx, code, dual, lam, gamma)
         assert ctx._table is None
-
-    def test_int32_rows_without_the_table(self):
-        # exponent 40000 > 2^15 needs int32; the full 40000^2 table is refused
-        group = build_group_product([[40000]])
-        ctx = DualityContext(group, RunConfig(pair_work_cap=100_000))
-        assert ctx.annihilator([1]).tolist() == [0]
-        assert ctx.annihilator([20000]).tolist() == list(range(0, 40000, 2))
-        rows = ctx._pairing_rows(np.array([1, 20000]))
-        assert rows.dtype == np.int32
-        for r, a in enumerate((1, 20000)):
-            alpha = group.element_from_index(a)
-            for b in (1, 2, 39999, 20000, 12345):
-                assert rows[r, b] == pairing_exponent(alpha, group.element_from_index(b))
-        with pytest.raises(BudgetError, match=r"^\|G\|\*\|H\| pairing table cells = 1600000000 exceeds"):
-            ctx.exponents
-        assert ctx._table is None and ctx._reduction is None
 
     def test_reflexivity_check_bidual(self):
         group = build_group_product([[2]] * 4)
@@ -398,7 +383,7 @@ class TestMacWilliamsIdentity:
         gamma = induce_CO(group, pk_covering(1, 4))
         ctx = DualityContext(group)
         lam = ctx.left_dual(gamma)
-        assert macwilliams_identity_holds(ctx, code, lam, gamma)
+        assert macwilliams_identity_holds(ctx, code, annihilator(group, code), lam, gamma)
 
     def test_rejects_non_finer_lambda(self):
         group = build_group_product([[2]] * 3)
@@ -406,7 +391,7 @@ class TestMacWilliamsIdentity:
         ctx = DualityContext(group)
         coarse = Partition.from_keys([0] * group.order, host=group)
         with pytest.raises(InputError):
-            macwilliams_identity_holds(ctx, [0], coarse, gamma)
+            macwilliams_identity_holds(ctx, [0], range(8), coarse, gamma)
 
 
 class TestTheoremCheckers:
@@ -641,11 +626,13 @@ class TestDualOracle:
             labels[2]
 
     def test_label_cap_leaves_labels_out(self):
-        # 2048 distinct signatures times 1024 classes exceeds 2^20 labels
+        # 2048 distinct signatures times 1024 classes exceeds 2^20 labels:
+        # the dual keeps them, its export leaves them out
         group = build_group_product([[2]] * 11)
         gamma = random_partition(group, 1024, 0)
         lam = DualityContext(group).left_dual(gamma)
-        assert lam.labels is None and lam.export()["labels"] is None
+        assert len(lam.labels) == lam.num_classes == 2048
+        assert lam.export()["labels"] is None
 
 
 class TestDualGuards:
@@ -829,13 +816,6 @@ class TestScaleAndBudgets:
         with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
             ctx.exponents
 
-    def test_pairing_rows_cap_named(self):
-        group = build_group_product([[2]] * 6)
-        ctx = DualityContext(group, RunConfig(pair_work_cap=127))
-        assert len(ctx.annihilator([0])) == 64
-        with pytest.raises(BudgetError, match=r"^rows \* \|H\| pairing cells = 128 exceeds pair_work_cap = 127$"):
-            ctx.annihilator([0, 1])
-
     def test_reduction_matrix_built_on_first_use_and_capped(self):
         # Z/40000: one row of one class is 16,000 coordinate cells, but the
         # reduction matrix is 40000 * deg(Phi_40000) = 640,000,000 cells
@@ -857,6 +837,18 @@ class TestScaleAndBudgets:
         ctx = DualityContext(group, RunConfig(pair_work_cap=255))
         with pytest.raises(BudgetError, match=r"= 256 exceeds pair_work_cap = 255$"):
             ctx.left_dual(gamma)
+
+    def test_lattice_label_cap_named(self):
+        # (Z/5)^3 Hamming: 2^3 * 4 = 32 lattice cells, but 4 dual classes
+        # of 4 classes pad to 4 * 4 * deg(Phi_5) = 64 coordinate cells
+        group = build_group_product([[5]] * 3)
+        gamma = induce_CO(group, pk_covering(1, 3))
+        with pytest.raises(
+            BudgetError,
+            match=r"^rows \* k \* deg\(Phi_m\) coordinate cells = 64 exceeds pair_work_cap = 63$",
+        ):
+            DualityContext(group, RunConfig(pair_work_cap=63)).left_dual(gamma)
+        assert DualityContext(group, RunConfig(pair_work_cap=64)).left_dual(gamma).num_classes == 4
 
     def test_coordinate_cap_named(self):
         # Z/48 with 24 classes: a 48 x 48 table passes a cap of 10,000 cells,
