@@ -37,8 +37,7 @@ class RunConfig:
     pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
                      the pairing table of the pairwise engine, and again
                      rows * k * deg(Phi_m) for its cyclotomic coordinates
-                     (k classes, m the exponent) and m * deg(Phi_m) for
-                     the reduction matrix behind them; 2^n * k for the
+                     (k classes, m the exponent); 2^n * k for the
                      support-lattice engine (n coordinates).
                      The lattice serves every partition that carries a
                      per-support-mask class array (the induced ones), the

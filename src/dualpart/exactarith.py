@@ -221,12 +221,6 @@ def root_of_unity_sum(m: int, exponents: Iterable[int]) -> CycInt:
     return CycInt.from_exponent_counts(m, counts)
 
 
-def reduction_matrix(m: int) -> tuple[tuple[int, ...], ...]:
-    """The m x deg(Phi_m) matrix mapping exponent counts to canonical
-    coordinates; shared with the vectorized duality engine."""
-    return _reduction_rows(m)
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials with rational exponents
 # ---------------------------------------------------------------------------

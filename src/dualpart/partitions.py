@@ -16,9 +16,9 @@ engines, by one rule:
   depends only on the support, so the 2^n x k table of sums is a Kronecker
   transform of the mask-by-class indicator matrix; no pairing table is
   built;
-* the pairwise engine for every other partition: integer exponent tables
-  (numpy) over the |G| x |H| pairing table, reduced to canonical cyclotomic
-  coordinates with an integer reduction matrix.
+* the pairwise engine for every other partition: per-class histograms of
+  the exponents of the |G| x |H| pairing table (numpy), reduced to canonical
+  cyclotomic coordinates by folding them by the coefficients of Phi_m.
 
 Every dual partition keeps its class character sums as labels, built when
 read; the Krawtchouk matrix reads its rows there.  The pairing table belongs
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, InputError, RunConfig
-from .exactarith import CycInt, SparsePoly, euler_phi_degree, reduction_matrix
+from .exactarith import CycInt, SparsePoly, _cyclotomic_coeffs, euler_phi_degree
 from .groups import GroupElement, GroupProduct
 from .metrics import Covering, WeightFunction, _over_masks
 from .posets import (
@@ -66,9 +66,13 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index and lexicographic rank of every distinct row.
 
     Rows are grouped by their bytes: after the shift, the big-endian bytes
-    of a row sort as its numbers do.
+    of a row, in the narrowest unsigned width that holds its span, sort as
+    its numbers do.
     """
-    key = (rows - rows.min()).astype(">u8")
+    low = rows.min()
+    span = int(rows.max()) - int(low)
+    width = next(w for w in (1, 2, 4, 8) if span < 1 << (8 * w))
+    key = (rows - low).astype(f">u{width}")
     view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     return first, inverse.astype(np.int64)
@@ -225,7 +229,6 @@ class DualityContext:
         self.m = group.exponent
         self.config = config
         self._phi = euler_phi_degree(self.m)
-        self._reduction: Optional[np.ndarray] = None  # built by _coords
         self._table: Optional[np.ndarray] = None
         self._last_left: Optional[tuple[Partition, Partition]] = None
 
@@ -238,11 +241,15 @@ class DualityContext:
             group, m = self.group, self.m
             self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
             v = group.residue_matrix(self.config)
-            weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
-            e = (v * weights[None, :]) @ v.T
-            e %= m
+            weighted = v * np.array([m // d for d in group.factor_orders], dtype=np.int64)
             # int16 holds every exponent below 2^15; wider moduli need int32
-            self._table = e.astype(np.int16 if m <= 1 << 15 else np.int32)
+            table = np.empty((len(v), len(v)), dtype=np.int16 if m <= 1 << 15 else np.int32)
+            # int64 products in blocks of about 2^20 cells, reduced into the table
+            chunk = max(1, (1 << 20) // len(v))
+            for start in range(0, len(v), chunk):
+                block = weighted[start : start + chunk] @ v.T
+                np.remainder(block, m, out=table[start : start + chunk], casting="unsafe")
+            self._table = table
         return self._table
 
     # -- character sums ---------------------------------------------------
@@ -252,31 +259,43 @@ class DualityContext:
         of every given pairing row (a row of G against all of H).
 
         Returns an int64 array of shape (rows, classes * deg(Phi_m)).
+
+        A block of rows is one bincount over exponent-major keys, so the
+        counts of every exponent e are one contiguous row, and x^e is then
+        folded into lower exponents by Phi_m = x^phi + sum_j c_j x^j (monic):
+        x^e = -sum_j c_j x^(e - phi + j).  Tops are folded from m - 1 down in
+        runs of phi - j_max, j_max the highest j with c_j != 0, so every run
+        lands below itself and costs one slice update per nonzero c_j.
         """
         nrows, ncols = exponents.shape
         k = part.num_classes
         m, phi = self.m, self._phi
         self.config.check("pair_work_cap", nrows * k * phi, "rows * k * deg(Phi_m) coordinate cells")
-        if self._reduction is None:
-            self.config.check("pair_work_cap", m * phi, "m * deg(Phi_m) reduction matrix cells")
-            self._reduction = np.array(reduction_matrix(m), dtype=np.int64)
-        # one bincount per row chunk over combined (class, exponent) keys;
-        # this stays fast even when most classes are singletons.  Rows
-        # e < phi of the reduction matrix are unit vectors, so only the
-        # counts of the higher exponents go through a product.
+        poly = _cyclotomic_coeffs(m)
+        taps = [(j, c) for j, c in enumerate(poly[:phi]) if c]
+        step = phi - taps[-1][0]
         coords = np.empty((nrows, k, phi), dtype=np.int64)
-        keys_base = part.class_ids.astype(np.int64) * m
-        km = k * m
-        tail = self._reduction[phi:]
-        chunk = max(1, (1 << 22) // max(ncols, km))
+        # about 2^18 histogram or key cells per block of rows
+        chunk = max(1, (1 << 18) // max(ncols, k * m))
         for start in range(0, nrows, chunk):
-            keys = exponents[start : start + chunk] + keys_base[None, :]
-            r = keys.shape[0]
-            keys += (np.arange(r, dtype=np.int64) * km)[:, None]
-            counts = np.bincount(keys.ravel(), minlength=r * km).reshape(r, k, m)
-            out = coords[start : start + r]
-            np.matmul(counts[..., phi:], tail, out=out)
-            out += counts[..., :phi]
+            block = exponents[start : start + chunk]
+            r = block.shape[0]
+            keys = np.multiply(block, r * k, dtype=np.int64)
+            keys += part.class_ids[None, :]
+            keys += (np.arange(r, dtype=np.int64) * k)[:, None]
+            counts = np.bincount(keys.ravel(), minlength=m * r * k).reshape(m, r * k)
+            for hi in range(m, phi, -step):
+                lo = max(phi, hi - step)
+                src = counts[lo:hi]
+                for j, c in taps:
+                    dst = counts[lo - phi + j : hi - phi + j]
+                    if c == 1:
+                        dst -= src
+                    elif c == -1:
+                        dst += src
+                    else:
+                        dst -= c * src
+            coords[start : start + r] = counts[:phi].reshape(phi, r, k).transpose(1, 2, 0)
         return coords.reshape(nrows, k * phi)
 
     def _dual(self, exponents: np.ndarray, part: Partition) -> Partition:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from dualpart.config import InputError
-from dualpart.exactarith import CycInt, SparsePoly, reduction_matrix, root_of_unity_sum
+from dualpart.exactarith import CycInt, SparsePoly, _reduction_rows, root_of_unity_sum
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.partitions import Partition
@@ -130,18 +130,20 @@ def convolution_coeffs(n, k, q):
 
 
 def onehot_coords(ctx, exponents, part):
-    """Oracle: the canonical coordinates by a one-hot matmul for m = 2 and
-    by the full reduction matrix otherwise."""
+    """Oracle: the canonical coordinates by a one-hot matmul for m = 2, and
+    otherwise as the sum over each class of the reduction-matrix rows
+    (x^e mod Phi_m) of its exponents, one pairing row at a time."""
     k, m = part.num_classes, ctx.m
     if m == 2:
         onehot = np.zeros((exponents.shape[1], k), dtype=np.int64)
         onehot[np.arange(exponents.shape[1]), part.class_ids] = 1
         ones = exponents.astype(np.int64) @ onehot
         return part.class_sizes().astype(np.int64)[None, :] - 2 * ones
-    keys = exponents.astype(np.int64) + part.class_ids.astype(np.int64)[None, :] * m
-    counts = np.stack([np.bincount(row, minlength=k * m) for row in keys])
-    reduction = np.array(reduction_matrix(m), dtype=np.int64)
-    return (counts.reshape(-1, k, m) @ reduction).reshape(len(keys), -1)
+    reduction = np.array(_reduction_rows(m), dtype=np.int64)
+    coords = np.zeros((len(exponents), k, reduction.shape[1]), dtype=np.int64)
+    for row, e in zip(coords, exponents):
+        np.add.at(row, part.class_ids, reduction[e])
+    return coords.reshape(len(exponents), -1)
 
 
 def annihilator(group, code_indices):

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from dualpart.exactarith import (
     CycInt,
     SparsePoly,
+    _reduction_rows,
     cyclotomic_polynomial,
     euler_phi_degree,
-    reduction_matrix,
     root_of_unity_sum,
 )
 
@@ -96,7 +96,7 @@ class TestCycInt:
 
     def test_reduction_matrix_shape(self):
         for m in [2, 3, 12, 15]:
-            rows = reduction_matrix(m)
+            rows = _reduction_rows(m)
             assert len(rows) == m
             assert all(len(r) == euler_phi_degree(m) for r in rows)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
-from dualpart.exactarith import CycInt, SparsePoly, root_of_unity_sum
+from dualpart.exactarith import CycInt, SparsePoly, euler_phi_degree, root_of_unity_sum
 from dualpart.groups import build_group_product, pairing_exponent
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
@@ -18,6 +18,7 @@ from dualpart.partitions import (
     F_poly,
     Partition,
     SignatureLabels,
+    _rank_rows,
     co_dual_class_count,
     co_profile_prefix_sums,
     co_reflexivity_bruteforce,
@@ -566,6 +567,22 @@ DUAL_ORACLE_GROUPS = [
 ]
 
 
+# one group per modulus m in {2, 5, 7, 48, 60, 120, 122, 222, 105, 210, 315}
+FOLD_GROUPS = [
+    [[2]] * 6,
+    [[5]] * 3,
+    [[7]] * 2,
+    [[48]],
+    [[60]],
+    [[4], [120]],
+    [[122]],
+    [[222]],
+    [[3], [5], [7]],
+    [[210]],
+    [[9], [5], [7]],
+]
+
+
 def random_partition(group, k, seed):
     rng = random.Random(seed)
     ids = list(range(k)) + [rng.randrange(k) for _ in range(group.order - k)]
@@ -614,6 +631,21 @@ class TestDualOracle:
         assert np.array_equal(got.class_ids, ids)
         assert got.labels == labels
 
+    @pytest.mark.parametrize("spec", FOLD_GROUPS, ids=str)
+    def test_fold_matches_reduction_matrix(self, spec):
+        # sparse Phi_m (a run of several tops per fold), dense Phi_m (one top
+        # per run) and a coefficient -2 or 2 (m = 105, 210, 315); every
+        # discrete partition with m > 60 spans more than one block of rows
+        group = build_group_product(spec)
+        ctx = DualityContext(group)
+        m = ctx.m
+        unit = next(s for s in range(m - 1, 0, -1) if math.gcd(s, m) == 1)
+        discrete = Partition(np.arange(group.order), host=group)
+        for part in (discrete, random_partition(group, max(2, group.order // 8), m)):
+            for table in (ctx.exponents, scaled_exponents(ctx, unit)):
+                rows = table[:: max(1, group.order // 48)]
+                assert np.array_equal(ctx._coords(rows, part), onehot_coords(ctx, rows, part))
+
     def test_labels_of_modulus_one(self):
         rows = np.array([[3, -1], [0, 2]])
         labels = SignatureLabels(1, rows, 2)
@@ -633,6 +665,23 @@ class TestDualOracle:
         lam = DualityContext(group).left_dual(gamma)
         assert len(lam.labels) == lam.num_classes == 2048
         assert lam.export()["labels"] is None
+
+
+class TestRankRows:
+    @pytest.mark.parametrize("span", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("low", [0, -3, -(2**40)])
+    def test_narrow_keys_rank_as_wide_keys(self, span, low):
+        # spans on each side of a key-width boundary, and negative entries
+        rng = np.random.default_rng(span)
+        rows = rng.integers(0, span, size=(300, 3), endpoint=True) + low
+        rows[0, 0], rows[1, 2] = low, low + span
+        rows = np.concatenate([rows, rows[::4]])
+        key = (rows - rows.min()).astype(">u8")
+        view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        _, want_first, want_inverse = np.unique(view, return_index=True, return_inverse=True)
+        first, inverse = _rank_rows(rows)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
 
 
 class TestDualGuards:
@@ -674,7 +723,7 @@ class TestDualGuards:
         group = build_group_product([[256]])
         gamma = random_partition(group, 128, 0)
         ctx = DualityContext(group)
-        bound = max(1 << 22, gamma.num_classes * ctx.m)
+        bound = max(1 << 18, gamma.num_classes * ctx.m)
         asked = []
         bincount = np.bincount
 
@@ -816,20 +865,17 @@ class TestScaleAndBudgets:
         with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
             ctx.exponents
 
-    def test_reduction_matrix_built_on_first_use_and_capped(self):
-        # Z/40000: one row of one class is 16,000 coordinate cells, but the
-        # reduction matrix is 40000 * deg(Phi_40000) = 640,000,000 cells
+    def test_large_modulus_coordinates_by_orthogonality(self):
+        # Z/40000 with one class: the row of 0 sums 40000 trivial characters,
+        # the row of 1 every 40000-th root of unity, which sum to 0
         group = build_group_product([[40000]])
         ctx = DualityContext(group)
-        assert ctx._reduction is None
-        with pytest.raises(
-            BudgetError,
-            match=r"^m \* deg\(Phi_m\) reduction matrix cells = 640000000 exceeds pair_work_cap = 67108864$",
-        ):
-            ctx._coords(np.zeros((1, 40000), dtype=np.int32), Partition(np.zeros(40000, dtype=np.int64), host=group))
-        # the lattice needs no reduction matrix
+        rows = np.stack([np.zeros(40000, dtype=np.int32), np.arange(40000, dtype=np.int32)])
+        coords = ctx._coords(rows, Partition(np.zeros(40000, dtype=np.int64), host=group))
+        want = np.zeros((2, euler_phi_degree(40000)), dtype=np.int64)
+        want[0, 0] = 40000
+        assert np.array_equal(coords, want)
         assert ctx.left_dual(induce_CO(group, pk_covering(1, 1))).num_classes == 2
-        assert ctx._reduction is None
 
     def test_lattice_cap_named(self):
         group = build_group_product([[2]] * 6)
