@@ -223,25 +223,22 @@ def cmd_scan_co(args) -> int:
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
     for n in n_range:
         # the data of an n, read by every k; the criteria side and the
-        # confirmation side share none of it, and the confirmation stops
-        # at n = 64
+        # confirmation side share none of it
         distinct = ku_distinct_counts(n, args.q)
-        prefix = co_profile_prefix_sums(args.q, n) if n <= 64 else None
+        prefix = co_profile_prefix_sums(args.q, n)
         ks = range(1, n + 1) if k_only is None else [k_only]
         for k in ks:
             v = co_nonreflexivity_verdict(n, k, args.q, distinct)
-            bound = dual_class_lower_bound(n, k, args.q, distinct) if n <= 40 else ""
+            bound = dual_class_lower_bound(n, k, args.q, distinct)
             if v["verdict"] == "undecided-by-criteria":
                 confirmed = "skipped"
-            elif prefix is not None:
+            else:
                 brute = co_reflexivity_bruteforce(args.q, n, k, prefix)
                 confirmed = (
                     "yes"
                     if brute["reflexive"] == (v["verdict"] == "reflexive")
                     else "no"
                 )
-            else:
-                confirmed = "skipped"
             print(
                 f"{args.q}\t{n}\t{k}\t{v['verdict']}\t{v['criterion']}\t"
                 f"{v['co_classes']}\t{bound}\t{confirmed}"

@@ -33,7 +33,9 @@ class BudgetError(DualpartError):
 class RunConfig:
     """Caps and budgets.
 
-    enumeration_cap: maximum group order for full element enumeration.
+    enumeration_cap: maximum group order for full element enumeration,
+                     and maximum number p^dim of codewords listed for a
+                     linear code.
     pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
                      the pairing table of the pairwise engine, and again
                      rows * k * deg(Phi_m) for its cyclotomic coordinates
@@ -53,7 +55,10 @@ class RunConfig:
                      before any polynomial is built.  A scan row costs
                      O(n^2) big-integer operations for its value table
                      and profiles; a polynomial of degree k costs O(k^2)
-                     for its coefficients, and its root isolation more.
+                     for its coefficients, and its root isolation O(k)
+                     per point at which the Sturm chain is evaluated
+                     (about 2k + 1 points, plus the splits and bisection
+                     steps of each root).
     """
 
     enumeration_cap: int = 1 << 24

@@ -4,10 +4,10 @@ Coefficients are exact rationals; integer-argument values are exact integers.
 The criteria chain tries the closed-form families first and ends at the
 distinct-value count of KU_(n-1,s), read from one recurrence table of the
 values per n (``ku_value_table``); it isolates no root.  Root isolation
-serves ``ku_roots`` and ``ku_derivative_roots`` only: exact-sign bisection
-seeded by sign changes on a progressively refined rational grid (the
-polynomials at hand have distinct real roots, so a fine enough grid always
-separates them).
+serves ``ku_roots`` only: the polynomials P_0 ... P_k of the three-term
+recurrence form a Sturm sequence, so their sign changes at a rational point
+count the roots below it exactly; dyadic cells of [0, n] are split until
+each holds one root, which is then bisected by exact sign, all in integers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .config import BudgetError, InputError
+from .config import InputError
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,6 @@ class KrawtchoukPoly:
         for c in reversed(self.coeffs):
             acc = acc * s + c
         return acc
-
-    def derivative_coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(i * c for i, c in enumerate(self.coeffs))[1:] or (Fraction(0),)
 
 
 def ku_build(n: int, k: int, q: int) -> KrawtchoukPoly:
@@ -95,114 +92,82 @@ def ku_partial_sum(n: int, k: int, q: int, s: int) -> tuple[int, int]:
 # root isolation
 # ---------------------------------------------------------------------------
 
-def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
-    """Exact sign of the polynomial at a rational point (Horner on the
-    cleared-denominator coefficients)."""
-    num, den = x.numerator, x.denominator
-    acc = 0
-    scale = 1
-    for c in reversed(int_coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
-def isolate_real_roots(
-    int_coeffs: Sequence[int],
-    lo: Fraction,
-    hi: Fraction,
-    expected: int,
-    width: Fraction = Fraction(1, 10**9),
-    max_refine: int = 64,
-) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for a polynomial known to have ``expected``
-    distinct real roots in (lo, hi).
-
-    Grid sign changes seed the intervals; the grid is refined until all
-    expected roots separate, then each interval is bisected to the requested
-    width.  Exact rational roots come back as degenerate intervals.
-    """
-    points = [lo + (hi - lo) * i / max(expected * 2, 4) for i in range(max(expected * 2, 4) + 1)]
-    for attempt in range(max_refine):
-        signs = [_sign_at(int_coeffs, x) for x in points]
-        found: list[tuple[Fraction, Fraction]] = []
-        ok = True
-        for i, s in enumerate(signs):
-            if s == 0:
-                if points[i] in (lo, hi):
-                    ok = False  # root on the boundary: shrink inwards
-                    break
-                found.append((points[i], points[i]))
-        for i in range(len(points) - 1):
-            if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-                found.append((points[i], points[i + 1]))
-        if ok and len(found) == expected:
-            found.sort()
-            return [_bisect(int_coeffs, a, b, width) for a, b in found]
-        # refine: halve every grid cell
-        nxt = []
-        for i in range(len(points) - 1):
-            nxt.append(points[i])
-            nxt.append((points[i] + points[i + 1]) / 2)
-        nxt.append(points[-1])
-        points = nxt
-    raise BudgetError(
-        f"root isolation did not separate {expected} roots in {max_refine} refinements"
-    )
-
-
-def _bisect(
-    int_coeffs: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    if lo == hi:
-        return lo, hi
-    slo = _sign_at(int_coeffs, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = _sign_at(int_coeffs, mid)
-        if sm == 0:
-            return mid, mid
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _int_coeffs_of(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
-    """Coefficients cleared of denominators (sign-faithful)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * den) for c in coeffs)
+def _chain(n: int, k: int, q: int, num: int, den: int) -> tuple[int, int]:
+    """At x = num/den (den > 0, k >= 1): the sign changes V of P_0 ... P_k,
+    zeros skipped, and the sign of P_k, with P_j = j! K_j from the
+    recurrence of ``ku_build`` scaled by den^j.  P_0 ... P_k is a Sturm
+    sequence (each b_j > 0 and P_j leads with (-q)^j), so V counts the
+    roots of K_k strictly below x."""
+    den2, qx = den * den, q * num
+    prev, cur = 0, 1
+    changes, positive = 0, True
+    for j in range(k):
+        a = j + (q - 1) * (n - j)
+        b = j * (q - 1) * (n - j + 1)
+        prev, cur = cur, (a * den - qx) * cur - b * den2 * prev
+        if cur and (cur > 0) != positive:
+            changes, positive = changes + 1, not positive
+    return changes, (cur > 0) - (cur < 0)
 
 
 def ku_roots(
     n: int, k: int, q: int, width: Fraction = Fraction(1, 10**9)
 ) -> list[tuple[Fraction, Fraction]]:
-    """The k distinct real roots, isolated to the requested width."""
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
-    poly = ku_build(n, k, q)
-    if k == 1:
-        # exact rational root of the linear polynomial
-        root = -poly.coeffs[0] / poly.coeffs[1]
-        return [(root, root)]
-    return isolate_real_roots(_int_coeffs_of(poly.coeffs), Fraction(0), Fraction(n), k, width)
+    """The k distinct real roots in (0, n), ascending: a root x met exactly
+    as (x, x), any other as a dyadic cell [n*i/d, n*(i+1)/d] (d = 2k * 2^j)
+    that holds it, with n/d <= width.
 
-
-def ku_derivative_roots(
-    n: int, k: int, q: int, width: Fraction = Fraction(1, 10**9)
-) -> list[tuple[Fraction, Fraction]]:
-    """The k-1 distinct real roots of the derivative (they interlace)."""
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
+    Cells start at d = 2k.  The Sturm chain of the recurrence (``_chain``)
+    counts the roots inside each cell; a cell with two or more, or with one
+    and a root at both ends, is split at its midpoint, and a cell with one
+    is bisected by the sign of K_k until n/d <= width.  Integers throughout;
+    Fractions are built only for the output."""
+    if not 1 <= k <= n or q < 2:
+        raise InputError("need 1 <= k <= n and q >= 2")
+    if width <= 0:
+        raise InputError(f"root width must be positive, got {width}")
     if k == 1:
-        return []
-    poly = ku_build(n, k, q)
-    der = poly.derivative_coeffs()
-    if k == 2:
-        root = -der[0] / der[1]
+        root = Fraction((q - 1) * n, q)
         return [(root, root)]
-    return isolate_real_roots(_int_coeffs_of(der), Fraction(0), Fraction(n), k - 1, width)
+    wn, wd = Fraction(width).as_integer_ratio()
+    out: list[tuple[Fraction, Fraction]] = []
+
+    def at(i: int, d: int) -> tuple[int, int]:
+        return _chain(n, k, q, n * i, d)
+
+    def exact(i: int, d: int) -> None:
+        x = Fraction(n * i, d)
+        out.append((x, x))
+
+    def cell(i: int, d: int, lo: tuple[int, int], hi: tuple[int, int]) -> None:
+        inside = hi[0] - lo[0] - (lo[1] == 0)
+        if inside == 0:
+            return
+        if inside > 1 or lo[1] == hi[1] == 0:
+            mid = at(2 * i + 1, 2 * d)
+            cell(2 * i, 2 * d, lo, mid)
+            if mid[1] == 0:
+                exact(2 * i + 1, 2 * d)
+            cell(2 * i + 1, 2 * d, mid, hi)
+            return
+        ref = hi[1] or -lo[1]  # the sign of K_k between the root and hi
+        while n * wd > wn * d:  # n/d > width
+            i, d = 2 * i, 2 * d
+            sign = at(i + 1, d)[1]
+            if sign == 0:
+                exact(i + 1, d)
+                return
+            if sign != ref:
+                i += 1
+        out.append((Fraction(n * i, d), Fraction(n * (i + 1), d)))
+
+    d = 2 * k
+    ends = [at(i, d) for i in range(d + 1)]
+    for i in range(d):
+        if ends[i][1] == 0:
+            exact(i, d)
+        cell(i, d, ends[i], ends[i + 1])
+    return out
 
 
 # ---------------------------------------------------------------------------

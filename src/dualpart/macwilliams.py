@@ -133,6 +133,10 @@ def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], 
     return tuple(tuple(r) for r in mat[:rank])
 
 
+# the most codewords ``codeword_indices`` holds at once
+_WORD_BLOCK = 1 << 14
+
+
 @dataclasses.dataclass(frozen=True)
 class LinearCode:
     space: PrimeFieldSpace
@@ -153,14 +157,36 @@ class LinearCode:
     def size(self) -> int:
         return self.space.p ** self.dim
 
-    def codeword_indices(self) -> np.ndarray:
-        """Element indices of all codewords, sorted."""
-        p = self.space.p
-        basis = np.array(self.basis, dtype=np.int64).reshape(self.dim, self.space.dim)
-        coeffs = np.array(
-            list(itertools.product(range(p), repeat=self.dim)), dtype=np.int64
-        )
-        return np.sort(_indices(self.space, coeffs @ basis))
+    def codeword_indices(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Element indices of all codewords, sorted.
+
+        A word is the digit row of its coefficient number times the basis,
+        mod p.  The last rows of the basis, with at most ``_WORD_BLOCK``
+        combinations, give one block of words; the block is shifted by each
+        combination of the leading rows in turn and indexed at once, so no
+        more than one block of words is held."""
+        p, n, dim = self.space.p, self.space.dim, self.dim
+        config.check("enumeration_cap", self.size, "p^dim codewords")
+        basis = np.array(self.basis, dtype=np.int64).reshape(dim, n)
+        place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+        def combinations(rows: np.ndarray) -> np.ndarray:
+            digits = np.arange(p ** len(rows))[:, None] // place[n - len(rows) :] % p
+            return digits @ rows % p
+
+        low = dim
+        while p**low > _WORD_BLOCK:
+            low -= 1
+        block = combinations(basis[dim - low :])
+        if low == dim:
+            indices = block @ place
+        else:
+            indices = np.empty((self.size // len(block), len(block)), dtype=np.int64)
+            for out, shift in zip(indices, combinations(basis[: dim - low])):
+                np.matmul((block + shift) % p, place, out=out)
+            indices = indices.ravel()
+        indices.sort()
+        return indices
 
     def dual(self) -> "LinearCode":
         """Null space under the standard bilinear form."""
@@ -181,9 +207,11 @@ class LinearCode:
         return LinearCode.from_rows(self.space, rows)
 
 
-def distribution(code: LinearCode, part: Partition) -> tuple[int, ...]:
+def distribution(
+    code: LinearCode, part: Partition, config: RunConfig = DEFAULT_CONFIG
+) -> tuple[int, ...]:
     """Per-class codeword counts (the partition distribution of the code)."""
-    ids = part.class_ids[code.codeword_indices()]
+    ids = part.class_ids[code.codeword_indices(config)]
     return tuple(int(x) for x in np.bincount(ids, minlength=part.num_classes))
 
 
@@ -198,7 +226,9 @@ def macwilliams_verify(
     if ctx.group != code.space.group:
         raise InputError("duality context is not over the code's space")
     dual = code.dual()
-    ok = macwilliams_identity_holds(ctx, code.codeword_indices(), dual.codeword_indices(), lam, gamma)
+    ok = macwilliams_identity_holds(
+        ctx, code.codeword_indices(ctx.config), dual.codeword_indices(ctx.config), lam, gamma
+    )
     return {
         "holds": ok,
         "code_dim": code.dim,
@@ -244,7 +274,7 @@ def _distribution_clash(
     v = space.all_vectors(config)
     seen: dict[tuple, tuple] = {}
     for basis in bases:
-        words = LinearCode(space, basis).codeword_indices()
+        words = LinearCode(space, basis).codeword_indices(config)
         lam_key = tuple(np.bincount(lam.class_ids[words], minlength=lam.num_classes))
         gen = np.array(basis, dtype=np.int64).reshape(len(basis), space.dim)
         dual = ((v @ gen.T) % space.p == 0).all(axis=1)

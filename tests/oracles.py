@@ -10,16 +10,19 @@ dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
 of single elements against the labels of a dual partition.  The weights of
 single codewords and subsets stand against the library's arrays over all
-support masks.
+support masks.  Krawtchouk roots isolated on a refined rational grid stand
+against the library's Sturm-chain isolation, and the same grid isolates the
+derivative roots, which the library never needs.
 """
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from dualpart.config import InputError
+from dualpart.config import BudgetError, InputError
 from dualpart.exactarith import CycInt, SparsePoly, _reduction_rows, root_of_unity_sum
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
@@ -94,12 +97,101 @@ def derivative_smallest_root_floor(n, k, q):
     """Oracle: floor of the smallest root of KU_(n,k)', k >= 2, by an
     integer sign scan: KU_(n,k) decreases from KU_(n,k)(0) > 0 up to that
     root, so the derivative is negative before it."""
-    der = ku_build(n, k, q).derivative_coeffs()
+    der = derivative_coeffs(ku_build(n, k, q))
     for s in range(n + 1):
         v = sum(c * s**i for i, c in enumerate(der))
         if v >= 0:
             return s if v == 0 else s - 1
     raise AssertionError("no sign change of the derivative in [0,n]")
+
+
+def derivative_coeffs(poly):
+    """Ascending coefficients of the derivative of a KrawtchoukPoly."""
+    return tuple(i * c for i, c in enumerate(poly.coeffs))[1:] or (Fraction(0),)
+
+
+def _sign_at(int_coeffs, x):
+    """Exact sign of the polynomial at a rational point (Horner on the
+    cleared-denominator coefficients)."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(int_coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def isolate_real_roots(int_coeffs, lo, hi, expected, width=Fraction(1, 10**9), max_refine=64):
+    """Oracle: isolating intervals for a polynomial known to have
+    ``expected`` distinct real roots in (lo, hi).  Grid sign changes seed
+    the intervals; the grid is refined until all expected roots separate,
+    then each interval is bisected to the requested width.  Exact rational
+    roots come back as degenerate intervals."""
+    points = [lo + (hi - lo) * i / max(expected * 2, 4) for i in range(max(expected * 2, 4) + 1)]
+    for _ in range(max_refine):
+        signs = [_sign_at(int_coeffs, x) for x in points]
+        found = []
+        ok = True
+        for i, s in enumerate(signs):
+            if s == 0:
+                if points[i] in (lo, hi):
+                    ok = False  # root on the boundary: shrink inwards
+                    break
+                found.append((points[i], points[i]))
+        for i in range(len(points) - 1):
+            if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
+                found.append((points[i], points[i + 1]))
+        if ok and len(found) == expected:
+            found.sort()
+            return [_bisect(int_coeffs, a, b, width) for a, b in found]
+        nxt = []
+        for i in range(len(points) - 1):
+            nxt.append(points[i])
+            nxt.append((points[i] + points[i + 1]) / 2)
+        nxt.append(points[-1])
+        points = nxt
+    raise BudgetError(f"root isolation did not separate {expected} roots in {max_refine} refinements")
+
+
+def _bisect(int_coeffs, lo, hi, width):
+    if lo == hi:
+        return lo, hi
+    slo = _sign_at(int_coeffs, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        sm = _sign_at(int_coeffs, mid)
+        if sm == 0:
+            return mid, mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _int_coeffs_of(coeffs):
+    """Coefficients cleared of denominators (sign-faithful)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs)
+
+
+def grid_roots(n, k, q, width=Fraction(1, 10**9)):
+    """Oracle: the k roots of KU_(n,k) by the refined grid, k >= 2."""
+    coeffs = _int_coeffs_of(ku_build(n, k, q).coeffs)
+    return isolate_real_roots(coeffs, Fraction(0), Fraction(n), k, width)
+
+
+def ku_derivative_roots(n, k, q, width=Fraction(1, 10**9)):
+    """Oracle: the k-1 distinct real roots of KU_(n,k)' (they interlace
+    with the roots of KU_(n,k))."""
+    if k == 1:
+        return []
+    der = derivative_coeffs(ku_build(n, k, q))
+    if k == 2:
+        root = -der[0] / der[1]
+        return [(root, root)]
+    return isolate_real_roots(_int_coeffs_of(der), Fraction(0), Fraction(n), k - 1, width)
 
 
 def _poly_mul(a, b):
@@ -144,6 +236,16 @@ def onehot_coords(ctx, exponents, part):
     for row, e in zip(coords, exponents):
         np.add.at(row, part.class_ids, reduction[e])
     return coords.reshape(len(exponents), -1)
+
+
+def codeword_indices_product(code):
+    """Oracle: the sorted element indices of all codewords, from every
+    coefficient tuple times the basis (first coordinate most significant)."""
+    p, n = code.space.p, code.space.dim
+    basis = np.array(code.basis, dtype=np.int64).reshape(code.dim, n)
+    coeffs = np.array(list(itertools.product(range(p), repeat=code.dim)), dtype=np.int64)
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.sort(((coeffs @ basis) % p) @ place)
 
 
 def annihilator(group, code_indices):

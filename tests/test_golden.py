@@ -35,8 +35,8 @@ CASES = {
     "scan-co-q3": ["scan-co", "--q", "3", "--n", "3..5", "--k", "all"],
     "scan-co-q2-wide": ["scan-co", "--q", "2", "--n", "10..30", "--k", "all"],
     "scan-co-q5": ["scan-co", "--q", "5", "--n", "4..14", "--k", "all"],
-    # n = 40 is the last row with a lambda_lower_bound, n = 64 the last
-    # with a confirmation
+    # every row has a lambda_lower_bound and a confirmation, past n = 40
+    # and n = 64 too
     "scan-co-q2-bound-cut": ["scan-co", "--q", "2", "--n", "39..41", "--k", "all"],
     "scan-co-q3-confirm-cut": ["scan-co", "--q", "3", "--n", "63..65", "--k", "all"],
     "krawtchouk-roots": ["krawtchouk", "--n", "12", "--k", "4", "--q", "3", "--roots"],

@@ -10,9 +10,7 @@ from dualpart.krawtchouk import (
     dual_class_lower_bound,
     eq45_w,
     eq45_w_floor,
-    isolate_real_roots,
     ku_build,
-    ku_derivative_roots,
     ku_eval,
     ku_partial_sum,
     ku_roots,
@@ -21,7 +19,15 @@ from dualpart.krawtchouk import (
     lemma415_convergence,
     thm42_threshold,
 )
-from oracles import convolution_coeffs, derivative_smallest_root_floor, genfun_eval, smallest_root_floor
+from oracles import (
+    convolution_coeffs,
+    derivative_smallest_root_floor,
+    genfun_eval,
+    grid_roots,
+    isolate_real_roots,
+    ku_derivative_roots,
+    smallest_root_floor,
+)
 
 
 class TestBuildAndEval:
@@ -124,6 +130,26 @@ class TestRoots:
         for lo, hi in ku_roots(9, 4, 3):
             assert hi - lo <= Fraction(1, 10**9)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, None])
+    def test_matches_grid_oracle(self, q):
+        # same tuples as the refined-grid isolator.  Exact roots on cell
+        # ends: 1 and 3 for (4,2,2), 27/2 for (27,3,2), 50 for (100,3,2);
+        # (136,2,3) and (64,2,6) hit 85 and 56 at the midpoint of a cell
+        # holding both roots.  At width 1/4 some cells are exactly as wide
+        # as the width.
+        if q is None:
+            cases = [(27, 3, 2), (100, 3, 2), (136, 2, 3), (64, 2, 6)]
+        else:
+            cases = [(n, k, q) for n in range(2, 21) for k in range(2, n + 1)]
+        for n, k, q in cases:
+            for width in (Fraction(1, 10**9), Fraction(1, 100), Fraction(1, 4)):
+                assert ku_roots(n, k, q, width) == grid_roots(n, k, q, width), (n, k, q, width)
+
+    @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), -1])
+    def test_rejects_nonpositive_width(self, width):
+        with pytest.raises(InputError):
+            ku_roots(5, 2, 3, width=width)
+
     def test_linear_root_exact(self):
         (lo, hi), = ku_roots(6, 1, 3)
         assert lo == hi == Fraction(6 * 2, 3)
@@ -159,7 +185,8 @@ class TestRoots:
     def test_isolate_rejects_wrong_count(self):
         from dualpart.config import BudgetError
 
-        # x^2 + 1 has no real roots; asking for one must exhaust refinement
+        # the grid oracle: x^2 + 1 has no real roots; asking for one must
+        # exhaust refinement
         with pytest.raises(BudgetError):
             isolate_real_roots([1, 0, 1], Fraction(0), Fraction(4), 1, max_refine=8)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dualpart.macwilliams as macwilliams
-from dualpart.config import BudgetError, InputError
+from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.macwilliams import (
     LinearCode,
     PrimeFieldSpace,
@@ -23,7 +23,7 @@ from dualpart.macwilliams import (
 )
 from dualpart.metrics import pk_covering
 from dualpart.partitions import DualityContext, Partition, induce_CO
-from oracles import annihilator, binary_cols_to_matrix, inv_enumerate, inv_enumerate_binary, orbit_partition, scaled_exponents
+from oracles import annihilator, binary_cols_to_matrix, codeword_indices_product, inv_enumerate, inv_enumerate_binary, orbit_partition, scaled_exponents
 
 
 def hamming(space):
@@ -65,6 +65,52 @@ class TestLinearCode:
         c = LinearCode.from_rows(space, [])
         assert c.dual().dim == 2
         assert list(c.codeword_indices()) == [0]
+
+    @pytest.mark.parametrize("p,blocks", [(2, (1,) * 7), (3, (1, 2, 1)), (5, (2, 1)), (7, (1, 1, 1)), (17, (1, 1))])
+    def test_codewords_match_product_oracle(self, p, blocks):
+        space = PrimeFieldSpace(p, blocks)
+        rng = random.Random(p)
+        for dim in range(space.dim + 1):
+            rows = [[rng.randrange(p) for _ in range(space.dim)] for _ in range(dim)]
+            code = LinearCode.from_rows(space, rows)
+            got = code.codeword_indices()
+            assert got.dtype == np.int64 and len(got) == code.size
+            assert np.array_equal(got, codeword_indices_product(code)), (p, rows)
+
+    @pytest.mark.parametrize("p,length,dim", [(2, 18, 16), (3, 11, 10), (7, 6, 6)])
+    def test_codewords_across_blocks(self, p, length, dim):
+        # more words than one block of 2^14: 4 blocks of 2^14, 9 of 3^8 and
+        # 49 of 7^4
+        space = PrimeFieldSpace(p, (1,) * length)
+        rng = random.Random(length)
+        # [I | R] with its columns shuffled: full rank, pivots spread out
+        cols = rng.sample(range(length), length)
+        rows = [[int(i == j) if j < dim else rng.randrange(p) for j in cols] for i in range(dim)]
+        code = LinearCode.from_rows(space, rows)
+        assert code.dim == dim
+        assert np.array_equal(code.codeword_indices(), codeword_indices_product(code))
+
+    def test_codeword_count_capped_before_work(self, monkeypatch):
+        # the 2^7 words of the even-weight code of length 8 against a cap of
+        # 2^6: refused before any array, however the words are asked for
+        space = PrimeFieldSpace(2, (1,) * 8)
+        dual = LinearCode.from_rows(space, [[1] * 8]).dual()
+        gamma = hamming(space)
+        config = RunConfig(enumeration_cap=1 << 6)
+        ctx = DualityContext(space.group, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("words built")
+
+        monkeypatch.setattr(macwilliams.np, "arange", refuse)
+        calls = (
+            lambda: dual.codeword_indices(config),
+            lambda: distribution(dual, gamma, config),
+            lambda: macwilliams_verify(dual, gamma, gamma, ctx),
+        )
+        for call in calls:
+            with pytest.raises(BudgetError, match="p\\^dim codewords = 128 exceeds enumeration_cap = 64"):
+                call()
 
     def test_dual_matches_character_annihilator(self):
         # the bilinear null space equals the character-sum annihilator
