@@ -34,8 +34,11 @@ class RunConfig:
     """Caps and budgets.
 
     enumeration_cap: maximum group order for full element enumeration,
-                     and maximum number p^dim of codewords listed for a
-                     linear code.
+                     maximum number p^dim of codewords listed for a
+                     linear code, and maximum number of subspaces of
+                     F_p^N (the sum of the Gaussian binomials) that the
+                     all-codes MacWilliams check lists, checked before
+                     it lists any.
     pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
                      the pairing table of the pairwise engine, and again
                      rows * k * deg(Phi_m) for its cyclotomic coordinates
@@ -47,7 +50,8 @@ class RunConfig:
                      rows * k * deg(Phi_m) coordinate cells as the labels
                      of the dual, one row per dual class.  The covering
                      weights of a member-listed covering cost
-                     2^n * members cells.
+                     2^n * members cells, and the orthogonality table
+                     of the MacWilliams statements |V|^2 cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
     krawtchouk_cap_n: maximum n and k of ``krawtchouk --n/--k`` and

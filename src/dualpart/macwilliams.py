@@ -12,6 +12,12 @@ The ambient space prod_i F_p^(k_i) is welded to the group-product view (all
 cyclic factors of order p), so the dual code of C is its character dual
 C~ = {b : f(a, b) = 1 for every a in C}, and partitions transfer between
 the two views unchanged.
+
+The one-dimensional and the all-codes MacWilliams statements are decided
+on blocks of codes, never one code at a time: every subspace is listed by
+its RREF basis, a block holding the bases of one pivot pattern, and each
+block's words, duals and distributions are a few array operations, all in
+integers.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .groups import GroupProduct
 from .partitions import (
     DualityContext,
     Partition,
+    _rank_rows,
     co_reflexivity_bruteforce,
     induce_CO,
     macwilliams_identity_holds,
@@ -237,7 +244,7 @@ def macwilliams_verify(
 
 
 # ---------------------------------------------------------------------------
-# scalar invariance and one-dimensional checks
+# scalar invariance
 # ---------------------------------------------------------------------------
 
 def scalar_permutation(space: PrimeFieldSpace, c: int, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -253,37 +260,98 @@ def is_f_invariant(space: PrimeFieldSpace, part: Partition, config: RunConfig = 
     return True
 
 
-def _one_dim_bases(space: PrimeFieldSpace, config: RunConfig) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The RREF basis of every 1-dimensional code (first nonzero entry 1)."""
-    for row in space.all_vectors(config)[1:].tolist():
-        if next(x for x in row if x) == 1:
-            yield (tuple(row),)
+# ---------------------------------------------------------------------------
+# codes in blocks: their distributions and the first clash
+# ---------------------------------------------------------------------------
+
+# the most cells one block of codes holds: the digits of its words and
+# the dual flags of its generator rows
+_CODE_BLOCK = 1 << 16
+
+
+def _codes_per_block(space: PrimeFieldSpace, d: int) -> int:
+    """How many codes of dimension d one block holds: each brings p^d words
+    of N digits and d + 1 rows of |V| dual flags."""
+    cells = space.p**d * space.dim + (d + 1) * space.order
+    return max(1, _CODE_BLOCK // cells)
+
+
+def _orthogonality(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
+    """|V| x |V| booleans: whether the two vectors' bilinear form is 0.
+
+    The forms of the last j coordinates make a p^j x p^j table, and one
+    more coordinate in front adds x * y: the form of (x, a) and (y, b) is
+    x * y plus that of a and b, mod p, in a dtype that holds 2(p - 1)."""
+    config.check("pair_work_cap", space.order**2, "|V|^2 orthogonality cells")
+    p = space.p
+    dtype = np.min_scalar_type(2 * (p - 1))
+    prod = (np.arange(p)[:, None] * np.arange(p) % p).astype(dtype)
+    form = np.zeros((1, 1), dtype=dtype)
+    for _ in range(space.dim):
+        size = len(form) * p
+        form = ((prod[:, None, :, None] + form[None, :, None, :]) % p).reshape(size, size)
+    return form == 0
+
+
+def _as_basis(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows.tolist()))
 
 
 def _distribution_clash(
     space: PrimeFieldSpace,
     lam: Partition,
     gamma: Partition,
-    bases: Iterable[tuple[tuple[int, ...], ...]],
+    blocks: Iterable[np.ndarray],
     config: RunConfig,
 ) -> tuple | None:
-    """The first two codes, in the order of ``bases`` (RREF bases), whose
+    """The first two codes, in the order of ``blocks``, whose
     lam-distributions agree while their duals' gamma-distributions differ;
-    None if no two codes do.  A dual word is a vector orthogonal to every
-    basis row, so the zero code's dual is the whole space."""
-    v = space.all_vectors(config)
-    seen: dict[tuple, tuple] = {}
-    for basis in bases:
-        words = LinearCode(space, basis).codeword_indices(config)
-        lam_key = tuple(np.bincount(lam.class_ids[words], minlength=lam.num_classes))
-        gen = np.array(basis, dtype=np.int64).reshape(len(basis), space.dim)
-        dual = ((v @ gen.T) % space.p == 0).all(axis=1)
-        gam_dist = tuple(np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes))
-        first = seen.setdefault(lam_key, (gam_dist, basis))
-        if first[0] != gam_dist:
-            return first[1], basis
+    None if no two codes do.
+
+    A block is an int array (F, d, N) of F bases of d rows each, and the
+    blocks come in order of nondecreasing d.  The words of a block are
+    every digit row of p^d times each basis; a dual word is a vector whose
+    form with every basis row is 0, read off the orthogonality table, so
+    the zero code's dual is the whole space.  Both distributions of the
+    block are one ``bincount`` each.  The block's distinct
+    lam-distributions, ranked as rows, are looked up by their bytes among
+    those seen, each with the gamma-distribution and basis of the first
+    code that had it.  Codes of different dimensions have different word
+    counts, so they never share a lam-distribution, and only those of the
+    current dimension are kept."""
+    p, n = space.p, space.dim
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ortho = _orthogonality(space, config)
+    nl, ng = lam.num_classes, gamma.num_classes
+    seen_d = -1
+    for basis in blocks:
+        count, d = basis.shape[:2]
+        if d != seen_d:
+            seen_d, seen = d, {}
+            digits = np.arange(p**d)[:, None] // place[n - d :] % p
+        words = (digits @ basis % p) @ place
+        lam_ids = lam.class_ids[words] + nl * np.arange(count)[:, None]
+        lam_dist = np.bincount(lam_ids.ravel(), minlength=nl * count).reshape(count, nl)
+        code, word = np.nonzero(ortho[basis @ place].all(axis=1))
+        gam_ids = gamma.class_ids[word] + ng * code
+        gam_dist = np.bincount(gam_ids, minlength=ng * count).reshape(count, ng)
+        first, inverse = _rank_rows(lam_dist)
+        keys = [lam_dist[i].tobytes() for i in first.tolist()]
+        for key, i in zip(keys, first.tolist()):
+            if key not in seen:
+                # a copy, so the block's arrays are not held
+                seen[key] = (gam_dist[i].copy(), _as_basis(basis[i]))
+        ref = np.array([seen[key][0] for key in keys])
+        clash = np.flatnonzero((ref[inverse] != gam_dist).any(axis=1))
+        if clash.size:
+            at = int(clash[0])
+            return seen[keys[inverse[at]]][1], _as_basis(basis[at])
     return None
 
+
+# ---------------------------------------------------------------------------
+# the one-dimensional and the all-codes statements
+# ---------------------------------------------------------------------------
 
 def _zero_is_singleton(lam: Partition) -> bool:
     return int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
@@ -296,13 +364,21 @@ def pami_onedim_check(
     config: RunConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Statement on 1-dimensional codes vs the finer-than statement: both
-    computed independently; they must agree for F-invariant partitions."""
+    computed independently; they must agree for F-invariant partitions.
+    The witness is the pair of vectors spanning the first two clashing
+    lines."""
     if not (is_f_invariant(space, lam, config) and is_f_invariant(space, gamma, config)):
         raise InputError("both partitions must be F-invariant")
     zero_singleton = _zero_is_singleton(lam)
     clash = None
     if zero_singleton:
-        clash = _distribution_clash(space, lam, gamma, _one_dim_bases(space, config), config)
+        # the 1-dimensional codes by their RREF bases: the nonzero vectors
+        # whose first nonzero entry is 1, in index order
+        v = space.all_vectors(config)[1:]
+        lines = v[v[np.arange(len(v)), (v != 0).argmax(axis=1)] == 1][:, None, :]
+        step = _codes_per_block(space, 1)
+        blocks = (lines[lo : lo + step] for lo in range(0, len(lines), step))
+        clash = _distribution_clash(space, lam, gamma, blocks, config)
     stmt3 = zero_singleton and clash is None
     ctx = DualityContext(space.group, config)
     stmt1 = lam.is_finer(ctx.left_dual(gamma))
@@ -314,29 +390,38 @@ def pami_onedim_check(
     }
 
 
-# ---------------------------------------------------------------------------
-# full subspace enumeration (the all-codes MacWilliams statement)
-# ---------------------------------------------------------------------------
-
-def subspace_rref_bases(p: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every subspace of F_p^n exactly once, as its canonical RREF basis."""
+def _subspace_count(p: int, n: int) -> int:
+    """The number of subspaces of F_p^n: the sum over d of the Gaussian
+    binomials [n choose d]_p, each the last times (p^(n-d) - 1) / (p^(d+1) - 1)."""
+    total, term = 0, 1
     for d in range(n + 1):
-        if d == 0:
-            yield ()
-            continue
+        total += term
+        term = term * (p ** (n - d) - 1) // (p ** (d + 1) - 1)
+    return total
+
+
+def _subspace_blocks(space: PrimeFieldSpace) -> Iterator[np.ndarray]:
+    """Every subspace of F_p^N exactly once, as its RREF basis, in blocks
+    of ``_codes_per_block`` bases of one pivot pattern.
+
+    By dimension d, then pivot tuple in ``itertools.combinations`` order;
+    a pattern's free entries (right of a pivot, outside the pivot columns,
+    row by row) take the base-p digits of 0, 1, ..., p^f - 1, most
+    significant first, so the fills come in ``itertools.product`` order."""
+    p, n = space.p, space.dim
+    for d in range(n + 1):
+        step = _codes_per_block(space, d)
         for pivots in itertools.combinations(range(n), d):
-            free_slots = []
-            for r, piv in enumerate(pivots):
-                for col in range(piv + 1, n):
-                    if col not in pivots:
-                        free_slots.append((r, col))
-            for fill in itertools.product(range(p), repeat=len(free_slots)):
-                rows = [[0] * n for _ in range(d)]
-                for r, piv in enumerate(pivots):
-                    rows[r][piv] = 1
-                for (r, col), val in zip(free_slots, fill):
-                    rows[r][col] = val
-                yield tuple(tuple(r) for r in rows)
+            slots = [(r, c) for r, piv in enumerate(pivots) for c in range(piv + 1, n) if c not in pivots]
+            rows, cols = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+            fill_place = p ** np.arange(len(slots) - 1, -1, -1, dtype=np.int64)
+            echelon = np.eye(n, dtype=np.int64)[list(pivots)]
+            total = p ** len(slots)
+            for lo in range(0, total, step):
+                fills = np.arange(lo, min(lo + step, total))
+                block = np.repeat(echelon[None], len(fills), axis=0)
+                block[:, rows, cols] = fills[:, None] // fill_place % p
+                yield block
 
 
 def macwilliams_admits(
@@ -347,13 +432,24 @@ def macwilliams_admits(
 ) -> dict:
     """Exhaustive all-codes statement: codes with equal lam-distributions
     must have gamma-equidistributed duals.  Also requires the zero class to
-    be a singleton of lam."""
-    config.check("pair_work_cap", space.order**2, "|V|^2 for the subspace check")
+    be a singleton of lam.
+
+    The exact number of subspaces is checked against ``enumeration_cap``
+    before anything else, and the |V| x |V| orthogonality table against
+    ``pair_work_cap`` before it is built.  The codes go to
+    ``_distribution_clash`` in the blocks of ``_subspace_blocks``, and the
+    witness is the RREF basis of the first code whose dual's
+    gamma-distribution differs from that of an earlier code with the same
+    lam-distribution."""
+    config.check(
+        "enumeration_cap",
+        _subspace_count(space.p, space.dim),
+        f"subspaces of F_{space.p}^{space.dim}",
+    )
     zero_singleton = _zero_is_singleton(lam)
     clash = None
     if zero_singleton:
-        bases = subspace_rref_bases(space.p, space.dim)
-        clash = _distribution_clash(space, lam, gamma, bases, config)
+        clash = _distribution_clash(space, lam, gamma, _subspace_blocks(space), config)
     return {
         "admits": zero_singleton and clash is None,
         "zero_singleton": zero_singleton,

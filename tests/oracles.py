@@ -12,7 +12,9 @@ of single elements against the labels of a dual partition.  The weights of
 single codewords and subsets stand against the library's arrays over all
 support masks.  Krawtchouk roots isolated on a refined rational grid stand
 against the library's Sturm-chain isolation, and the same grid isolates the
-derivative roots, which the library never needs.
+derivative roots, which the library never needs.  Code by code, listing
+every subspace by its RREF basis, stands against the library's all-codes
+and one-dimensional MacWilliams checks in blocks of one pivot pattern.
 """
 
 import itertools
@@ -26,7 +28,8 @@ from dualpart.config import BudgetError, InputError
 from dualpart.exactarith import CycInt, SparsePoly, _reduction_rows, root_of_unity_sum
 from dualpart.groups import pairing_exponent
 from dualpart.krawtchouk import ku_build, ku_eval
-from dualpart.partitions import Partition
+from dualpart.macwilliams import LinearCode
+from dualpart.partitions import DualityContext, Partition
 from dualpart.posets import closure, dual_poset, levels
 
 
@@ -257,6 +260,84 @@ def annihilator(group, code_indices):
     weights = np.array([m // d for d in group.factor_orders], dtype=np.int64)
     rows = (v[np.asarray(code_indices, dtype=np.int64)] * weights) @ v.T % m
     return np.nonzero((rows == 0).all(axis=0))[0]
+
+
+def subspace_rref_bases(p, n):
+    """Oracle: every subspace of F_p^n exactly once, as its canonical RREF
+    basis, by dimension, pivot tuple and ``itertools.product`` fill."""
+    for d in range(n + 1):
+        if d == 0:
+            yield ()
+            continue
+        for pivots in itertools.combinations(range(n), d):
+            free_slots = []
+            for r, piv in enumerate(pivots):
+                for col in range(piv + 1, n):
+                    if col not in pivots:
+                        free_slots.append((r, col))
+            for fill in itertools.product(range(p), repeat=len(free_slots)):
+                rows = [[0] * n for _ in range(d)]
+                for r, piv in enumerate(pivots):
+                    rows[r][piv] = 1
+                for (r, col), val in zip(free_slots, fill):
+                    rows[r][col] = val
+                yield tuple(tuple(r) for r in rows)
+
+
+def one_dim_bases(space):
+    """Oracle: the RREF basis of every 1-dimensional code (first nonzero
+    entry 1), in the index order of its vector."""
+    for row in space.all_vectors()[1:].tolist():
+        if next(x for x in row if x) == 1:
+            yield (tuple(row),)
+
+
+def distribution_clash(space, lam, gamma, bases):
+    """Oracle: code by code, the first two codes in the order of ``bases``
+    whose lam-distributions agree while their duals' gamma-distributions
+    differ; the dual from the form of every vector with the basis rows."""
+    v = space.all_vectors()
+    seen = {}
+    for basis in bases:
+        code = LinearCode(space, basis)
+        words = codeword_indices_product(code)
+        lam_key = tuple(np.bincount(lam.class_ids[words], minlength=lam.num_classes))
+        gen = np.array(basis, dtype=np.int64).reshape(len(basis), space.dim)
+        dual = ((v @ gen.T) % space.p == 0).all(axis=1)
+        gam_dist = tuple(np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes))
+        first = seen.setdefault(lam_key, (gam_dist, basis))
+        if first[0] != gam_dist:
+            return first[1], basis
+    return None
+
+
+def _zero_singleton(lam):
+    return int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
+
+
+def admits_by_codes(space, lam, gamma):
+    """Oracle: the dict of ``macwilliams_admits``, by the code-by-code loop."""
+    zero = _zero_singleton(lam)
+    clash = distribution_clash(space, lam, gamma, subspace_rref_bases(space.p, space.dim)) if zero else None
+    return {
+        "admits": zero and clash is None,
+        "zero_singleton": zero,
+        "witness": None if clash is None else clash[1],
+    }
+
+
+def onedim_by_codes(space, lam, gamma):
+    """Oracle: the dict of ``pami_onedim_check``, by the code-by-code loop."""
+    zero = _zero_singleton(lam)
+    clash = distribution_clash(space, lam, gamma, one_dim_bases(space)) if zero else None
+    stmt3 = zero and clash is None
+    stmt1 = lam.is_finer(DualityContext(space.group).left_dual(gamma))
+    return {
+        "one_dim_statement": stmt3,
+        "finer_statement": stmt1,
+        "agree": stmt3 == stmt1,
+        "witness": None if clash is None else (clash[0][0], clash[1][0]),
+    }
 
 
 def character_sums(group, index, gamma):

@@ -19,11 +19,21 @@ from dualpart.macwilliams import (
     pami_onedim_check,
     parse_code_file,
     rref_mod_p,
-    subspace_rref_bases,
 )
 from dualpart.metrics import pk_covering
 from dualpart.partitions import DualityContext, Partition, induce_CO
-from oracles import annihilator, binary_cols_to_matrix, codeword_indices_product, inv_enumerate, inv_enumerate_binary, orbit_partition, scaled_exponents
+from oracles import (
+    admits_by_codes,
+    annihilator,
+    binary_cols_to_matrix,
+    codeword_indices_product,
+    inv_enumerate,
+    inv_enumerate_binary,
+    onedim_by_codes,
+    orbit_partition,
+    scaled_exponents,
+    subspace_rref_bases,
+)
 
 
 def hamming(space):
@@ -199,6 +209,106 @@ class TestTheoremEquivalences:
         # Gaussian binomial totals
         assert sum(1 for _ in subspace_rref_bases(2, 4)) == 67
         assert sum(1 for _ in subspace_rref_bases(3, 3)) == 28
+
+
+def _random_invariant_partition(space, rng, classes):
+    """A random F-invariant partition with {0} a class: one class per line,
+    from {1, ..., classes}."""
+    p = space.p
+    v = space.all_vectors()
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    inverse = np.array([pow(int(x), p - 2, p) for x in lead], dtype=np.int64)
+    place = p ** np.arange(space.dim - 1, -1, -1, dtype=np.int64)
+    line = ((v * inverse[:, None] % p) @ place).tolist()
+    key = [0] + [rng.randrange(1, classes + 1) for _ in range(space.order - 1)]
+    return Partition.from_keys([key[i] for i in line], host=space.group)
+
+
+def _engine_cases(space, seed):
+    """(lam, gamma) pairs: two random ones, and lam = l(gamma)."""
+    rng = random.Random(seed)
+    gamma = _random_invariant_partition(space, rng, rng.randrange(2, 6))
+    other = _random_invariant_partition(space, rng, rng.randrange(2, 6))
+    return [(other, gamma), (gamma, gamma), (DualityContext(space.group).left_dual(gamma), gamma)]
+
+
+ENGINE_SPACES = (
+    [(2, (1,) * n) for n in range(2, 7)]
+    + [(3, (1,) * n) for n in range(2, 5)]
+    + [(5, (1,) * n) for n in range(2, 4)]
+    + [(p, blocks) for p in (2, 3, 5) for blocks in ((2, 2), (1, 2))]
+)
+
+
+class TestAllCodesEngine:
+    @pytest.mark.parametrize("p,blocks", ENGINE_SPACES, ids=[f"F{p}-{b}" for p, b in ENGINE_SPACES])
+    def test_matches_code_by_code_oracle(self, p, blocks):
+        space = PrimeFieldSpace(p, blocks)
+        witnesses = []
+        for seed in range(2):
+            cases = _engine_cases(space, f"{p} {blocks} {seed}")
+            for lam, gamma in cases:
+                admits = macwilliams_admits(space, lam, gamma)
+                assert admits == admits_by_codes(space, lam, gamma)
+                assert pami_onedim_check(space, lam, gamma) == onedim_by_codes(space, lam, gamma)
+                witnesses.append(admits["witness"])
+            assert macwilliams_admits(space, *cases[2])["admits"]
+        if space.order >= 16:
+            assert any(w is not None for w in witnesses)
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (2, 7), (3, 4), (5, 3), (7, 2)])
+    def test_blocks_list_the_oracle_bases_in_order(self, p, n):
+        space = PrimeFieldSpace(p, (1,) * n)
+        listed = [tuple(map(tuple, basis.tolist())) for block in macwilliams._subspace_blocks(space) for basis in block]
+        oracle = list(subspace_rref_bases(p, n))
+        assert listed == oracle
+        assert macwilliams._subspace_count(p, n) == len(oracle)
+
+    def test_subspace_counts(self):
+        assert macwilliams._subspace_count(2, 8) == 417_199
+        assert macwilliams._subspace_count(2, 13) == 37_558_989_808_526
+
+    @pytest.mark.parametrize("p,blocks", [(2, (1,) * 5), (3, (1,) * 3), (5, (1, 2))])
+    def test_one_code_per_block(self, monkeypatch, p, blocks):
+        # the seen distributions carry across blocks, and the first clash
+        # of a block is the first clash overall
+        space = PrimeFieldSpace(p, blocks)
+        cases = _engine_cases(space, f"one-per-block {p}")
+        want = [(macwilliams_admits(space, *c), pami_onedim_check(space, *c)) for c in cases]
+        assert want[0][0]["witness"] is not None and want[2][0]["admits"]
+        monkeypatch.setattr(macwilliams, "_CODE_BLOCK", 1)
+        assert all(macwilliams._codes_per_block(space, d) == 1 for d in range(space.dim + 1))
+        got = [(macwilliams_admits(space, *c), pami_onedim_check(space, *c)) for c in cases]
+        assert got == want
+
+    def test_f2_13_refused_by_the_subspace_count(self, monkeypatch):
+        # |V|^2 = 2^26 passes pair_work_cap; the 3.8e13 subspaces do not
+        space = PrimeFieldSpace(2, (1,) * 13)
+        part = Partition(np.arange(space.order), host=space.group)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(PrimeFieldSpace, "all_vectors", refuse)
+        monkeypatch.setattr(macwilliams, "_zero_is_singleton", refuse)
+        with pytest.raises(BudgetError, match="subspaces of F_2\\^13 = 37558989808526 exceeds enumeration_cap"):
+            macwilliams_admits(space, part, part)
+
+    def test_orthogonality_table_capped(self):
+        space = PrimeFieldSpace(2, (1,) * 4)
+        ham = hamming(space)
+        config = RunConfig(pair_work_cap=255)
+        for check in (macwilliams_admits, pami_onedim_check):
+            with pytest.raises(BudgetError, match="\\|V\\|\\^2 orthogonality cells = 256 exceeds pair_work_cap = 255"):
+                check(space, ham, ham, config)
+
+    def test_f2_8_within_the_subspace_count(self):
+        space = PrimeFieldSpace(2, (1,) * 8)
+        lam, gamma = _engine_cases(space, "f2-8")[0]
+        config = RunConfig(enumeration_cap=417_199)
+        assert macwilliams_admits(space, lam, gamma, config)["witness"] is not None
+        with pytest.raises(BudgetError, match="enumeration_cap = 417198"):
+            macwilliams_admits(space, lam, gamma, RunConfig(enumeration_cap=417_198))
 
 
 class TestInvarianceSubgroup:
