@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import operator
 import os
@@ -66,24 +67,23 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON in {path}: line {e.lineno}: {e.msg}") from None
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What the json encoder cannot write itself: a Fraction as an int when
+    integral and as "p/q" otherwise, a set as its sorted list, a numpy
+    value or array by ``tolist``."""
     if isinstance(obj, Fraction):
         return str(obj) if obj.denominator != 1 else int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
     if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(x) for x in obj)
+        return sorted(obj)
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    """One JSON line, keys sorted.  Payload dict keys are str: under
+    ``sort_keys`` json would order int keys by value, not as text."""
+    print(json.dumps(payload, sort_keys=True, default=_json_default))
 
 
 def _parse_poset_json(doc: dict):
@@ -305,8 +305,23 @@ def cmd_refute(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error leaves as an InputError, so it gets the one-line
+    ``code: message`` exit of every other error instead of argparse's
+    usage text and SystemExit."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argument tree, built once per process: every call returns the
+    same parser, and every parse makes a new namespace.  It holds command
+    names, not functions: ``main`` looks ``cmd_*`` up at every call, so a
+    name rebound after the first build (a tracer's wrapper, a test's patch)
+    is the one that runs."""
+    parser = _Parser(
         prog="dualpart",
         description="Dual partitions of abelian group products: reflexivity, "
         "Krawtchouk criteria and MacWilliams machinery.",
@@ -315,47 +330,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", help="poset report (hierarchy, UDP, equivalence checks)")
     p.add_argument("file")
-    p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("dual", help="dual partition and reflexivity of an induced partition")
     p.add_argument("group", help="group JSON file")
     p.add_argument("partition", help="'hamming', 'Pk:K', or poset/covering JSON file")
     p.add_argument("--export", action="store_true", help="include full class lists")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("scan-co", help="covering-partition verdict scan (TSV)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", required=True, help="range A..B or single value")
     p.add_argument("--k", default="all", help="'all' or a single k")
-    p.set_defaults(func=cmd_scan_co)
 
     p = sub.add_parser("krawtchouk", help="exact polynomial data and roots")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--roots", action="store_true")
-    p.set_defaults(func=cmd_krawtchouk)
 
     p = sub.add_parser("macwilliams", help="verify the distribution identity for a code")
     p.add_argument("code_file")
     p.add_argument("--gamma", required=True)
     p.add_argument("--lambda", dest="lam", default="dual")
-    p.set_defaults(func=cmd_macwilliams)
 
     p = sub.add_parser("refute", help="extension-property refutation report")
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_refute)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except DualpartError as e:
         print(f"{e.code}: {e}", file=sys.stderr)
         return 2

@@ -15,6 +15,10 @@ against the library's Sturm-chain isolation, and the same grid isolates the
 derivative roots, which the library never needs.  Code by code, listing
 every subspace by its RREF basis, stands against the library's all-codes
 and one-dimensional MacWilliams checks in blocks of one pivot pattern.
+The pairing table as an int64 matmul of residues stands against its
+Kronecker sum of per-factor term tables; a partition's classes listed one
+class at a time against its export in one sort; and the recursive JSON
+conversion against the encoder hook of the CLI.
 """
 
 import itertools
@@ -239,6 +243,46 @@ def onehot_coords(ctx, exponents, part):
     for row, e in zip(coords, exponents):
         np.add.at(row, part.class_ids, reduction[e])
     return coords.reshape(len(exponents), -1)
+
+
+def matmul_exponents(group):
+    """Oracle: the pairing-exponent table as weighted residues times
+    residues, an int64 matmul in row blocks of about 2^20 cells, each
+    reduced mod m into the library's dtype."""
+    m = group.exponent
+    v = group.residue_matrix()
+    weighted = v * np.array([m // d for d in group.factor_orders], dtype=np.int64)
+    table = np.empty((len(v), len(v)), dtype=np.int16 if m <= 1 << 15 else np.int32)
+    chunk = max(1, (1 << 20) // len(v))
+    for start in range(0, len(v), chunk):
+        block = weighted[start : start + chunk] @ v.T
+        np.remainder(block, m, out=table[start : start + chunk], casting="unsafe")
+    return table
+
+
+def export_by_class(part):
+    """Oracle: ``Partition.export``'s class lists, one scan of the class ids
+    per class, members sorted as Python ints."""
+    return [sorted(int(i) for i in np.nonzero(part.class_ids == c)[0]) for c in range(part.num_classes)]
+
+
+def jsonable(obj):
+    """Oracle: the CLI payload as plain JSON values, converted recursively:
+    Fractions to an int when integral and "p/q" otherwise, dict keys to
+    str, sets to sorted lists, numpy values by ``tolist``."""
+    if isinstance(obj, Fraction):
+        return str(obj) if obj.denominator != 1 else int(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(jsonable(x) for x in obj)
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return obj
+    return str(obj)
 
 
 def codeword_indices_product(code):

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dualpart.cli import main
+from dualpart.cli import _emit, build_parser, main
+from oracles import jsonable
 
 
 def run(capsys, *argv):
@@ -348,3 +351,51 @@ class TestErrorContract:
 
         monkeypatch.setattr(dualpart.cli, "reflexivity_check", broken)
         self.assert_one_line(*run(capsys, "dual", group_file, "hamming"), "internal-error")
+
+    @pytest.mark.parametrize("argv", [
+        ["krawtchouk", "--n", "x", "--k", "2", "--q", "2"],
+        ["refute", "2", "4"],
+        ["frobnicate"],
+        [],
+        ["dual", "g.json", "hamming", "--exprot"],
+    ])
+    def test_argument_errors(self, capsys, argv):
+        self.assert_one_line(*run(capsys, *argv), "invalid-input")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["dual", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dualpart")
+
+
+class TestParserAndOutput:
+    def test_parser_built_once_and_keeps_no_state(self, capsys, group_file):
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, "dual", group_file, "hamming", "--export")
+        assert code == 0 and "gamma" in json.loads(out)
+        code, out, _ = run(capsys, "dual", group_file, "hamming")
+        doc = json.loads(out)
+        assert code == 0 and "gamma" not in doc and "dual" not in doc
+
+    def test_commands_found_by_name_at_each_call(self, capsys, monkeypatch):
+        import dualpart.cli
+
+        build_parser()
+        seen = []
+        monkeypatch.setattr(dualpart.cli, "cmd_refute", lambda args: seen.append(args.k) or 0)
+        assert run(capsys, "refute", "2", "4", "3") == (0, "", "")
+        assert seen == [3]
+
+    @pytest.mark.parametrize("payload", [
+        {"whole": Fraction(6, 3), "part": Fraction(-1, 3), "list": [Fraction(5), Fraction(7, 2)]},
+        {"udp_witness": (frozenset({3, 1, 2}), frozenset()), "set": {5, -1}},
+        {"nested": ((1, (2, (3,))), [(), ("a", None)]), "b": {"c": {"d": (True, 1.5)}}},
+        {"i": np.int64(-7), "ok": np.bool_(True), "no": np.bool_(False), "row": np.arange(3)},
+        {"grid": np.array([[1, 2], [3, 4]], dtype=np.int16), "mask": np.array([True, False]), "f": np.float64(0.25)},
+        [{"z": 1, "a": [Fraction(1, 2), np.int64(2)]}, (np.int32(3), frozenset({(2, 1), (1, 2)}))],
+    ])
+    def test_emit_matches_recursive_conversion(self, capsys, payload):
+        _emit(payload)
+        assert capsys.readouterr().out == json.dumps(jsonable(payload), sort_keys=True) + "\n"

@@ -43,9 +43,11 @@ from oracles import (
     annihilator,
     covering_weight,
     eager_dual,
+    export_by_class,
     f_poly_bruteforce,
     f_poly_hierarchical,
     hamming_sum_profile,
+    matmul_exponents,
     onehot_coords,
     scaled_exponents,
     wpm_weight,
@@ -78,6 +80,31 @@ class TestPartition:
         p = Partition.from_keys([1, 0, 1])
         doc = p.export()
         assert doc["classes"] == [[1], [0, 2]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_export_matches_per_class_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 300))
+        k = int(rng.integers(1, size + 1))
+        ids = np.concatenate([np.arange(k), rng.integers(0, k, size - k)])
+        rng.shuffle(ids)
+        for part in (Partition(ids), Partition(np.zeros(size, dtype=np.int64)), Partition(np.arange(size))):
+            doc = part.export()
+            assert doc["num_classes"] == part.num_classes
+            assert doc["classes"] == export_by_class(part)
+
+    def test_export_of_duals_matches_per_class_oracle(self):
+        group = build_group_product([[3]] * 4)
+        ctx = DualityContext(group)
+        lattice = ctx.left_dual(induce_CO(group, pk_covering(2, 4)))
+        pairwise = ctx.left_dual(Partition(np.arange(81) % 7, host=group))
+        for dual in (lattice, pairwise):
+            doc = dual.export()
+            assert doc["classes"] == export_by_class(dual)
+            assert doc["labels"] == [str(label) for label in dual.labels]
+
+    def test_export_of_no_classes(self):
+        assert Partition([]).export() == {"num_classes": 0, "classes": [], "labels": None}
 
 
 def signature(ctx, idx, gamma):
@@ -852,16 +879,41 @@ class TestLatticeOracle:
         assert np.array_equal(part.class_ids, want.class_ids) and part.labels == want.labels
 
 
+class TestPairingTable:
+    # the dual-dense benchmark groups, then a wide elementary group, a
+    # block-per-row-of-the-leading-factor case, a mid factor in two
+    # steps, and a uint16 accumulator (m = 514) over three blocks
+    @pytest.mark.parametrize("coords", [
+        [[48]], [[4], [12]], [[2], [4], [2, 3]], [[60]], [[2, 3], [2, 5]], [[2], [6], [10]], [[120]],
+        [[2], [2], [4], [3, 5]],
+        [[2]] * 10, [[4], [2, 3], [5], [7], [9]], [[2], [1024]], [[3], [257], [2]],
+    ])
+    def test_table_bytes_equal_the_matmul(self, coords):
+        group = build_group_product(coords)
+        table, want = DualityContext(group).exponents, matmul_exponents(group)
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+
+    def test_entries_are_pairing_exponents(self):
+        group = build_group_product([[4], [2, 3], [5]])
+        table = DualityContext(group).exponents
+        els = list(group.enumerate_elements())
+        rng = random.Random(0)
+        for _ in range(200):
+            a, b = rng.randrange(len(els)), rng.randrange(len(els))
+            assert table[a, b] == pairing_exponent(els[a], els[b])
+
+
 class TestScaleAndBudgets:
     def test_pairing_table_cap_named_and_checked_first(self, monkeypatch):
-        from dualpart.groups import GroupProduct
+        from dualpart import partitions
 
-        def no_residues(*args, **kwargs):
-            raise AssertionError("residues built before the cap check")
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("table blocks built before the cap check")
 
         group = build_group_product([[2]] * 6)
         ctx = DualityContext(group, RunConfig(pair_work_cap=1000))
-        monkeypatch.setattr(GroupProduct, "residue_matrix", no_residues)
+        monkeypatch.setattr(partitions, "_kron_sum_mod", no_blocks)
         with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
             ctx.exponents
 
