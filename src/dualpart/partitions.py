@@ -78,22 +78,6 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse.astype(np.int64)
 
 
-def _add_mod(a: np.ndarray, b: np.ndarray, m: int, out=None) -> np.ndarray:
-    """(a + b) mod m, broadcast, for unsigned a and b reduced below m whose
-    dtype holds 2m - 2: a sum s below 2m is reduced as min(s, s - m), the
-    difference wrapping around when s < m."""
-    s = np.add(a, b)
-    return np.minimum(s, s - m, out=out, casting="unsafe")
-
-
-def _kron_sum_mod(a: np.ndarray, b: np.ndarray, m: int, out=None) -> np.ndarray:
-    """Entry ((i, k), (j, l)) = (a[i, j] + b[k, l]) mod m, as ``_add_mod``
-    reduces it; written into ``out`` (rows a x b, columns a x b) if given."""
-    shape = (a.shape[0], b.shape[0], a.shape[1], b.shape[1])
-    s = _add_mod(a[:, None, :, None], b[None, :, None, :], m, None if out is None else out.reshape(shape))
-    return s.reshape(shape[0] * shape[1], -1)
-
-
 class SignatureLabels(collections.abc.Sequence):
     """Labels of a dual partition, built when read.
 
@@ -165,9 +149,6 @@ class Partition:
         pos = {k: c for c, k in enumerate(uniq)}
         ids = np.fromiter((pos[k] for k in keys), dtype=np.int64, count=len(keys))
         return cls(ids, labels=uniq, host=host)
-
-    def members(self, c: int) -> np.ndarray:
-        return np.nonzero(self.class_ids == c)[0]
 
     def class_sizes(self) -> np.ndarray:
         return np.bincount(self.class_ids, minlength=self.num_classes)
@@ -255,53 +236,19 @@ class DualityContext:
     def exponents(self) -> np.ndarray:
         """The |G| x |H| pairing-exponent table, built on first use: entry
         (a, b) is the e with f(a, b) = zeta_m^e, as
-        ``groups.pairing_exponent`` gives it.
-
-        Entry (a, b) is the sum over cyclic factors Z/d of the terms
-        (m/d)(a_f b_f mod d), so the table is the Kronecker sum, mod m, of
-        the factors' d x d term tables, first factor most significant.  The
-        trailing factors' whole table is built once, with at most
-        2^20 / |G| rows; the table is then made in blocks of about 2^20
-        cells, each the Kronecker sum of one row of the leading factors'
-        terms, some rows of the next factor's and the trailing table.
-        """
+        ``groups.pairing_exponent`` gives it."""
         if self._table is None:
             group, m = self.group, self.m
             self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
-            orders, n = group.factor_orders, group.order
-            # every reduced term is below m, so a sum of two is at most
-            # 2m - 2, which the accumulator dtype holds
-            acc = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if 2 * m - 2 <= np.iinfo(t).max)
-
-            def terms(d, xs):
-                """Rows xs of the term table of factor Z/d."""
-                return (np.multiply.outer(xs, np.arange(d)) % d * (m // d)).astype(acc)
-
-            # trailing factors orders[split:], their table of size x size
-            split, size = len(orders), 1
-            while split and size * orders[split - 1] * n <= 1 << 20:
-                split -= 1
-                size *= orders[split]
-            tail = np.zeros((1, 1), dtype=acc)
-            for d in orders[split:]:
-                tail = _kron_sum_mod(tail, terms(d, np.arange(d)), m)
-            # the next factor, mid, in steps of rows; the leading ones a row at a time
-            lead, mid = (orders[: split - 1], orders[split - 1]) if split else ((), 1)
-            step = max(1, (1 << 20) // (size * n))
-            first = terms(mid, np.arange(min(step, mid)))
+            v = group.residue_matrix(self.config)
+            weighted = v * np.array([m // d for d in group.factor_orders], dtype=np.int64)
             # int16 holds every exponent below 2^15; wider moduli need int32
-            table = np.empty((n, n), dtype=np.int16 if m <= 1 << 15 else np.int32)
-            start = 0
-            for digits in itertools.product(*map(range, lead)):
-                top = np.zeros((1, 1), dtype=acc)
-                for d, digit in zip(lead, digits):
-                    top = _kron_sum_mod(top, terms(d, [digit]), m)
-                for lo in range(0, mid, step):
-                    # row lo + j of a term table is row lo plus row j, mod m
-                    block = _kron_sum_mod(top, _add_mod(terms(mid, [lo]), first[: mid - lo], m), m)
-                    stop = start + len(block) * size
-                    _kron_sum_mod(block, tail, m, out=table[start:stop])
-                    start = stop
+            table = np.empty((len(v), len(v)), dtype=np.int16 if m <= 1 << 15 else np.int32)
+            # int64 products in blocks of about 2^20 cells, reduced into the table
+            chunk = max(1, (1 << 20) // len(v))
+            for start in range(0, len(v), chunk):
+                block = weighted[start : start + chunk] @ v.T
+                np.remainder(block, m, out=table[start : start + chunk], casting="unsafe")
             self._table = table
         return self._table
 

@@ -15,10 +15,9 @@ against the library's Sturm-chain isolation, and the same grid isolates the
 derivative roots, which the library never needs.  Code by code, listing
 every subspace by its RREF basis, stands against the library's all-codes
 and one-dimensional MacWilliams checks in blocks of one pivot pattern.
-The pairing table as an int64 matmul of residues stands against its
-Kronecker sum of per-factor term tables; a partition's classes listed one
-class at a time against its export in one sort; and the recursive JSON
-conversion against the encoder hook of the CLI.
+A partition's classes listed one class at a time stand against its export
+in one sort, and the recursive JSON conversion against the encoder hook of
+the CLI.
 """
 
 import itertools
@@ -245,25 +244,15 @@ def onehot_coords(ctx, exponents, part):
     return coords.reshape(len(exponents), -1)
 
 
-def matmul_exponents(group):
-    """Oracle: the pairing-exponent table as weighted residues times
-    residues, an int64 matmul in row blocks of about 2^20 cells, each
-    reduced mod m into the library's dtype."""
-    m = group.exponent
-    v = group.residue_matrix()
-    weighted = v * np.array([m // d for d in group.factor_orders], dtype=np.int64)
-    table = np.empty((len(v), len(v)), dtype=np.int16 if m <= 1 << 15 else np.int32)
-    chunk = max(1, (1 << 20) // len(v))
-    for start in range(0, len(v), chunk):
-        block = weighted[start : start + chunk] @ v.T
-        np.remainder(block, m, out=table[start : start + chunk], casting="unsafe")
-    return table
+def members(part, c):
+    """The element indices of class c of a partition, in index order."""
+    return np.nonzero(part.class_ids == c)[0]
 
 
 def export_by_class(part):
     """Oracle: ``Partition.export``'s class lists, one scan of the class ids
     per class, members sorted as Python ints."""
-    return [sorted(int(i) for i in np.nonzero(part.class_ids == c)[0]) for c in range(part.num_classes)]
+    return [sorted(int(i) for i in members(part, c)) for c in range(part.num_classes)]
 
 
 def jsonable(obj):
@@ -388,9 +377,9 @@ def character_sums(group, index, gamma):
     """Oracle: the per-class character sums of the element at each given
     index, one pairing at a time."""
     els = list(group.enumerate_elements())
-    members = [[els[int(b)] for b in gamma.members(c)] for c in range(gamma.num_classes)]
+    classes = [[els[int(b)] for b in members(gamma, c)] for c in range(gamma.num_classes)]
     return [
-        tuple(root_of_unity_sum(group.exponent, [pairing_exponent(els[a], b) for b in cls]) for cls in members)
+        tuple(root_of_unity_sum(group.exponent, [pairing_exponent(els[a], b) for b in cls]) for cls in classes)
         for a in index
     ]
 

@@ -47,7 +47,7 @@ from oracles import (
     f_poly_bruteforce,
     f_poly_hierarchical,
     hamming_sum_profile,
-    matmul_exponents,
+    members,
     onehot_coords,
     scaled_exponents,
     wpm_weight,
@@ -122,7 +122,7 @@ def brute_force_left_dual(group, gamma):
     for a in els:
         sums = []
         for c in range(gamma.num_classes):
-            exps = [pairing_exponent(a, els[int(i)]) for i in gamma.members(c)]
+            exps = [pairing_exponent(a, els[int(i)]) for i in members(gamma, c)]
             sums.append(root_of_unity_sum(m, exps))
         keys.append(tuple(sums))
     return Partition.from_keys(keys)
@@ -349,7 +349,7 @@ class TestKrawtchoukMatrix:
         res = krawtchouk_matrix(ctx, lam, gamma)
         assert res.ok
         for a in range(lam.num_classes):
-            rep = int(lam.members(a)[0])
+            rep = int(members(lam, a)[0])
             t = bin(rep).count("1")
             assert [v.as_int() for v in res.rho[a]] == [
                 ku_eval(4, l, 2, t) for l in range(5)
@@ -361,7 +361,7 @@ class TestKrawtchoukMatrix:
         ctx = DualityContext(group)
         lam = ctx.left_dual(gamma)
         for a in range(lam.num_classes):
-            sigs = {signature(ctx, int(i), gamma) for i in lam.members(a)}
+            sigs = {signature(ctx, int(i), gamma) for i in members(lam, a)}
             assert len(sigs) == 1
 
     def test_precondition_violation_reports_witness(self):
@@ -880,20 +880,6 @@ class TestLatticeOracle:
 
 
 class TestPairingTable:
-    # the dual-dense benchmark groups, then a wide elementary group, a
-    # block-per-row-of-the-leading-factor case, a mid factor in two
-    # steps, and a uint16 accumulator (m = 514) over three blocks
-    @pytest.mark.parametrize("coords", [
-        [[48]], [[4], [12]], [[2], [4], [2, 3]], [[60]], [[2, 3], [2, 5]], [[2], [6], [10]], [[120]],
-        [[2], [2], [4], [3, 5]],
-        [[2]] * 10, [[4], [2, 3], [5], [7], [9]], [[2], [1024]], [[3], [257], [2]],
-    ])
-    def test_table_bytes_equal_the_matmul(self, coords):
-        group = build_group_product(coords)
-        table, want = DualityContext(group).exponents, matmul_exponents(group)
-        assert table.dtype == want.dtype and table.shape == want.shape
-        assert table.tobytes() == want.tobytes()
-
     def test_entries_are_pairing_exponents(self):
         group = build_group_product([[4], [2, 3], [5]])
         table = DualityContext(group).exponents
@@ -906,14 +892,14 @@ class TestPairingTable:
 
 class TestScaleAndBudgets:
     def test_pairing_table_cap_named_and_checked_first(self, monkeypatch):
-        from dualpart import partitions
+        from dualpart.groups import GroupProduct
 
-        def no_blocks(*args, **kwargs):
-            raise AssertionError("table blocks built before the cap check")
+        def no_residues(*args, **kwargs):
+            raise AssertionError("residues built before the cap check")
 
         group = build_group_product([[2]] * 6)
         ctx = DualityContext(group, RunConfig(pair_work_cap=1000))
-        monkeypatch.setattr(partitions, "_kron_sum_mod", no_blocks)
+        monkeypatch.setattr(GroupProduct, "residue_matrix", no_residues)
         with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
             ctx.exponents
 
