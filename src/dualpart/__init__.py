@@ -7,8 +7,8 @@ property machinery over prime fields.
 """
 
 from .config import BudgetError, DualpartError, InputError, RunConfig, DEFAULT_CONFIG
-from .exactarith import CycInt, SparsePoly, cyclotomic_polynomial, root_of_unity_sum
-from .groups import GroupElement, GroupProduct, build_group_product, pairing, pairing_exponent
+from .exactarith import CycInt, root_of_unity_sum
+from .groups import GroupProduct, build_group_product
 from .posets import Poset, antichain, chain, validate_and_close
 from .metrics import Covering, WeightFunction, covering_from_members, pk_covering
 from .partitions import (
@@ -26,23 +26,18 @@ __all__ = [
     "DEFAULT_CONFIG",
     "DualityContext",
     "DualpartError",
-    "GroupElement",
     "GroupProduct",
     "InputError",
     "Partition",
     "Poset",
     "RunConfig",
-    "SparsePoly",
     "WeightFunction",
     "antichain",
     "build_group_product",
     "chain",
     "covering_from_members",
-    "cyclotomic_polynomial",
     "induce_CO",
     "induce_Q",
-    "pairing",
-    "pairing_exponent",
     "pk_covering",
     "reflexivity_check",
     "root_of_unity_sum",

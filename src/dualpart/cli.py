@@ -86,11 +86,19 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, default=_json_default))
 
 
-def _parse_poset_json(doc: dict):
+def _doc_size(doc: dict, kind: str) -> int:
+    """The ground-set size "n" of a poset or covering document, read before
+    anything of that size is built."""
     try:
-        n = int(doc["n"])
+        return int(doc["n"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"bad {kind} JSON: {e}") from None
+
+
+def _parse_poset_json(doc: dict, n: int):
+    try:
         relations = [(operator.index(u), operator.index(v)) for u, v in doc.get("relations", [])]
-    except (KeyError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise InputError(f"bad poset JSON: {e}") from None
     p = validate_and_close(n, relations)
     omega = None
@@ -124,18 +132,27 @@ def _resolve_partition(group, spec: str, config: RunConfig):
             raise InputError(f"bad covering token {spec!r}") from None
         return induce_CO(group, pk_covering(k, group.n), config)
     doc = _read_json(spec)
+    if not isinstance(doc, dict):
+        raise InputError(f"{spec}: JSON must be an object, not {type(doc).__name__}")
     if "relations" in doc:
-        p, omega = _parse_poset_json(doc)
+        kind = "poset"
+    elif "members" in doc:
+        kind = "covering"
+    else:
+        raise InputError(f"{spec}: JSON has neither 'relations' nor 'members'")
+    n = _doc_size(doc, kind)
+    if n != group.n:
+        raise InputError(f"{kind} size {n} differs from the group's coordinate count {group.n}")
+    if kind == "poset":
+        p, omega = _parse_poset_json(doc, n)
         if omega is None:
-            omega = WeightFunction.constant(p.n)
+            omega = WeightFunction.constant(n)
         return induce_Q(group, p, omega, config)
-    if "members" in doc:
-        try:
-            t = covering_from_members(int(doc["n"]), doc["members"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"bad covering JSON: {e}") from None
-        return induce_CO(group, t, config)
-    raise InputError(f"{spec}: JSON has neither 'relations' nor 'members'")
+    try:
+        t = covering_from_members(n, doc["members"])
+    except (TypeError, ValueError) as e:
+        raise InputError(f"bad covering JSON: {e}") from None
+    return induce_CO(group, t, config)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +162,10 @@ def _resolve_partition(group, spec: str, config: RunConfig):
 def cmd_poset(args) -> int:
     config = _load_config()
     doc = _read_json(args.file)
-    p, omega = _parse_poset_json(doc)
+    n = _doc_size(doc, "poset")
+    # udp_check's own cap, checked before the closure costs O(n^2)
+    config.check("aut_cap_n", n, "poset size for the UDP check")
+    p, omega = _parse_poset_json(doc, n)
     if omega is None:
         omega = WeightFunction.constant(p.n)
     udp_ok, udp_witness = udp_check(p, omega.values, config)
@@ -252,7 +272,7 @@ def cmd_krawtchouk(args) -> int:
     config = _load_config()
     config.check("krawtchouk_cap_n", args.n, "krawtchouk --n")
     config.check("krawtchouk_cap_n", args.k, "krawtchouk --k")
-    poly = ku_build(args.n, args.k, args.q)
+    poly = ku_build(args.n, args.k, args.q, config)
     report = {
         "n": args.n,
         "k": args.k,
@@ -264,7 +284,7 @@ def cmd_krawtchouk(args) -> int:
     if args.roots:
         if args.k < 1:
             raise InputError("root isolation needs k >= 1")
-        roots = ku_roots(args.n, args.k, args.q)
+        roots = ku_roots(args.n, args.k, args.q, config=config)
         report["roots"] = [
             {"lo": str(lo), "hi": str(hi), "approx": float((lo + hi) / 2)}
             for lo, hi in roots

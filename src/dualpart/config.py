@@ -54,15 +54,17 @@ class RunConfig:
                      of the MacWilliams statements |V|^2 cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for automorphism enumeration.
-    krawtchouk_cap_n: maximum n and k of ``krawtchouk --n/--k`` and
-                     maximum last n of a ``scan-co`` range, checked
-                     before any polynomial is built.  A scan row costs
-                     O(n^2) big-integer operations for its value table
-                     and profiles; a polynomial of degree k costs O(k^2)
-                     for its coefficients, and its root isolation O(k)
-                     per point at which the Sturm chain is evaluated
-                     (about 2k + 1 points, plus the splits and bisection
-                     steps of each root).
+    krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that
+                     ``ku_build`` or ``ku_roots`` is asked for (and of
+                     ``krawtchouk --n/--k``), and maximum last n of a
+                     ``scan-co`` range, checked before any polynomial
+                     is built.  A scan row costs O(n^2) big-integer
+                     operations for its value table and profiles; a
+                     polynomial of degree k costs O(k^2) for its
+                     coefficients, and its root isolation O(k) per point
+                     at which the Sturm chain is evaluated (about 2k + 1
+                     points, plus the splits and bisection steps of each
+                     root).
     """
 
     enumeration_cap: int = 1 << 24

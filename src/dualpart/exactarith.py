@@ -1,21 +1,17 @@
 """Exact arithmetic substrate.
 
-Cyclotomic integers in canonical power-basis form (the value type of every
-character sum) and sparse polynomials with exact rational exponents and
-coefficients.
+Cyclotomic integers in canonical power-basis form, the value type of every
+character sum.
 
 No floating point anywhere: equality of character sums must be decidable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .config import InputError
-
-NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +144,7 @@ class CycInt:
     def _check(self, other: "CycInt") -> None:
         if self.m != other.m:
             raise InputError(
-                f"modulus mismatch ({self.m} vs {other.m}); embed into the "
-                "lcm explicitly first"
+                f"modulus mismatch ({self.m} vs {other.m})"
             )
 
     def __add__(self, other: "CycInt") -> "CycInt":
@@ -198,17 +193,6 @@ class CycInt:
             return None
         return self.coeffs[0]
 
-    def embed(self, big_m: int) -> "CycInt":
-        """Embed into Z[zeta_M] for m | M via zeta_m = zeta_M^(M/m)."""
-        if big_m % self.m:
-            raise InputError(f"{self.m} does not divide {big_m}")
-        step = big_m // self.m
-        counts = [0] * big_m
-        # power-basis coordinate j corresponds to zeta_m^j
-        for j, c in enumerate(self.coeffs):
-            counts[(j * step) % big_m] += c
-        return CycInt.from_exponent_counts(big_m, counts)
-
     def __repr__(self) -> str:
         return f"CycInt(m={self.m}, {list(self.coeffs)})"
 
@@ -219,101 +203,3 @@ def root_of_unity_sum(m: int, exponents: Iterable[int]) -> CycInt:
     for e in exponents:
         counts[e % m] += 1
     return CycInt.from_exponent_counts(m, counts)
-
-
-# ---------------------------------------------------------------------------
-# sparse polynomials with rational exponents
-# ---------------------------------------------------------------------------
-
-class SparsePoly:
-    """Polynomial with exact rational coefficients and exponents.
-
-    Rational exponents are needed because weighted-poset weights key the
-    exponent lattice.  Zero coefficients are never stored; the zero
-    polynomial has degree -inf (a float sentinel distinct from 0).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        out: dict[Fraction, Fraction] = {}
-        if terms:
-            for e, c in dict(terms).items():
-                c = Fraction(c)
-                if c:
-                    out[Fraction(e)] = c
-        object.__setattr__(self, "terms", out)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SparsePoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, coeff, exponent=0) -> "SparsePoly":
-        return cls({Fraction(exponent): Fraction(coeff)})
-
-    @classmethod
-    def from_int_coeffs(cls, coeffs: Iterable[int]) -> "SparsePoly":
-        return cls({Fraction(i): Fraction(c) for i, c in enumerate(coeffs)})
-
-    @property
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(self.terms)
-
-    def coefficient(self, exponent) -> Fraction:
-        return self.terms.get(Fraction(exponent), Fraction(0))
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return SparsePoly(out)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return SparsePoly(out)
-
-    def __mul__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            return SparsePoly({e: c * other for e, c in self.terms.items()})
-        out: dict[Fraction, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SparsePoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparsePoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        # only valid for integer exponents
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            if e.denominator != 1:
-                raise InputError("cannot evaluate at rational exponents")
-            total += c * Fraction(x) ** int(e)
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SparsePoly(0)"
-        parts = [f"{c}*x^{e}" for e, c in sorted(self.terms.items())]
-        return "SparsePoly(" + " + ".join(parts) + ")"
-
-
-def cyclotomic_polynomial(m: int) -> SparsePoly:
-    """The m-th cyclotomic polynomial Phi_m as a SparsePoly."""
-    return SparsePoly.from_int_coeffs(_cyclotomic_coeffs(m))

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .config import InputError
+from .config import DEFAULT_CONFIG, InputError, RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -42,15 +42,22 @@ class KrawtchoukPoly:
         return acc
 
 
-def ku_build(n: int, k: int, q: int) -> KrawtchoukPoly:
+def _check_cap(n: int, k: int, config: RunConfig) -> None:
+    config.check("krawtchouk_cap_n", n, "Krawtchouk n")
+    config.check("krawtchouk_cap_n", k, "Krawtchouk k")
+
+
+def ku_build(n: int, k: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> KrawtchoukPoly:
     """Expanded exact coefficients of
     sum_t (-1)^t (q-1)^(k-t) C(x,t) C(n-x,k-t).
 
     The integer polynomials P_j = j! K_j obey the three-term recurrence
     P_(j+1) = (j + (q-1)(n-j) - qx) P_j - j(q-1)(n-j+1) P_(j-1), which
-    costs O(k^2) integer operations; K_k = P_k / k!."""
+    costs O(k^2) integer operations; K_k = P_k / k!.  n and k are checked
+    against ``krawtchouk_cap_n`` first."""
     if n < 0 or k < 0 or q < 2:
         raise InputError("need n,k >= 0 and q >= 2")
+    _check_cap(n, k, config)
     prev, cur = [], [1]
     for j in range(k):
         a = j + (q - 1) * (n - j)
@@ -76,18 +83,6 @@ def ku_eval(n: int, k: int, q: int, s: int) -> int:
     )
 
 
-def ku_partial_sum(n: int, k: int, q: int, s: int) -> tuple[int, int]:
-    """Both sides of sum_{l<=k} KU_(n,l)(s) = KU_(n-1,k)(s-1); equality
-    asserted."""
-    if n < 1 or not 1 <= s <= n:
-        raise InputError("need n >= 1 and s in [1,n]")
-    lhs = sum(ku_eval(n, l, q, s) for l in range(k + 1))
-    rhs = ku_eval(n - 1, k, q, s - 1)
-    if lhs != rhs:
-        raise AssertionError("partial-sum identity failed")
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # root isolation
 # ---------------------------------------------------------------------------
@@ -111,7 +106,11 @@ def _chain(n: int, k: int, q: int, num: int, den: int) -> tuple[int, int]:
 
 
 def ku_roots(
-    n: int, k: int, q: int, width: Fraction = Fraction(1, 10**9)
+    n: int,
+    k: int,
+    q: int,
+    width: Fraction = Fraction(1, 10**9),
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> list[tuple[Fraction, Fraction]]:
     """The k distinct real roots in (0, n), ascending: a root x met exactly
     as (x, x), any other as a dyadic cell [n*i/d, n*(i+1)/d] (d = 2k * 2^j)
@@ -121,9 +120,11 @@ def ku_roots(
     counts the roots inside each cell; a cell with two or more, or with one
     and a root at both ends, is split at its midpoint, and a cell with one
     is bisected by the sign of K_k until n/d <= width.  Integers throughout;
-    Fractions are built only for the output."""
+    Fractions are built only for the output.  n and k are checked against
+    ``krawtchouk_cap_n`` first."""
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
+    _check_cap(n, k, config)
     if width <= 0:
         raise InputError(f"root width must be positive, got {width}")
     if k == 1:
@@ -203,19 +204,6 @@ def ku_distinct_counts(n: int, q: int) -> list[int]:
     return [len(set(row)) for row in ku_value_table(n, q)]
 
 
-def ku_value_vector(n: int, k: int, q: int, t: int) -> tuple[int, ...]:
-    """The dual-class fingerprint of a support size t in [1,n]: the values
-    KU_(n-1,s)(t-1) over every multiple s of k in [1,n-1].
-
-    Two nonzero elements of the q^n product fall in the same dual class of
-    the k-covering partition exactly when their fingerprints agree.
-    """
-    if not 1 <= t <= n:
-        raise InputError("support size out of range")
-    table = ku_value_table(n, q)
-    return tuple(table[s][t - 1] for s in range(k, n, k))
-
-
 def dual_class_lower_bound(n: int, k: int, q: int, distinct: Sequence[int] | None = None) -> int:
     """|Lambda| >= max_s |{KU_(n-1,s)(j)}| + 1 over multiples s of k.
 
@@ -247,62 +235,6 @@ def thm42_threshold(q: int, clause: str, n: int) -> bool:
     c = 2 * (2 * q - 3) ** 2
     lhs = c * (n - 3) - a
     return lhs >= 0 and lhs * lhs >= b
-
-
-def eq45_w(n: int, q: int) -> dict:
-    """The smallest derivative root for k = 3 in closed form:
-    rational part minus sqrt(radicand)/q."""
-    if n < 4:
-        raise InputError("closed form needs n >= 4")
-    rational = Fraction(q - 1, q) * n - 2 + Fraction(3, q)
-    radicand = Fraction((q - 1) * (n - 3)) + Fraction(q * q, 3)
-    if radicand <= 0:
-        raise AssertionError("radicand must be positive")
-    return {
-        "rational_part": rational,
-        "radicand": radicand,
-        "sqrt_divisor": q,
-        "value": float(rational) - math.sqrt(radicand) / q,
-        "floor": eq45_w_floor(n, q),
-    }
-
-
-def eq45_w_floor(n: int, q: int) -> int:
-    """Exact floor of the closed-form root: w >= i iff
-    (rational - i) >= 0 and (rational - i)^2 >= radicand / q^2."""
-    rational = Fraction(q - 1, q) * n - 2 + Fraction(3, q)
-    radicand = Fraction((q - 1) * (n - 3)) + Fraction(q * q, 3)
-    target = radicand / (q * q)
-
-    def w_ge(i: int) -> bool:
-        diff = rational - i
-        return diff >= 0 and diff * diff >= target
-
-    i = math.floor(rational)
-    while not w_ge(i):
-        i -= 1
-    return i
-
-
-def lemma415_convergence(k: int, q: int, n_list: Sequence[int]) -> list[dict]:
-    """Smallest-root ratios u_(n)/n and their deviation from (q-1)/q."""
-    if k < 1:
-        raise InputError("k >= 1 required")
-    out = []
-    limit = Fraction(q - 1, q)
-    for n in n_list:
-        if n < k:
-            raise InputError("every n must satisfy n >= k")
-        lo, hi = ku_roots(n, k, q)[0]
-        mid = (lo + hi) / 2
-        out.append(
-            {
-                "n": n,
-                "ratio": mid / n,
-                "deviation": abs(float(mid / n - limit)),
-            }
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ cyclic factors of order p), so the dual code of C is its character dual
 C~ = {b : f(a, b) = 1 for every a in C}, and partitions transfer between
 the two views unchanged.
 
-The one-dimensional and the all-codes MacWilliams statements are decided
-on blocks of codes, never one code at a time: every subspace is listed by
-its RREF basis, a block holding the bases of one pivot pattern, and each
-block's words, duals and distributions are a few array operations, all in
-integers.
+The all-codes MacWilliams statement is decided on blocks of codes, never
+one code at a time: every subspace is listed by its RREF basis, a block
+holding the bases of one pivot pattern, and each block's words, duals and
+distributions are a few array operations, all in integers.
 """
 
 from __future__ import annotations
@@ -214,14 +213,6 @@ class LinearCode:
         return LinearCode.from_rows(self.space, rows)
 
 
-def distribution(
-    code: LinearCode, part: Partition, config: RunConfig = DEFAULT_CONFIG
-) -> tuple[int, ...]:
-    """Per-class codeword counts (the partition distribution of the code)."""
-    ids = part.class_ids[code.codeword_indices(config)]
-    return tuple(int(x) for x in np.bincount(ids, minlength=part.num_classes))
-
-
 def macwilliams_verify(
     code: LinearCode,
     lam: Partition,
@@ -241,23 +232,6 @@ def macwilliams_verify(
         "code_dim": code.dim,
         "dual_dim": dual.dim,
     }
-
-
-# ---------------------------------------------------------------------------
-# scalar invariance
-# ---------------------------------------------------------------------------
-
-def scalar_permutation(space: PrimeFieldSpace, c: int, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """index -> index of the scalar multiple c * v."""
-    return _indices(space, space.all_vectors(config) * c)
-
-
-def is_f_invariant(space: PrimeFieldSpace, part: Partition, config: RunConfig = DEFAULT_CONFIG) -> bool:
-    for c in range(2, space.p):
-        perm = scalar_permutation(space, c, config)
-        if not np.array_equal(part.class_ids[perm], part.class_ids):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -350,44 +324,11 @@ def _distribution_clash(
 
 
 # ---------------------------------------------------------------------------
-# the one-dimensional and the all-codes statements
+# the all-codes statement
 # ---------------------------------------------------------------------------
 
 def _zero_is_singleton(lam: Partition) -> bool:
     return int(np.sum(lam.class_ids == lam.class_ids[0])) == 1
-
-
-def pami_onedim_check(
-    space: PrimeFieldSpace,
-    lam: Partition,
-    gamma: Partition,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> dict:
-    """Statement on 1-dimensional codes vs the finer-than statement: both
-    computed independently; they must agree for F-invariant partitions.
-    The witness is the pair of vectors spanning the first two clashing
-    lines."""
-    if not (is_f_invariant(space, lam, config) and is_f_invariant(space, gamma, config)):
-        raise InputError("both partitions must be F-invariant")
-    zero_singleton = _zero_is_singleton(lam)
-    clash = None
-    if zero_singleton:
-        # the 1-dimensional codes by their RREF bases: the nonzero vectors
-        # whose first nonzero entry is 1, in index order
-        v = space.all_vectors(config)[1:]
-        lines = v[v[np.arange(len(v)), (v != 0).argmax(axis=1)] == 1][:, None, :]
-        step = _codes_per_block(space, 1)
-        blocks = (lines[lo : lo + step] for lo in range(0, len(lines), step))
-        clash = _distribution_clash(space, lam, gamma, blocks, config)
-    stmt3 = zero_singleton and clash is None
-    ctx = DualityContext(space.group, config)
-    stmt1 = lam.is_finer(ctx.left_dual(gamma))
-    return {
-        "one_dim_statement": stmt3,
-        "finer_statement": stmt1,
-        "agree": stmt3 == stmt1,
-        "witness": None if clash is None else (clash[0][0], clash[1][0]),
-    }
 
 
 def _subspace_count(p: int, n: int) -> int:
@@ -591,9 +532,10 @@ def mep_witness_search(
     for i in range(len(order) - 1):
         if sorted_delta[i] == sorted_delta[i + 1] and sorted_orbit[i] != sorted_orbit[i + 1]:
             a, b = int(order[i]), int(order[i + 1])
+            alpha, beta = np.transpose(np.unravel_index([a, b], space.group.factor_orders)).tolist()
             result["witness"] = {
-                "alpha": list(space.group.element_from_index(a).residues),
-                "beta": list(space.group.element_from_index(b).residues),
+                "alpha": alpha,
+                "beta": beta,
                 "class_label": int(delta.class_ids[a]),
                 "inv_order": inv_order,
             }

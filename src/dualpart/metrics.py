@@ -1,6 +1,5 @@
 """Weight functions: poset weights omega and the combinatorial (covering)
-weight of every support mask, with anti-chain canonicalization and the
-all-k-subsets fast path.
+weight of every support mask, with the all-k-subsets fast path.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from .config import DEFAULT_CONFIG, InputError, RunConfig
 
 @dataclasses.dataclass(frozen=True)
 class WeightFunction:
-    """omega: Omega -> positive rationals, with the additive set extension
-    varpi(I) = sum of omega over I."""
+    """omega: Omega -> positive rationals."""
 
     values: tuple[Fraction, ...]
 
@@ -39,9 +37,6 @@ class WeightFunction:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
-
-    def varpi(self, subset: Iterable[int]) -> Fraction:
-        return sum((self.values[i] for i in subset), start=Fraction(0))
 
     def is_integer_valued(self) -> bool:
         return all(v.denominator == 1 for v in self.values)
@@ -81,20 +76,6 @@ class Covering:
         if union != frozenset(range(self.n)):
             raise InputError("members must cover Omega")
 
-    def is_antichain(self) -> bool:
-        if self.pk is not None and not self.members:
-            return True
-        return not any(
-            a < b for a in self.members for b in self.members if a != b
-        )
-
-    def is_partition(self) -> bool:
-        if self.pk is not None and not self.members:
-            return self.pk == self.n or self.pk == 1
-        return (
-            sum(len(m) for m in self.members) == self.n and self.is_antichain()
-        )
-
     def mask_weights(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
         """Covering weight of every subset of Omega, indexed by its bitmask.
 
@@ -113,21 +94,6 @@ class Covering:
         for m in self.members:
             np.minimum(w, w[masks & ~sum(1 << i for i in m)] + 1, out=w)
         return w
-
-
-def antichain_reduce(t: Covering) -> Covering:
-    """Keep only the maximal members; the weight function is unchanged."""
-    maximal = tuple(
-        m for m in t.members if not any(m < other for other in t.members)
-    )
-    # deduplicate while preserving order
-    seen: set[frozenset[int]] = set()
-    out = []
-    for m in maximal:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return Covering(t.n, tuple(out), pk=t.pk)
 
 
 def pk_covering(k: int, n: int) -> Covering:

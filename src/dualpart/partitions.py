@@ -1,10 +1,9 @@
 """The duality engine.
 
 Partitions of enumerable group products, left/right dual partitions by exact
-character sums, the closed-form ideal-sum signatures, the polynomial attached
-to each codeword, generalized Krawtchouk matrices, and the
-reflexivity/equivalence checkers for weighted poset metrics and anti-chain
-coverings.
+character sums, induced partitions, generalized Krawtchouk matrices, the
+reflexivity check, the equivalence checker for weighted poset metrics, and
+the covering reflexivity of P(k) from its support profiles.
 
 Character sums are exact throughout.  A dual partition comes from one of two
 engines, by one rule:
@@ -32,26 +31,15 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, InputError, RunConfig
-from .exactarith import CycInt, SparsePoly, _cyclotomic_coeffs, euler_phi_degree
-from .groups import GroupElement, GroupProduct
+from .exactarith import CycInt, _cyclotomic_coeffs, euler_phi_degree
+from .groups import GroupProduct
 from .metrics import Covering, WeightFunction, _over_masks
-from .posets import (
-    Poset,
-    automorphisms,
-    apply_perm,
-    closure,
-    dual_poset,
-    extremes,
-    ideals,
-    is_hierarchical,
-    levels,
-    udp_check,
-)
+from .posets import Poset, dual_poset, ideals, levels, udp_check
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +179,6 @@ class Partition:
             return NotImplemented
         return self.same_partition(other)
 
-    def __len__(self) -> int:
-        return self.num_classes
-
     def export(self) -> dict:
         """JSON-friendly form: sorted element-index lists plus labels; the
         labels of a dual partition are left out above ``_LABEL_CAP``
@@ -235,8 +220,8 @@ class DualityContext:
     @property
     def exponents(self) -> np.ndarray:
         """The |G| x |H| pairing-exponent table, built on first use: entry
-        (a, b) is the e with f(a, b) = zeta_m^e, as
-        ``groups.pairing_exponent`` gives it."""
+        (a, b) is the e with f(a, b) = zeta_m^e, where a cyclic factor of
+        order d contributes (m/d) * a_f * b_f."""
         if self._table is None:
             group, m = self.group, self.m
             self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
@@ -424,9 +409,9 @@ def induce_Q(
 ) -> Partition:
     """Partition by (P, omega)-weight; classes keyed by weight value.
 
-    Mask U weighs varpi of its ideal closure, in omega scaled to integers by
-    the lcm ``den`` of its denominators (so the order is kept): int64 below
-    2^62 in total, Python ints otherwise.  Labels are ``Fraction(key, den)``.
+    Mask U weighs the sum of omega over its ideal closure, with omega
+    scaled to integers by the lcm ``den`` of its denominators (so the order
+    is kept): int64 below 2^62 in total, Python ints otherwise.  Labels are ``Fraction(key, den)``.
     """
     if p.n != group.n or omega.n != group.n:
         raise InputError("poset/weights do not match the coordinate set")
@@ -471,96 +456,6 @@ def induce_from_ideal_classes(
     class_of = np.empty(len(uniq), dtype=np.int64)
     class_of[order] = named.class_ids
     return _induce_by_keys(group, class_of[inverse[reverse]], config, named.labels.__getitem__)
-
-
-# ---------------------------------------------------------------------------
-# closed-form ideal-sum signatures
-# ---------------------------------------------------------------------------
-
-def phi_value(p: Poset, h: Sequence[int], d: Iterable[int], i_set: Iterable[int]) -> int:
-    """The ideal-sum kernel: counts, with signs, elements of the slice of H
-    whose support closure is the ideal I, paired against support class D."""
-    d = frozenset(d)
-    i_set = frozenset(i_set)
-    mx = extremes(p, i_set, "max")
-    if not (i_set & d) <= mx:
-        return 0
-    val = (-1) ** len(i_set & d)
-    for i in i_set - mx:
-        val *= h[i]
-    for i in mx - d:
-        val *= h[i] - 1
-    return val
-
-
-def psi_value(p: Poset, h: Sequence[int], d: Iterable[int], i_set: Iterable[int]) -> int:
-    """Mirror kernel with roles of the two ideals exchanged (min side)."""
-    d = frozenset(d)
-    i_set = frozenset(i_set)
-    mn = extremes(p, d, "min")
-    if not (i_set & d) <= mn:
-        return 0
-    val = (-1) ** len(i_set & d)
-    for i in d - mn:
-        val *= h[i]
-    for i in mn - i_set:
-        val *= h[i] - 1
-    return val
-
-
-def signature_via_ideals(
-    alpha: GroupElement,
-    p: Poset,
-    omega: WeightFunction,
-    b,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> int:
-    """Class character sum at weight b computed purely from ideals: the sum
-    of phi(<supp alpha>_Pbar, I) over ideals I of weight b."""
-    h = alpha.group.h
-    pbar = dual_poset(p)
-    d = closure(pbar, alpha.support())
-    b = Fraction(b)
-    total = 0
-    for i_set in ideals(p, config):
-        if omega.varpi(i_set) == b:
-            total += phi_value(p, h, d, i_set)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# the codeword polynomial
-# ---------------------------------------------------------------------------
-
-def F_poly(
-    group: GroupProduct,
-    p: Poset,
-    omega: WeightFunction,
-    alpha: GroupElement,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> SparsePoly:
-    """The polynomial carrying all class character sums of alpha: the
-    coefficient of x^b is the sum of f(alpha, beta) over codewords of
-    (P, omega)-weight b, summed over ideals with the kernel phi."""
-    h = group.h
-    pbar = dual_poset(p)
-    d = closure(pbar, alpha.support())
-    terms: dict[Fraction, Fraction] = {}
-    for i_set in ideals(p, config):
-        val = phi_value(p, h, d, i_set)
-        if val:
-            e = omega.varpi(i_set)
-            terms[e] = terms.get(e, Fraction(0)) + val
-    return SparsePoly(terms)
-
-
-def f_poly_degree_ideal(group: GroupProduct, p: Poset, omega: WeightFunction, alpha: GroupElement):
-    """The ideal X = (Omega - D) | min_P(D) whose weight is deg F when all
-    h_i >= 2."""
-    pbar = dual_poset(p)
-    d = closure(pbar, alpha.support())
-    x = (frozenset(range(p.n)) - d) | extremes(p, d, "min")
-    return x, omega.varpi(x)
 
 
 # ---------------------------------------------------------------------------
@@ -635,31 +530,6 @@ def macwilliams_identity_holds(
 # theorem checkers
 # ---------------------------------------------------------------------------
 
-def prop33_predicate(
-    group: GroupProduct,
-    p: Poset,
-    omega: WeightFunction,
-    alpha: GroupElement,
-    gamma_el: GroupElement,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> bool:
-    """Same-dual-class test by automorphism search (hierarchical posets,
-    all h_i >= 2): the support closures in the dual order must be related
-    by an (h, omega)-preserving order automorphism."""
-    if not is_hierarchical(p):
-        raise InputError("predicate requires a hierarchical poset")
-    if any(hi < 2 for hi in group.h):
-        raise InputError("predicate requires all h_i >= 2")
-    pbar = dual_poset(p)
-    d = closure(pbar, alpha.support())
-    b = closure(pbar, gamma_el.support())
-    labels = [(group.h[i], omega[i]) for i in range(p.n)]
-    for lam in automorphisms(p, labels=labels, config=config):
-        if apply_perm(lam, b) == d:
-            return True
-    return False
-
-
 def theorem32_check(
     group: GroupProduct,
     p: Poset,
@@ -675,7 +545,7 @@ def theorem32_check(
     q_dual = induce_Q(group, dual_poset(p), omega, config)
 
     udp_ok, _ = udp_check(p, omega.values, config)
-    len_p, _, _ = levels(p)
+    len_p = levels(p)
     label_ok = all(
         h[u] == h[v]
         for u in range(p.n)
@@ -694,39 +564,6 @@ def theorem32_check(
         "dual_is_Q_of_dual_poset": s4,
         "lambda_finer_than_Q_dual": finer,
         "equivalent": len({s1, s2, s3, s4}) == 1,
-        "gamma_classes": gamma.num_classes,
-        "dual_classes": lam.num_classes,
-    }
-
-
-def theorem41_check(
-    group: GroupProduct, t: Covering, config: RunConfig = DEFAULT_CONFIG
-) -> dict:
-    """Evaluate the three equivalent statements for anti-chain coverings."""
-    if not t.is_antichain():
-        raise InputError("covering must be an anti-chain")
-    gamma = induce_CO(group, t, config)
-    ctx = DualityContext(group, config)
-    lam = ctx.left_dual(gamma)
-    s1 = gamma.is_finer(lam)
-    s2 = gamma == lam
-    if t.is_partition():
-        h = group.h
-        if t.members:
-            prods = {math.prod(h[i] for i in mem) for mem in t.members}
-        else:  # logical P(k): partition only when k == 1 or k == n
-            if t.pk == t.n:
-                prods = {math.prod(h)}
-            else:
-                prods = set(h)
-        s3 = len(prods) == 1
-    else:
-        s3 = False
-    return {
-        "co_finer_than_dual": s1,
-        "co_equals_dual": s2,
-        "partition_with_equal_products": s3,
-        "equivalent": len({s1, s2, s3}) == 1,
         "gamma_classes": gamma.num_classes,
         "dual_classes": lam.num_classes,
     }

@@ -1,5 +1,5 @@
-"""Posets on the coordinate set: ideals, closures, levels, hierarchy,
-duality, automorphisms and the unique-decomposition-property check.
+"""Posets on the coordinate set: ideals, levels, hierarchy, duality,
+automorphisms and the unique-decomposition-property check.
 
 Subsets of the ground set are passed around as frozensets; bitmasks are used
 internally where enumeration speed matters.
@@ -44,10 +44,6 @@ class Poset:
     def leq(self, u: int, v: int) -> bool:
         return bool(self.down[v] >> u & 1)
 
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
     def up(self, u: int) -> int:
         return _mask(v for v in range(self.n) if self.leq(u, v))
 
@@ -91,14 +87,6 @@ def chain(n: int) -> Poset:
     return validate_and_close(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def closure(p: Poset, subset: Iterable[int]) -> frozenset[int]:
-    """Smallest ideal containing the subset."""
-    m = 0
-    for v in subset:
-        m |= p.down[v]
-    return _unmask(m, p.n)
-
-
 def ideals(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[frozenset[int]]:
     """All down-closed subsets, each exactly once (includes the empty set
     and the whole ground set)."""
@@ -122,47 +110,21 @@ def ideal_masks(p: Poset) -> list[int]:
     return out
 
 
-def extremes(p: Poset, subset: Iterable[int], mode: str) -> frozenset[int]:
-    """Maximal or minimal elements of a subset."""
-    sub = frozenset(subset)
-    if mode == "max":
-        return frozenset(
-            v for v in sub if not any(u != v and p.leq(v, u) for u in sub)
-        )
-    if mode == "min":
-        return frozenset(
-            v for v in sub if not any(u != v and p.leq(u, v) for u in sub)
-        )
-    raise InputError("mode must be 'max' or 'min'")
-
-
-def levels(p: Poset):
-    """(len_P per element, level sets W_1..W_m, sigma function on subsets).
-
-    sigma(D) is the largest r in [1,m] with D contained in the union of
-    levels r..m; by the maximality convention sigma(empty) = m.
-    """
+def levels(p: Poset) -> tuple[int, ...]:
+    """len_P of every element: the number of elements of a longest chain
+    that ends at it."""
     len_p = [0] * p.n
     order = sorted(range(p.n), key=lambda v: bin(p.down[v]).count("1"))
     for v in order:
         below = [len_p[u] for u in range(p.n) if u != v and p.leq(u, v)]
         len_p[v] = 1 + max(below, default=0)
-    m = max(len_p)
-    w = [frozenset(v for v in range(p.n) if len_p[v] == j) for j in range(1, m + 1)]
-
-    def sigma(d: Iterable[int]) -> int:
-        d = frozenset(d)
-        if not d:
-            return m
-        return min(len_p[v] for v in d)
-
-    return tuple(len_p), w, sigma
+    return tuple(len_p)
 
 
 def is_hierarchical(p: Poset) -> bool:
     """Every element of smaller level is below every element of larger
     level."""
-    len_p, _, _ = levels(p)
+    len_p = levels(p)
     for u in range(p.n):
         for v in range(p.n):
             if len_p[u] + 1 <= len_p[v] and not p.leq(u, v):
@@ -187,7 +149,7 @@ def automorphisms(
     """All order automorphisms, optionally also preserving per-element
     labels; backtracking with (len, degree, label) invariant pruning."""
     config.check("aut_cap_n", p.n, "poset size for automorphism enumeration")
-    len_p, _, _ = levels(p)
+    len_p = levels(p)
     updeg = [bin(p.up(v)).count("1") for v in range(p.n)]
     downdeg = [bin(p.down[v]).count("1") for v in range(p.n)]
 

@@ -14,12 +14,17 @@ support masks.  Krawtchouk roots isolated on a refined rational grid stand
 against the library's Sturm-chain isolation, and the same grid isolates the
 derivative roots, which the library never needs.  Code by code, listing
 every subspace by its RREF basis, stands against the library's all-codes
-and one-dimensional MacWilliams checks in blocks of one pivot pattern.
-A partition's classes listed one class at a time stand against its export
+MacWilliams check in blocks of one pivot pattern, and decides the
+one-dimensional statement, which the library does not carry.  A
+partition's classes listed one class at a time stand against its export
 in one sort, and the recursive JSON conversion against the encoder hook of
-the CLI.
+the CLI.  Group elements one at a time (``GroupElement``,
+``element_from_index``, ``pairing_exponent``) stand against the residue
+matrix and the pairing table, which hold all of them at once.  The
+paper's closed forms are in ``paper.py``.
 """
 
+import dataclasses
 import itertools
 import math
 from collections import deque
@@ -28,18 +33,69 @@ from fractions import Fraction
 import numpy as np
 
 from dualpart.config import BudgetError, InputError
-from dualpart.exactarith import CycInt, SparsePoly, _reduction_rows, root_of_unity_sum
-from dualpart.groups import pairing_exponent
+from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
 from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.macwilliams import LinearCode
 from dualpart.partitions import DualityContext, Partition
-from dualpart.posets import closure, dual_poset, levels
+from dualpart.posets import dual_poset
+from paper import SparsePoly, closure, level_sets, sigma, varpi
+
+
+@dataclasses.dataclass(frozen=True)
+class GroupElement:
+    """A codeword: one residue per cyclic factor of its group."""
+
+    group: object
+    residues: tuple
+
+    @property
+    def index(self):
+        """The mixed-radix index, first factor most significant."""
+        idx = 0
+        for r, d in zip(self.residues, self.group.factor_orders):
+            idx = idx * d + r
+        return idx
+
+    def support(self):
+        """The coordinates where the element differs from the identity."""
+        coord = [i for i, factors in enumerate(self.group.coordinates) for _ in factors]
+        return frozenset(coord[f] for f, r in enumerate(self.residues) if r)
+
+    def __mul__(self, other):
+        orders = self.group.factor_orders
+        return GroupElement(self.group, tuple((a + b) % d for a, b, d in zip(self.residues, other.residues, orders)))
+
+    def inverse(self):
+        orders = self.group.factor_orders
+        return GroupElement(self.group, tuple(-r % d for r, d in zip(self.residues, orders)))
+
+
+def element_from_index(group, index):
+    """The element of the given index, by its mixed-radix digits."""
+    res = []
+    for d in reversed(group.factor_orders):
+        res.append(index % d)
+        index //= d
+    return GroupElement(group, tuple(reversed(res)))
+
+
+def enumerate_elements(group):
+    """All elements, in index order."""
+    return [element_from_index(group, i) for i in range(group.order)]
+
+
+def pairing_exponent(alpha, beta):
+    """The e with f(alpha, beta) = zeta_m^e, m the group exponent: a cyclic
+    factor of order d contributes zeta_d^(a*b) = zeta_m^((m/d)*a*b)."""
+    m = alpha.group.exponent
+    e = sum((m // d) * a * b for a, b, d in zip(alpha.residues, beta.residues, alpha.group.factor_orders))
+    return e % m
 
 
 def wpm_weight(p, omega, beta):
     """Oracle: the (P, omega)-weight of one codeword, varpi of the ideal
     closure of its support."""
-    return omega.varpi(closure(p, beta.support()))
+    return varpi(omega, closure(p, beta.support()))
 
 
 def covering_weight(t, subset):
@@ -317,6 +373,15 @@ def subspace_rref_bases(p, n):
                 yield tuple(tuple(r) for r in rows)
 
 
+def is_f_invariant(space, part):
+    """Whether every class of the partition is closed under the nonzero
+    scalars of F_p."""
+    v = space.all_vectors()
+    return all(
+        np.array_equal(part.class_ids[_vector_indices(space, c * v)], part.class_ids) for c in range(2, space.p)
+    )
+
+
 def one_dim_bases(space):
     """Oracle: the RREF basis of every 1-dimensional code (first nonzero
     entry 1), in the index order of its vector."""
@@ -360,7 +425,10 @@ def admits_by_codes(space, lam, gamma):
 
 
 def onedim_by_codes(space, lam, gamma):
-    """Oracle: the dict of ``pami_onedim_check``, by the code-by-code loop."""
+    """The one-dimensional MacWilliams statement beside the finer-than
+    statement, code by code: they agree when both partitions are invariant
+    under the nonzero scalars.  The witness is the pair of vectors spanning
+    the first two clashing lines."""
     zero = _zero_singleton(lam)
     clash = distribution_clash(space, lam, gamma, one_dim_bases(space)) if zero else None
     stmt3 = zero and clash is None
@@ -376,7 +444,7 @@ def onedim_by_codes(space, lam, gamma):
 def character_sums(group, index, gamma):
     """Oracle: the per-class character sums of the element at each given
     index, one pairing at a time."""
-    els = list(group.enumerate_elements())
+    els = enumerate_elements(group)
     classes = [[els[int(b)] for b in members(gamma, c)] for c in range(gamma.num_classes)]
     return [
         tuple(root_of_unity_sum(group.exponent, [pairing_exponent(els[a], b) for b in cls]) for cls in classes)
@@ -411,7 +479,7 @@ def f_poly_bruteforce(group, p, omega, alpha):
     keyed by the (P, omega)-weight of every codeword."""
     m = group.exponent
     by_weight = {}
-    for beta in group.enumerate_elements():
+    for beta in enumerate_elements(group):
         w = wpm_weight(p, omega, beta)
         by_weight.setdefault(w, [0] * m)[pairing_exponent(alpha, beta)] += 1
     terms = {}
@@ -427,8 +495,8 @@ def f_poly_hierarchical(group, p, omega, alpha):
     over the levels of P."""
     h = group.h
     d = closure(dual_poset(p), alpha.support())
-    _, w_levels, sigma = levels(p)
-    r = sigma(d)
+    w_levels = level_sets(p)
+    r = sigma(p, d)
     one = SparsePoly.monomial(1)
 
     def prod(polys):

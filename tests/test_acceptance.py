@@ -12,15 +12,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from dualpart.config import RunConfig
 from dualpart.groups import build_group_product
 from dualpart.krawtchouk import (
     co_nonreflexivity_verdict,
     ku_build,
     ku_eval,
-    ku_partial_sum,
     ku_roots,
-    ku_value_vector,
-    lemma415_convergence,
+    ku_value_table,
 )
 from dualpart.macwilliams import (
     LinearCode,
@@ -30,7 +29,6 @@ from dualpart.macwilliams import (
     macwilliams_admits,
     macwilliams_verify,
     mep_witness_search,
-    pami_onedim_check,
 )
 from dualpart.metrics import Covering, WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
@@ -43,10 +41,18 @@ from dualpart.partitions import (
     krawtchouk_matrix,
     macwilliams_identity_holds,
     theorem32_check,
-    theorem41_check,
 )
 from dualpart.posets import validate_and_close
-from oracles import annihilator, character_sums, genfun_eval, members, scaled_exponents
+from oracles import (
+    annihilator,
+    character_sums,
+    element_from_index,
+    genfun_eval,
+    members,
+    onedim_by_codes,
+    scaled_exponents,
+)
+from paper import lemma415_convergence, theorem41_check
 
 
 GROUP_SPECS = [
@@ -91,9 +97,9 @@ def _random_partition(order, rng, zero_alone=False):
 
 
 def _random_subgroup(group, rng):
-    members = {group.identity()}
+    members = {element_from_index(group, 0)}
     for _ in range(rng.randrange(1, 3)):
-        g = group.element_from_index(rng.randrange(group.order))
+        g = element_from_index(group, rng.randrange(group.order))
         frontier = [a * g for a in members]
         while frontier:
             x = frontier.pop()
@@ -159,7 +165,7 @@ def test_criterion_02_distribution_identity():
 
 def _negation(group):
     """Index of -x for every element index x."""
-    return [group.element_from_index(x).inverse().index for x in range(group.order)]
+    return [element_from_index(group, x).inverse().index for x in range(group.order)]
 
 
 def _split_first(part):
@@ -282,8 +288,8 @@ def test_criterion_05_krawtchouk_identities():
                     assert v == genfun_eval(n, k, q, s)
                     assert v == poly(s)
                     if s >= 1:
-                        lhs, rhs = ku_partial_sum(n, k, q, s)
-                        assert lhs == rhs
+                        # sum_{l<=k} KU_(n,l)(s) = KU_(n-1,k)(s-1)
+                        assert sum(ku_eval(n, l, q, s) for l in range(k + 1)) == ku_eval(n - 1, k, q, s - 1)
                     if q == 2:
                         assert ku_eval(n, k, 2, n - s) == (-1) ** k * v
     for q in (2, 3, 4):
@@ -299,13 +305,15 @@ def test_criterion_05_krawtchouk_identities():
 def test_criterion_06_value_vector_oracle():
     for q in (2, 3):
         for n in range(2, 13):
+            table = ku_value_table(n, q)
             for k in range(1, n + 1):
                 sigs = co_support_signatures(q, n, k)
                 sig = {}
                 vec = {}
                 for t in range(1, n + 1):
                     sig.setdefault(sigs[t], []).append(t)
-                    vec.setdefault(ku_value_vector(n, k, q, t), []).append(t)
+                    # the values KU_(n-1,s)(t-1) over the multiples s of k
+                    vec.setdefault(tuple(table[s][t - 1] for s in range(k, n, k)), []).append(t)
                 assert sorted(sig.values()) == sorted(vec.values()), (q, n, k)
     # spot check against a full elementwise dual partition
     group = build_group_product([[2]] * 6)
@@ -314,12 +322,12 @@ def test_criterion_06_value_vector_oracle():
     sigs = co_support_signatures(2, 6, 2)
     by_t = {}
     for idx in range(1, group.order):
-        t = len(group.element_from_index(idx).support())
+        t = len(element_from_index(group, idx).support())
         by_t.setdefault(t, set()).add(int(lam.class_ids[idx]))
     for t, classes in by_t.items():
         assert len(classes) == 1
         assert classes == {int(lam.class_ids[i]) for i in range(1, group.order)
-                           if sigs[len(group.element_from_index(i).support())]
+                           if sigs[len(element_from_index(group, i).support())]
                            == sigs[t]}
     print("criterion 6 (value-vector classification oracle): PASS")
 
@@ -362,7 +370,7 @@ def test_criterion_07_verdict_reproduction():
 
 def test_criterion_08_smallest_root_convergence():
     for k, q in [(2, 2), (2, 3), (3, 2)]:
-        rows = lemma415_convergence(k, q, [100, 1000, 10000])
+        rows = lemma415_convergence(k, q, [100, 1000, 10000], RunConfig(krawtchouk_cap_n=10_000))
         assert rows[-1]["deviation"] <= 0.02, (k, q, rows)
         assert rows[0]["deviation"] > rows[1]["deviation"] > rows[2]["deviation"]
     print("criterion 8 (smallest-root convergence): PASS")
@@ -393,7 +401,7 @@ def test_criterion_09_extension_equivalence():
         lam = gamma if rng.random() < 0.5 else _random_zero_aligned_partition(space, rng)
         cases.append((space, lam, gamma))
     for space, lam, gamma in cases:
-        one = pami_onedim_check(space, lam, gamma)
+        one = onedim_by_codes(space, lam, gamma)
         full = macwilliams_admits(space, lam, gamma)
         assert one["one_dim_statement"] == one["finer_statement"] == full["admits"], (
             space.dim, one, full)
@@ -426,7 +434,7 @@ def test_criterion_11_character_independence():
             # random scalar-invariant partition: classes assigned per line
             ids = [0] * space.order
             for idx in range(1, space.order):
-                v = space.group.element_from_index(idx)
+                v = element_from_index(space.group, idx)
                 rep = min(idx, (v * v).index)  # v * v is 2v
                 if rep == idx:
                     ids[idx] = rng.randrange(1, max(2, space.order // 2))

@@ -289,6 +289,55 @@ class TestErrorContract:
         path = write_json(tmp_path, "t.json", doc)
         self.assert_one_line(*run(capsys, "dual", group, path), "invalid-input")
 
+    @pytest.mark.parametrize("doc", [0, 1.5, True, None, "relations", [["members"]]])
+    def test_partition_document_not_an_object(self, capsys, tmp_path, group_file, doc):
+        path = write_json(tmp_path, "t.json", doc)
+        code, out, err = run(capsys, "dual", group_file, path)
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert "JSON must be an object" in err
+
+    @pytest.fixture
+    def refuse_building(self, monkeypatch):
+        """Poset and covering construction raise, so a size refused late
+        shows as an internal error instead of an allocation of 2^70."""
+        import dualpart.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(dualpart.cli, "validate_and_close", refuse)
+        monkeypatch.setattr(dualpart.cli, "covering_from_members", refuse)
+
+    @pytest.mark.parametrize("n", [13, 5000, 2**70])
+    def test_poset_size_refused_before_the_closure(self, capsys, tmp_path, refuse_building, n):
+        path = write_json(tmp_path, "p.json", {"n": n, "relations": []})
+        code, out, err = run(capsys, "poset", path)
+        self.assert_one_line(code, out, err, "budget-exceeded")
+        assert f"poset size for the UDP check = {n} exceeds aut_cap_n = 12" in err
+
+    @pytest.mark.parametrize(
+        "doc,kind",
+        [
+            ({"n": 2**70, "relations": []}, "poset"),
+            ({"n": 2**70, "members": [[0]]}, "covering"),
+            ({"n": 3, "members": [[0], [1], [2]]}, "covering"),
+        ],
+        ids=["poset-2^70", "covering-2^70", "covering-3"],
+    )
+    def test_document_size_checked_against_the_group(self, capsys, tmp_path, group_file, refuse_building, doc, kind):
+        path = write_json(tmp_path, "t.json", doc)
+        code, out, err = run(capsys, "dual", group_file, path)
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert f"{kind} size {doc['n']} differs from the group's coordinate count 4" in err
+
+    def test_lambda_not_finer_than_the_dual(self, capsys, tmp_path):
+        # P(2) is coarser than l(Hamming), the Hamming partition itself
+        path = tmp_path / "code.txt"
+        path.write_text("2 4 1 1 1 1\n1 1 0 0\n")
+        code, out, err = run(capsys, "macwilliams", str(path), "--gamma", "hamming", "--lambda", "Pk:2")
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert "lambda is not finer than l(gamma); witness (" in err
+
     def test_covering_relaxation_over_budget(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"pair_work_cap": 20})
         monkeypatch.setenv("DUALPART_BUDGET", budget)

@@ -5,25 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
-from dualpart.groups import (
-    GroupElement,
-    GroupProduct,
-    build_group_product,
-    pairing,
-    pairing_exponent,
-)
+from dualpart.exactarith import CycInt, root_of_unity_sum
+from dualpart.groups import build_group_product
+from dualpart.partitions import DualityContext
+from oracles import GroupElement, element_from_index, enumerate_elements
 
 
 def test_mixed_radix_enumeration_contract():
     # Z_3 x Z_2: index = 2 * (Z_3 residue) + Z_2 residue
     g = build_group_product([[3], [2]])
-    seen = []
+    v = g.residue_matrix()
     for idx in range(6):
-        el = g.element_from_index(idx)
-        assert el.index == idx
-        seen.append(el.residues)
-        assert idx == 2 * el.residues[0] + el.residues[1]
-    assert len(set(seen)) == 6
+        assert idx == 2 * v[idx, 0] + v[idx, 1]
+        assert tuple(v[idx]) == np.unravel_index(idx, g.factor_orders)
+        assert element_from_index(g, idx).index == idx
+    assert len({tuple(row) for row in v.tolist()}) == 6
 
 
 def test_structure_derivation():
@@ -32,28 +28,27 @@ def test_structure_derivation():
     assert g.h == (2, 2, 6)
     assert g.exponent == 6
     assert g.order == 24
-    assert g.factor_coordinate == (0, 1, 2, 2)
+    assert g.factor_orders == (2, 2, 2, 3)
 
 
 def test_residue_matrix_matches_elements():
     g = build_group_product([[2], [3, 2]])
     v = g.residue_matrix()
-    for idx, el in enumerate(g.enumerate_elements()):
+    for idx, el in enumerate(enumerate_elements(g)):
         assert tuple(v[idx]) == el.residues
 
 
 def test_support_spans_factors_of_a_coordinate():
     g = build_group_product([[2], [2, 3]])
-    el = g.element([0, 0, 2])
-    assert el.support() == {1}
-    assert g.identity().support() == set()
+    assert GroupElement(g, (0, 0, 2)).support() == {1}
+    assert element_from_index(g, 0).support() == set()
 
 
 def test_group_axioms_small():
     g = build_group_product([[2], [3]])
-    els = list(g.enumerate_elements())
+    els = enumerate_elements(g)
     for a in els:
-        assert (a * a.inverse()).is_identity()
+        assert (a * a.inverse()).index == 0
         for b in els:
             assert (a * b).residues == (b * a).residues
 
@@ -61,40 +56,36 @@ def test_group_axioms_small():
 @given(st.integers(0, 23), st.integers(0, 23))
 def test_pairing_is_bicharacter(i, j):
     g = build_group_product([[2], [2, 3], [2]])
-    a = g.element_from_index(i)
-    b = g.element_from_index(j)
-    c = g.element_from_index((i * 7 + 3) % g.order)
-    lhs = pairing_exponent(a * c, b)
-    rhs = (pairing_exponent(a, b) + pairing_exponent(c, b)) % g.exponent
-    assert lhs == rhs
-    assert pairing_exponent(a, b) == pairing_exponent(b, a)
+    table = DualityContext(g).exponents
+    k = (i * 7 + 3) % g.order
+    ik = (element_from_index(g, i) * element_from_index(g, k)).index
+    assert table[ik, j] == (table[i, j] + table[k, j]) % g.exponent
+    assert table[i, j] == table[j, i]
 
 
 def test_pairing_matches_complex_product():
     g = build_group_product([[4], [3]])
     m = g.exponent
+    table = DualityContext(g).exponents
+    v = g.residue_matrix()
+    z = cmath.exp(2j * cmath.pi / m)
     for i in range(g.order):
         for j in range(g.order):
-            a, b = g.element_from_index(i), g.element_from_index(j)
-            val = pairing(a, b)
+            val = CycInt.root_of_unity(m, int(table[i, j]))
             direct = 1.0
-            for ra, rb, d in zip(a.residues, b.residues, g.factor_orders):
+            for ra, rb, d in zip(v[i], v[j], g.factor_orders):
                 direct *= cmath.exp(2j * cmath.pi * ra * rb / d)
-            z = cmath.exp(2j * cmath.pi / m)
             approx = sum(c * z**k for k, c in enumerate(val.coeffs))
             assert abs(direct - approx) < 1e-9
 
 
 def test_character_orthogonality_per_element():
     # sum over beta of f(alpha, beta) is |H| at identity, 0 elsewhere
-    from dualpart.exactarith import CycInt, root_of_unity_sum
-
     g = build_group_product([[2], [2, 3]])
-    m = g.exponent
-    for a in g.enumerate_elements():
-        s = root_of_unity_sum(m, (pairing_exponent(a, b) for b in g.enumerate_elements()))
-        expect = g.order if a.is_identity() else 0
-        assert s.as_int() == expect
+    table = DualityContext(g).exponents
+    for a in range(g.order):
+        s = root_of_unity_sum(g.exponent, table[a].tolist())
+        assert s.as_int() == (g.order if a == 0 else 0)
 
 
 def test_validation_errors():
@@ -102,11 +93,6 @@ def test_validation_errors():
         build_group_product([])
     with pytest.raises(InputError):
         build_group_product([[1]])
-    g = build_group_product([[2]])
-    with pytest.raises(InputError):
-        g.element([2])
-    with pytest.raises(InputError):
-        g.element_from_index(5)
 
 
 def test_enumeration_cap_enforced():
@@ -122,5 +108,3 @@ def test_cap_messages_name_field_amount_and_cap():
     group = build_group_product([[2]] * 4)
     with pytest.raises(BudgetError, match=r"^\|H\| to materialize = 16 exceeds enumeration_cap = 8$"):
         group.residue_matrix(tight)
-    with pytest.raises(BudgetError, match=r"^\|H\| = 16 exceeds enumeration_cap = 8$"):
-        next(group.enumerate_elements(tight))

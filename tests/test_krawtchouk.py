@@ -4,19 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualpart.config import InputError
+from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.krawtchouk import (
     co_nonreflexivity_verdict,
     dual_class_lower_bound,
-    eq45_w,
-    eq45_w_floor,
     ku_build,
     ku_eval,
-    ku_partial_sum,
     ku_roots,
     ku_value_table,
-    ku_value_vector,
-    lemma415_convergence,
     thm42_threshold,
 )
 from oracles import (
@@ -28,6 +23,7 @@ from oracles import (
     ku_derivative_roots,
     smallest_root_floor,
 )
+from paper import eq45_w, eq45_w_floor, lemma415_convergence
 
 
 class TestBuildAndEval:
@@ -93,14 +89,38 @@ class TestBuildAndEval:
         assert ku_build(4, 2, 2)(9) == 96  # 6 - 8*9 + 2*81
 
 
+class TestBudget:
+    def test_cap_checked_before_any_work(self, monkeypatch):
+        from dualpart import krawtchouk
+
+        def refuse(*args):
+            raise AssertionError("Sturm chain evaluated")
+
+        monkeypatch.setattr(krawtchouk, "_chain", refuse)
+        for call in (ku_build, ku_roots):
+            with pytest.raises(BudgetError, match=r"^Krawtchouk n = 1000000000 exceeds krawtchouk_cap_n = 512$"):
+                call(10**9, 3, 2)
+
+    def test_cap_from_config(self):
+        tight = RunConfig(krawtchouk_cap_n=8)
+        with pytest.raises(BudgetError, match=r"^Krawtchouk n = 9 exceeds krawtchouk_cap_n = 8$"):
+            ku_build(9, 2, 2, tight)
+        with pytest.raises(BudgetError, match=r"^Krawtchouk k = 9 exceeds krawtchouk_cap_n = 8$"):
+            ku_build(8, 9, 2, tight)
+        with pytest.raises(BudgetError, match=r"^Krawtchouk n = 9 exceeds krawtchouk_cap_n = 8$"):
+            ku_roots(9, 2, 2, config=tight)
+        assert ku_build(8, 8, 2, tight).degree == 8
+        assert len(ku_roots(8, 8, 2, config=tight)) == 8
+
+
 class TestIdentities:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_partial_sum_identity(self, q):
         for n in range(1, 13):
             for k in range(n + 1):
                 for s in range(1, n + 1):
-                    lhs, rhs = ku_partial_sum(n, k, q, s)
-                    assert lhs == rhs
+                    # sum_{l<=k} KU_(n,l)(s) = KU_(n-1,k)(s-1)
+                    assert sum(ku_eval(n, l, q, s) for l in range(k + 1)) == ku_eval(n - 1, k, q, s - 1)
 
     def test_q2_symmetry(self):
         for n in range(0, 13):
@@ -183,8 +203,6 @@ class TestRoots:
                 assert derivative_smallest_root_floor(n, 2, q) == math.floor(vertex)
 
     def test_isolate_rejects_wrong_count(self):
-        from dualpart.config import BudgetError
-
         # the grid oracle: x^2 + 1 has no real roots; asking for one must
         # exhaust refinement
         with pytest.raises(BudgetError):
@@ -255,7 +273,7 @@ class TestConvergence:
 
     def test_deviation_decreases(self):
         for k, q in [(2, 2), (3, 2), (2, 3)]:
-            rows = lemma415_convergence(k, q, [100, 1000])
+            rows = lemma415_convergence(k, q, [100, 1000], RunConfig(krawtchouk_cap_n=1000))
             assert rows[1]["deviation"] < rows[0]["deviation"]
 
 
@@ -314,13 +332,16 @@ class TestVerdicts:
     def test_value_vector_classifies_dual_classes(self):
         from dualpart.partitions import co_support_signatures
 
+        # the values KU_(n-1,s)(t-1) over the multiples s of k fingerprint
+        # the dual class of support size t
         q, n, k = 3, 6, 2
         sigs = co_support_signatures(q, n, k)
+        table = ku_value_table(n, q)
         sig_classes = {}
         vec_classes = {}
         for t in range(1, n + 1):
             sig_classes.setdefault(sigs[t], []).append(t)
-            vec_classes.setdefault(ku_value_vector(n, k, q, t), []).append(t)
+            vec_classes.setdefault(tuple(table[s][t - 1] for s in range(k, n, k)), []).append(t)
         assert sorted(sig_classes.values()) == sorted(vec_classes.values())
 
     def test_lower_bound_at_least_co_classes(self):

@@ -11,24 +11,23 @@ from dualpart.macwilliams import (
     PrimeFieldSpace,
     co_vector_space_partition,
     conjecture21_report,
-    distribution,
-    is_f_invariant,
     macwilliams_admits,
     macwilliams_verify,
     mep_witness_search,
-    pami_onedim_check,
     parse_code_file,
     rref_mod_p,
 )
 from dualpart.metrics import pk_covering
 from dualpart.partitions import DualityContext, Partition, induce_CO
 from oracles import (
+    GroupElement,
     admits_by_codes,
     annihilator,
     binary_cols_to_matrix,
     codeword_indices_product,
     inv_enumerate,
     inv_enumerate_binary,
+    is_f_invariant,
     onedim_by_codes,
     orbit_partition,
     scaled_exponents,
@@ -115,7 +114,6 @@ class TestLinearCode:
         monkeypatch.setattr(macwilliams.np, "arange", refuse)
         calls = (
             lambda: dual.codeword_indices(config),
-            lambda: distribution(dual, gamma, config),
             lambda: macwilliams_verify(dual, gamma, gamma, ctx),
         )
         for call in calls:
@@ -137,7 +135,9 @@ class TestDistributionIdentity:
     def test_distribution_counts(self):
         space = PrimeFieldSpace(2, (1,) * 5)
         c = LinearCode.from_rows(space, [[1] * 5])
-        assert distribution(c, hamming(space)) == (1, 0, 0, 0, 0, 1)
+        gamma = hamming(space)
+        counts = np.bincount(gamma.class_ids[c.codeword_indices()], minlength=gamma.num_classes)
+        assert counts.tolist() == [1, 0, 0, 0, 0, 1]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_codes_verify(self, seed):
@@ -169,38 +169,28 @@ class TestTheoremEquivalences:
     def test_pami_hamming_true(self):
         space = PrimeFieldSpace(2, (1,) * 5)
         ham = hamming(space)
-        rep = pami_onedim_check(space, ham, ham)
+        rep = onedim_by_codes(space, ham, ham)
         assert rep["one_dim_statement"] and rep["finer_statement"] and rep["agree"]
 
     def test_pami_co3_false_in_tandem_with_reflexivity(self):
         space = PrimeFieldSpace(2, (1,) * 5)
         co3 = co_vector_space_partition(space, 3)
-        rep = pami_onedim_check(space, co3, co3)
+        rep = onedim_by_codes(space, co3, co3)
         assert not rep["one_dim_statement"] and not rep["finer_statement"]
         assert rep["agree"] and rep["witness"] is not None
 
     def test_pami_finest_lambda_true(self):
         space = PrimeFieldSpace(2, (1, 1, 1))
         singles = Partition(np.arange(space.order), host=space.group)
-        rep = pami_onedim_check(space, singles, hamming(space))
+        rep = onedim_by_codes(space, singles, hamming(space))
         assert rep["one_dim_statement"] and rep["finer_statement"]
-
-    def test_requires_f_invariance(self):
-        space = PrimeFieldSpace(3, (1, 1))
-        ids = np.zeros(9, dtype=np.int64)
-        ids[4] = 1  # a single vector in its own class; not scalar-closed
-        ids[0] = 2
-        lopsided = Partition(ids, host=space.group)
-        assert not is_f_invariant(space, lopsided)
-        with pytest.raises(InputError):
-            pami_onedim_check(space, lopsided, lopsided)
 
     def test_admits_matches_onedim_statement(self):
         space = PrimeFieldSpace(2, (1,) * 4)
         for gamma in [hamming(space), co_vector_space_partition(space, 3)]:
             lam = DualityContext(space.group).left_dual(gamma)
             full = macwilliams_admits(space, gamma, gamma)
-            one = pami_onedim_check(space, gamma, gamma)
+            one = onedim_by_codes(space, gamma, gamma)
             assert full["admits"] == one["one_dim_statement"]
             good = macwilliams_admits(space, lam, gamma)
             assert good["admits"]
@@ -250,7 +240,6 @@ class TestAllCodesEngine:
             for lam, gamma in cases:
                 admits = macwilliams_admits(space, lam, gamma)
                 assert admits == admits_by_codes(space, lam, gamma)
-                assert pami_onedim_check(space, lam, gamma) == onedim_by_codes(space, lam, gamma)
                 witnesses.append(admits["witness"])
             assert macwilliams_admits(space, *cases[2])["admits"]
         if space.order >= 16:
@@ -274,11 +263,11 @@ class TestAllCodesEngine:
         # of a block is the first clash overall
         space = PrimeFieldSpace(p, blocks)
         cases = _engine_cases(space, f"one-per-block {p}")
-        want = [(macwilliams_admits(space, *c), pami_onedim_check(space, *c)) for c in cases]
-        assert want[0][0]["witness"] is not None and want[2][0]["admits"]
+        want = [macwilliams_admits(space, *c) for c in cases]
+        assert want[0]["witness"] is not None and want[2]["admits"]
         monkeypatch.setattr(macwilliams, "_CODE_BLOCK", 1)
         assert all(macwilliams._codes_per_block(space, d) == 1 for d in range(space.dim + 1))
-        got = [(macwilliams_admits(space, *c), pami_onedim_check(space, *c)) for c in cases]
+        got = [macwilliams_admits(space, *c) for c in cases]
         assert got == want
 
     def test_f2_13_refused_by_the_subspace_count(self, monkeypatch):
@@ -297,10 +286,8 @@ class TestAllCodesEngine:
     def test_orthogonality_table_capped(self):
         space = PrimeFieldSpace(2, (1,) * 4)
         ham = hamming(space)
-        config = RunConfig(pair_work_cap=255)
-        for check in (macwilliams_admits, pami_onedim_check):
-            with pytest.raises(BudgetError, match="\\|V\\|\\^2 orthogonality cells = 256 exceeds pair_work_cap = 255"):
-                check(space, ham, ham, config)
+        with pytest.raises(BudgetError, match="\\|V\\|\\^2 orthogonality cells = 256 exceeds pair_work_cap = 255"):
+            macwilliams_admits(space, ham, ham, RunConfig(pair_work_cap=255))
 
     def test_f2_8_within_the_subspace_count(self):
         space = PrimeFieldSpace(2, (1,) * 8)
@@ -406,8 +393,8 @@ class TestOrbitsAndWitness:
         w = res["witness"]
         assert w is not None
         # the pair shares a covering-weight class but lies in distinct orbits
-        a = space.group.element(w["alpha"]).index
-        b = space.group.element(w["beta"]).index
+        a = GroupElement(space.group, tuple(w["alpha"])).index
+        b = GroupElement(space.group, tuple(w["beta"])).index
         assert delta.class_ids[a] == delta.class_ids[b]
         assert res["inv_order"] > 0
 

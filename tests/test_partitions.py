@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
-from dualpart.exactarith import CycInt, SparsePoly, euler_phi_degree, root_of_unity_sum
-from dualpart.groups import build_group_product, pairing_exponent
+from dualpart.exactarith import CycInt, euler_phi_degree, root_of_unity_sum
+from dualpart.groups import build_group_product
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
     DualityContext,
-    F_poly,
     Partition,
     SignatureLabels,
     _rank_rows,
@@ -23,34 +22,41 @@ from dualpart.partitions import (
     co_profile_prefix_sums,
     co_reflexivity_bruteforce,
     co_support_signatures,
-    f_poly_degree_ideal,
     hamming_sum_profiles,
     induce_CO,
     induce_Q,
     induce_from_ideal_classes,
     krawtchouk_matrix,
     macwilliams_identity_holds,
-    phi_value,
-    prop33_predicate,
-    psi_value,
     reflexivity_check,
-    signature_via_ideals,
     theorem32_check,
-    theorem41_check,
 )
-from dualpart.posets import antichain, chain, closure, dual_poset, ideals, validate_and_close
+from dualpart.posets import antichain, chain, dual_poset, ideals, validate_and_close
 from oracles import (
     annihilator,
     covering_weight,
     eager_dual,
+    element_from_index,
+    enumerate_elements,
     export_by_class,
     f_poly_bruteforce,
     f_poly_hierarchical,
     hamming_sum_profile,
     members,
     onehot_coords,
+    pairing_exponent,
     scaled_exponents,
     wpm_weight,
+)
+from paper import (
+    F_poly,
+    SparsePoly,
+    closure,
+    f_poly_degree_ideal,
+    phi_value,
+    prop33_predicate,
+    psi_value,
+    theorem41_check,
 )
 
 
@@ -117,7 +123,7 @@ def brute_force_left_dual(group, gamma):
     """Independent per-element reference: group elements by the tuple of
     exact per-class character sums computed one pairing at a time."""
     m = group.exponent
-    els = list(group.enumerate_elements())
+    els = enumerate_elements(group)
     keys = []
     for a in els:
         sums = []
@@ -163,9 +169,9 @@ class TestDualityContext:
         code = [0, 3, 12, 15]  # indices of an additive code
         ann = set(int(x) for x in annihilator(group, code))
         for b_idx in range(group.order):
-            b = group.element_from_index(b_idx)
+            b = element_from_index(group, b_idx)
             trivial = all(
-                pairing_exponent(group.element_from_index(a), b) == 0 for a in code
+                pairing_exponent(element_from_index(group, a), b) == 0 for a in code
             )
             assert (b_idx in ann) == trivial
 
@@ -207,8 +213,8 @@ class TestInducedPartitions:
         ]:
             omega = WeightFunction.from_mapping(3, weights)
             part = induce_Q(group, p, omega)
-            keys = [wpm_weight(p, omega, el) for el in group.enumerate_elements()]
-            for el, w in zip(group.enumerate_elements(), keys):
+            keys = [wpm_weight(p, omega, el) for el in enumerate_elements(group)]
+            for el, w in zip(enumerate_elements(group), keys):
                 assert part.labels[part.class_ids[el.index]] == w
             want = Partition.from_keys(keys)
             assert np.array_equal(part.class_ids, want.class_ids) and part.labels == want.labels
@@ -217,7 +223,7 @@ class TestInducedPartitions:
         group = build_group_product([[2], [2], [3]])
         t = covering_from_members(3, [[0, 1], [1, 2]])
         part = induce_CO(group, t)
-        for el in group.enumerate_elements():
+        for el in enumerate_elements(group):
             assert part.labels[part.class_ids[el.index]] == covering_weight(t, el.support())
 
     def test_induce_from_ideal_classes(self):
@@ -225,7 +231,7 @@ class TestInducedPartitions:
         p = chain(3)
         labels = {i: len(i) % 2 for i in ideals(p)}
         part = induce_from_ideal_classes(group, p, labels)
-        for el in group.enumerate_elements():
+        for el in enumerate_elements(group):
             cl = closure(p, el.support())
             assert part.labels[part.class_ids[el.index]] == len(cl) % 2
 
@@ -240,7 +246,7 @@ def phi_brute(group, p, d_rep_alpha, i_set):
     exactly I, one pairing at a time."""
     m = group.exponent
     exps = []
-    for b in group.enumerate_elements():
+    for b in enumerate_elements(group):
         if closure(p, b.support()) == i_set:
             exps.append(pairing_exponent(d_rep_alpha, b))
     return root_of_unity_sum(m, exps)
@@ -253,7 +259,7 @@ class TestIdealSumKernels:
         p = vee()
         pbar = dual_poset(p)
         h = group.h
-        for a in group.enumerate_elements():
+        for a in enumerate_elements(group):
             d = closure(pbar, a.support())
             for i_set in ideals(p):
                 expect = phi_brute(group, p, a, i_set)
@@ -267,27 +273,30 @@ class TestIdealSumKernels:
         pbar = dual_poset(p)
         h = group.h
         m = group.exponent
-        for b in group.enumerate_elements():
+        for b in enumerate_elements(group):
             i_set = closure(p, b.support())
             for d in ideals(pbar):
                 exps = [
                     pairing_exponent(a, b)
-                    for a in group.enumerate_elements()
+                    for a in enumerate_elements(group)
                     if closure(pbar, a.support()) == d
                 ]
                 expect = root_of_unity_sum(m, exps).as_int()
                 assert expect == psi_value(p, h, d, i_set)
 
     def test_signature_via_ideals_matches_partition_signature(self):
+        # the lattice label of alpha's dual class holds the class sums, and
+        # F's coefficient at each class weight sums phi over the ideals
         group = build_group_product([[2], [2], [3]])
         p = chain(3)
         omega = WeightFunction.from_mapping(3, {0: 1, 1: 2, 2: 1})
         gamma = induce_Q(group, p, omega)
-        ctx = DualityContext(group)
-        for a in group.enumerate_elements():
-            sig = signature(ctx, a.index, gamma)
-            for c, label in enumerate(gamma.labels):
-                assert sig[c].as_int() == signature_via_ideals(a, p, omega, label)
+        lam = DualityContext(group).left_dual(gamma)
+        assert lam.mask_ids is not None
+        for a in enumerate_elements(group):
+            f = F_poly(group, p, omega, a)
+            sig = lam.labels[lam.class_ids[a.index]]
+            assert [v.as_int() for v in sig] == [f.coefficient(label) for label in gamma.labels]
 
 
 POSET_BUILDERS = [
@@ -305,7 +314,7 @@ class TestFPoly:
         p = builder()
         group = build_group_product([[2]] * (p.n - 1) + [[3]])
         omega = WeightFunction.from_mapping(p.n, {i: i % 2 + 1 for i in range(p.n)})
-        for a in group.enumerate_elements():
+        for a in enumerate_elements(group):
             assert f_poly_bruteforce(group, p, omega, a) == F_poly(group, p, omega, a)
 
     @pytest.mark.parametrize("builder", POSET_BUILDERS[:4])
@@ -317,14 +326,14 @@ class TestFPoly:
             pytest.skip("hierarchical engine requires a hierarchical poset")
         group = build_group_product([[3]] + [[2]] * (p.n - 1))
         omega = WeightFunction.constant(p.n, 2)
-        for a in group.enumerate_elements():
+        for a in enumerate_elements(group):
             assert f_poly_hierarchical(group, p, omega, a) == F_poly(group, p, omega, a)
 
     def test_identity_gives_weight_enumerator(self):
         group = build_group_product([[2], [3]])
         p = antichain(2)
         omega = WeightFunction.constant(2)
-        f = F_poly(group, p, omega, group.identity())
+        f = F_poly(group, p, omega, element_from_index(group, 0))
         # Hamming weight enumerator of Z_2 x Z_3: 1 + 3x + 2x^2
         assert f == SparsePoly({Fraction(0): 1, Fraction(1): 3, Fraction(2): 2})
 
@@ -332,7 +341,7 @@ class TestFPoly:
         p = vee()
         group = build_group_product([[2], [3], [2]])
         omega = WeightFunction.from_mapping(3, {0: 1, 1: 2, 2: "1/2"})
-        for a in group.enumerate_elements():
+        for a in enumerate_elements(group):
             f = F_poly(group, p, omega, a)
             _, expect = f_poly_degree_ideal(group, p, omega, a)
             assert f.degree == expect
@@ -375,11 +384,11 @@ class TestKrawtchoukMatrix:
 
 def random_additive_code(group, rng):
     gens = [rng.randrange(group.order) for _ in range(rng.randrange(1, 3))]
-    code = {group.identity().index}
-    frontier = [group.element_from_index(g) for g in gens]
-    els = {group.element_from_index(i) for i in code}
+    code = {element_from_index(group, 0).index}
+    frontier = [element_from_index(group, g) for g in gens]
+    els = {element_from_index(group, i) for i in code}
     changed = True
-    members = {group.identity()}
+    members = {element_from_index(group, 0)}
     for g in frontier:
         new = set()
         for m in members:
@@ -452,8 +461,8 @@ class TestTheoremCheckers:
                     group,
                     p,
                     omega,
-                    group.element_from_index(i),
-                    group.element_from_index(j),
+                    element_from_index(group, i),
+                    element_from_index(group, j),
                 )
                 assert same == pred
 
@@ -515,7 +524,7 @@ class TestSupportProfileEngine:
         ctx = DualityContext(group)
         sigs = co_support_signatures(3, 4, 2)
         for idx in range(1, group.order):
-            el = group.element_from_index(idx)
+            el = element_from_index(group, idx)
             t = len(el.support())
             sig = tuple(v.as_int() for v in signature(ctx, idx, gamma))
             assert sig == sigs[t]
@@ -873,7 +882,7 @@ class TestLatticeOracle:
         tags = {i: 0 for i in ideals(p)}
         tags[frozenset({0})], tags[frozenset({2})] = "x", (2,)
         part = induce_from_ideal_classes(group, p, tags)
-        keys = [tags[closure(p, el.support())] for el in group.enumerate_elements()]
+        keys = [tags[closure(p, el.support())] for el in enumerate_elements(group)]
         want = Partition.from_keys(keys)
         assert want.labels == [0, (2,), "x"]
         assert np.array_equal(part.class_ids, want.class_ids) and part.labels == want.labels
@@ -883,7 +892,7 @@ class TestPairingTable:
     def test_entries_are_pairing_exponents(self):
         group = build_group_product([[4], [2, 3], [5]])
         table = DualityContext(group).exponents
-        els = list(group.enumerate_elements())
+        els = enumerate_elements(group)
         rng = random.Random(0)
         for _ in range(200):
             a, b = rng.randrange(len(els)), rng.randrange(len(els))

@@ -9,15 +9,14 @@ from dualpart.posets import (
     apply_perm,
     automorphisms,
     chain,
-    closure,
     dual_poset,
-    extremes,
     ideals,
     is_hierarchical,
     levels,
     udp_check,
     validate_and_close,
 )
+from paper import closure, extremes, level_sets, sigma
 
 
 def vee() -> "Poset":
@@ -80,12 +79,12 @@ class TestStructure:
         assert extremes(p, {0, 1, 2}, "min") == {0, 1}
 
     def test_levels_chain(self):
-        len_p, w, sigma = levels(chain(3))
-        assert len_p == (1, 2, 3)
-        assert w == [frozenset({0}), frozenset({1}), frozenset({2})]
-        assert sigma({2}) == 3
-        assert sigma({0, 2}) == 1
-        assert sigma(frozenset()) == 3  # maximality convention for the empty set
+        p = chain(3)
+        assert levels(p) == (1, 2, 3)
+        assert level_sets(p) == [frozenset({0}), frozenset({1}), frozenset({2})]
+        assert sigma(p, {2}) == 3
+        assert sigma(p, {0, 2}) == 1
+        assert sigma(p, frozenset()) == 3  # maximality convention for the empty set
 
     @pytest.mark.parametrize(
         "build,expect",
