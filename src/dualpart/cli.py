@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -21,7 +20,7 @@ from .config import DEFAULT_CONFIG, DualpartError, InputError, RunConfig
 from .groups import build_group_product
 from .metrics import WeightFunction, covering_from_members, pk_covering
 from .posets import (
-    automorphisms,
+    automorphism_group,
     ideals,
     is_hierarchical,
     udp_check,
@@ -86,18 +85,28 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, default=_json_default))
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer.  json reads true and false as
+    bools, which Python counts as ints; int() would read 4.9 and "4" as 4."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be an integer, got {json.dumps(value)}")
+
+
 def _doc_size(doc: dict, kind: str) -> int:
     """The ground-set size "n" of a poset or covering document, read before
     anything of that size is built."""
     try:
-        return int(doc["n"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        n = doc["n"]
+    except (KeyError, TypeError) as e:
         raise InputError(f"bad {kind} JSON: {e}") from None
+    return _json_int(n, f"bad {kind} JSON: n")
 
 
 def _parse_poset_json(doc: dict, n: int):
+    what = "bad poset JSON: relation entry"
     try:
-        relations = [(operator.index(u), operator.index(v)) for u, v in doc.get("relations", [])]
+        relations = [(_json_int(u, what), _json_int(v, what)) for u, v in doc.get("relations", [])]
     except (TypeError, ValueError) as e:
         raise InputError(f"bad poset JSON: {e}") from None
     p = validate_and_close(n, relations)
@@ -174,7 +183,7 @@ def cmd_poset(args) -> int:
         "hierarchical": is_hierarchical(p),
         "udp": udp_ok,
         "udp_witness": udp_witness,
-        "aut_order": len(automorphisms(p, config=config)),
+        "aut_order": automorphism_group(p, omega.values, config)[0],
         "ideal_count": len(ideals(p, config)),
     }
     if "coordinates" in doc:
@@ -244,8 +253,8 @@ def cmd_scan_co(args) -> int:
     for n in n_range:
         # the data of an n, read by every k; the criteria side and the
         # confirmation side share none of it
-        distinct = ku_distinct_counts(n, args.q)
-        prefix = co_profile_prefix_sums(args.q, n)
+        distinct = ku_distinct_counts(n, args.q, config)
+        prefix = co_profile_prefix_sums(args.q, n, config)
         ks = range(1, n + 1) if k_only is None else [k_only]
         for k in ks:
             v = co_nonreflexivity_verdict(n, k, args.q, distinct)

@@ -53,12 +53,14 @@ class RunConfig:
                      2^n * members cells, and the orthogonality table
                      of the MacWilliams statements |V|^2 cells.
     ideal_cap_n:     maximum poset size for ideal enumeration.
-    aut_cap_n:       maximum poset size for automorphism enumeration.
+    aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that
                      ``ku_build`` or ``ku_roots`` is asked for (and of
-                     ``krawtchouk --n/--k``), and maximum last n of a
+                     ``krawtchouk --n/--k``), maximum n of the value
+                     table, distinct-value counts and profile prefix
+                     sums of ``scan-co``, and maximum last n of a
                      ``scan-co`` range, checked before any polynomial
-                     is built.  A scan row costs O(n^2) big-integer
+                     or table is built.  A scan row costs O(n^2) big-integer
                      operations for its value table and profiles; a
                      polynomial of degree k costs O(k^2) for its
                      coefficients, and its root isolation O(k) per point

@@ -175,14 +175,16 @@ def ku_roots(
 # value vectors and distinct-value bounds
 # ---------------------------------------------------------------------------
 
-def ku_value_table(n: int, q: int) -> list[list[int]]:
+def ku_value_table(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[list[int]]:
     """Rows s = 0..n-1 of the values KU_(n-1,s)(j) at j = 0..n-1.
 
     Each column j follows the three-term recurrence in s, with N = n - 1:
     (s+1) K_(s+1)(j) = (s + (q-1)(N-s) - qj) K_s(j) - (q-1)(N-s+1) K_(s-1)(j),
     from K_0 = 1; the division is exact.  O(n^2) integer operations for
-    all n rows.
+    all n rows, on integers that grow with n; n is checked against
+    ``krawtchouk_cap_n`` first.
     """
+    config.check("krawtchouk_cap_n", n, "Krawtchouk n")
     if n < 1 or q < 2:
         raise InputError("need n >= 1 and q >= 2")
     top = n - 1
@@ -198,10 +200,10 @@ def ku_value_table(n: int, q: int) -> list[list[int]]:
     return table
 
 
-def ku_distinct_counts(n: int, q: int) -> list[int]:
+def ku_distinct_counts(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[int]:
     """Entry s: how many distinct values KU_(n-1,s) takes on 0..n-1, for
     s in 0..n-1.  Every k of an n reads the entries at its multiples."""
-    return [len(set(row)) for row in ku_value_table(n, q)]
+    return [len(set(row)) for row in ku_value_table(n, q, config)]
 
 
 def dual_class_lower_bound(n: int, k: int, q: int, distinct: Sequence[int] | None = None) -> int:

@@ -37,6 +37,7 @@ from .partitions import (
     induce_CO,
     macwilliams_identity_holds,
 )
+from .posets import _closure
 
 
 # Miller-Rabin to the first 13 prime bases is exact below psi_13
@@ -401,20 +402,6 @@ def macwilliams_admits(
 # ---------------------------------------------------------------------------
 # the invariance subgroup inside GL(N, p)
 # ---------------------------------------------------------------------------
-
-def _closure(points: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
-    """The least set holding ``points`` that every index permutation in
-    ``gens`` maps into itself: a union of orbits of the group they make."""
-    seen = set(points)
-    stack = list(seen)
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            if g[x] not in seen:
-                seen.add(g[x])
-                stack.append(g[x])
-    return seen
-
 
 def _invariance_orbits(
     space: PrimeFieldSpace,

@@ -5,6 +5,7 @@ weight of every support mask, with the all-k-subsets fast path.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -47,13 +48,24 @@ def _over_masks(values, op) -> np.ndarray:
     entry U + 2^i is op(entry U, values[i]) for U < 2^i.
 
     With ``np.add`` over ones this is the popcount, over weights the subset
-    sums; with ``np.bitwise_or`` over ``Poset.down`` the ideal closures.
+    sums; with ``np.bitwise_or`` over ``Poset.down`` the ideal closures,
+    over ``1 << g`` the image of every mask under the permutation g.
     """
     values = np.asarray(values)
     out = np.zeros(1 << len(values), dtype=values.dtype)
     for i, v in enumerate(values):
         op(out[: 1 << i], v, out=out[1 << i : 2 << i])
     return out
+
+
+def _scaled_mask_sums(values: Sequence) -> tuple[int, np.ndarray]:
+    """The lcm ``den`` of the denominators of the rationals ``values``, and
+    den times the sum of values over every mask U < 2^n, in exact integers
+    (so equal sums stay equal and the order is kept): int64 below 2^62 in
+    total, Python ints otherwise."""
+    den = math.lcm(*(v.denominator for v in values))
+    scaled = [int(v * den) for v in values]
+    return den, _over_masks(np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 62 else object), np.add)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -38,7 +38,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .exactarith import CycInt, _cyclotomic_coeffs, euler_phi_degree
 from .groups import GroupProduct
-from .metrics import Covering, WeightFunction, _over_masks
+from .metrics import Covering, WeightFunction, _over_masks, _scaled_mask_sums
 from .posets import Poset, dual_poset, ideals, levels, udp_check
 
 
@@ -410,14 +410,12 @@ def induce_Q(
     """Partition by (P, omega)-weight; classes keyed by weight value.
 
     Mask U weighs the sum of omega over its ideal closure, with omega
-    scaled to integers by the lcm ``den`` of its denominators (so the order
-    is kept): int64 below 2^62 in total, Python ints otherwise.  Labels are ``Fraction(key, den)``.
+    scaled to integers by the lcm ``den`` of its denominators
+    (``_scaled_mask_sums``).  Labels are ``Fraction(key, den)``.
     """
     if p.n != group.n or omega.n != group.n:
         raise InputError("poset/weights do not match the coordinate set")
-    den = math.lcm(*(v.denominator for v in omega.values))
-    scaled = [int(v * den) for v in omega.values]
-    sums = _over_masks(np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 62 else object), np.add)
+    den, sums = _scaled_mask_sums(omega.values)
     closures = _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
     return _induce_by_keys(group, sums[closures], config, lambda s: Fraction(s, den))
 
@@ -593,10 +591,13 @@ def hamming_sum_profiles(q: int, n: int) -> list[list[int]]:
     return profiles[::-1]
 
 
-def co_profile_prefix_sums(q: int, n: int) -> list[list[int]]:
+def co_profile_prefix_sums(q: int, n: int, config: RunConfig = DEFAULT_CONFIG) -> list[list[int]]:
     """Entry t: the running sums of profile t of ``hamming_sum_profiles``,
     with 0 in front, so that the sum over weights lo..hi-1 is
-    ``pre[hi] - pre[lo]``.  Every k of an n reads the same sums."""
+    ``pre[hi] - pre[lo]``.  Every k of an n reads the same sums.  O(n^2)
+    big-integer operations; n is checked against ``krawtchouk_cap_n``
+    first."""
+    config.check("krawtchouk_cap_n", n, "Krawtchouk n")
     return [list(itertools.accumulate(prof, initial=0)) for prof in hamming_sum_profiles(q, n)]
 
 

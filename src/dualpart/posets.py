@@ -1,5 +1,5 @@
-"""Posets on the coordinate set: ideals, levels, hierarchy, duality,
-automorphisms and the unique-decomposition-property check.
+"""Posets on the coordinate set: ideals, levels, hierarchy, duality, the
+automorphism group and the unique-decomposition-property check.
 
 Subsets of the ground set are passed around as frozensets; bitmasks are used
 internally where enumeration speed matters.
@@ -10,7 +10,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, InputError, RunConfig
+from .metrics import _over_masks, _scaled_mask_sums
 
 
 def _mask(subset: Iterable[int]) -> int:
@@ -90,11 +93,12 @@ def chain(n: int) -> Poset:
 def ideals(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[frozenset[int]]:
     """All down-closed subsets, each exactly once (includes the empty set
     and the whole ground set)."""
+    return [_unmask(m, p.n) for m in ideal_masks(p, config)]
+
+
+def ideal_masks(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[int]:
+    """The ideals as bitmasks, in increasing order."""
     config.check("ideal_cap_n", p.n, "poset size for ideal enumeration")
-    return [_unmask(m, p.n) for m in ideal_masks(p)]
-
-
-def ideal_masks(p: Poset) -> list[int]:
     out = []
     for m in range(1 << p.n):
         ok = True
@@ -141,58 +145,88 @@ def dual_poset(p: Poset) -> Poset:
     return Poset(p.n, tuple(down))
 
 
-def automorphisms(
+def _closure(points: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
+    """The least set holding ``points`` that every index permutation in
+    ``gens`` maps into itself: a union of orbits of the group they make."""
+    seen = set(points)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return seen
+
+
+def automorphism_group(
     p: Poset,
     labels: Optional[Sequence] = None,
     config: RunConfig = DEFAULT_CONFIG,
-) -> list[tuple[int, ...]]:
-    """All order automorphisms, optionally also preserving per-element
-    labels; backtracking with (len, degree, label) invariant pruning."""
-    config.check("aut_cap_n", p.n, "poset size for automorphism enumeration")
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The order of the group of order automorphisms of p, optionally also
+    preserving per-element labels, and generators of it.
+
+    A stabilizer-chain search; it never lists the group.  G_l is the
+    subgroup fixing 0..l-1.  Level l, from n-1 down to 0, finds the basic
+    orbit of l under G_l: it tries each c with the (level, up-degree,
+    down-degree, label) invariant of l as the image of l, with 0..l-1
+    fixed, and keeps the first automorphism found by backtracking as a
+    generator.  A c already in the closure of l under the generators found
+    so far (all in G_l) is skipped; when c fails, so does every image of c
+    under them.  The order is the product of the basic-orbit lengths
+    (orbit-stabilizer), and the generators generate the group.
+    """
+    config.check("aut_cap_n", p.n, "poset size for the automorphism-group search")
+    n = p.n
     len_p = levels(p)
-    updeg = [bin(p.up(v)).count("1") for v in range(p.n)]
-    downdeg = [bin(p.down[v]).count("1") for v in range(p.n)]
+    up = [p.up(v) for v in range(n)]
+    inv = [
+        (len_p[v], bin(up[v]).count("1"), bin(p.down[v]).count("1"))
+        + ((labels[v],) if labels is not None else ())
+        for v in range(n)
+    ]
+    perm = list(range(n))
 
-    def invariant(v: int):
-        base = (len_p[v], updeg[v], downdeg[v])
-        return base + ((labels[v],) if labels is not None else ())
+    def fits(u: int, c: int) -> bool:
+        """Whether u -> c keeps the invariant and every relation to the
+        elements 0..u-1 already placed by perm."""
+        return inv[c] == inv[u] and all(
+            (p.down[u] >> v & 1) == (p.down[c] >> perm[v] & 1)
+            and (up[u] >> v & 1) == (up[c] >> perm[v] & 1)
+            for v in range(u)
+        )
 
-    inv = [invariant(v) for v in range(p.n)]
-    perm: list[int] = [-1] * p.n
-    used = [False] * p.n
-    out: list[tuple[int, ...]] = []
+    def extend(u: int, used: int) -> bool:
+        """Whether images of u..n-1 outside the mask ``used`` complete
+        perm[:u] to an automorphism, which perm then holds."""
+        if u == n:
+            return True
+        for c in range(n):
+            if not used >> c & 1 and fits(u, c):
+                perm[u] = c
+                if extend(u + 1, used | 1 << c):
+                    return True
+        return False
 
-    def consistent(u: int, image: int) -> bool:
-        for v in range(p.n):
-            if perm[v] < 0:
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for lvl in reversed(range(n)):
+        # perm stays the identity on 0..lvl-1: each level writes only at
+        # its own place and above
+        orbit = _closure([lvl], gens)
+        failed: set[int] = set()
+        for c in range(lvl, n):
+            if c in orbit or c in failed:
                 continue
-            if p.leq(v, u) != p.leq(perm[v], image):
-                return False
-            if p.leq(u, v) != p.leq(image, perm[v]):
-                return False
-        return True
-
-    def backtrack(u: int) -> None:
-        if u == p.n:
-            out.append(tuple(perm))
-            return
-        for image in range(p.n):
-            if used[image] or inv[image] != inv[u]:
-                continue
-            if not consistent(u, image):
-                continue
-            perm[u] = image
-            used[image] = True
-            backtrack(u + 1)
-            perm[u] = -1
-            used[image] = False
-
-    backtrack(0)
-    return out
-
-
-def apply_perm(perm: Sequence[int], subset: Iterable[int]) -> frozenset[int]:
-    return frozenset(perm[v] for v in subset)
+            perm[lvl] = c
+            if fits(lvl, c) and extend(lvl + 1, (1 << lvl) - 1 | 1 << c):
+                gens.append(tuple(perm))
+                orbit = _closure(orbit, gens)
+            else:
+                failed |= _closure([c], gens)
+        order *= len(orbit)
+    return order, gens
 
 
 def udp_check(p: Poset, omega, config: RunConfig = DEFAULT_CONFIG):
@@ -200,21 +234,29 @@ def udp_check(p: Poset, omega, config: RunConfig = DEFAULT_CONFIG):
 
     omega maps elements to positive rationals.  Returns (True, None) or
     (False, (I, J)) with a violating equal-weight ideal pair.  Ideals are
-    bucketed by total weight and tested for coverage by the single orbit of
-    the omega-preserving automorphism group.
+    bucketed by total weight, omega scaled to integers as in ``induce_Q``,
+    and each bucket is tested for coverage by the orbit of its first ideal
+    under the omega-preserving automorphism group: the closure of that
+    ideal under the group's generators.
     """
     config.check("aut_cap_n", p.n, "poset size for the UDP check")
     w = [omega[v] for v in range(p.n)]
     if any(x <= 0 for x in w):
         raise InputError("weights must be strictly positive")
-    auts = automorphisms(p, labels=w, config=config)
+    _, gens = automorphism_group(p, labels=w, config=config)
+    masks = ideal_masks(p, config)
+    ideal_array = np.array(masks, dtype=np.int64)
+    # generator g as a permutation of the ideals, by their places in masks
+    moves = [
+        np.searchsorted(ideal_array, _over_masks(1 << np.array(g), np.bitwise_or)[ideal_array]).tolist()
+        for g in gens
+    ]
     buckets: dict = {}
-    for i in ideals(p, config=config):
-        buckets.setdefault(sum((w[v] for v in i), start=0 * w[0]), []).append(i)
+    for i, key in enumerate(_scaled_mask_sums(w)[1][ideal_array].tolist()):
+        buckets.setdefault(key, []).append(i)
     for same_weight in buckets.values():
-        base = same_weight[0]
-        orbit = {apply_perm(a, base) for a in auts}
+        orbit = _closure(same_weight[:1], moves)
         for other in same_weight[1:]:
             if other not in orbit:
-                return False, (base, other)
+                return False, (_unmask(masks[same_weight[0]], p.n), _unmask(masks[other], p.n))
     return True, None

@@ -3,8 +3,10 @@
 Each computes a quantity that the library computes by one production path,
 by an independent method, so the tests can compare the two.  The two root
 floors are the paper's criteria that the distinct-value count subsumes; the
-tests state that domination with them.  The invariance subgroup is listed
-map by map here, where the library only counts it down a stabilizer chain.
+tests state that domination with them.  The invariance subgroup and the
+automorphism group of a weighted poset are listed map by map here, where
+the library only counts each down a stabilizer chain and takes its orbits
+from generators.
 The pairing table of a second character chi^u lets the tests check that a
 dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
@@ -32,12 +34,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from dualpart.config import BudgetError, InputError
+from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
 from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
 from dualpart.krawtchouk import ku_build, ku_eval
 from dualpart.macwilliams import LinearCode
 from dualpart.partitions import DualityContext, Partition
-from dualpart.posets import dual_poset
+from dualpart.posets import dual_poset, ideals, levels
 from paper import SparsePoly, closure, level_sets, sigma, varpi
 
 
@@ -650,3 +652,70 @@ def binary_cols_to_matrix(cols, n):
             # n-1-j; entry i carries place value 2^(n-1-i)
             m[i, n - 1 - j] = (c >> (n - 1 - i)) & 1
     return m
+
+
+def automorphisms(p, labels=None, config=DEFAULT_CONFIG):
+    """Oracle for ``automorphism_group``: all order automorphisms of p,
+    optionally also preserving per-element labels, by backtracking with
+    (level, up-degree, down-degree, label) invariant pruning."""
+    config.check("aut_cap_n", p.n, "poset size for automorphism enumeration")
+    len_p = levels(p)
+    updeg = [bin(p.up(v)).count("1") for v in range(p.n)]
+    downdeg = [bin(p.down[v]).count("1") for v in range(p.n)]
+    inv = [
+        (len_p[v], updeg[v], downdeg[v]) + ((labels[v],) if labels is not None else ())
+        for v in range(p.n)
+    ]
+    perm = [-1] * p.n
+    used = [False] * p.n
+    out = []
+
+    def consistent(u, image):
+        for v in range(p.n):
+            if perm[v] < 0:
+                continue
+            if p.leq(v, u) != p.leq(perm[v], image):
+                return False
+            if p.leq(u, v) != p.leq(image, perm[v]):
+                return False
+        return True
+
+    def backtrack(u):
+        if u == p.n:
+            out.append(tuple(perm))
+            return
+        for image in range(p.n):
+            if used[image] or inv[image] != inv[u]:
+                continue
+            if not consistent(u, image):
+                continue
+            perm[u] = image
+            used[image] = True
+            backtrack(u + 1)
+            perm[u] = -1
+            used[image] = False
+
+    backtrack(0)
+    return out
+
+
+def apply_perm(perm, subset):
+    return frozenset(perm[v] for v in subset)
+
+
+def udp_by_listing(p, omega):
+    """Oracle for ``udp_check``: equal-weight ideals bucketed by their
+    Fraction sums, each bucket tested against the orbit of its first ideal
+    under every listed omega-preserving automorphism."""
+    w = [omega[v] for v in range(p.n)]
+    auts = automorphisms(p, labels=w)
+    buckets = {}
+    for i in ideals(p):
+        buckets.setdefault(sum((w[v] for v in i), Fraction(0)), []).append(i)
+    for same_weight in buckets.values():
+        base = same_weight[0]
+        orbit = {apply_perm(a, base) for a in auts}
+        for other in same_weight[1:]:
+            if other not in orbit:
+                return False, (base, other)
+    return True, None

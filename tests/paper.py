@@ -25,7 +25,7 @@ from fractions import Fraction
 from dualpart.config import DEFAULT_CONFIG, InputError
 from dualpart.krawtchouk import ku_roots
 from dualpart.partitions import DualityContext, induce_CO
-from dualpart.posets import apply_perm, automorphisms, dual_poset, ideals, is_hierarchical, levels
+from dualpart.posets import dual_poset, ideals, is_hierarchical, levels
 
 NEG_INF = float("-inf")
 
@@ -201,6 +201,9 @@ def prop33_predicate(group, p, omega, alpha, gamma_el, config=DEFAULT_CONFIG):
     """Prop. 3.3's same-dual-class test (hierarchical posets, all h_i >= 2):
     the support closures in the dual order must be related by an
     (h, omega)-preserving order automorphism."""
+    # oracles.py imports this module, so the import waits for the call
+    from oracles import apply_perm, automorphisms
+
     if not is_hierarchical(p):
         raise InputError("predicate requires a hierarchical poset")
     pbar = dual_poset(p)

@@ -289,6 +289,25 @@ class TestErrorContract:
         path = write_json(tmp_path, "t.json", doc)
         self.assert_one_line(*run(capsys, "dual", group, path), "invalid-input")
 
+    @pytest.mark.parametrize("command", ["dual", "poset"])
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"n": 4.9, "members": [[0, 1], [2, 3]]}, "n must be an integer, got 4.9"),
+            ({"n": "4", "relations": [[True, 2]]}, 'n must be an integer, got "4"'),
+            ({"n": 4, "relations": [[True, 2]]}, "relation entry must be an integer, got true"),
+            ({"n": True, "relations": []}, "n must be an integer, got true"),
+        ],
+        ids=["float-n", "string-n", "bool-relation", "bool-n"],
+    )
+    def test_number_must_be_a_json_integer(self, capsys, tmp_path, command, doc, message):
+        group = write_json(tmp_path, "g4.json", {"coordinates": [[2]] * 4})
+        path = write_json(tmp_path, "t.json", doc)
+        argv = ("dual", group, path) if command == "dual" else ("poset", path)
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert err.startswith("invalid-input: bad ") and err.endswith(f" JSON: {message}\n")
+
     @pytest.mark.parametrize("doc", [0, 1.5, True, None, "relations", [["members"]]])
     def test_partition_document_not_an_object(self, capsys, tmp_path, group_file, doc):
         path = write_json(tmp_path, "t.json", doc)

@@ -31,6 +31,10 @@ CASES = {
     "dual-z4z6-pk2-export": ["dual", "group_z4_z6.json", "Pk:2", "--export"],
     "poset-hier": ["poset", "poset_hier.json"],
     "poset-v": ["poset", "poset_v.json"],
+    # n = aut_cap_n: Aut(P, omega) has order 5! 7! and is never listed
+    "poset-antichain12": ["poset", "poset_antichain12.json"],
+    # a UDP witness under a non-trivial group: {0, 1} and {2} weigh 2
+    "poset-antichain4": ["poset", "poset_antichain4.json"],
     "scan-co-q2": ["scan-co", "--q", "2", "--n", "3..9", "--k", "all"],
     "scan-co-q3": ["scan-co", "--q", "3", "--n", "3..5", "--k", "all"],
     "scan-co-q2-wide": ["scan-co", "--q", "2", "--n", "10..30", "--k", "all"],

@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualpart.config import BudgetError, InputError, RunConfig
+from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
 from dualpart.krawtchouk import (
     co_nonreflexivity_verdict,
     dual_class_lower_bound,
     ku_build,
+    ku_distinct_counts,
     ku_eval,
     ku_roots,
     ku_value_table,
     thm42_threshold,
 )
+from dualpart.partitions import co_profile_prefix_sums
 from oracles import (
     convolution_coeffs,
     derivative_smallest_root_floor,
@@ -111,6 +113,25 @@ class TestBudget:
             ku_roots(9, 2, 2, config=tight)
         assert ku_build(8, 8, 2, tight).degree == 8
         assert len(ku_roots(8, 8, 2, config=tight)) == 8
+
+    def test_value_tables_capped_before_any_work(self, monkeypatch):
+        from dualpart import partitions
+
+        def refuse(*args):
+            raise AssertionError("profiles built")
+
+        monkeypatch.setattr(partitions, "hamming_sum_profiles", refuse)
+        tight = RunConfig(krawtchouk_cap_n=8)
+        def prefix_sums(n, q, cfg):
+            return co_profile_prefix_sums(q, n, cfg)
+
+        for call in (ku_value_table, ku_distinct_counts, prefix_sums):
+            with pytest.raises(BudgetError, match=r"^Krawtchouk n = 9 exceeds krawtchouk_cap_n = 8$"):
+                call(9, 2, tight)
+            # at the default cap, a table that would take minutes is refused at once
+            with pytest.raises(BudgetError, match=r"^Krawtchouk n = 20000 exceeds krawtchouk_cap_n = 512$"):
+                call(20000, 2, DEFAULT_CONFIG)
+        assert len(ku_value_table(8, 2, tight)) == 8
 
 
 class TestIdentities:

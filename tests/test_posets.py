@@ -1,13 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.posets import (
     antichain,
-    apply_perm,
-    automorphisms,
+    automorphism_group,
     chain,
     dual_poset,
     ideals,
@@ -16,6 +16,7 @@ from dualpart.posets import (
     udp_check,
     validate_and_close,
 )
+from oracles import apply_perm, automorphisms, udp_by_listing
 from paper import closure, extremes, level_sets, sigma
 
 
@@ -106,18 +107,36 @@ class TestStructure:
 
 class TestAutomorphisms:
     def test_antichain_full_symmetric_group(self):
-        assert len(automorphisms(antichain(4))) == 24
+        # up to n = aut_cap_n, where 12! = 479001600 maps are never listed
+        for n in range(1, 13):
+            assert automorphism_group(antichain(n))[0] == math.factorial(n)
 
     def test_chain_is_rigid(self):
-        assert automorphisms(chain(5)) == [(0, 1, 2, 3, 4)]
+        for n in range(1, 13):
+            assert automorphism_group(chain(n)) == (1, [])
 
     def test_vee_swaps_minimals(self):
-        auts = automorphisms(vee())
-        assert sorted(auts) == [(0, 1, 2), (1, 0, 2)]
+        assert automorphism_group(vee()) == (2, [(1, 0, 2)])
 
     def test_labels_restrict(self):
-        auts = automorphisms(antichain(3), labels=[1, 1, 2])
-        assert len(auts) == 2
+        assert automorphism_group(antichain(3), labels=[1, 1, 2])[0] == 2
+
+    def test_generators_make_a_group_of_the_counted_order(self):
+        # the order is counted, not listed: the closure of the generators
+        # under composition must have exactly that many elements
+        p = validate_and_close(6, [(0, 2), (1, 2), (3, 5), (4, 5)])
+        order, gens = automorphism_group(p)
+        group = {tuple(range(p.n))}
+        frontier = list(group)
+        while frontier:
+            a = frontier.pop()
+            for g in gens:
+                b = tuple(g[a[i]] for i in range(p.n))
+                if b not in group:
+                    group.add(b)
+                    frontier.append(b)
+        assert order == len(group) == 8
+        assert group == set(automorphisms(p))
 
     def test_composition_closure(self):
         p = vee()
@@ -127,8 +146,8 @@ class TestAutomorphisms:
                 assert tuple(a[b[i]] for i in range(p.n)) in auts
 
     def test_cap(self):
-        with pytest.raises(BudgetError):
-            automorphisms(antichain(13))
+        with pytest.raises(BudgetError, match="automorphism-group search = 13 exceeds aut_cap_n = 12"):
+            automorphism_group(antichain(13))
 
 
 class TestUDP:
@@ -180,3 +199,31 @@ def test_random_relations_close_to_valid_poset_or_cycle(n, data):
 
 def test_apply_perm():
     assert apply_perm((2, 0, 1), {0, 2}) == {2, 1}
+
+
+@st.composite
+def weighted_posets(draw):
+    """A random poset on at most 7 elements, with weights and labels drawn
+    from small sets so that ties, and so symmetries, are common."""
+    n = draw(st.integers(1, 7))
+    # pairs u < v close to a poset without cycles; the relabelling puts
+    # relations against the index order too
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda r: r[0] < r[1])
+    name = draw(st.permutations(range(n)))
+    p = validate_and_close(n, [(name[u], name[v]) for u, v in draw(st.lists(pair, max_size=8))])
+    weight = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])
+    omega = draw(st.lists(weight, min_size=n, max_size=n))
+    labels = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return p, omega, labels
+
+
+@given(weighted_posets())
+# two chains 2 < 0 and 4 < 1 against the index order: a search that
+# checked only the relations below each placed element counts 8 here
+@example((validate_and_close(6, [(2, 0), (4, 1)]), [Fraction(1)] * 6, None))
+@settings(max_examples=300, deadline=None)
+def test_stabilizer_chain_matches_listing(case):
+    p, omega, labels = case
+    assert automorphism_group(p, labels)[0] == len(automorphisms(p, labels))
+    assert automorphism_group(p, omega)[0] == len(automorphisms(p, omega))
+    assert udp_check(p, omega) == udp_by_listing(p, omega)
