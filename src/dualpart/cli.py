@@ -112,9 +112,13 @@ def _parse_poset_json(doc: dict, n: int):
     p = validate_and_close(n, relations)
     omega = None
     if "weights" in doc:
+        # a string as Fraction reads it ("1/2", "1e-30"), or a JSON integer:
+        # Fraction would take true as 1 and 0.1 as a binary fraction
+        what = "bad weights: a weight that is not a string"
         try:
+            values = [doc["weights"][str(i)] for i in range(n)]
             omega = WeightFunction(
-                tuple(Fraction(doc["weights"][str(i)]) for i in range(n))
+                tuple(Fraction(w if isinstance(w, str) else _json_int(w, what)) for w in values)
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad weights: {e}") from None
@@ -177,13 +181,14 @@ def cmd_poset(args) -> int:
     p, omega = _parse_poset_json(doc, n)
     if omega is None:
         omega = WeightFunction.constant(p.n)
-    udp_ok, udp_witness = udp_check(p, omega.values, config)
+    aut_order, gens = automorphism_group(p, omega.values, config)
+    udp_ok, udp_witness = udp_check(p, omega.values, gens, config)
     report = {
         "n": p.n,
         "hierarchical": is_hierarchical(p),
         "udp": udp_ok,
         "udp_witness": udp_witness,
-        "aut_order": automorphism_group(p, omega.values, config)[0],
+        "aut_order": aut_order,
         "ideal_count": len(ideals(p, config)),
     }
     if "coordinates" in doc:
@@ -191,7 +196,7 @@ def cmd_poset(args) -> int:
         if group.n != p.n:
             raise InputError("group coordinate count differs from poset size")
         if report["hierarchical"] and omega.is_integer_valued():
-            report["theorem32"] = theorem32_check(group, p, omega, config)
+            report["theorem32"] = theorem32_check(group, p, omega, udp_ok, config)
         else:
             report["theorem32"] = None
             report["theorem32_skipped"] = (
@@ -276,7 +281,7 @@ def cmd_scan_co(args) -> int:
 
 
 def cmd_krawtchouk(args) -> int:
-    from .krawtchouk import ku_build, ku_eval, ku_roots
+    from .krawtchouk import ku_build, ku_roots, ku_values
 
     config = _load_config()
     config.check("krawtchouk_cap_n", args.n, "krawtchouk --n")
@@ -289,7 +294,7 @@ def cmd_krawtchouk(args) -> int:
         "coefficients": [str(c) for c in poly.coeffs],
     }
     if args.n <= 200:
-        report["values"] = [ku_eval(args.n, args.k, args.q, s) for s in range(args.n + 1)]
+        report["values"] = ku_values(args.n, args.k, args.q)
     if args.roots:
         if args.k < 1:
             raise InputError("root isolation needs k >= 1")

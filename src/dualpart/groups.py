@@ -73,13 +73,18 @@ class GroupProduct:
 def build_group_product(
     spec: Sequence[Sequence[int]], config: RunConfig = DEFAULT_CONFIG
 ) -> GroupProduct:
-    """Validated GroupProduct from a per-coordinate factor-order spec."""
+    """Validated GroupProduct from a per-coordinate factor-order spec, whose
+    orders must be ints that are not bools: a float or a string is refused,
+    not read."""
     try:
-        coords = tuple(tuple(int(d) for d in factors) for factors in spec)
-    except (TypeError, ValueError):
+        coords = tuple(tuple(factors) for factors in spec)
+    except TypeError:
         raise InputError(
             "group spec must be a list of coordinates, each a list of cyclic orders"
         ) from None
+    for d in (d for factors in coords for d in factors):
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InputError(f"every cyclic order must be an integer, got {d!r}")
     g = GroupProduct(coords)
     config.check("enumeration_cap", g.order, "|H|")
     return g

@@ -1,6 +1,7 @@
 """Exact Krawtchouk polynomials and the covering non-reflexivity criteria.
 
-Coefficients are exact rationals; integer-argument values are exact integers.
+Coefficients are exact rationals; integer-argument values are exact integers,
+taken from the three-term recurrence (``ku_values``).
 The criteria chain tries the closed-form families first and ends at the
 distinct-value count of KU_(n-1,s), read from one recurrence table of the
 values per n (``ku_value_table``); it isolates no root.  Root isolation
@@ -73,26 +74,12 @@ def ku_build(n: int, k: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> Kraw
     return KrawtchoukPoly(n, k, q, tuple(Fraction(c, k_fact) for c in cur))
 
 
-def ku_eval(n: int, k: int, q: int, s: int) -> int:
-    """Value at an integer argument s in [0, n], by the binomial sum."""
-    if not 0 <= s <= n:
-        raise InputError("need 0 <= s <= n")
-    return sum(
-        (-1) ** t * (q - 1) ** (k - t) * math.comb(s, t) * math.comb(n - s, k - t)
-        for t in range(k + 1)
-    )
-
-
-# ---------------------------------------------------------------------------
-# root isolation
-# ---------------------------------------------------------------------------
-
 def _chain(n: int, k: int, q: int, num: int, den: int) -> tuple[int, int]:
-    """At x = num/den (den > 0, k >= 1): the sign changes V of P_0 ... P_k,
-    zeros skipped, and the sign of P_k, with P_j = j! K_j from the
-    recurrence of ``ku_build`` scaled by den^j.  P_0 ... P_k is a Sturm
-    sequence (each b_j > 0 and P_j leads with (-q)^j), so V counts the
-    roots of K_k strictly below x."""
+    """At x = num/den (den > 0): the sign changes V of P_0 ... P_k, zeros
+    skipped, and P_k(x) * den^k, with P_j = j! K_j from the recurrence of
+    ``ku_build`` scaled by den^j.  P_0 ... P_k is a Sturm sequence (each
+    b_j > 0 and P_j leads with (-q)^j), so V counts the roots of K_k
+    strictly below x."""
     den2, qx = den * den, q * num
     prev, cur = 0, 1
     changes, positive = 0, True
@@ -102,8 +89,19 @@ def _chain(n: int, k: int, q: int, num: int, den: int) -> tuple[int, int]:
         prev, cur = cur, (a * den - qx) * cur - b * den2 * prev
         if cur and (cur > 0) != positive:
             changes, positive = changes + 1, not positive
-    return changes, (cur > 0) - (cur < 0)
+    return changes, cur
 
+
+def ku_values(n: int, k: int, q: int) -> list[int]:
+    """The values K_k(s) at the integers s = 0..n: P_k(s) / k! from the
+    recurrence of ``_chain`` at x = s, where the division is exact."""
+    k_fact = math.factorial(k)
+    return [_chain(n, k, q, s, 1)[1] // k_fact for s in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# root isolation
+# ---------------------------------------------------------------------------
 
 def ku_roots(
     n: int,
@@ -134,7 +132,8 @@ def ku_roots(
     out: list[tuple[Fraction, Fraction]] = []
 
     def at(i: int, d: int) -> tuple[int, int]:
-        return _chain(n, k, q, n * i, d)
+        changes, value = _chain(n, k, q, n * i, d)
+        return changes, (value > 0) - (value < 0)
 
     def exact(i: int, d: int) -> None:
         x = Fraction(n * i, d)

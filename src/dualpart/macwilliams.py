@@ -37,7 +37,7 @@ from .partitions import (
     induce_CO,
     macwilliams_identity_holds,
 )
-from .posets import _closure
+from .posets import _closure, _stabilizer_chain
 
 
 # Miller-Rabin to the first 13 prime bases is exact below psi_13
@@ -412,15 +412,11 @@ def _invariance_orbits(
     class of delta, and its orbit partition of the space, numbered in the
     order of the orbits' least elements.
 
-    A stabilizer-chain search; it never lists the group.  G_l is the
-    subgroup fixing e_0..e_(l-1).  Level l, from N-1 down to 0, finds the
-    basic orbit of e_l under G_l: it tries each vector c of the class of
-    e_l as the image of e_l, with e_0..e_(l-1) fixed, and keeps the first
-    full map found as a strong generator.  A c already in the closure of
-    e_l under the generators found so far (all in G_l) is skipped; when c
-    fails, so does every image of c under them.  |Inv(delta)| is the
-    product of the basic-orbit lengths (orbit-stabilizer), and the
-    generators generate Inv(delta), so its orbits are their closures."""
+    A stabilizer chain (``posets._stabilizer_chain``) on the basis
+    vectors: the image of e_l, with e_0..e_(l-1) fixed, is tried at each
+    vector c of the class of e_l, and backtracking over the later columns
+    completes it to a map of Inv(delta).  The maps act on the element
+    indices, so the orbits are the closures under the generators."""
     p, n = space.p, space.dim
     if not _gl_enumerable(p, n):
         raise BudgetError("invariance-subgroup search guarded to GL(5,2) / GL(3,3)")
@@ -457,23 +453,16 @@ def _invariance_orbits(
         span = {img[s] for s in range(0, size, unit[j] * p)}
         return any(c not in span and settle(j, c) and complete(j + 1) for c in candidates[j])
 
-    gens: list[list[int]] = []
-    order = 1
-    for lvl in reversed(range(n)):
-        # img stays the identity on the span of e_0..e_(lvl-1), the
-        # multiples of p^(n-lvl): the levels searched before settle only
-        # vectors outside it, and a c inside it would make the map singular
-        orbit = _closure([unit[lvl]], gens)
-        failed: set[int] = set()
-        for c in candidates[lvl]:
-            if c in orbit or c in failed or c % (unit[lvl] * p) == 0:
-                continue
-            if settle(lvl, c) and complete(lvl + 1):
-                gens.append(img.copy())
-                orbit = _closure(orbit, gens)
-            else:
-                failed |= _closure([c], gens)
-        order *= len(orbit)
+    def image(lvl: int, c: int) -> list[int] | None:
+        if settle(lvl, c) and complete(lvl + 1):
+            return img.copy()
+        return None
+
+    # img stays the identity on the span of e_0..e_(l-1), the multiples of
+    # p^(n-l): the levels searched before settle only vectors outside it,
+    # and an image of e_l inside it would make the map singular
+    outside = [[c for c in cands if c % (u * p)] for u, cands in zip(unit, candidates)]
+    order, gens = _stabilizer_chain(unit, outside, image)
     ids = [-1] * size
     num = 0
     for x in range(size):

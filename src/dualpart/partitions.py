@@ -39,7 +39,7 @@ from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .exactarith import CycInt, _cyclotomic_coeffs, euler_phi_degree
 from .groups import GroupProduct
 from .metrics import Covering, WeightFunction, _over_masks, _scaled_mask_sums
-from .posets import Poset, dual_poset, ideals, levels, udp_check
+from .posets import Poset, _down_closures, dual_poset, ideals, levels
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +416,7 @@ def induce_Q(
     if p.n != group.n or omega.n != group.n:
         raise InputError("poset/weights do not match the coordinate set")
     den, sums = _scaled_mask_sums(omega.values)
-    closures = _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
-    return _induce_by_keys(group, sums[closures], config, lambda s: Fraction(s, den))
+    return _induce_by_keys(group, sums[_down_closures(p)], config, lambda s: Fraction(s, den))
 
 
 def induce_CO(
@@ -444,7 +443,7 @@ def induce_from_ideal_classes(
     all_ideals = set(ideals(p, config))
     if set(ideal_labels) != all_ideals:
         raise InputError("equivalence labels must cover I(P) exactly")
-    closures = _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
+    closures = _down_closures(p)
     reverse = _over_masks(1 << np.arange(p.n - 1, -1, -1), np.add)  # an involution
     uniq, first, inverse = np.unique(closures[reverse], return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -532,17 +531,18 @@ def theorem32_check(
     group: GroupProduct,
     p: Poset,
     omega: WeightFunction,
+    udp_ok: bool,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Evaluate the four equivalent statements for hierarchical posets with
-    integer weights, plus the unconditional finer-than relation."""
+    integer weights, plus the unconditional finer-than relation.  ``udp_ok``
+    is the verdict of ``posets.udp_check`` on (p, omega)."""
     h = group.h
     gamma = induce_Q(group, p, omega, config)
     ctx = DualityContext(group, config)
     lam = ctx.left_dual(gamma)
     q_dual = induce_Q(group, dual_poset(p), omega, config)
 
-    udp_ok, _ = udp_check(p, omega.values, config)
     len_p = levels(p)
     label_ok = all(
         h[u] == h[v]
@@ -601,27 +601,21 @@ def co_profile_prefix_sums(q: int, n: int, config: RunConfig = DEFAULT_CONFIG) -
     return [list(itertools.accumulate(prof, initial=0)) for prof in hamming_sum_profiles(q, n)]
 
 
-def co_support_signatures(
-    q: int, n: int, k: int, prefix: Sequence[Sequence[int]] | None = None
-) -> list[tuple[int, ...]]:
-    """Per-CO-class character sums for an element of each support size t
-    in 0..n (entry t).  ``prefix`` is ``co_profile_prefix_sums(q, n)``,
-    built here when not given."""
-    if prefix is None:
-        prefix = co_profile_prefix_sums(q, n)
-    # class 0 is weight 0; class b >= 1 is weights (b-1)k+1 .. min(bk, n)
-    bounds = [(0, 1)] + [((b - 1) * k + 1, min(b * k, n) + 1) for b in range(1, -(-n // k) + 1)]
-    # an inner list, not a generator: the generator form peaked about 1 MiB
-    # higher over the criteria scans, its garbage freed only by the gc
-    return [tuple([pre[hi] - pre[lo] for lo, hi in bounds]) for pre in prefix]
-
-
 def co_dual_class_count(
     q: int, n: int, k: int, prefix: Sequence[Sequence[int]] | None = None
 ) -> int:
-    """|l(CO(X^n, P(k)))| for |X| = q: distinct nonzero-support signatures
-    plus the guaranteed identity singleton."""
-    return len(set(co_support_signatures(q, n, k, prefix)[1:])) + 1
+    """|l(CO(X^n, P(k)))| for |X| = q: the distinct nonzero-support
+    signatures plus the guaranteed identity singleton.  ``prefix`` is
+    ``co_profile_prefix_sums(q, n)``, built here when not given.
+
+    Class 0 is weight 0 and class b >= 1 is weights (b-1)k+1 .. min(bk, n),
+    so the class sums of support size t are the differences of its prefix
+    sums at the bounds 1, k+1, 2k+1, ..., n+1.  For t >= 1 the sum at 1 is
+    K_0 = 1 and the sum at n+1 is the profile at x = 1, which is 0, so the
+    sums at the inner bounds alone tell the signatures apart."""
+    if prefix is None:
+        prefix = co_profile_prefix_sums(q, n)
+    return len({tuple(pre[k + 1 : n + 1 : k]) for pre in prefix[1:]}) + 1
 
 
 def co_reflexivity_bruteforce(

@@ -1,5 +1,7 @@
 """Posets on the coordinate set: ideals, levels, hierarchy, duality, the
-automorphism group and the unique-decomposition-property check.
+automorphism group and the unique-decomposition-property check, and the
+stabilizer-chain search that ``macwilliams`` shares for its invariance
+subgroup.
 
 Subsets of the ground set are passed around as frozensets; bitmasks are used
 internally where enumeration speed matters.
@@ -8,19 +10,12 @@ internally where enumeration speed matters.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .metrics import _over_masks, _scaled_mask_sums
-
-
-def _mask(subset: Iterable[int]) -> int:
-    m = 0
-    for i in subset:
-        m |= 1 << i
-    return m
 
 
 def _unmask(mask: int, n: int) -> frozenset[int]:
@@ -46,9 +41,6 @@ class Poset:
 
     def leq(self, u: int, v: int) -> bool:
         return bool(self.down[v] >> u & 1)
-
-    def up(self, u: int) -> int:
-        return _mask(v for v in range(self.n) if self.leq(u, v))
 
 
 def validate_and_close(n: int, relations: Sequence[tuple[int, int]]) -> Poset:
@@ -93,25 +85,19 @@ def chain(n: int) -> Poset:
 def ideals(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[frozenset[int]]:
     """All down-closed subsets, each exactly once (includes the empty set
     and the whole ground set)."""
-    return [_unmask(m, p.n) for m in ideal_masks(p, config)]
+    return [_unmask(m, p.n) for m in ideal_masks(p, config).tolist()]
 
 
-def ideal_masks(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[int]:
-    """The ideals as bitmasks, in increasing order."""
+def ideal_masks(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The ideals as bitmasks, in increasing order: the masks that are
+    their own down-closure."""
     config.check("ideal_cap_n", p.n, "poset size for ideal enumeration")
-    out = []
-    for m in range(1 << p.n):
-        ok = True
-        cur = m
-        while cur:
-            v = (cur & -cur).bit_length() - 1
-            cur &= cur - 1
-            if p.down[v] & ~m:
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    return out
+    return np.flatnonzero(_down_closures(p) == np.arange(1 << p.n))
+
+
+def _down_closures(p: Poset) -> np.ndarray:
+    """The ideal closure of every mask U < 2^n, the union of its ``down[v]``."""
+    return _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
 
 
 def levels(p: Poset) -> tuple[int, ...]:
@@ -159,6 +145,39 @@ def _closure(points: Iterable[int], gens: Sequence[Sequence[int]]) -> set[int]:
     return seen
 
 
+def _stabilizer_chain(
+    bases: Sequence[int],
+    candidates: Sequence[Iterable[int]],
+    image: Callable[[int, int], Optional[Sequence[int]]],
+) -> tuple[int, list]:
+    """The order of a permutation group G and generators of it, down its
+    stabilizer chain (Sims's method); G is never listed.
+
+    G_l fixes bases[0..l-1].  Level l, last to first, finds the orbit of
+    bases[l] under G_l among ``candidates[l]``: ``image(l, c)`` is a map of
+    G_l sending bases[l] to c, or None.  A c in the closure of bases[l]
+    under the generators so far (all in G_l) is skipped; a map found is
+    kept as a generator, and when c fails, so does its closure.  The order
+    is the product of the orbit lengths (orbit-stabilizer), and the orbits
+    of G are the closures under the generators."""
+    gens: list[Sequence[int]] = []
+    order = 1
+    for lvl in reversed(range(len(bases))):
+        orbit = _closure([bases[lvl]], gens)
+        failed: set[int] = set()
+        for c in candidates[lvl]:
+            if c in orbit or c in failed:
+                continue
+            g = image(lvl, c)
+            if g is None:
+                failed |= _closure([c], gens)
+            else:
+                gens.append(g)
+                orbit = _closure(orbit, gens)
+        order *= len(orbit)
+    return order, gens
+
+
 def automorphism_group(
     p: Poset,
     labels: Optional[Sequence] = None,
@@ -167,20 +186,15 @@ def automorphism_group(
     """The order of the group of order automorphisms of p, optionally also
     preserving per-element labels, and generators of it.
 
-    A stabilizer-chain search; it never lists the group.  G_l is the
-    subgroup fixing 0..l-1.  Level l, from n-1 down to 0, finds the basic
-    orbit of l under G_l: it tries each c with the (level, up-degree,
-    down-degree, label) invariant of l as the image of l, with 0..l-1
-    fixed, and keeps the first automorphism found by backtracking as a
-    generator.  A c already in the closure of l under the generators found
-    so far (all in G_l) is skipped; when c fails, so does every image of c
-    under them.  The order is the product of the basic-orbit lengths
-    (orbit-stabilizer), and the generators generate the group.
+    A stabilizer chain (``_stabilizer_chain``) on the elements 0..n-1: the
+    image of l, with 0..l-1 fixed, is tried at each c with the (level,
+    up-degree, down-degree, label) invariant of l, and backtracking
+    completes it to an automorphism.
     """
     config.check("aut_cap_n", p.n, "poset size for the automorphism-group search")
     n = p.n
     len_p = levels(p)
-    up = [p.up(v) for v in range(n)]
+    up = dual_poset(p).down  # up[v]: the bitmask of elements >= v
     inv = [
         (len_p[v], bin(up[v]).count("1"), bin(p.down[v]).count("1"))
         + ((labels[v],) if labels is not None else ())
@@ -209,50 +223,40 @@ def automorphism_group(
                     return True
         return False
 
-    gens: list[tuple[int, ...]] = []
-    order = 1
-    for lvl in reversed(range(n)):
+    def image(lvl: int, c: int) -> Optional[tuple[int, ...]]:
         # perm stays the identity on 0..lvl-1: each level writes only at
         # its own place and above
-        orbit = _closure([lvl], gens)
-        failed: set[int] = set()
-        for c in range(lvl, n):
-            if c in orbit or c in failed:
-                continue
-            perm[lvl] = c
-            if fits(lvl, c) and extend(lvl + 1, (1 << lvl) - 1 | 1 << c):
-                gens.append(tuple(perm))
-                orbit = _closure(orbit, gens)
-            else:
-                failed |= _closure([c], gens)
-        order *= len(orbit)
-    return order, gens
+        perm[lvl] = c
+        if fits(lvl, c) and extend(lvl + 1, (1 << lvl) - 1 | 1 << c):
+            return tuple(perm)
+        return None
+
+    return _stabilizer_chain(range(n), [range(lvl, n) for lvl in range(n)], image)
 
 
-def udp_check(p: Poset, omega, config: RunConfig = DEFAULT_CONFIG):
+def udp_check(p: Poset, omega, gens: Sequence[Sequence[int]], config: RunConfig = DEFAULT_CONFIG):
     """Decide the unique decomposition property for (P, omega).
 
-    omega maps elements to positive rationals.  Returns (True, None) or
-    (False, (I, J)) with a violating equal-weight ideal pair.  Ideals are
-    bucketed by total weight, omega scaled to integers as in ``induce_Q``,
-    and each bucket is tested for coverage by the orbit of its first ideal
-    under the omega-preserving automorphism group: the closure of that
-    ideal under the group's generators.
+    omega maps elements to positive rationals, and ``gens`` generate the
+    omega-preserving automorphism group (``automorphism_group(p, omega)``).
+    Returns (True, None) or (False, (I, J)) with a violating equal-weight
+    ideal pair.  Ideals are bucketed by total weight, omega scaled to
+    integers as in ``induce_Q``, and each bucket is tested for coverage by
+    the orbit of its first ideal under the group: the closure of that ideal
+    under ``gens``.
     """
     config.check("aut_cap_n", p.n, "poset size for the UDP check")
     w = [omega[v] for v in range(p.n)]
     if any(x <= 0 for x in w):
         raise InputError("weights must be strictly positive")
-    _, gens = automorphism_group(p, labels=w, config=config)
     masks = ideal_masks(p, config)
-    ideal_array = np.array(masks, dtype=np.int64)
     # generator g as a permutation of the ideals, by their places in masks
     moves = [
-        np.searchsorted(ideal_array, _over_masks(1 << np.array(g), np.bitwise_or)[ideal_array]).tolist()
+        np.searchsorted(masks, _over_masks(1 << np.array(g), np.bitwise_or)[masks]).tolist()
         for g in gens
     ]
     buckets: dict = {}
-    for i, key in enumerate(_scaled_mask_sums(w)[1][ideal_array].tolist()):
+    for i, key in enumerate(_scaled_mask_sums(w)[1][masks].tolist()):
         buckets.setdefault(key, []).append(i)
     for same_weight in buckets.values():
         orbit = _closure(same_weight[:1], moves)

@@ -6,7 +6,10 @@ floors are the paper's criteria that the distinct-value count subsumes; the
 tests state that domination with them.  The invariance subgroup and the
 automorphism group of a weighted poset are listed map by map here, where
 the library only counts each down a stabilizer chain and takes its orbits
-from generators.
+from generators.  The ideals of a poset are found mask by mask here, where
+the library takes the fixed points of the down-closure of every mask.  The
+covering signatures of every support size stand against the library's
+class count from the prefix sums at the inner class bounds alone.
 The pairing table of a second character chi^u lets the tests check that a
 dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
@@ -36,11 +39,11 @@ import numpy as np
 
 from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
 from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
-from dualpart.krawtchouk import ku_build, ku_eval
+from dualpart.krawtchouk import ku_build
 from dualpart.macwilliams import LinearCode
-from dualpart.partitions import DualityContext, Partition
+from dualpart.partitions import DualityContext, Partition, co_profile_prefix_sums
 from dualpart.posets import dual_poset, ideals, levels
-from paper import SparsePoly, closure, level_sets, sigma, varpi
+from paper import SparsePoly, closure, ku_eval, level_sets, sigma, varpi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,6 +148,15 @@ def hamming_sum_profile(q, n, t):
     for _ in range(n - t):
         coeffs = [a + (q - 1) * b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
+
+
+def co_support_signatures(q, n, k):
+    """Oracle: the per-CO-class character sums for an element of each
+    support size t in 0..n (entry t), each class sum a difference of the
+    profile's prefix sums at the class bounds."""
+    # class 0 is weight 0; class b >= 1 is weights (b-1)k+1 .. min(bk, n)
+    bounds = [(0, 1)] + [((b - 1) * k + 1, min(b * k, n) + 1) for b in range(1, -(-n // k) + 1)]
+    return [tuple(pre[hi] - pre[lo] for lo, hi in bounds) for pre in co_profile_prefix_sums(q, n)]
 
 
 def smallest_root_floor(n, k, q):
@@ -654,13 +666,23 @@ def binary_cols_to_matrix(cols, n):
     return m
 
 
+def ideal_masks_by_scan(p):
+    """Oracle for ``ideal_masks``: every mask U < 2^n, in increasing order,
+    that holds ``down[v]`` for each of its elements v."""
+    out = []
+    for m in range(1 << p.n):
+        if all(not p.down[v] & ~m for v in range(p.n) if m >> v & 1):
+            out.append(m)
+    return out
+
+
 def automorphisms(p, labels=None, config=DEFAULT_CONFIG):
     """Oracle for ``automorphism_group``: all order automorphisms of p,
     optionally also preserving per-element labels, by backtracking with
     (level, up-degree, down-degree, label) invariant pruning."""
     config.check("aut_cap_n", p.n, "poset size for automorphism enumeration")
     len_p = levels(p)
-    updeg = [bin(p.up(v)).count("1") for v in range(p.n)]
+    updeg = [bin(up).count("1") for up in dual_poset(p).down]
     downdeg = [bin(p.down[v]).count("1") for v in range(p.n)]
     inv = [
         (len_p[v], updeg[v], downdeg[v]) + ((labels[v],) if labels is not None else ())

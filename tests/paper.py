@@ -13,6 +13,8 @@ element-by-element oracles of ``oracles.py``:
 * the automorphism predicate of Prop. 3.3 for the dual classes of a
   hierarchical poset;
 * the three equivalent statements of Theorem 4.1 for anti-chain coverings;
+* the binomial sum that defines KU_(n,k) at an integer, against the values
+  the library reads from the three-term recurrence;
 * Eq. (4.5), the smallest derivative root of KU_(n,3) in closed form, and
   Lemma 4.15, the smallest-root ratio u_n / n tending to (q-1)/q.
 
@@ -246,6 +248,17 @@ def theorem41_check(group, t, config=DEFAULT_CONFIG):
 # ---------------------------------------------------------------------------
 # Krawtchouk closed forms
 # ---------------------------------------------------------------------------
+
+def ku_eval(n, k, q, s):
+    """KU_(n,k)(s) at an integer s in [0, n], by the binomial sum
+    sum_t (-1)^t (q-1)^(k-t) C(s,t) C(n-s,k-t)."""
+    if not 0 <= s <= n:
+        raise InputError("need 0 <= s <= n")
+    return sum(
+        (-1) ** t * (q - 1) ** (k - t) * math.comb(s, t) * math.comb(n - s, k - t)
+        for t in range(k + 1)
+    )
+
 
 def _eq45_parts(n, q):
     rational = Fraction(q - 1, q) * n - 2 + Fraction(3, q)

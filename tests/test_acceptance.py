@@ -17,7 +17,6 @@ from dualpart.groups import build_group_product
 from dualpart.krawtchouk import (
     co_nonreflexivity_verdict,
     ku_build,
-    ku_eval,
     ku_roots,
     ku_value_table,
 )
@@ -35,24 +34,24 @@ from dualpart.partitions import (
     DualityContext,
     Partition,
     co_reflexivity_bruteforce,
-    co_support_signatures,
     induce_CO,
     induce_Q,
     krawtchouk_matrix,
     macwilliams_identity_holds,
     theorem32_check,
 )
-from dualpart.posets import validate_and_close
+from dualpart.posets import automorphism_group, udp_check, validate_and_close
 from oracles import (
     annihilator,
     character_sums,
+    co_support_signatures,
     element_from_index,
     genfun_eval,
     members,
     onedim_by_codes,
     scaled_exponents,
 )
-from paper import lemma415_convergence, theorem41_check
+from paper import ku_eval, lemma415_convergence, theorem41_check
 
 
 GROUP_SPECS = [
@@ -242,9 +241,10 @@ def test_criterion_03_weighted_poset_equivalence():
             p = validate_and_close(n, rels)
             for weights in itertools.product([1, 2], repeat=n):
                 w = WeightFunction(tuple(Fraction(x) for x in weights))
+                udp_ok, _ = udp_check(p, w.values, automorphism_group(p, w.values)[1])
                 for orders in itertools.product([2, 3], repeat=n):
                     group = build_group_product([[q] for q in orders])
-                    rep = theorem32_check(group, p, w)
+                    rep = theorem32_check(group, p, w, udp_ok)
                     assert rep["equivalent"], (comp, weights, orders, rep)
                     assert rep["lambda_finer_than_Q_dual"]
                     checked += 1

@@ -61,6 +61,33 @@ class TestPoset:
         doc = json.loads(out)
         assert doc["theorem32"] is None and "theorem32_skipped" in doc
 
+    def test_report_searches_once(self, capsys, tmp_path, monkeypatch):
+        # with a group attached, aut_order, udp and theorem32 share one
+        # automorphism search and one UDP check
+        import collections
+
+        from dualpart import cli, partitions, posets
+
+        calls = collections.Counter()
+        for name in ("automorphism_group", "udp_check"):
+            def counted(*args, _real=getattr(posets, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in (posets, cli, partitions):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted)
+        path = write_json(tmp_path, "hier.json", {
+            "n": 4,
+            "relations": [[0, 2], [0, 3], [1, 2], [1, 3]],
+            "weights": {"0": "1", "1": "1", "2": "2", "3": "2"},
+            "coordinates": [[2], [2], [3], [3]],
+        })
+        code, out, _ = run(capsys, "poset", path)
+        doc = json.loads(out)
+        assert code == 0 and doc["aut_order"] == 4 and doc["theorem32"]["equivalent"]
+        assert calls == {"automorphism_group": 1, "udp_check": 1}
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -249,6 +276,17 @@ class TestErrorContract:
         path = write_json(tmp_path, "g.json", {"coordinates": [["a"]]})
         self.assert_one_line(*run(capsys, "dual", path, "hamming"), "invalid-input")
 
+    @pytest.mark.parametrize(
+        "coords,bad",
+        [([[2.9], ["2"]], "2.9"), ([[2], ["2"]], "'2'"), ([[True], [2]], "True"), ([[2, 2.0]], "2.0")],
+        ids=["float", "string", "bool", "integral-float"],
+    )
+    def test_cyclic_order_must_be_a_json_integer(self, capsys, tmp_path, coords, bad):
+        path = write_json(tmp_path, "g.json", {"coordinates": coords})
+        code, out, err = run(capsys, "dual", path, "hamming")
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert err == f"invalid-input: every cyclic order must be an integer, got {bad}\n"
+
     def test_poset_weight_divides_by_zero(self, capsys, tmp_path):
         path = write_json(
             tmp_path, "p.json", {"n": 2, "relations": [], "weights": {"0": "1/0", "1": "1"}}
@@ -280,14 +318,26 @@ class TestErrorContract:
             {"n": 3, "members": 5},
             {"n": 3, "relations": [], "weights": {"0": 1, "1": 1, "2": [1]}},
             {"n": 3, "relations": [[0, 1.5]]},
+            {"n": 3, "relations": [], "weights": {"0": True, "1": 1, "2": 1}},
+            {"n": 3, "relations": [], "weights": {"0": 1, "1": 0.1, "2": 1}},
         ],
         ids=["float-member", "bool-member", "n-not-a-number", "members-not-a-list",
-             "weight-a-list", "float-relation"],
+             "weight-a-list", "float-relation", "bool-weight", "float-weight"],
     )
     def test_malformed_covering_or_poset(self, capsys, tmp_path, doc):
         group = write_json(tmp_path, "g3.json", {"coordinates": [[2], [2], [2]]})
         path = write_json(tmp_path, "t.json", doc)
         self.assert_one_line(*run(capsys, "dual", group, path), "invalid-input")
+
+    def test_poset_weight_must_be_an_integer_or_a_string(self, capsys, tmp_path):
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": [], "weights": {"0": 1, "1": 0.1}})
+        code, out, err = run(capsys, "poset", path)
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert err == "invalid-input: bad weights: a weight that is not a string must be an integer, got 0.1\n"
+        # integers and every string Fraction reads stay accepted
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": [], "weights": {"0": 3, "1": "1e-30"}})
+        code, out, _ = run(capsys, "poset", path)
+        assert code == 0 and json.loads(out)["udp"]
 
     @pytest.mark.parametrize("command", ["dual", "poset"])
     @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ from dualpart.krawtchouk import (
     dual_class_lower_bound,
     ku_build,
     ku_distinct_counts,
-    ku_eval,
     ku_roots,
     ku_value_table,
+    ku_values,
     thm42_threshold,
 )
 from dualpart.partitions import co_profile_prefix_sums
@@ -25,7 +25,7 @@ from oracles import (
     ku_derivative_roots,
     smallest_root_floor,
 )
-from paper import eq45_w, eq45_w_floor, lemma415_convergence
+from paper import eq45_w, eq45_w_floor, ku_eval, lemma415_convergence
 
 
 class TestBuildAndEval:
@@ -65,6 +65,13 @@ class TestBuildAndEval:
         for n in range(1, 31):
             want = [[ku_eval(n - 1, s, q, j) for j in range(n)] for s in range(n)]
             assert ku_value_table(n, q) == want, (q, n)
+
+    def test_values_match_binomial_sum(self):
+        # the recurrence values of the krawtchouk command, k = 0 and k > n included
+        for q in (2, 3, 5):
+            for n in range(31):
+                for k in range(n + 3):
+                    assert ku_values(n, k, q) == [ku_eval(n, k, q, s) for s in range(n + 1)], (q, n, k)
 
     def test_value_table_rejects_empty_n(self):
         with pytest.raises(InputError):
@@ -351,7 +358,7 @@ class TestVerdicts:
                 dual_class_lower_bound(n, k, q)
 
     def test_value_vector_classifies_dual_classes(self):
-        from dualpart.partitions import co_support_signatures
+        from oracles import co_support_signatures
 
         # the values KU_(n-1,s)(t-1) over the multiples s of k fingerprint
         # the dual class of support size t

@@ -21,7 +21,6 @@ from dualpart.partitions import (
     co_dual_class_count,
     co_profile_prefix_sums,
     co_reflexivity_bruteforce,
-    co_support_signatures,
     hamming_sum_profiles,
     induce_CO,
     induce_Q,
@@ -31,9 +30,18 @@ from dualpart.partitions import (
     reflexivity_check,
     theorem32_check,
 )
-from dualpart.posets import antichain, chain, dual_poset, ideals, validate_and_close
+from dualpart.posets import (
+    antichain,
+    automorphism_group,
+    chain,
+    dual_poset,
+    ideals,
+    udp_check,
+    validate_and_close,
+)
 from oracles import (
     annihilator,
+    co_support_signatures,
     covering_weight,
     eager_dual,
     element_from_index,
@@ -53,6 +61,7 @@ from paper import (
     SparsePoly,
     closure,
     f_poly_degree_ideal,
+    ku_eval,
     phi_value,
     prop33_predicate,
     psi_value,
@@ -349,8 +358,6 @@ class TestFPoly:
 
 class TestKrawtchoukMatrix:
     def test_hamming_matrix_is_ku_table(self):
-        from dualpart.krawtchouk import ku_eval
-
         group = build_group_product([[2]] * 4)
         gamma = induce_CO(group, pk_covering(1, 4))
         ctx = DualityContext(group)
@@ -434,7 +441,9 @@ class TestMacWilliamsIdentity:
 class TestTheoremCheckers:
     def test_chain_all_true(self):
         group = build_group_product([[2], [3], [2]])
-        rep = theorem32_check(group, chain(3), WeightFunction.constant(3))
+        p, omega = chain(3), WeightFunction.constant(3)
+        udp_ok, _ = udp_check(p, omega.values, automorphism_group(p, omega.values)[1])
+        rep = theorem32_check(group, p, omega, udp_ok)
         assert rep["equivalent"] and all(
             rep[k] for k in ("udp_and_labels", "mutually_dual", "reflexive", "dual_is_Q_of_dual_poset")
         )
@@ -442,8 +451,9 @@ class TestTheoremCheckers:
     def test_udp_failure_breaks_everything_together(self):
         # antichain with weights 1,2,3 has no UDP; groups Z_2^3
         group = build_group_product([[2]] * 3)
-        omega = WeightFunction.from_mapping(3, {0: 1, 1: 2, 2: 3})
-        rep = theorem32_check(group, antichain(3), omega)
+        p, omega = antichain(3), WeightFunction.from_mapping(3, {0: 1, 1: 2, 2: 3})
+        udp_ok, _ = udp_check(p, omega.values, automorphism_group(p, omega.values)[1])
+        rep = theorem32_check(group, p, omega, udp_ok)
         assert rep["equivalent"] and not rep["reflexive"]
         assert rep["lambda_finer_than_Q_dual"]
 
@@ -487,8 +497,6 @@ class TestTheoremCheckers:
 class TestSupportProfileEngine:
     @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
     def test_profile_matches_krawtchouk_values(self, q, n):
-        from dualpart.krawtchouk import ku_eval
-
         for t, prof in enumerate(hamming_sum_profiles(q, n)):
             assert prof == [ku_eval(n, l, q, t) for l in range(n + 1)]
 
@@ -504,12 +512,23 @@ class TestSupportProfileEngine:
         def refuse(*args):
             raise AssertionError("Krawtchouk value evaluated")
 
-        monkeypatch.setattr(krawtchouk, "ku_eval", refuse)
+        monkeypatch.setattr(krawtchouk, "ku_values", refuse)
+        monkeypatch.setattr(krawtchouk, "_chain", refuse)
         monkeypatch.setattr(krawtchouk, "ku_value_table", refuse)
         for q, n in ((2, 12), (3, 7), (5, 5)):
             prefix = co_profile_prefix_sums(q, n)
             for k in range(1, n + 1):
                 assert co_reflexivity_bruteforce(q, n, k, prefix) == co_reflexivity_bruteforce(q, n, k)
+
+    def test_dual_class_count_matches_signatures(self):
+        # the count from the inner bounds against every class sum, the
+        # edges k = n (no inner bound) and n = 1 included
+        for q in (2, 3, 5):
+            for n in range(1, 17):
+                for k in range(1, n + 1):
+                    want = len(set(co_support_signatures(q, n, k)[1:])) + 1
+                    assert co_dual_class_count(q, n, k) == want, (q, n, k)
+            assert co_dual_class_count(q, 1, 1) == 2
 
     @pytest.mark.parametrize("q,n,k", [(2, 5, 3), (2, 6, 2), (3, 4, 2), (3, 5, 3)])
     def test_dual_class_count_matches_pairwise_engine(self, q, n, k):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
@@ -10,19 +11,25 @@ from dualpart.posets import (
     automorphism_group,
     chain,
     dual_poset,
+    ideal_masks,
     ideals,
     is_hierarchical,
     levels,
     udp_check,
     validate_and_close,
 )
-from oracles import apply_perm, automorphisms, udp_by_listing
+from oracles import apply_perm, automorphisms, ideal_masks_by_scan, udp_by_listing
 from paper import closure, extremes, level_sets, sigma
 
 
 def vee() -> "Poset":
     # two minimal elements below one maximal element
     return validate_and_close(3, [(0, 2), (1, 2)])
+
+
+def udp(p, omega):
+    """``udp_check`` with the generators of Aut(P, omega) that it takes."""
+    return udp_check(p, omega, automorphism_group(p, omega)[1])
 
 
 class TestConstruction:
@@ -71,6 +78,11 @@ class TestIdealsAndClosure:
     def test_ideal_cap(self):
         with pytest.raises(BudgetError):
             ideals(antichain(25), RunConfig(ideal_cap_n=20))
+
+    def test_ideal_masks_at_the_cap(self):
+        # n = ideal_cap_n: every mask of the antichain, the prefixes of the chain
+        assert np.array_equal(ideal_masks(antichain(20)), np.arange(1 << 20))
+        assert ideal_masks(chain(20)).tolist() == [(1 << j) - 1 for j in range(21)]
 
 
 class TestStructure:
@@ -152,26 +164,26 @@ class TestAutomorphisms:
 
 class TestUDP:
     def test_chain_constant_weights(self):
-        ok, wit = udp_check(chain(4), [Fraction(1)] * 4)
+        ok, wit = udp(chain(4), [Fraction(1)] * 4)
         assert ok and wit is None
 
     def test_antichain_constant_weights(self):
         # all equal-weight ideals are related by coordinate permutations
-        ok, _ = udp_check(antichain(4), [Fraction(1)] * 4)
+        ok, _ = udp(antichain(4), [Fraction(1)] * 4)
         assert ok
 
     def test_violation_reported_with_witness(self):
         # chain with weights 1,1: ideals {0} and ... all prefixes distinct.
         # Use weights (1,2,3) on an antichain: {0,1} vs {2} have equal weight
         # but different sizes, and no automorphism fixes that.
-        ok, wit = udp_check(antichain(3), [Fraction(1), Fraction(2), Fraction(3)])
+        ok, wit = udp(antichain(3), [Fraction(1), Fraction(2), Fraction(3)])
         assert not ok
         i, j = wit
         assert sum([1, 2, 3][v] for v in i) == sum([1, 2, 3][v] for v in j)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(InputError):
-            udp_check(chain(2), [Fraction(0), Fraction(1)])
+            udp_check(chain(2), [Fraction(0), Fraction(1)], [])
 
 
 @given(st.integers(2, 5), st.data())
@@ -226,4 +238,15 @@ def test_stabilizer_chain_matches_listing(case):
     p, omega, labels = case
     assert automorphism_group(p, labels)[0] == len(automorphisms(p, labels))
     assert automorphism_group(p, omega)[0] == len(automorphisms(p, omega))
-    assert udp_check(p, omega) == udp_by_listing(p, omega)
+    assert udp(p, omega) == udp_by_listing(p, omega)
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_ideal_masks_match_scan(n, data):
+    # pairs u < v close to a poset without cycles; the relabelling puts
+    # relations against the index order too
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda r: r[0] < r[1])
+    name = data.draw(st.permutations(range(n)))
+    p = validate_and_close(n, [(name[u], name[v]) for u, v in data.draw(st.lists(pair, max_size=15))])
+    assert ideal_masks(p).tolist() == ideal_masks_by_scan(p)
