@@ -21,7 +21,7 @@ from .groups import build_group_product
 from .metrics import WeightFunction, covering_from_members, pk_covering
 from .posets import (
     automorphism_group,
-    ideals,
+    ideal_masks,
     is_hierarchical,
     udp_check,
     validate_and_close,
@@ -125,12 +125,12 @@ def _parse_poset_json(doc: dict, n: int):
     return p, omega
 
 
-def _parse_group_doc(doc: dict, config: RunConfig):
+def _parse_group_doc(doc: dict):
     try:
         coords = doc["coordinates"]
     except (KeyError, TypeError) as e:
         raise InputError(f"bad group JSON: {e}") from None
-    return build_group_product(coords, config)
+    return build_group_product(coords)
 
 
 def _resolve_partition(group, spec: str, config: RunConfig):
@@ -189,10 +189,10 @@ def cmd_poset(args) -> int:
         "udp": udp_ok,
         "udp_witness": udp_witness,
         "aut_order": aut_order,
-        "ideal_count": len(ideals(p, config)),
+        "ideal_count": len(ideal_masks(p, config)),
     }
     if "coordinates" in doc:
-        group = _parse_group_doc(doc, config)
+        group = _parse_group_doc(doc)
         if group.n != p.n:
             raise InputError("group coordinate count differs from poset size")
         if report["hierarchical"] and omega.is_integer_valued():
@@ -208,7 +208,7 @@ def cmd_poset(args) -> int:
 
 def cmd_dual(args) -> int:
     config = _load_config()
-    group = _parse_group_doc(_read_json(args.group), config)
+    group = _parse_group_doc(_read_json(args.group))
     gamma = _resolve_partition(group, args.partition, config)
     ctx = DualityContext(group, config)
     report = reflexivity_check(ctx, gamma, compute_bidual=True)

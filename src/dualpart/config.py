@@ -33,25 +33,24 @@ class BudgetError(DualpartError):
 class RunConfig:
     """Caps and budgets.
 
-    enumeration_cap: maximum group order for full element enumeration,
-                     maximum number p^dim of codewords listed for a
-                     linear code, and maximum number of subspaces of
-                     F_p^N (the sum of the Gaussian binomials) that the
-                     all-codes MacWilliams check lists, checked before
-                     it lists any.
+    enumeration_cap: maximum group order where elements are listed (the
+                     residue matrix, and the pull-back of a support-induced
+                     partition's class ids to G), maximum exponent m of a
+                     duality context (its Phi_m is listed), maximum number
+                     p^dim of codewords listed for a linear code, and
+                     maximum number of subspaces of F_p^N (the sum of the
+                     Gaussian binomials) that the all-codes MacWilliams
+                     check lists, checked before it lists any.
     pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
-                     the pairing table of the pairwise engine, and again
-                     rows * k * deg(Phi_m) for its cyclotomic coordinates
-                     (k classes, m the exponent); 2^n * k for the
-                     support-lattice engine (n coordinates).
-                     The lattice serves every partition that carries a
-                     per-support-mask class array (the induced ones), the
-                     pairwise engine every other partition; both keep
-                     rows * k * deg(Phi_m) coordinate cells as the labels
-                     of the dual, one row per dual class.  The covering
-                     weights of a member-listed covering cost
-                     2^n * members cells, and the orthogonality table
-                     of the MacWilliams statements |V|^2 cells.
+                     the pairing table of the pairwise engine and rows * k
+                     * deg(Phi_m) for its cyclotomic coordinates (k classes,
+                     m the exponent); states * k * sum(n_b + 1) for each
+                     transform of the twin-class engine (twin blocks of
+                     sizes n_b, prod(n_b + 1) states), which pads its dual
+                     to rows * k * deg(Phi_m) label cells too.  Also the
+                     states of a support-induced partition, the 2^n *
+                     members covering weights of a covering, and the |V|^2
+                     orthogonality table of the MacWilliams statements.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that

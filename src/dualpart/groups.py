@@ -9,6 +9,7 @@ index order by ``GroupProduct.residue_matrix``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from functools import reduce
 from typing import Sequence
@@ -38,21 +39,21 @@ class GroupProduct:
         """Number of coordinates |Omega|."""
         return len(self.coordinates)
 
-    @property
+    @functools.cached_property
     def factor_orders(self) -> tuple[int, ...]:
         return tuple(d for factors in self.coordinates for d in factors)
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[int, ...]:
         """Per-coordinate orders h_i."""
         return tuple(math.prod(factors) for factors in self.coordinates)
 
-    @property
+    @functools.cached_property
     def exponent(self) -> int:
         """lcm of all cyclic orders (order of the root of unity used)."""
         return reduce(math.lcm, self.factor_orders)
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         return math.prod(self.factor_orders)
 
@@ -70,12 +71,10 @@ class GroupProduct:
         return mat
 
 
-def build_group_product(
-    spec: Sequence[Sequence[int]], config: RunConfig = DEFAULT_CONFIG
-) -> GroupProduct:
+def build_group_product(spec: Sequence[Sequence[int]]) -> GroupProduct:
     """Validated GroupProduct from a per-coordinate factor-order spec, whose
     orders must be ints that are not bools: a float or a string is refused,
-    not read."""
+    not read.  Its order is checked where its elements are listed."""
     try:
         coords = tuple(tuple(factors) for factors in spec)
     except TypeError:
@@ -85,6 +84,4 @@ def build_group_product(
     for d in (d for factors in coords for d in factors):
         if isinstance(d, bool) or not isinstance(d, int):
             raise InputError(f"every cyclic order must be an integer, got {d!r}")
-    g = GroupProduct(coords)
-    config.check("enumeration_cap", g.order, "|H|")
-    return g
+    return GroupProduct(coords)

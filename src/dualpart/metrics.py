@@ -43,6 +43,16 @@ class WeightFunction:
         return all(v.denominator == 1 for v in self.values)
 
 
+def _outer(vectors: Sequence, op=np.add) -> np.ndarray:
+    """``op`` folded over one entry of each vector, for every choice of
+    entries, in mixed-radix order with the first vector's index most
+    significant."""
+    out = np.asarray(vectors[0])
+    for v in vectors[1:]:
+        out = op.outer(out, v).ravel()
+    return out
+
+
 def _over_masks(values, op) -> np.ndarray:
     """Fold values[i] over the bits of every mask U < 2^n: entry 0 is 0 and
     entry U + 2^i is op(entry U, values[i]) for U < 2^i.
@@ -58,14 +68,20 @@ def _over_masks(values, op) -> np.ndarray:
     return out
 
 
-def _scaled_mask_sums(values: Sequence) -> tuple[int, np.ndarray]:
+def _scaled_mask_sums(values: Sequence, masks: np.ndarray) -> tuple[int, np.ndarray]:
     """The lcm ``den`` of the denominators of the rationals ``values``, and
-    den times the sum of values over every mask U < 2^n, in exact integers
-    (so equal sums stay equal and the order is kept): int64 below 2^62 in
-    total, Python ints otherwise."""
+    den times the sum of values over the bits of every mask in ``masks``, in
+    exact integers (so equal sums stay equal and the order is kept): int64
+    below 2^62 in total, Python ints otherwise.  The masks are read a byte
+    at a time, through the subset sums of the values of that byte."""
     den = math.lcm(*(v.denominator for v in values))
-    scaled = [int(v * den) for v in values]
-    return den, _over_masks(np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 62 else object), np.add)
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    dtype = np.int64 if sum(scaled) < 1 << 62 else object
+    sums = np.zeros(len(masks), dtype=dtype)
+    for lo in range(0, len(scaled), 8):
+        table = _over_masks(np.array(scaled[lo : lo + 8], dtype=dtype), np.add)
+        sums += table[(masks >> lo & 255).astype(np.intp)]
+    return den, sums
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,11 +112,11 @@ class Covering:
         once per member M in turn, leaves w(U) at most the least cover of U
         by the members so far (a 0/1 knapsack), so one pass is exact.
         """
+        cells = (1 << self.n) * max(1, len(self.members))
+        config.check("pair_work_cap", cells, "2^n * members covering-weight cells")
         popcount = _over_masks(np.ones(self.n, dtype=np.int64), np.add)
         if self.pk is not None:
             return -(-popcount // self.pk)
-        cells = (1 << self.n) * len(self.members)
-        config.check("pair_work_cap", cells, "2^n * members covering-weight cells")
         masks = np.arange(1 << self.n, dtype=np.int64)
         w = popcount
         for m in self.members:

@@ -1,20 +1,23 @@
 """The duality engine.
 
-Partitions of enumerable group products, left/right dual partitions by exact
-character sums, induced partitions, generalized Krawtchouk matrices, the
-reflexivity check, the equivalence checker for weighted poset metrics, and
-the covering reflexivity of P(k) from its support profiles.
+Partitions of group products, left/right dual partitions by exact character
+sums, induced partitions, generalized Krawtchouk matrices, the reflexivity
+check, the equivalence checker for weighted poset metrics, and the covering
+reflexivity of P(k) from its support profiles.
 
 Character sums are exact throughout.  A dual partition comes from one of two
 engines, by one rule:
 
-* the support lattice, for a partition that carries a class per support
-  mask (``Partition.mask_ids``: partitions induced by a weighted poset
-  metric, a covering metric or an ideal equivalence, and the lattice duals
-  of these).  Every class character sum is then a rational integer that
-  depends only on the support, so the 2^n x k table of sums is a Kronecker
-  transform of the mask-by-class indicator matrix; no pairing table is
-  built;
+* the twin-class engine, for the partitions induced by a weighted poset
+  metric, a covering metric or an ideal equivalence, and their duals.
+  Coordinates i and j are twins when h_i = h_j and swapping them keeps
+  every class; with twin blocks of sizes n_b, a class is a set of popcount
+  vectors, the prod(n_b + 1) states (``Partition.blocks``), all realized.
+  The sum at state u over the elements of state t is prod_b P_b[u_b][t_b],
+  P_b the Krawtchouk matrix of H(n_b, h_b) (``hamming_sum_profiles``), so
+  the class sums are one mode-b product per block: integers, exact in
+  int64 up to |G| = 2^62 and in Python ints above.  G is not listed;
+  ``class_ids`` is pulled back to G when first read;
 * the pairwise engine for every other partition: per-class histograms of
   the exponents of the |G| x |H| pairing table (numpy), reduced to canonical
   cyclotomic coordinates by folding them by the coefficients of Phi_m.
@@ -30,6 +33,7 @@ import collections.abc
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -38,12 +42,12 @@ import numpy as np
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .exactarith import CycInt, _cyclotomic_coeffs, euler_phi_degree
 from .groups import GroupProduct
-from .metrics import Covering, WeightFunction, _over_masks, _scaled_mask_sums
-from .posets import Poset, _down_closures, dual_poset, ideals, levels
+from .metrics import Covering, WeightFunction, _outer, _scaled_mask_sums
+from .posets import Poset, _is_swap_automorphism, _unmask, dual_poset, ideal_masks, levels
 
 
 # ---------------------------------------------------------------------------
-# partitions of an enumerable host
+# partitions of a group
 # ---------------------------------------------------------------------------
 
 # ``Partition.export`` leaves out signature labels of more entries
@@ -55,8 +59,13 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are grouped by their bytes: after the shift, the big-endian bytes
     of a row, in the narrowest unsigned width that holds its span, sort as
-    its numbers do.
+    its numbers do.  Rows of Python ints are ranked as tuples.
     """
+    if rows.dtype == object:
+        keys = list(map(tuple, rows.tolist()))
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        inverse = np.array([rank[key] for key in keys], dtype=np.int64)
+        return np.unique(inverse, return_index=True)[1], inverse
     low = rows.min()
     span = int(rows.max()) - int(low)
     width = next(w for w in (1, 2, 4, 8) if span < 1 << (8 * w))
@@ -64,6 +73,16 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     return first, inverse.astype(np.int64)
+
+
+def _strides(blocks) -> dict[int, int]:
+    """Every coordinate's step in the mixed-radix state index, the first
+    block most significant: distinct blocks have distinct steps."""
+    out, step = {}, 1
+    for b in reversed(blocks):
+        out.update(dict.fromkeys(b, step))
+        step *= len(b) + 1
+    return out
 
 
 class SignatureLabels(collections.abc.Sequence):
@@ -99,13 +118,13 @@ class Partition:
 
     ``class_ids[i]`` is the class of element index i; ``labels[c]`` carries
     provenance (a weight value, or a canonical character-sum signature).
-    ``mask_ids``, on a support-induced partition of a group only, is the
-    class of every support mask (2^n entries, bit i for coordinate i), and
-    ``class_ids`` is its pullback; it is None on every other partition.
+    On a support-induced partition, ``blocks`` are its twin blocks and the
+    ids given are ``state_ids``, one class per state; ``class_ids`` is then
+    pulled back to G when first read, under ``config.enumeration_cap``.
     """
 
-    def __init__(self, class_ids, labels=None, host=None, mask_ids=None):
-        ids = self.class_ids = np.asarray(class_ids, dtype=np.int64)
+    def __init__(self, class_ids, labels=None, host=None, blocks=None, config: RunConfig = DEFAULT_CONFIG):
+        ids = np.asarray(class_ids, dtype=np.int64)
         self.num_classes = int(ids.max()) + 1 if len(ids) else 0
         if len(ids) and (
             ids.min() < 0
@@ -119,11 +138,24 @@ class Partition:
         if self.labels is not None and len(self.labels) != self.num_classes:
             raise InputError("one label per class required")
         self.host = host
-        self.mask_ids = mask_ids
+        self.blocks = blocks
+        self.config = config
+        self.state_ids, self._class_ids = (None, ids) if blocks is None else (ids, None)
+
+    @property
+    def class_ids(self) -> np.ndarray:
+        if self._class_ids is None:
+            group = self.host
+            self.config.check("enumeration_cap", group.order, "|G| to list a partition")
+            stride = _strides(self.blocks)
+            dtype = np.min_scalar_type(len(self.state_ids) - 1)
+            steps = [np.array([0] + [stride[i]] * (h - 1), dtype=dtype) for i, h in enumerate(group.h)]
+            self._class_ids = self.state_ids[_outer(steps)]
+        return self._class_ids
 
     @property
     def host_size(self) -> int:
-        return len(self.class_ids)
+        return len(self._class_ids) if self.blocks is None else self.host.order
 
     @classmethod
     def from_keys(cls, keys: Sequence, host=None) -> "Partition":
@@ -151,11 +183,30 @@ class Partition:
         ):
             raise InputError("partitions over different hosts")
 
+    def _common_ids(self, other: "Partition") -> tuple[np.ndarray, np.ndarray]:
+        """The class ids of self and other on one index set: with blocks on
+        both, the states of the common refinement, all realized, so that
+        comparisons there are comparisons over G."""
+        self._check_host(other)
+        if self.blocks is None or other.blocks is None:
+            return self.class_ids, other.class_ids
+        if self.blocks == other.blocks:
+            return self.state_ids, other.state_ids
+        where = [_strides(self.blocks), _strides(other.blocks)]
+        meet: dict = {}
+        for i in range(self.host.n):
+            meet.setdefault((where[0][i], where[1][i]), []).append(i)
+        cells = list(meet.values())
+        self.config.check("pair_work_cap", math.prod(len(c) + 1 for c in cells), "support states")
+        return tuple(
+            p.state_ids[_outer([np.arange(len(c) + 1) * w[c[0]] for c in cells])]
+            for p, w in zip((self, other), where)
+        )
+
     def is_finer(self, other: "Partition") -> bool:
         """True iff every class of self lies inside a class of other."""
-        self._check_host(other)
-        pairs = self.class_ids * other.num_classes + other.class_ids
-        return np.unique(pairs).size == self.num_classes
+        mine, theirs = self._common_ids(other)
+        return np.unique(mine * other.num_classes + theirs).size == self.num_classes
 
     def finer_violation(self, other: "Partition"):
         """A witness pair (i, j) in one self-class but split by other."""
@@ -167,17 +218,11 @@ class Partition:
             seen.setdefault(int(a), (i, int(b)))
         return None
 
-    def same_partition(self, other: "Partition") -> bool:
-        self._check_host(other)
-        return (
-            self.num_classes == other.num_classes
-            and self.is_finer(other)
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.same_partition(other)
+        self._check_host(other)
+        return self.num_classes == other.num_classes and self.is_finer(other)
 
     def export(self) -> dict:
         """JSON-friendly form: sorted element-index lists plus labels; the
@@ -203,16 +248,17 @@ class Partition:
 class DualityContext:
     """Dual partitions over G ~ H (one matched product).
 
-    The engine is picked per partition: the support lattice when the
-    partition carries ``mask_ids``, the pairwise engine otherwise.  The
-    pairing-exponent table of the pairwise engine is built on first use, by
-    a pairwise dual only.
+    The engine is picked per partition: twin classes when the partition
+    has ``blocks``, the pairwise engine otherwise.  The pairing-exponent
+    table of the pairwise engine is built on first use, by a pairwise dual
+    only.
     """
 
     def __init__(self, group: GroupProduct, config: RunConfig = DEFAULT_CONFIG):
         self.group = group
         self.m = group.exponent
         self.config = config
+        config.check("enumeration_cap", self.m, "exponent m of the cyclotomic field")
         self._phi = euler_phi_degree(self.m)
         self._table: Optional[np.ndarray] = None
         self._last_left: Optional[tuple[Partition, Partition]] = None
@@ -291,45 +337,39 @@ class DualityContext:
         labels = SignatureLabels(self.m, coords[first], part.num_classes)
         return Partition(ids, labels=labels, host=self.group)
 
-    def _lattice_dual(self, part: Partition) -> Partition:
-        """The support-lattice engine, from the 2^n x k table of sums.
-
-        Over coordinate i the non-identity entries sum a character to
-        h_i - 1 where it is trivial and to -1 otherwise, so the sum at
-        support U over the elements of support T is entry (U, T) of the
-        Kronecker product of M_i = [[1, h_i - 1], [1, -1]]: a Yates transform
-        of the mask-by-class indicator, k * n * 2^n steps, in integers that
-        every Galois automorphism fixes.  An integer c has canonical coordinates
-        (c, 0, ..., 0) and every mask is a support (h_i >= 2), so classes and
-        labels are numbered as the pairwise engine numbers them.
-        """
-        group = self.group
-        if part.host is None or part.host.h != group.h:
+    def _twin_dual(self, part: Partition) -> Partition:
+        """The twin-class engine (module docstring).  An integer c has
+        canonical coordinates (c, 0, ..., 0) and every state is realized,
+        so classes and labels are numbered as the pairwise engine numbers
+        them."""
+        group, h = self.group, self.group.h
+        if part.host.h != h:
             raise InputError("support-induced partition does not live on this group")
-        n, k = group.n, part.num_classes
-        self.config.check("pair_work_cap", (1 << n) * k, "2^n * k support-lattice cells")
-        table = np.zeros((1 << n, k), dtype=np.int64)
-        table[np.arange(1 << n), part.mask_ids] = 1
-        for i, h in enumerate(group.h):
-            pair = table.reshape(-1, 2, 1 << i, k)  # axis 1 is mask bit i
-            identity = pair[:, 0].copy()
-            pair[:, 0] += (h - 1) * pair[:, 1]
-            np.subtract(identity, pair[:, 1], out=pair[:, 1])
-        first, mask_ids = _rank_rows(table)
-        self.config.check(
-            "pair_work_cap", len(first) * k * self._phi, "rows * k * deg(Phi_m) coordinate cells"
-        )
-        rows = np.zeros((len(first), k, self._phi), dtype=np.int64)
+        blocks, k, states = part.blocks, part.num_classes, len(part.state_ids)
+        cells = states * k * sum(len(b) + 1 for b in blocks)
+        self.config.check("pair_work_cap", cells, "states * k * sum(n_b + 1) transform cells")
+        # every sum is bounded by |G|
+        dtype = np.int64 if group.order <= 1 << 62 else object
+        table = np.zeros((states, k), dtype=dtype)
+        table[np.arange(states), part.state_ids] = 1
+        stride = _strides(blocks)
+        for b in blocks:
+            profiles = np.array(hamming_sum_profiles(h[b[0]], len(b)), dtype=dtype)
+            table = np.matmul(profiles, table.reshape(-1, len(b) + 1, stride[b[0]] * k))
+        table = table.reshape(states, k)
+        first, state_ids = _rank_rows(table)
+        cells = len(first) * k * self._phi
+        self.config.check("pair_work_cap", cells, "rows * k * deg(Phi_m) coordinate cells")
+        rows = np.zeros((len(first), k, self._phi), dtype=dtype)
         rows[:, :, 0] = table[first]
         labels = SignatureLabels(self.m, rows.reshape(len(first), -1), k)
-        masks = _support_masks(group.h)
-        return Partition(mask_ids[masks], labels=labels, host=group, mask_ids=mask_ids)
+        return Partition(state_ids, labels=labels, host=group, blocks=blocks, config=self.config)
 
     def _dual_of(self, part: Partition) -> Partition:
         if part.host_size != self.group.order:
             raise InputError("partition does not live on this group")
-        if part.mask_ids is not None:
-            return self._lattice_dual(part)
+        if part.blocks is not None:
+            return self._twin_dual(part)
         return self._dual(self.exponents, part)
 
     def left_dual(self, gamma: Partition) -> Partition:
@@ -373,32 +413,43 @@ def reflexivity_check(
 # induced partitions
 # ---------------------------------------------------------------------------
 
-def _support_masks(orders: Sequence[int]) -> np.ndarray:
-    """Bitmask of the support of every element of a product with these
-    coordinate orders h_i, in index order.
+def _twin_blocks(
+    group: GroupProduct, twins: Callable[[int, int], bool], config: RunConfig
+) -> tuple[tuple[int, ...], ...]:
+    """The twin blocks, in the order of their first coordinate: i joins the
+    first block whose first coordinate j has h_j = h_i and ``twins(j, i)``
+    (the swaps that keep every class make a group, so this is an
+    equivalence).  Their states are checked against ``pair_work_cap``."""
+    h = group.h
+    blocks: list[list[int]] = []
+    for i in range(group.n):
+        for b in blocks:
+            if h[b[0]] == h[i] and twins(b[0], i):
+                b.append(i)
+                break
+        else:
+            blocks.append([i])
+    config.check("pair_work_cap", math.prod(len(b) + 1 for b in blocks), "support states")
+    return tuple(map(tuple, blocks))
 
-    The index is mixed-radix with one digit of base h_i per coordinate, the
-    first coordinate most significant, and coordinate i is in the support
-    iff its digit is nonzero.
-    """
-    masks = np.zeros(1, dtype=np.min_scalar_type((1 << len(orders)) - 1))
-    for i, h in enumerate(orders):
-        bit = np.zeros(h, dtype=masks.dtype)
-        bit[1:] = 1 << i
-        masks = (masks[:, None] | bit[None, :]).ravel()
-    return masks
+
+def _state_masks(blocks, units: Sequence[int]) -> np.ndarray:
+    """At every state, the union of ``units[i]`` over the first s_b
+    coordinates of each block b: with 1 << i the state's representative
+    support, with ``Poset.down`` its ideal closure."""
+    dtype = np.int64 if len(units) < 63 else object
+    prefixes = [itertools.accumulate((units[i] for i in b), operator.or_, initial=0) for b in blocks]
+    return _outer([np.array(list(pre), dtype=dtype) for pre in prefixes], np.bitwise_or)
 
 
-def _induce_by_keys(
-    group: GroupProduct, keys: np.ndarray, config: RunConfig, label: Callable = int
+def _induce(
+    group: GroupProduct, blocks, keys: np.ndarray, config: RunConfig, label: Callable = int
 ) -> Partition:
-    """Mask U in the class of number ``keys[U]``, classes in increasing key
-    order and labelled ``label(key)``, pulled back to G.  Every mask is a
-    support (h_i >= 2), so ``Partition.from_keys`` numbers G the same way."""
-    config.check("enumeration_cap", group.order, "|G| to induce a partition")
-    uniq, mask_ids = np.unique(keys, return_inverse=True)
+    """State s in the class of ``keys[s]``, classes in increasing key order
+    and labelled ``label(key)``."""
+    uniq, state_ids = np.unique(keys, return_inverse=True)
     labels = [label(key) for key in uniq.tolist()]
-    return Partition(mask_ids[_support_masks(group.h)], labels=labels, host=group, mask_ids=mask_ids)
+    return Partition(state_ids, labels=labels, host=group, blocks=blocks, config=config)
 
 
 def induce_Q(
@@ -409,23 +460,39 @@ def induce_Q(
 ) -> Partition:
     """Partition by (P, omega)-weight; classes keyed by weight value.
 
-    Mask U weighs the sum of omega over its ideal closure, with omega
-    scaled to integers by the lcm ``den`` of its denominators
+    Twins are the transpositions of Aut(P, omega).  A state weighs the sum
+    of omega over the ideal closure of its representative support, with
+    omega scaled to integers by the lcm ``den`` of its denominators
     (``_scaled_mask_sums``).  Labels are ``Fraction(key, den)``.
     """
     if p.n != group.n or omega.n != group.n:
         raise InputError("poset/weights do not match the coordinate set")
-    den, sums = _scaled_mask_sums(omega.values)
-    return _induce_by_keys(group, sums[_down_closures(p)], config, lambda s: Fraction(s, den))
+    w = [(v.numerator, v.denominator) for v in omega.values]
+    blocks = _twin_blocks(group, lambda i, j: w[i] == w[j] and _is_swap_automorphism(p, i, j), config)
+    den, sums = _scaled_mask_sums(omega.values, _state_masks(blocks, p.down))
+    return _induce(group, blocks, sums, config, lambda s: Fraction(s, den))
 
 
 def induce_CO(
     group: GroupProduct, t: Covering, config: RunConfig = DEFAULT_CONFIG
 ) -> Partition:
-    """Partition by covering weight; classes keyed by T-weight."""
+    """Partition by covering weight; classes keyed by T-weight.  Twins of
+    P(k) are the coordinates of one order, and a state weighs
+    ceil(sum(s_b) / k); twins of a member list are the swaps that fix it."""
     if t.n != group.n:
         raise InputError("covering does not match the coordinate set")
-    return _induce_by_keys(group, t.mask_weights(config), config)
+    if t.pk is not None:
+        blocks = _twin_blocks(group, lambda i, j: True, config)
+        return _induce(group, blocks, -(-_outer([np.arange(len(b) + 1) for b in blocks]) // t.pk), config)
+    members = {sum(1 << i for i in m) for m in t.members}
+
+    def twins(i: int, j: int) -> bool:
+        flip = 1 << i | 1 << j
+        return all((m ^ flip) in members for m in members if (m >> i ^ m >> j) & 1)
+
+    blocks = _twin_blocks(group, twins, config)
+    weights = t.mask_weights(config)
+    return _induce(group, blocks, weights[_state_masks(blocks, [1 << i for i in range(t.n)])], config)
 
 
 def induce_from_ideal_classes(
@@ -436,23 +503,21 @@ def induce_from_ideal_classes(
 ) -> Partition:
     """Pull an equivalence on I(P) back through the support closure.
 
-    Each distinct closure is looked up in ``ideal_labels`` once, in the
-    order of its first element in G, for ``Partition.from_keys``: mask U
-    first occurs at digit 1 exactly on U, in the order of U bit-reversed.
-    """
-    all_ideals = set(ideals(p, config))
-    if set(ideal_labels) != all_ideals:
+    Without twins a state is a support, and states run in the order of the
+    first element of G with that support.  Each distinct closure is looked
+    up in ``ideal_labels`` once, in the order of its first state, for
+    ``Partition.from_keys``."""
+    if p.n != group.n:
+        raise InputError("poset does not match the coordinate set")
+    if set(ideal_labels) != {_unmask(c, p.n) for c in ideal_masks(p, config).tolist()}:
         raise InputError("equivalence labels must cover I(P) exactly")
-    closures = _down_closures(p)
-    reverse = _over_masks(1 << np.arange(p.n - 1, -1, -1), np.add)  # an involution
-    uniq, first, inverse = np.unique(closures[reverse], return_index=True, return_inverse=True)
+    blocks = _twin_blocks(group, lambda i, j: False, config)
+    uniq, first, inverse = np.unique(_state_masks(blocks, p.down), return_index=True, return_inverse=True)
     order = np.argsort(first)
-    named = Partition.from_keys(
-        [ideal_labels[frozenset(i for i in range(p.n) if c >> i & 1)] for c in uniq[order].tolist()]
-    )
+    named = Partition.from_keys([ideal_labels[_unmask(c, p.n)] for c in uniq[order].tolist()])
     class_of = np.empty(len(uniq), dtype=np.int64)
     class_of[order] = named.class_ids
-    return _induce_by_keys(group, class_of[inverse[reverse]], config, named.labels.__getitem__)
+    return _induce(group, blocks, class_of[inverse], config, named.labels.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +545,9 @@ def krawtchouk_matrix(
     ldual = ctx.left_dual(gamma)
     if not lam.is_finer(ldual):
         return KrawtchoukMatrixResult(False, None, lam.finer_violation(ldual), lam, gamma)
-    _, reps = np.unique(lam.class_ids, return_index=True)
-    rho = [list(ldual.labels[c]) for c in ldual.class_ids[reps].tolist()]
+    mine, theirs = lam._common_ids(ldual)
+    _, reps = np.unique(mine, return_index=True)
+    rho = [list(ldual.labels[c]) for c in theirs[reps].tolist()]
     return KrawtchoukMatrixResult(True, rho, None, lam, gamma)
 
 

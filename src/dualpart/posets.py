@@ -82,22 +82,23 @@ def chain(n: int) -> Poset:
     return validate_and_close(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def ideals(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> list[frozenset[int]]:
-    """All down-closed subsets, each exactly once (includes the empty set
-    and the whole ground set)."""
-    return [_unmask(m, p.n) for m in ideal_masks(p, config).tolist()]
-
-
 def ideal_masks(p: Poset, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The ideals as bitmasks, in increasing order: the masks that are
-    their own down-closure."""
+    their own down-closure, the union of their ``down[v]``."""
     config.check("ideal_cap_n", p.n, "poset size for ideal enumeration")
-    return np.flatnonzero(_down_closures(p) == np.arange(1 << p.n))
+    closures = _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
+    return np.flatnonzero(closures == np.arange(1 << p.n))
 
 
-def _down_closures(p: Poset) -> np.ndarray:
-    """The ideal closure of every mask U < 2^n, the union of its ``down[v]``."""
-    return _over_masks(np.array(p.down, dtype=np.int64), np.bitwise_or)
+def _is_swap_automorphism(p: Poset, i: int, j: int) -> bool:
+    """Whether the transposition (i j) is an order automorphism of p: it
+    maps down[v] onto down of the image of v, for every v."""
+    flip = 1 << i | 1 << j
+    image = {i: j, j: i}
+    return all(
+        (d ^ flip if (d >> i ^ d >> j) & 1 else d) == p.down[image.get(v, v)]
+        for v, d in enumerate(p.down)
+    )
 
 
 def levels(p: Poset) -> tuple[int, ...]:
@@ -256,7 +257,7 @@ def udp_check(p: Poset, omega, gens: Sequence[Sequence[int]], config: RunConfig 
         for g in gens
     ]
     buckets: dict = {}
-    for i, key in enumerate(_scaled_mask_sums(w)[1][masks].tolist()):
+    for i, key in enumerate(_scaled_mask_sums(w, masks)[1].tolist()):
         buckets.setdefault(key, []).append(i)
     for same_weight in buckets.values():
         orbit = _closure(same_weight[:1], moves)

@@ -7,9 +7,12 @@ tests state that domination with them.  The invariance subgroup and the
 automorphism group of a weighted poset are listed map by map here, where
 the library only counts each down a stabilizer chain and takes its orbits
 from generators.  The ideals of a poset are found mask by mask here, where
-the library takes the fixed points of the down-closure of every mask.  The
+the library takes the fixed points of the down-closure of every mask, and
+listed as frozensets, the keys of an ideal equivalence.  The
 covering signatures of every support size stand against the library's
 class count from the prefix sums at the inner class bounds alone.
+The Yates transform over all 2^n support masks stands against the
+twin-class engine's mode products over popcount states.
 The pairing table of a second character chi^u lets the tests check that a
 dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
@@ -42,7 +45,7 @@ from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
 from dualpart.krawtchouk import ku_build
 from dualpart.macwilliams import LinearCode
 from dualpart.partitions import DualityContext, Partition, co_profile_prefix_sums
-from dualpart.posets import dual_poset, ideals, levels
+from dualpart.posets import _unmask, dual_poset, ideal_masks, levels
 from paper import SparsePoly, closure, ku_eval, level_sets, sigma, varpi
 
 
@@ -474,6 +477,43 @@ def scaled_exponents(ctx, u):
     return (table.astype(np.int64) * u % ctx.m).astype(table.dtype)
 
 
+def support_masks(group):
+    """The support bitmask of every element, in index order (bit i for
+    coordinate i)."""
+    masks = np.zeros(1, dtype=np.int64)
+    for i, h in enumerate(group.h):
+        bit = np.zeros(h, dtype=np.int64)
+        bit[1:] = 1 << i
+        masks = (masks[:, None] | bit[None, :]).ravel()
+    return masks
+
+
+def lattice_dual(group, part):
+    """Oracle: the dual of a partition whose class depends only on the
+    support, by a Yates transform over all 2^n support masks.
+
+    Over coordinate i the non-identity entries sum a character to h_i - 1
+    where it is trivial and to -1 otherwise, so the sum at support U over
+    the elements of support T is entry (U, T) of the Kronecker product of
+    [[1, h_i - 1], [1, -1]]: k * n * 2^n steps.  Returns the dual's class
+    ids over G, classes in lexicographic order of their sums, and the sums
+    of each class as a tuple of ints."""
+    n, k = group.n, part.num_classes
+    masks = support_masks(group)
+    mask_ids = np.empty(1 << n, dtype=np.int64)
+    mask_ids[masks] = part.class_ids
+    assert np.array_equal(mask_ids[masks], part.class_ids), "the class depends on more than the support"
+    table = np.zeros((1 << n, k), dtype=np.int64)
+    table[np.arange(1 << n), mask_ids] = 1
+    for i, h in enumerate(group.h):
+        pair = table.reshape(-1, 2, 1 << i, k)  # axis 1 is mask bit i
+        identity = pair[:, 0].copy()
+        pair[:, 0] += (h - 1) * pair[:, 1]
+        np.subtract(identity, pair[:, 1], out=pair[:, 1])
+    uniq, inverse = np.unique(table, axis=0, return_inverse=True)
+    return inverse.reshape(-1)[masks], [tuple(int(x) for x in row) for row in uniq]
+
+
 def eager_dual(ctx, exponents, part):
     """Oracle: class ids by ``np.unique(axis=0)`` over the rows, and every
     label built at once as a tuple of CycInt."""
@@ -664,6 +704,12 @@ def binary_cols_to_matrix(cols, n):
             # n-1-j; entry i carries place value 2^(n-1-i)
             m[i, n - 1 - j] = (c >> (n - 1 - i)) & 1
     return m
+
+
+def ideals(p, config=DEFAULT_CONFIG):
+    """The ideals of p as frozensets, in the order of ``ideal_masks``: the
+    keys that ``induce_from_ideal_classes`` takes."""
+    return [_unmask(m, p.n) for m in ideal_masks(p, config).tolist()]
 
 
 def ideal_masks_by_scan(p):

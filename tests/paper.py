@@ -27,7 +27,7 @@ from fractions import Fraction
 from dualpart.config import DEFAULT_CONFIG, InputError
 from dualpart.krawtchouk import ku_roots
 from dualpart.partitions import DualityContext, induce_CO
-from dualpart.posets import dual_poset, ideals, is_hierarchical, levels
+from dualpart.posets import _unmask, dual_poset, ideal_masks, is_hierarchical, levels
 
 NEG_INF = float("-inf")
 
@@ -179,7 +179,8 @@ def F_poly(group, p, omega, alpha, config=DEFAULT_CONFIG):
     (P, omega)-weight b, summed over ideals with the kernel phi."""
     d = closure(dual_poset(p), alpha.support())
     terms = {}
-    for i_set in ideals(p, config):
+    for mask in ideal_masks(p, config).tolist():
+        i_set = _unmask(mask, p.n)
         val = phi_value(p, group.h, d, i_set)
         if val:
             e = varpi(omega, i_set)

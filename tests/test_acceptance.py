@@ -208,8 +208,8 @@ def test_criterion_02_krawtchouk_rows_are_lattice_labels():
             _, reps = np.unique(lam.class_ids, return_index=True)
             want = character_sums(group, reps.tolist(), gamma)
             assert [tuple(row) for row in res.rho] == want, spec
-            engines.add("lattice" if gamma.mask_ids is not None else "pairwise")
-            assert (ctx._table is None) == (gamma.mask_ids is not None), spec
+            engines.add("lattice" if gamma.blocks is not None else "pairwise")
+            assert (ctx._table is None) == (gamma.blocks is not None), spec
     assert engines == {"lattice", "pairwise"}
     for p, n in ((2, 6), (3, 4), (5, 3)):
         space = PrimeFieldSpace(p, (1,) * n)

@@ -242,6 +242,34 @@ class TestLatticeDual:
         assert doc["gamma_classes"] == doc["dual_classes"] == doc["bidual_classes"] == 8
         assert doc["reflexive"] and doc["bidual_equals_gamma"]
 
+    @pytest.mark.parametrize(
+        "coords,counts,reflexive",
+        [([[16]] * 7, (5, 8, 8), False), ([[2]] * 64, (33, 33, 33), True)],
+        ids=["z16^7", "z2^64"],
+    )
+    def test_groups_past_the_enumeration_cap_answer(self, capsys, tmp_path, monkeypatch, coords, counts, reflexive):
+        # |G| = 2^28 and 2^64 are over enumeration_cap, but no verdict lists
+        # G; above 2^62 the sums are Python ints.  The class counts are
+        # those of co_reflexivity_bruteforce(16, 7, 2) and (2, 64, 2)
+        from dualpart.groups import GroupProduct
+
+        def no_listing(*args, **kwargs):
+            raise AssertionError("G listed")
+
+        monkeypatch.setattr(GroupProduct, "residue_matrix", no_listing)
+        path = write_json(tmp_path, "g.json", {"coordinates": coords})
+        code, out, err = run(capsys, "dual", path, "Pk:2")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert (doc["gamma_classes"], doc["dual_classes"], doc["bidual_classes"]) == counts
+        assert doc["reflexive"] == doc["bidual_equals_gamma"] == reflexive
+
+    def test_export_refused_where_g_is_listed(self, capsys, tmp_path):
+        path = write_json(tmp_path, "g.json", {"coordinates": [[16]] * 7})
+        code, out, err = run(capsys, "dual", path, "Pk:2", "--export")
+        assert code == 2 and out == ""
+        assert err == "budget-exceeded: |G| to list a partition = 268435456 exceeds enumeration_cap = 16777216\n"
+
 
 class TestBudgetEnv:
     def test_override_applies(self, capsys, tmp_path, monkeypatch):
@@ -406,6 +434,18 @@ class TestErrorContract:
         code, out, err = run(capsys, "macwilliams", str(path), "--gamma", "hamming", "--lambda", "Pk:2")
         self.assert_one_line(code, out, err, "invalid-input")
         assert "lambda is not finer than l(gamma); witness (" in err
+
+    @pytest.mark.parametrize(
+        "coords,m",
+        [([[7], [11], [13], [17], [19], [23], [29]], 215656441), ([[1 << 40]], 1 << 40)],
+        ids=["seven-primes", "2^40"],
+    )
+    def test_exponent_over_budget(self, capsys, tmp_path, coords, m):
+        # few states, but Phi_m of the cyclotomic field would be listed
+        path = write_json(tmp_path, "g.json", {"coordinates": coords})
+        code, out, err = run(capsys, "dual", path, "hamming")
+        self.assert_one_line(code, out, err, "budget-exceeded")
+        assert err == f"budget-exceeded: exponent m of the cyclotomic field = {m} exceeds enumeration_cap = 16777216\n"
 
     def test_covering_relaxation_over_budget(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"pair_work_cap": 20})

@@ -29,6 +29,9 @@ CASES = {
     "dual-z3-poset-export": ["dual", "group_z3_4.json", "poset_v.json", "--export"],
     "dual-z3-huge-weight-export": ["dual", "group_z3_4.json", "poset_huge_weight.json", "--export"],
     "dual-z4z6-pk2-export": ["dual", "group_z4_z6.json", "Pk:2", "--export"],
+    # |G| = 2^28 and 2^64, never listed; above 2^62 the sums are Python ints
+    "dual-z16-7-pk2": ["dual", "group_z16_7.json", "Pk:2"],
+    "dual-z2-64-pk2": ["dual", "group_z2_64.json", "Pk:2"],
     "poset-hier": ["poset", "poset_hier.json"],
     "poset-v": ["poset", "poset_v.json"],
     # n = aut_cap_n: Aut(P, omega) has order 5! 7! and is never listed

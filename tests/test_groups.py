@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.exactarith import CycInt, root_of_unity_sum
 from dualpart.groups import build_group_product
-from dualpart.partitions import DualityContext
+from dualpart.metrics import pk_covering
+from dualpart.partitions import DualityContext, induce_CO
 from oracles import GroupElement, element_from_index, enumerate_elements
 
 
@@ -96,15 +97,20 @@ def test_validation_errors():
 
 
 def test_enumeration_cap_enforced():
+    # a product is built without listing it; listing its elements is refused
     tight = RunConfig(enumeration_cap=8)
+    group = build_group_product([[2]] * 4)
     with pytest.raises(BudgetError):
-        build_group_product([[2]] * 4, tight)
+        group.residue_matrix(tight)
+    assert group.residue_matrix(RunConfig(enumeration_cap=16)).shape == (16, 4)
 
 
 def test_cap_messages_name_field_amount_and_cap():
     tight = RunConfig(enumeration_cap=8)
-    with pytest.raises(BudgetError, match=r"^\|H\| = 16 exceeds enumeration_cap = 8$"):
-        build_group_product([[2]] * 4, tight)
     group = build_group_product([[2]] * 4)
     with pytest.raises(BudgetError, match=r"^\|H\| to materialize = 16 exceeds enumeration_cap = 8$"):
         group.residue_matrix(tight)
+    # an induced partition lists G only when its class ids are read
+    gamma = induce_CO(group, pk_covering(1, 4), tight)
+    with pytest.raises(BudgetError, match=r"^\|G\| to list a partition = 16 exceeds enumeration_cap = 8$"):
+        gamma.class_ids

@@ -35,7 +35,6 @@ from dualpart.posets import (
     automorphism_group,
     chain,
     dual_poset,
-    ideals,
     udp_check,
     validate_and_close,
 )
@@ -50,6 +49,8 @@ from oracles import (
     f_poly_bruteforce,
     f_poly_hierarchical,
     hamming_sum_profile,
+    ideals,
+    lattice_dual,
     members,
     onehot_coords,
     pairing_exponent,
@@ -301,7 +302,7 @@ class TestIdealSumKernels:
         omega = WeightFunction.from_mapping(3, {0: 1, 1: 2, 2: 1})
         gamma = induce_Q(group, p, omega)
         lam = DualityContext(group).left_dual(gamma)
-        assert lam.mask_ids is not None
+        assert lam.blocks is not None
         for a in enumerate_elements(group):
             f = F_poly(group, p, omega, a)
             sig = lam.labels[lam.class_ids[a.index]]
@@ -738,6 +739,19 @@ class TestRankRows:
         assert np.array_equal(first, want_first)
         assert np.array_equal(inverse, want_inverse.reshape(-1))
 
+    def test_python_int_rows_rank_as_int64_rows(self):
+        # rows of Python ints (sums above 2^62) rank as the same numbers
+        # in int64 do, and rows past int64 rank by their values
+        rng = np.random.default_rng(7)
+        rows = rng.integers(-50, 50, size=(400, 3))
+        rows[::7] = rows[3]
+        first, inverse = _rank_rows(rows.astype(object))
+        want_first, want_inverse = _rank_rows(rows)
+        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+        big = np.array([[2**64, -1], [-(2**70), 5], [2**64, -1], [2**64, -2]], dtype=object)
+        first, inverse = _rank_rows(big)
+        assert first.tolist() == [1, 3, 0] and inverse.tolist() == [2, 0, 2, 1]
+
 
 class TestDualGuards:
     def test_verdict_builds_no_labels(self, monkeypatch):
@@ -837,12 +851,12 @@ def support_induced_partitions(group, seed):
         induce_from_ideal_classes(group, hier, {i: rng.randrange(3) for i in ideals(hier)}),
         induce_from_ideal_classes(group, antichain(n), {i: len(i) % 2 for i in ideals(antichain(n))}),
     ]
-    assert all(part.mask_ids is not None for part in parts)
+    assert all(part.blocks is not None for part in parts)
     return parts
 
 
 def assert_same_dual(got, want):
-    assert got.mask_ids is not None and want.mask_ids is None
+    assert got.blocks is not None and want.blocks is None
     assert np.array_equal(got.class_ids, want.class_ids)
     assert isinstance(got.labels, SignatureLabels)
     assert np.array_equal(got.labels.rows, want.labels.rows)
@@ -883,9 +897,9 @@ class TestLatticeOracle:
     def test_other_partitions_take_the_pairwise_engine(self):
         group = build_group_product([[2], [3]])
         gamma = random_partition(group, 3, 0)
-        assert gamma.mask_ids is None
+        assert gamma.blocks is None
         lam = DualityContext(group).left_dual(gamma)
-        assert lam.mask_ids is None and lam == brute_force_left_dual(group, gamma)
+        assert lam.blocks is None and lam == brute_force_left_dual(group, gamma)
 
     def test_partition_of_another_group_rejected(self):
         a = build_group_product([[2], [3]])
@@ -905,6 +919,115 @@ class TestLatticeOracle:
         want = Partition.from_keys(keys)
         assert want.labels == [0, (2,), "x"]
         assert np.array_equal(part.class_ids, want.class_ids) and part.labels == want.labels
+
+
+# alphabets of one coordinate: Z/4 and Z/2 x Z/2 share h = 4
+ALPHABETS = [(2,), (3,), (4,), (2, 2), (5,)]
+
+
+@st.composite
+def twin_instances(draw):
+    """A mixed alphabet prod (Z/h_b)^(n_b), |G| <= 2^12, its coordinates
+    shuffled so that twin blocks interleave, and a support-induced
+    partition of it with its element-by-element keys."""
+    coords = []
+    for alphabet in draw(st.lists(st.sampled_from(ALPHABETS), min_size=1, max_size=3, unique=True)):
+        coords += [list(alphabet)] * draw(st.integers(1, 4))
+    coords = draw(st.permutations(coords))
+    while math.prod(math.prod(c) for c in coords) > 1 << 12:
+        coords = coords[:-1]
+    group = build_group_product(coords)
+    n, rng = group.n, draw(st.randoms(use_true_random=False))
+    els = enumerate_elements(group)
+    kind = draw(st.sampled_from(["pk", "covering", "poset", "ideals"]))
+    if kind == "pk":
+        k = draw(st.integers(1, n))
+        return group, induce_CO(group, pk_covering(k, n)), [-(-len(el.support()) // k) for el in els]
+    if kind == "covering":
+        # members closed under the permutations of a random set T, so the
+        # coordinates of T of one order are twins
+        t = set(rng.sample(range(n), min(n, rng.randint(2, 4))))
+        members = {frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 3))}
+        members |= {frozenset([i]) for i in range(n) if rng.random() < 0.5 or not any(i in m for m in members)}
+        members = {(m - t) | set(s) for m in members for s in itertools.combinations(sorted(t), len(m & t))}
+        cover = covering_from_members(n, [sorted(m) for m in members])
+        return group, induce_CO(group, cover), [covering_weight(cover, el.support()) for el in els]
+    # a hierarchical poset (levels in a shuffled order) or a random one;
+    # weights from a small set, so twins are common
+    if rng.random() < 0.7:
+        lvl = [rng.randrange(3) for _ in range(n)]
+        p = validate_and_close(n, [(u, v) for u in range(n) for v in range(n) if lvl[u] < lvl[v]])
+    else:
+        order = rng.sample(range(n), n)
+        p = validate_and_close(n, [(order[a], order[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3])
+    if kind == "poset":
+        omega = WeightFunction(tuple(Fraction(rng.choice(["1", "2", "1/2"])) for _ in range(n)))
+        return group, induce_Q(group, p, omega), [wpm_weight(p, omega, el) for el in els]
+    tags = {i: rng.randrange(3) for i in ideals(p)}
+    return group, induce_from_ideal_classes(group, p, tags), [tags[closure(p, el.support())] for el in els]
+
+
+def assert_dual_is_oracle(group, dual, part):
+    ids, sums = lattice_dual(group, part)
+    assert np.array_equal(dual.class_ids, ids)
+    assert [tuple(v.as_int() for v in label) for label in dual.labels] == sums
+
+
+class TestTwinClassEngine:
+    """The twin-class engine against the Yates transform over 2^n masks
+    and, on small groups, against the element-by-element dual."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(twin_instances())
+    def test_matches_lattice_oracle(self, instance):
+        group, gamma, keys = instance
+        want = Partition.from_keys(keys)
+        assert np.array_equal(gamma.class_ids, want.class_ids) and gamma.labels == want.labels
+        ctx = DualityContext(group)
+        lam = ctx.left_dual(gamma)
+        bidual = ctx.right_dual(lam)
+        assert_dual_is_oracle(group, lam, gamma)
+        assert_dual_is_oracle(group, bidual, lam)
+        if group.order <= 64:
+            assert lam == brute_force_left_dual(group, gamma)
+        # comparisons on states, on the common refinement of two block
+        # structures, equal comparisons over G
+        hamming = induce_CO(group, pk_covering(1, group.n))
+        for a, b in itertools.permutations([gamma, lam, bidual, hamming], 2):
+            over_g = Partition(a.class_ids, host=group), Partition(b.class_ids, host=group)
+            assert a.is_finer(b) == over_g[0].is_finer(over_g[1])
+            assert (a == b) == (over_g[0] == over_g[1])
+
+    def test_twin_blocks(self):
+        # P(k): the coordinates of one order; a poset: the transpositions of
+        # Aut(P, omega); a member list: the swaps that fix it; ideal
+        # classes: none
+        group = build_group_product([[2], [3], [2], [3], [2]])
+        assert induce_CO(group, pk_covering(2, 5)).blocks == ((0, 2, 4), (1, 3))
+        bottom = validate_and_close(5, [(0, v) for v in range(1, 5)])
+        gamma = induce_Q(group, bottom, WeightFunction.constant(5))
+        assert gamma.blocks == ((0,), (1, 3), (2, 4)) and len(gamma.state_ids) == 2 * 3 * 3
+        weights = WeightFunction(tuple(map(Fraction, (1, 1, 1, 1, 2))))
+        assert induce_Q(group, bottom, weights).blocks == ((0,), (1, 3), (2,), (4,))
+        cover = covering_from_members(5, [[0, 2], [2, 4], [0, 4], [1], [3]])
+        assert induce_CO(group, cover).blocks == ((0, 2, 4), (1, 3))
+        cover = covering_from_members(5, [[0, 2], [2, 4], [1], [3]])
+        assert induce_CO(group, cover).blocks == ((0, 4), (1, 3), (2,))
+        tags = {i: len(i) for i in ideals(antichain(5))}
+        assert induce_from_ideal_classes(group, antichain(5), tags).blocks == tuple((i,) for i in range(5))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_pk_class_counts_match_support_profiles(self, q):
+        # the prefix sums of one alphabet's support profiles are a second
+        # engine; above |G| = 2^62 (n >= 63 for q = 2, n >= 40 for q = 3)
+        # the transform runs on Python ints
+        for n in range(1, 65):
+            group = build_group_product([[q]] * n)
+            prefix = co_profile_prefix_sums(q, n)
+            for k in range(1, n + 1) if n <= 32 else sorted({1, 2, 3, n // 2, n - 1, n}):
+                rep = reflexivity_check(DualityContext(group), induce_CO(group, pk_covering(k, n)))
+                want = co_reflexivity_bruteforce(q, n, k, prefix)
+                assert (rep["gamma_classes"], rep["dual_classes"]) == (want["co_classes"], want["dual_classes"])
 
 
 class TestPairingTable:
@@ -944,23 +1067,29 @@ class TestScaleAndBudgets:
         assert ctx.left_dual(induce_CO(group, pk_covering(1, 1))).num_classes == 2
 
     def test_lattice_cap_named(self):
-        group = build_group_product([[2]] * 6)
-        gamma = induce_CO(group, pk_covering(2, 6))
-        ctx = DualityContext(group, RunConfig(pair_work_cap=255))
-        with pytest.raises(BudgetError, match=r"= 256 exceeds pair_work_cap = 255$"):
-            ctx.left_dual(gamma)
+        # (Z/2)^3 x (Z/3)^2 with P(2): 4 * 3 states, 4 classes and
+        # sum(n_b + 1) = 7 take 336 transform cells
+        group = build_group_product([[2]] * 3 + [[3]] * 2)
+        gamma = induce_CO(group, pk_covering(2, 5))
+        with pytest.raises(
+            BudgetError,
+            match=r"^states \* k \* sum\(n_b \+ 1\) transform cells = 336 exceeds pair_work_cap = 335$",
+        ):
+            DualityContext(group, RunConfig(pair_work_cap=335)).left_dual(gamma)
+        assert DualityContext(group, RunConfig(pair_work_cap=336)).left_dual(gamma).num_classes == 11
 
     def test_lattice_label_cap_named(self):
-        # (Z/5)^3 Hamming: 2^3 * 4 = 32 lattice cells, but 4 dual classes
-        # of 4 classes pad to 4 * 4 * deg(Phi_5) = 64 coordinate cells
-        group = build_group_product([[5]] * 3)
+        # (Z/7)^3 Hamming: 4 states * 4 classes * 4 = 64 transform cells,
+        # but 4 dual classes of 4 classes pad to 4 * 4 * deg(Phi_7) = 96
+        # coordinate cells
+        group = build_group_product([[7]] * 3)
         gamma = induce_CO(group, pk_covering(1, 3))
         with pytest.raises(
             BudgetError,
-            match=r"^rows \* k \* deg\(Phi_m\) coordinate cells = 64 exceeds pair_work_cap = 63$",
+            match=r"^rows \* k \* deg\(Phi_m\) coordinate cells = 96 exceeds pair_work_cap = 95$",
         ):
-            DualityContext(group, RunConfig(pair_work_cap=63)).left_dual(gamma)
-        assert DualityContext(group, RunConfig(pair_work_cap=64)).left_dual(gamma).num_classes == 4
+            DualityContext(group, RunConfig(pair_work_cap=95)).left_dual(gamma)
+        assert DualityContext(group, RunConfig(pair_work_cap=96)).left_dual(gamma).num_classes == 4
 
     def test_coordinate_cap_named(self):
         # Z/48 with 24 classes: a 48 x 48 table passes a cap of 10,000 cells,
@@ -978,9 +1107,17 @@ class TestScaleAndBudgets:
         ctx.left_dual(Partition(np.arange(48) % 2, host=group))
 
     def test_induce_cap_named(self):
+        # inducing and dualizing list no element of G: the cap binds where
+        # the class ids are pulled back to G
         group = build_group_product([[2]] * 6)
-        with pytest.raises(BudgetError, match=r"^\|G\| to induce a partition = 64 exceeds enumeration_cap = 63$"):
-            induce_CO(group, pk_covering(1, 6), RunConfig(enumeration_cap=63))
+        tight = RunConfig(enumeration_cap=63)
+        gamma = induce_CO(group, pk_covering(1, 6), tight)
+        lam = DualityContext(group, tight).left_dual(gamma)
+        assert gamma.num_classes == lam.num_classes == 7
+        for part in (gamma, lam):
+            with pytest.raises(BudgetError, match=r"^\|G\| to list a partition = 64 exceeds enumeration_cap = 63$"):
+                part.class_ids
+        assert len(induce_CO(group, pk_covering(1, 6), RunConfig(enumeration_cap=64)).class_ids) == 64
 
 
 class TestPartitionIds:

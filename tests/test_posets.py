@@ -12,13 +12,12 @@ from dualpart.posets import (
     chain,
     dual_poset,
     ideal_masks,
-    ideals,
     is_hierarchical,
     levels,
     udp_check,
     validate_and_close,
 )
-from oracles import apply_perm, automorphisms, ideal_masks_by_scan, udp_by_listing
+from oracles import apply_perm, automorphisms, ideal_masks_by_scan, ideals, udp_by_listing
 from paper import closure, extremes, level_sets, sigma
 
 
