@@ -62,10 +62,16 @@ class RunConfig:
                      or table is built.  A scan row costs O(n^2) big-integer
                      operations for its value table and profiles; a
                      polynomial of degree k costs O(k^2) for its
-                     coefficients, and its root isolation O(k) per point
-                     at which the Sturm chain is evaluated (about 2k + 1
-                     points, plus the splits and bisection steps of each
-                     root).
+                     coefficients, and its root isolation O(k) per pass of
+                     the recurrence: about 2k + 1 Sturm points, the
+                     splits of crowded cells, and the Newton refinement
+                     of each root.  That refinement takes at most 12
+                     passes per root, splits included, on the criteria
+                     workload's root ladder at width 1e-9 (bisection
+                     took 30 to 34), and never more than twice
+                     bisection's passes plus 2 per root on the
+                     cross-check grid of ``tests/test_krawtchouk.py``;
+                     n = k = 512 takes about 5 passes per root.
     """
 
     enumeration_cap: int = 1 << 24

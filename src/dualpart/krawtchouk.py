@@ -8,7 +8,10 @@ values per n (``ku_value_table``); it isolates no root.  Root isolation
 serves ``ku_roots`` only: the polynomials P_0 ... P_k of the three-term
 recurrence form a Sturm sequence, so their sign changes at a rational point
 count the roots below it exactly; dyadic cells of [0, n] are split until
-each holds one root, which is then bisected by exact sign, all in integers.
+each holds one root, which is then closed in on the final dyadic grid by
+Newton steps from exact values and slopes of the same recurrence, rounded
+to the grid and kept inside the bracket by exact signs, with bisection as
+the fallback; all in integers.
 """
 
 from __future__ import annotations
@@ -92,6 +95,21 @@ def _chain(n: int, k: int, q: int, num: int, den: int) -> tuple[int, int]:
     return changes, cur
 
 
+def _value_and_slope(steps: Sequence[tuple[int, int]], q: int, num: int, den: int) -> tuple[int, int]:
+    """At x = num/den (den > 0): P_k(x) * den^k and P_k'(x) * den^(k-1), in
+    one pass of the recurrence of ``_chain`` and of its derivative
+    P'_(j+1) = (a - qx) P'_j - q P_j - b P'_(j-1), scaled alike; ``steps``
+    holds the (a, b) of j = 0 .. k-1."""
+    den2, qx = den * den, q * num
+    prev, cur = 0, 1
+    dprev, dcur = 0, 0
+    for a, b in steps:
+        c = a * den - qx
+        b *= den2
+        prev, cur, dprev, dcur = cur, c * cur - b * prev, dcur, c * dcur - q * cur - b * dprev
+    return cur, dcur
+
+
 def ku_values(n: int, k: int, q: int) -> list[int]:
     """The values K_k(s) at the integers s = 0..n: P_k(s) / k! from the
     recurrence of ``_chain`` at x = s, where the division is exact."""
@@ -111,15 +129,26 @@ def ku_roots(
     config: RunConfig = DEFAULT_CONFIG,
 ) -> list[tuple[Fraction, Fraction]]:
     """The k distinct real roots in (0, n), ascending: a root x met exactly
-    as (x, x), any other as a dyadic cell [n*i/d, n*(i+1)/d] (d = 2k * 2^j)
-    that holds it, with n/d <= width.
+    as (x, x), any other as a dyadic cell [n*i/D, n*(i+1)/D] that holds it,
+    on the first grid D = 2k * 2^j of cells with n/D <= width (or on a finer
+    one where the roots crowd).
 
     Cells start at d = 2k.  The Sturm chain of the recurrence (``_chain``)
     counts the roots inside each cell; a cell with two or more, or with one
-    and a root at both ends, is split at its midpoint, and a cell with one
-    is bisected by the sign of K_k until n/d <= width.  Integers throughout;
-    Fractions are built only for the output.  n and k are checked against
-    ``krawtchouk_cap_n`` first."""
+    and a root at both ends, is split at its midpoint.  A cell with one root
+    is refined on the grid D by exact Newton steps: one pass of the
+    recurrence (``_value_and_slope``) gives P_k and P_k' at a grid point,
+    taken as a reduced fraction so that coarse points stay cheap; the next
+    point is the floor, in grid steps, of the Newton iterate from the point
+    evaluated so far with the smallest step, clamped into the open bracket,
+    and the sign of P_k moves one end of the bracket.  The first point is
+    the midpoint, and after two points in a row that halve neither the
+    bracket nor the smallest step the next one is the midpoint too.  A root
+    on the grid is never strictly inside a bracket one grid step wide, so it
+    is met exactly; any other ends in the one grid cell that holds it, as
+    bisection would find it.  Integers throughout; Fractions are built only
+    for the output.  n and k are checked against ``krawtchouk_cap_n``
+    first."""
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
     _check_cap(n, k, config)
@@ -129,6 +158,7 @@ def ku_roots(
         root = Fraction((q - 1) * n, q)
         return [(root, root)]
     wn, wd = Fraction(width).as_integer_ratio()
+    steps = [(j + (q - 1) * (n - j), j * (q - 1) * (n - j + 1)) for j in range(k)]
     out: list[tuple[Fraction, Fraction]] = []
 
     def at(i: int, d: int) -> tuple[int, int]:
@@ -151,15 +181,39 @@ def ku_roots(
             cell(2 * i + 1, 2 * d, mid, hi)
             return
         ref = hi[1] or -lo[1]  # the sign of K_k between the root and hi
-        while n * wd > wn * d:  # n/d > width
-            i, d = 2 * i, 2 * d
-            sign = at(i + 1, d)[1]
-            if sign == 0:
-                exact(i + 1, d)
+        shift = 0
+        while n * wd > wn * (d << shift):  # n/D > width at D = d * 2^shift
+            shift += 1
+        grid, base = d << shift, i << shift
+        # the root lies strictly between base + left and base + right on the grid
+        left, right = 0, 1 << shift
+        x, best, fails = right >> 1, None, 0  # best: (|step|, iterate)
+        while right - left > 1:
+            num = n * (base + x)
+            g = math.gcd(num, grid)
+            value, slope = _value_and_slope(steps, q, num // g, grid // g)
+            if value == 0:
+                exact(base + x, grid)
                 return
-            if sign != ref:
-                i += 1
-        out.append((Fraction(n * i, d), Fraction(n * (i + 1), d)))
+            before = right - left
+            if (value > 0) == (ref > 0):
+                right = x
+            else:
+                left = x
+            progress = 2 * (right - left) <= before  # the bracket halved
+            if slope:
+                # the Newton step -P/P' in grid steps: -value * g / (slope * n)
+                step = (-value * g) // (slope * n)
+                if best is None or abs(step) <= best[0]:
+                    # a step under half the smallest before it is progress too
+                    progress |= best is None or 2 * abs(step) < best[0]
+                    best = (abs(step), x + step)
+            fails = 0 if progress else fails + 1
+            if best is None or fails == 2:
+                x, fails = (left + right) >> 1, 0
+            else:
+                x = min(max(best[1], left + 1), right - 1)
+        out.append((Fraction(n * (base + left), grid), Fraction(n * (base + right), grid)))
 
     d = 2 * k
     ends = [at(i, d) for i in range(d + 1)]

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, InputError, RunConfig
+from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
 from .exactarith import CycInt, _cyclotomic_coeffs, euler_phi_degree
 from .groups import GroupProduct
 from .metrics import Covering, WeightFunction, _outer, _scaled_mask_sums
@@ -392,7 +392,9 @@ def reflexivity_check(
     ctx: DualityContext, gamma: Partition, compute_bidual: bool = False
 ) -> dict:
     """Verdict by cardinality comparison |Gamma| vs |l(Gamma)|; optionally
-    also computes the bidual r(l(Gamma)) and asserts it is finer."""
+    also computes the bidual r(l(Gamma)) and asserts it is finer.  The
+    verdict needs only the left dual, so a bidual over budget is reported
+    as ``bidual_refused`` (the refusal message) next to the verdict."""
     lam = ctx.left_dual(gamma)
     out = {
         "gamma_classes": gamma.num_classes,
@@ -401,7 +403,11 @@ def reflexivity_check(
         "verdict": "reflexive" if gamma.num_classes == lam.num_classes else "non-reflexive",
     }
     if compute_bidual:
-        bidual = ctx.right_dual(lam)
+        try:
+            bidual = ctx.right_dual(lam)
+        except BudgetError as e:
+            out["bidual_refused"] = str(e)
+            return out
         if not bidual.is_finer(gamma):
             raise AssertionError("bidual is not finer than the input partition")
         out["bidual_classes"] = bidual.num_classes

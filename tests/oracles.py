@@ -40,6 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dualpart import krawtchouk
 from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
 from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
 from dualpart.krawtchouk import ku_build
@@ -259,6 +260,54 @@ def grid_roots(n, k, q, width=Fraction(1, 10**9)):
     """Oracle: the k roots of KU_(n,k) by the refined grid, k >= 2."""
     coeffs = _int_coeffs_of(ku_build(n, k, q).coeffs)
     return isolate_real_roots(coeffs, Fraction(0), Fraction(n), k, width)
+
+
+def bisect_roots(n, k, q, width=Fraction(1, 10**9)):
+    """Oracle: the roots of KU_(n,k) as ``ku_roots`` returns them, 2 <= k
+    <= n, each one-root cell bisected by the sign of K_k down to the first
+    dyadic grid with n/d <= width.  Cells are split exactly as in
+    ``ku_roots``, and every point goes through ``krawtchouk._chain``, so a
+    patched ``_chain`` sees (and counts) every pass."""
+    wn, wd = Fraction(width).as_integer_ratio()
+    out = []
+
+    def at(i, d):
+        changes, value = krawtchouk._chain(n, k, q, n * i, d)
+        return changes, (value > 0) - (value < 0)
+
+    def exact(i, d):
+        x = Fraction(n * i, d)
+        out.append((x, x))
+
+    def cell(i, d, lo, hi):
+        inside = hi[0] - lo[0] - (lo[1] == 0)
+        if inside == 0:
+            return
+        if inside > 1 or lo[1] == hi[1] == 0:
+            mid = at(2 * i + 1, 2 * d)
+            cell(2 * i, 2 * d, lo, mid)
+            if mid[1] == 0:
+                exact(2 * i + 1, 2 * d)
+            cell(2 * i + 1, 2 * d, mid, hi)
+            return
+        ref = hi[1] or -lo[1]  # the sign of K_k between the root and hi
+        while n * wd > wn * d:  # n/d > width
+            i, d = 2 * i, 2 * d
+            sign = at(i + 1, d)[1]
+            if sign == 0:
+                exact(i + 1, d)
+                return
+            if sign != ref:
+                i += 1
+        out.append((Fraction(n * i, d), Fraction(n * (i + 1), d)))
+
+    d = 2 * k
+    ends = [at(i, d) for i in range(d + 1)]
+    for i in range(d):
+        if ends[i][1] == 0:
+            exact(i, d)
+        cell(i, d, ends[i], ends[i + 1])
+    return out
 
 
 def ku_derivative_roots(n, k, q, width=Fraction(1, 10**9)):

@@ -279,6 +279,25 @@ class TestBudgetEnv:
         code, _, err = run(capsys, "poset", path)
         assert code == 2 and "budget-exceeded" in err
 
+    def test_bidual_over_budget_keeps_the_verdict(self, capsys, tmp_path, monkeypatch):
+        # the left dual decides; only the bidual's transform (32,242 cells)
+        # exceeds the cap, so it is reported as refused next to the verdict
+        group = write_json(tmp_path, "g.json", {"coordinates": [[2]] * 6 + [[3]] * 6})
+        code, out, _ = run(capsys, "dual", group, "Pk:2")
+        assert code == 0
+        assert json.loads(out) == {
+            "bidual_classes": 49, "bidual_equals_gamma": False, "dual_classes": 47,
+            "gamma_classes": 7, "reflexive": False, "verdict": "non-reflexive",
+        }
+        budget = write_json(tmp_path, "budget.json", {"pair_work_cap": 10000})
+        monkeypatch.setenv("DUALPART_BUDGET", budget)
+        code, out, err = run(capsys, "dual", group, "Pk:2")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {
+            "bidual_refused": "states * k * sum(n_b + 1) transform cells = 32242 exceeds pair_work_cap = 10000",
+            "dual_classes": 47, "gamma_classes": 7, "reflexive": False, "verdict": "non-reflexive",
+        }
+
     def test_unknown_key_rejected(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"no_such_knob": 1})
         monkeypatch.setenv("DUALPART_BUDGET", budget)

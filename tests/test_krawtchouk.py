@@ -17,6 +17,7 @@ from dualpart.krawtchouk import (
 )
 from dualpart.partitions import co_profile_prefix_sums
 from oracles import (
+    bisect_roots,
     convolution_coeffs,
     derivative_smallest_root_floor,
     genfun_eval,
@@ -106,6 +107,7 @@ class TestBudget:
             raise AssertionError("Sturm chain evaluated")
 
         monkeypatch.setattr(krawtchouk, "_chain", refuse)
+        monkeypatch.setattr(krawtchouk, "_value_and_slope", refuse)
         for call in (ku_build, ku_roots):
             with pytest.raises(BudgetError, match=r"^Krawtchouk n = 1000000000 exceeds krawtchouk_cap_n = 512$"):
                 call(10**9, 3, 2)
@@ -192,6 +194,52 @@ class TestRoots:
         for n, k, q in cases:
             for width in (Fraction(1, 10**9), Fraction(1, 100), Fraction(1, 4)):
                 assert ku_roots(n, k, q, width) == grid_roots(n, k, q, width), (n, k, q, width)
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Count every pass of the recurrence: ``_chain`` and
+        ``_value_and_slope`` each run it once per call."""
+        from dualpart import krawtchouk
+
+        calls = [0]
+        for name in ("_chain", "_value_and_slope"):
+            def counted(*args, _inner=getattr(krawtchouk, name)):
+                calls[0] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(krawtchouk, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, None])
+    def test_matches_bisection_oracle(self, q, monkeypatch):
+        # the Newton refinement returns the tuples of bisection to the
+        # same grid, with at most twice its passes plus 2 per root.  The
+        # exact roots are those of test_matches_grid_oracle; width 1e-20
+        # takes some 67 bisection steps per root
+        calls = self.count_passes(monkeypatch)
+        if q is None:
+            cases = [(27, 3, 2), (100, 3, 2), (136, 2, 3), (64, 2, 6)]
+        else:
+            cases = [(n, k, q) for n in range(2, 31) for k in range(2, n + 1)]
+        for n, k, q in cases:
+            for width in (Fraction(1, 10**9), Fraction(1, 100), Fraction(1, 4), Fraction(1, 10**20)):
+                calls[0] = 0
+                got = ku_roots(n, k, q, width)
+                passes = calls[0]
+                calls[0] = 0
+                assert got == bisect_roots(n, k, q, width), (n, k, q, width)
+                assert passes <= 2 * calls[0] + 2 * k, (n, k, q, width, passes, calls[0])
+
+    def test_passes_per_root_on_the_benchmark_ladder(self, monkeypatch):
+        # the (n, k) of the criteria workload's ``krawtchouk --roots``
+        # instances, at the default width 1e-9: bisection takes 30 to 34
+        # passes per root there
+        calls = self.count_passes(monkeypatch)
+        for q in (2, 3, 4, 5):
+            for n, k in ((30, 8), (40, 10), (50, 12), (60, 14), (70, 16), (80, 18)):
+                calls[0] = 0
+                assert len(ku_roots(n, k, q)) == k
+                assert calls[0] <= 12 * k, (n, k, q, calls[0])
 
     @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), -1])
     def test_rejects_nonpositive_width(self, width):
