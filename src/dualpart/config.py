@@ -57,21 +57,17 @@ class RunConfig:
                      ``ku_build`` or ``ku_roots`` is asked for (and of
                      ``krawtchouk --n/--k``), maximum n of the value
                      table, distinct-value counts and profile prefix
-                     sums of ``scan-co``, and maximum last n of a
-                     ``scan-co`` range, checked before any polynomial
-                     or table is built.  A scan row costs O(n^2) big-integer
-                     operations for its value table and profiles; a
-                     polynomial of degree k costs O(k^2) for its
-                     coefficients, and its root isolation O(k) per pass of
-                     the recurrence: about 2k + 1 Sturm points, the
-                     splits of crowded cells, and the Newton refinement
-                     of each root.  That refinement takes at most 12
-                     passes per root, splits included, on the criteria
-                     workload's root ladder at width 1e-9 (bisection
-                     took 30 to 34), and never more than twice
-                     bisection's passes plus 2 per root on the
-                     cross-check grid of ``tests/test_krawtchouk.py``;
-                     n = k = 512 takes about 5 passes per root.
+                     sums of ``scan-co`` and ``refute``, and maximum last
+                     n of a ``scan-co`` range, checked before any
+                     polynomial or table is built.  A scan row costs
+                     O(n^2) big-integer operations for its value table and
+                     profiles; a polynomial of degree k costs O(k^2) for
+                     its coefficients, O(nk) for its values at 0..n, which
+                     place each root, and O(k) per pass of the recurrence
+                     that refines a root: 5.4 to 6.4 passes per root on
+                     the criteria workload's root ladder at width 1e-9
+                     (``tests/test_krawtchouk.py`` allows 12), and about
+                     4 at n = k = 512.
     """
 
     enumeration_cap: int = 1 << 24

@@ -1,25 +1,22 @@
 """Exact Krawtchouk polynomials and the covering non-reflexivity criteria.
 
-Coefficients are exact rationals; integer-argument values are exact integers,
-taken from the three-term recurrence (``ku_values``).
-The criteria chain tries the closed-form families first and ends at the
-distinct-value count of KU_(n-1,s), read from one recurrence table of the
-values per n (``ku_value_table``); it isolates no root.  Root isolation
-serves ``ku_roots`` only: the polynomials P_0 ... P_k of the three-term
-recurrence form a Sturm sequence, so their sign changes at a rational point
-count the roots below it exactly; dyadic cells of [0, n] are split until
-each holds one root, which is then closed in on the final dyadic grid by
-Newton steps from exact values and slopes of the same recurrence, rounded
-to the grid and kept inside the bracket by exact signs, with bisection as
-the fallback; all in integers.
+One three-term recurrence (``_steps``) gives the exact rational
+coefficients (``ku_build``), the exact integer values at 0..n (``ku_rows``,
+read by ``ku_values`` and by the criteria's value table) and the values and
+slopes at grid points (``_value_and_slope``).  The criteria chain tries the
+closed-form families first and ends at the distinct-value count of
+KU_(n-1,s); it isolates no root.  ``ku_roots`` places each root of K_k by
+the signs of its values at the integers, then closes in on it by exact
+Newton steps on a dyadic grid, with bisection as the fallback.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 
@@ -51,55 +48,54 @@ def _check_cap(n: int, k: int, config: RunConfig) -> None:
     config.check("krawtchouk_cap_n", k, "Krawtchouk k")
 
 
+def _steps(n: int, k: int, q: int) -> list[tuple[int, int]]:
+    """The (a_j, c_j), j = 0 .. k-1, of (j+1) K_(j+1) = (a_j - qx) K_j -
+    c_j K_(j-1) from K_0 = 1 and K_(-1) = 0: a_j = j + (q-1)(n-j) and
+    c_j = (q-1)(n-j+1).  On P_j = j! K_j it reads
+    P_(j+1) = (a_j - qx) P_j - j c_j P_(j-1)."""
+    return [(j + (q - 1) * (n - j), (q - 1) * (n - j + 1)) for j in range(k)]
+
+
 def ku_build(n: int, k: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> KrawtchoukPoly:
     """Expanded exact coefficients of
     sum_t (-1)^t (q-1)^(k-t) C(x,t) C(n-x,k-t).
 
-    The integer polynomials P_j = j! K_j obey the three-term recurrence
-    P_(j+1) = (j + (q-1)(n-j) - qx) P_j - j(q-1)(n-j+1) P_(j-1), which
+    P_k by the recurrence of ``_steps`` on integer coefficient lists, which
     costs O(k^2) integer operations; K_k = P_k / k!.  n and k are checked
     against ``krawtchouk_cap_n`` first."""
     if n < 0 or k < 0 or q < 2:
         raise InputError("need n,k >= 0 and q >= 2")
     _check_cap(n, k, config)
     prev, cur = [], [1]
-    for j in range(k):
-        a = j + (q - 1) * (n - j)
-        b = j * (q - 1) * (n - j + 1)
+    for j, (a, c) in enumerate(_steps(n, k, q)):
         nxt = [0] * (j + 2)
-        for i, c in enumerate(cur):
-            nxt[i] += a * c
-            nxt[i + 1] -= q * c
-        for i, c in enumerate(prev):
-            nxt[i] -= b * c
+        for i, v in enumerate(cur):
+            nxt[i] += a * v
+            nxt[i + 1] -= q * v
+        for i, v in enumerate(prev):
+            nxt[i] -= j * c * v
         prev, cur = cur, nxt
     k_fact = math.factorial(k)
     return KrawtchoukPoly(n, k, q, tuple(Fraction(c, k_fact) for c in cur))
 
 
-def _chain(n: int, k: int, q: int, num: int, den: int) -> tuple[int, int]:
-    """At x = num/den (den > 0): the sign changes V of P_0 ... P_k, zeros
-    skipped, and P_k(x) * den^k, with P_j = j! K_j from the recurrence of
-    ``ku_build`` scaled by den^j.  P_0 ... P_k is a Sturm sequence (each
-    b_j > 0 and P_j leads with (-q)^j), so V counts the roots of K_k
-    strictly below x."""
-    den2, qx = den * den, q * num
-    prev, cur = 0, 1
-    changes, positive = 0, True
-    for j in range(k):
-        a = j + (q - 1) * (n - j)
-        b = j * (q - 1) * (n - j + 1)
-        prev, cur = cur, (a * den - qx) * cur - b * den2 * prev
-        if cur and (cur > 0) != positive:
-            changes, positive = changes + 1, not positive
-    return changes, cur
+def ku_rows(n: int, k: int, q: int) -> Iterator[list[int]]:
+    """Rows K_0 .. K_k of the values at x = 0..n, one at a time: row s is
+    K_s(0..n), from the recurrence of ``_steps`` run on all n + 1 points at
+    once, where each division by s is exact.  O(nk) integer operations;
+    only two rows are held."""
+    prev, cur = [0] * (n + 1), [1] * (n + 1)
+    yield cur
+    for s, (a, c) in enumerate(_steps(n, k, q), 1):  # row s; e is a - qx at x = 0..n
+        prev, cur = cur, [(e * v - c * p) // s for e, v, p in zip(range(a, a - q * n - 1, -q), cur, prev)]
+        yield cur
 
 
 def _value_and_slope(steps: Sequence[tuple[int, int]], q: int, num: int, den: int) -> tuple[int, int]:
     """At x = num/den (den > 0): P_k(x) * den^k and P_k'(x) * den^(k-1), in
-    one pass of the recurrence of ``_chain`` and of its derivative
-    P'_(j+1) = (a - qx) P'_j - q P_j - b P'_(j-1), scaled alike; ``steps``
-    holds the (a, b) of j = 0 .. k-1."""
+    one pass of the recurrence of ``_steps`` on P_j = j! K_j and of its
+    derivative P'_(j+1) = (a_j - qx) P'_j - q P_j - b_j P'_(j-1), scaled
+    alike, from the (a_j, b_j = j c_j) in ``steps``."""
     den2, qx = den * den, q * num
     prev, cur = 0, 1
     dprev, dcur = 0, 0
@@ -111,15 +107,68 @@ def _value_and_slope(steps: Sequence[tuple[int, int]], q: int, num: int, den: in
 
 
 def ku_values(n: int, k: int, q: int) -> list[int]:
-    """The values K_k(s) at the integers s = 0..n: P_k(s) / k! from the
-    recurrence of ``_chain`` at x = s, where the division is exact."""
-    k_fact = math.factorial(k)
-    return [_chain(n, k, q, s, 1)[1] // k_fact for s in range(n + 1)]
+    """The values K_k(0..n): the last row of ``ku_rows``."""
+    return collections.deque(ku_rows(n, k, q), maxlen=1).pop()
 
 
 # ---------------------------------------------------------------------------
 # root isolation
 # ---------------------------------------------------------------------------
+
+def _coarse_point(left: int, right: int) -> int:
+    """The grid point of the middle half of the open bracket (left, right)
+    with the most trailing zero bits: a bisection point whose reduced
+    fraction, and so whose pass, is the cheapest there."""
+    quarter = max(1, (right - left) // 4)
+    shift = max(((left + quarter) ^ (right - quarter)).bit_length() - 1, 0)
+    return (right - quarter) >> shift << shift
+
+
+def _grid_root(
+    steps: Sequence[tuple[int, int]], q: int, n: int, d: int, left: int, right: int, ref: int
+) -> tuple[int, int]:
+    """The one root of K_k strictly between the grid points n*left/d and
+    n*right/d, or at that point when left == right: the grid cell
+    (i, i + 1) that holds it, or (i, i) when it is the grid point n*i/d.
+    ``ref`` is the sign of K_k between the root and n*right/d; ``steps`` is
+    that of ``_value_and_slope``.
+
+    Each point costs one pass of ``_value_and_slope`` at its reduced
+    fraction, and its sign moves one end of the bracket.  The next point is
+    the Newton iterate, floored to the grid and clamped into the open
+    bracket, from the point with the smallest step so far; the first two
+    points, and the next after two points in a row that halve neither the
+    bracket nor the smallest step, bisect (``_coarse_point``), and the step
+    from the first is not kept.  A root on the grid is never strictly
+    inside a bracket one step wide, so it is met exactly; any other ends in
+    the one grid cell that holds it, as bisection finds it."""
+    x, best, fails, first = _coarse_point(left, right), None, 0, True  # best: (|step|, iterate)
+    while right - left > 1:
+        num = n * x
+        g = math.gcd(num, d)
+        value, slope = _value_and_slope(steps, q, num // g, d // g)
+        if value == 0:
+            return x, x
+        before = right - left
+        if (value > 0) == (ref > 0):
+            right = x
+        else:
+            left = x
+        progress = 2 * (right - left) <= before  # the bracket halved
+        if slope and not first:
+            # the Newton step -P/P' in grid steps: -value * g / (slope * n)
+            step = (-value * g) // (slope * n)
+            if best is None or abs(step) <= best[0]:
+                # a step under half the smallest before it is progress too
+                progress |= best is None or 2 * abs(step) < best[0]
+                best = (abs(step), x + step)
+        fails, first = (0 if progress else fails + 1), False
+        if best is None or fails == 2:
+            x, fails = _coarse_point(left, right), 0
+        else:
+            x = min(max(best[1], left + 1), right - 1)
+    return left, right
+
 
 def ku_roots(
     n: int,
@@ -130,25 +179,29 @@ def ku_roots(
 ) -> list[tuple[Fraction, Fraction]]:
     """The k distinct real roots in (0, n), ascending: a root x met exactly
     as (x, x), any other as a dyadic cell [n*i/D, n*(i+1)/D] that holds it,
-    on the first grid D = 2k * 2^j of cells with n/D <= width (or on a finer
-    one where the roots crowd).
+    on the first grid D = 2k * 2^m with n/D <= width, or on a finer one
+    where two roots share a cell.
 
-    Cells start at d = 2k.  The Sturm chain of the recurrence (``_chain``)
-    counts the roots inside each cell; a cell with two or more, or with one
-    and a root at both ends, is split at its midpoint.  A cell with one root
-    is refined on the grid D by exact Newton steps: one pass of the
-    recurrence (``_value_and_slope``) gives P_k and P_k' at a grid point,
-    taken as a reduced fraction so that coarse points stay cheap; the next
-    point is the floor, in grid steps, of the Newton iterate from the point
-    evaluated so far with the smallest step, clamped into the open bracket,
-    and the sign of P_k moves one end of the bracket.  The first point is
-    the midpoint, and after two points in a row that halve neither the
-    bracket nor the smallest step the next one is the midpoint too.  A root
-    on the grid is never strictly inside a bracket one grid step wide, so it
-    is met exactly; any other ends in the one grid cell that holds it, as
-    bisection would find it.  Integers throughout; Fractions are built only
-    for the output.  n and k are checked against ``krawtchouk_cap_n``
-    first."""
+    The values of K_k at 0..n (``ku_values``) place every root: the roots are
+    the integer zeros, and one root in each (j, j+1) where the sign changes.
+    This is exact, because no closed [j, j+1] holds two roots.  For k <= n,
+    K_k is orthogonal on 0..n, for the weights w_x = C(n,x)(q-1)^x > 0, to
+    every polynomial of lower degree.  Were z1 <= z2 two roots in one
+    [j, j+1], the sum over x = 0..n of w_x K_k(x)^2 / ((x - z1)(x - z2))
+    would be zero, since the quotient has degree k - 2, and positive, since
+    no integer lies strictly between z1 and z2 and K_k, of degree k <= n,
+    is not zero at all n + 1 points.  A scan that finds other than k roots
+    raises AssertionError.
+
+    ``_grid_root`` closes in on each root on the grid D from the grid points
+    around [j, j+1], whose inner points all lie in [j, j+1]; an integer
+    zero j is a grid point or lies in one grid cell, and takes no pass.
+    Two neighbours in one grid cell, and a root in a cell whose ends are
+    both roots, are placed again on the next grid until none is, which
+    gives the cells of splitting [0, n] into cells of one root each; this
+    needs roots closer than a cell is wide, as at width 4 in the tests.
+    Integers throughout; Fractions are built only for the output.  n and k
+    are checked against ``krawtchouk_cap_n`` first."""
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
     _check_cap(n, k, config)
@@ -157,71 +210,32 @@ def ku_roots(
     if k == 1:
         root = Fraction((q - 1) * n, q)
         return [(root, root)]
+    signs = [(v > 0) - (v < 0) for v in ku_values(n, k, q)]
+    # the roots, ascending: each lies in [j, end], end = j for a zero at j
+    # and j + 1 for a sign change between j and j + 1
+    units = [(j, j + (s != 0)) for j, s in enumerate(signs) if s == 0 or (j < n and s * signs[j + 1] < 0)]
+    if len(units) != k:
+        raise AssertionError(f"K_{k} for n = {n}, q = {q} shows {len(units)} roots on 0..{n}, not {k}")
+    steps = [(a, j * c) for j, (a, c) in enumerate(_steps(n, k, q))]
     wn, wd = Fraction(width).as_integer_ratio()
-    steps = [(j + (q - 1) * (n - j), j * (q - 1) * (n - j + 1)) for j in range(k)]
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def at(i: int, d: int) -> tuple[int, int]:
-        changes, value = _chain(n, k, q, n * i, d)
-        return changes, (value > 0) - (value < 0)
-
-    def exact(i: int, d: int) -> None:
-        x = Fraction(n * i, d)
-        out.append((x, x))
-
-    def cell(i: int, d: int, lo: tuple[int, int], hi: tuple[int, int]) -> None:
-        inside = hi[0] - lo[0] - (lo[1] == 0)
-        if inside == 0:
-            return
-        if inside > 1 or lo[1] == hi[1] == 0:
-            mid = at(2 * i + 1, 2 * d)
-            cell(2 * i, 2 * d, lo, mid)
-            if mid[1] == 0:
-                exact(2 * i + 1, 2 * d)
-            cell(2 * i + 1, 2 * d, mid, hi)
-            return
-        ref = hi[1] or -lo[1]  # the sign of K_k between the root and hi
-        shift = 0
-        while n * wd > wn * (d << shift):  # n/D > width at D = d * 2^shift
-            shift += 1
-        grid, base = d << shift, i << shift
-        # the root lies strictly between base + left and base + right on the grid
-        left, right = 0, 1 << shift
-        x, best, fails = right >> 1, None, 0  # best: (|step|, iterate)
-        while right - left > 1:
-            num = n * (base + x)
-            g = math.gcd(num, grid)
-            value, slope = _value_and_slope(steps, q, num // g, grid // g)
-            if value == 0:
-                exact(base + x, grid)
-                return
-            before = right - left
-            if (value > 0) == (ref > 0):
-                right = x
-            else:
-                left = x
-            progress = 2 * (right - left) <= before  # the bracket halved
-            if slope:
-                # the Newton step -P/P' in grid steps: -value * g / (slope * n)
-                step = (-value * g) // (slope * n)
-                if best is None or abs(step) <= best[0]:
-                    # a step under half the smallest before it is progress too
-                    progress |= best is None or 2 * abs(step) < best[0]
-                    best = (abs(step), x + step)
-            fails = 0 if progress else fails + 1
-            if best is None or fails == 2:
-                x, fails = (left + right) >> 1, 0
-            else:
-                x = min(max(best[1], left + 1), right - 1)
-        out.append((Fraction(n * (base + left), grid), Fraction(n * (base + right), grid)))
-
     d = 2 * k
-    ends = [at(i, d) for i in range(d + 1)]
-    for i in range(d):
-        if ends[i][1] == 0:
-            exact(i, d)
-        cell(i, d, ends[i], ends[i + 1])
-    return out
+    while n * wd > wn * d:  # n/d > width
+        d *= 2
+    spans, todo = [None] * k, range(k)
+
+    def crowded(r: int) -> bool:
+        lo, hi = spans[r]
+        near = [spans[s] for s in (r - 1, r + 1) if 0 <= s < k]
+        return lo < hi and (spans[r] in near or near == [(lo, lo), (hi, hi)])
+
+    while todo:
+        for r in todo:
+            j, end = units[r]
+            lo, hi = _grid_root(steps, q, n, d, j * d // n, -(-end * d // n), signs[end])
+            spans[r] = (Fraction(n * lo, d), Fraction(n * hi, d))
+        todo = [r for r in todo if crowded(r)]
+        d *= 2
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +243,13 @@ def ku_roots(
 # ---------------------------------------------------------------------------
 
 def ku_value_table(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[list[int]]:
-    """Rows s = 0..n-1 of the values KU_(n-1,s)(j) at j = 0..n-1.
-
-    Each column j follows the three-term recurrence in s, with N = n - 1:
-    (s+1) K_(s+1)(j) = (s + (q-1)(N-s) - qj) K_s(j) - (q-1)(N-s+1) K_(s-1)(j),
-    from K_0 = 1; the division is exact.  O(n^2) integer operations for
-    all n rows, on integers that grow with n; n is checked against
-    ``krawtchouk_cap_n`` first.
-    """
+    """Rows s = 0..n-1 of the values KU_(n-1,s)(j) at j = 0..n-1, by
+    ``ku_rows``: O(n^2) integer operations, on integers that grow with n;
+    n is checked against ``krawtchouk_cap_n`` first."""
     config.check("krawtchouk_cap_n", n, "Krawtchouk n")
     if n < 1 or q < 2:
         raise InputError("need n >= 1 and q >= 2")
-    top = n - 1
-    prev, cur = [0] * n, [1] * n
-    table = [cur]
-    for s in range(top):
-        a = s + (q - 1) * (top - s)
-        b = (q - 1) * (top - s + 1)
-        prev, cur = cur, [
-            ((a - q * j) * c - b * p) // (s + 1) for j, (c, p) in enumerate(zip(cur, prev))
-        ]
-        table.append(cur)
-    return table
+    return list(ku_rows(n - 1, n - 1, q))
 
 
 def ku_distinct_counts(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[int]:
@@ -297,7 +296,7 @@ def thm42_threshold(q: int, clause: str, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def co_nonreflexivity_verdict(
-    n: int, k: int, q: int, distinct: Sequence[int] | None = None
+    n: int, k: int, q: int, distinct: Sequence[int] | None = None, config: RunConfig = DEFAULT_CONFIG
 ) -> dict:
     """Sufficient-criteria verdict for the all-k-subsets covering partition
     of a q^n product: reflexive, non-reflexive, or undecided-by-criteria.
@@ -305,7 +304,8 @@ def co_nonreflexivity_verdict(
     The criteria are tried in a fixed order and the first that fires is
     reported; they are sufficient conditions, so 'undecided' only means none
     applies (the caller may fall back to brute force).  ``distinct`` is
-    ``ku_distinct_counts(n, q)``, built here when not given and needed.
+    ``ku_distinct_counts(n, q, config)``, built here when not given and
+    needed.
     """
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
@@ -344,7 +344,7 @@ def co_nonreflexivity_verdict(
     # least floor(r1') >= floor(r1): it fires wherever the smallest-root
     # and derivative-root floor criteria would.
     if distinct is None:
-        distinct = ku_distinct_counts(n, q)
+        distinct = ku_distinct_counts(n, q, config)
     need = Fraction(n, k)
     for s in range(k, n, k):
         if distinct[s] - 1 >= need:

@@ -33,6 +33,7 @@ from .partitions import (
     DualityContext,
     Partition,
     _rank_rows,
+    co_profile_prefix_sums,
     co_reflexivity_bruteforce,
     induce_CO,
     macwilliams_identity_holds,
@@ -540,19 +541,21 @@ def conjecture21_report(
 
     Non-reflexivity refutes the extension property (the orbit equality
     implies reflexivity); the witness search runs, and attaches a concrete
-    pair when it finds one, within the GL(5,2) / GL(3,3) guard."""
+    pair when it finds one, within the GL(5,2) / GL(3,3) guard.  Both
+    tables are built under ``config``, whose cap on n is checked first."""
     from .krawtchouk import co_nonreflexivity_verdict
 
     if not _is_prime(q_prime):
         raise InputError("prime-field scope: q must be prime")
     if not 1 <= k <= n:
         raise InputError("need 1 <= k <= n")
+    config.check("krawtchouk_cap_n", n, "Krawtchouk n")
     report: dict = {"q": q_prime, "n": n, "k": k, "tiers": []}
-    crit = co_nonreflexivity_verdict(n, k, q_prime)
+    crit = co_nonreflexivity_verdict(n, k, q_prime, config=config)
     report["criteria"] = crit
     if crit["verdict"] == "non-reflexive":
         report["tiers"].append("criteria-non-reflexive")
-    brute = co_reflexivity_bruteforce(q_prime, n, k)
+    brute = co_reflexivity_bruteforce(q_prime, n, k, co_profile_prefix_sums(q_prime, n, config))
     report["brute_force"] = brute
     if not brute["reflexive"]:
         report["tiers"].append("brute-force-non-reflexive")

@@ -18,9 +18,10 @@ dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
 of single elements against the labels of a dual partition.  The weights of
 single codewords and subsets stand against the library's arrays over all
-support masks.  Krawtchouk roots isolated on a refined rational grid stand
-against the library's Sturm-chain isolation, and the same grid isolates the
-derivative roots, which the library never needs.  Code by code, listing
+support masks.  Krawtchouk roots isolated on a refined rational grid, and
+by Sturm counts of the three-term recurrence with bisection, stand against
+the library's isolation from the values at the integers, and the same grid
+isolates the derivative roots, which the library never needs.  Code by code, listing
 every subspace by its RREF basis, stands against the library's all-codes
 MacWilliams check in blocks of one pivot pattern, and decides the
 one-dimensional statement, which the library does not carry.  A
@@ -40,7 +41,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from dualpart import krawtchouk
 from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
 from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
 from dualpart.krawtchouk import ku_build
@@ -262,17 +262,38 @@ def grid_roots(n, k, q, width=Fraction(1, 10**9)):
     return isolate_real_roots(coeffs, Fraction(0), Fraction(n), k, width)
 
 
+def sturm_chain(n, k, q, num, den):
+    """Oracle: at x = num/den (den > 0), the sign changes V of P_0 ... P_k,
+    zeros skipped, and P_k(x) * den^k, for P_j = j! K_j from the recurrence
+    P_(j+1) = (a_j - qx) P_j - b_j P_(j-1), a_j = j + (q-1)(n-j) and
+    b_j = j(q-1)(n-j+1), scaled by den^j.  P_0 ... P_k is a Sturm sequence
+    (each b_j > 0 and P_j leads with (-q)^j), so V counts the roots of K_k
+    strictly below x."""
+    den2, qx = den * den, q * num
+    prev, cur = 0, 1
+    changes, positive = 0, True
+    for j in range(k):
+        a = j + (q - 1) * (n - j)
+        b = j * (q - 1) * (n - j + 1)
+        prev, cur = cur, (a * den - qx) * cur - b * den2 * prev
+        if cur and (cur > 0) != positive:
+            changes, positive = changes + 1, not positive
+    return changes, cur
+
+
 def bisect_roots(n, k, q, width=Fraction(1, 10**9)):
     """Oracle: the roots of KU_(n,k) as ``ku_roots`` returns them, 2 <= k
-    <= n, each one-root cell bisected by the sign of K_k down to the first
-    dyadic grid with n/d <= width.  Cells are split exactly as in
-    ``ku_roots``, and every point goes through ``krawtchouk._chain``, so a
-    patched ``_chain`` sees (and counts) every pass."""
+    <= n.  The Sturm counts of ``sturm_chain`` isolate them: [0, n] starts
+    as 2k dyadic cells, and a cell with two or more roots inside, or with
+    one and a root at both ends, is split at its midpoint.  Each one-root
+    cell is bisected by the sign of K_k down to the first dyadic grid with
+    n/d <= width.  Every point goes through ``sturm_chain``, so a patched
+    ``sturm_chain`` sees (and counts) every pass."""
     wn, wd = Fraction(width).as_integer_ratio()
     out = []
 
     def at(i, d):
-        changes, value = krawtchouk._chain(n, k, q, n * i, d)
+        changes, value = sturm_chain(n, k, q, n * i, d)
         return changes, (value > 0) - (value < 0)
 
     def exact(i, d):

@@ -2,10 +2,10 @@
 
 The library computes every quantity below by one production engine: class
 character sums and dual partitions by the support lattice or the pairwise
-engine, Krawtchouk roots by the Sturm chain of the recurrence, verdicts by
-class counts.  The paper also states them in closed form, and the tests
-check each closed form here against those engines and against the
-element-by-element oracles of ``oracles.py``:
+engine, Krawtchouk roots by the signs of their values at the integers and
+Newton steps, verdicts by class counts.  The paper also states them in
+closed form, and the tests check each closed form here against those
+engines and against the element-by-element oracles of ``oracles.py``:
 
 * the ideal-sum kernels phi and psi, and the codeword polynomial F, whose
   coefficient at x^b is the character sum of alpha over the codewords of

@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualpart.cli import _emit, build_parser, main
 from oracles import jsonable
@@ -298,6 +300,22 @@ class TestBudgetEnv:
             "dual_classes": 47, "gamma_classes": 7, "reflexive": False, "verdict": "non-reflexive",
         }
 
+    def test_refute_refuses_n_over_a_tighter_krawtchouk_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DUALPART_BUDGET", write_json(tmp_path, "budget.json", {"krawtchouk_cap_n": 8}))
+        code, out, err = run(capsys, "refute", "2", "20", "7")
+        assert (code, out) == (2, "")
+        assert err == "budget-exceeded: Krawtchouk n = 20 exceeds krawtchouk_cap_n = 8\n"
+
+    def test_refute_answers_n_under_a_looser_krawtchouk_cap(self, capsys, tmp_path, monkeypatch):
+        # n = 600 is over the default cap of 512: both tables of refute
+        # are built under the run's cap
+        monkeypatch.setenv("DUALPART_BUDGET", write_json(tmp_path, "budget.json", {"krawtchouk_cap_n": 700}))
+        code, out, err = run(capsys, "refute", "2", "600", "7")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["criteria"]["criterion"] == "distinct-value-count"
+        assert report["brute_force"]["reflexive"] is False and report["refuted"] is True
+
     def test_unknown_key_rejected(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"no_such_knob": 1})
         monkeypatch.setenv("DUALPART_BUDGET", budget)
@@ -576,3 +594,43 @@ class TestParserAndOutput:
     def test_emit_matches_recursive_conversion(self, capsys, payload):
         _emit(payload)
         assert capsys.readouterr().out == json.dumps(jsonable(payload), sort_keys=True) + "\n"
+
+
+class TestFuzzCommands:
+    """Random integers, small, zero, negative and over the Krawtchouk cap,
+    for the commands that read Krawtchouk values: each call exits 0 with an
+    empty stderr, or exits 2 with one ``code: message`` line."""
+
+    over = st.sampled_from([513, 10**9, -(10**9)])
+    wild = st.one_of(st.integers(-2, 40), over)
+    wild_n = st.one_of(st.integers(-2, 12), over)  # a scan or refute row costs O(n^2)
+    fuzz = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def check(capsys, argv):
+        code, out, err = run(capsys, *argv)
+        if code == 0:
+            assert err == "", (argv, err)
+        else:
+            assert code == 2 and out == "", (argv, code)
+            assert re.fullmatch(r"[a-z-]+: [^\n]+\n", err), (argv, err)
+
+    @given(n=wild, k=wild, q=wild, roots=st.booleans())
+    @fuzz
+    def test_krawtchouk(self, capsys, n, k, q, roots):
+        self.check(capsys, ["krawtchouk", "--n", str(n), "--k", str(k), "--q", str(q)] + ["--roots"] * roots)
+
+    @given(q=wild, lo=wild_n, hi=st.one_of(st.none(), st.integers(-2, 12), st.just(513)), k=st.one_of(st.none(), wild))
+    @fuzz
+    def test_scan_co(self, capsys, q, lo, hi, k):
+        n = str(lo) if hi is None else f"{lo}..{hi}"
+        self.check(capsys, ["scan-co", "--q", str(q), "--n", n, "--k", "all" if k is None else str(k)])
+
+    @given(
+        q=st.one_of(st.sampled_from([2, 3, 5, 7]), wild),
+        n=wild_n,
+        k=st.one_of(st.integers(-2, 12), wild),
+    )
+    @fuzz
+    def test_refute(self, capsys, q, n, k):
+        self.check(capsys, ["refute", str(q), str(n), str(k)])

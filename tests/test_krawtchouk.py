@@ -11,6 +11,7 @@ from dualpart.krawtchouk import (
     ku_build,
     ku_distinct_counts,
     ku_roots,
+    ku_rows,
     ku_value_table,
     ku_values,
     thm42_threshold,
@@ -104,9 +105,9 @@ class TestBudget:
         from dualpart import krawtchouk
 
         def refuse(*args):
-            raise AssertionError("Sturm chain evaluated")
+            raise AssertionError("Krawtchouk value evaluated")
 
-        monkeypatch.setattr(krawtchouk, "_chain", refuse)
+        monkeypatch.setattr(krawtchouk, "ku_rows", refuse)
         monkeypatch.setattr(krawtchouk, "_value_and_slope", refuse)
         for call in (ku_build, ku_roots):
             with pytest.raises(BudgetError, match=r"^Krawtchouk n = 1000000000 exceeds krawtchouk_cap_n = 512$"):
@@ -197,32 +198,41 @@ class TestRoots:
 
     @staticmethod
     def count_passes(monkeypatch):
-        """Count every pass of the recurrence: ``_chain`` and
-        ``_value_and_slope`` each run it once per call."""
+        """Count every pass of the recurrence at one point: the oracle's
+        ``sturm_chain`` and the library's ``_value_and_slope`` each run it
+        once per call."""
+        import oracles
         from dualpart import krawtchouk
 
         calls = [0]
-        for name in ("_chain", "_value_and_slope"):
-            def counted(*args, _inner=getattr(krawtchouk, name)):
+        for module, name in ((oracles, "sturm_chain"), (krawtchouk, "_value_and_slope")):
+            def counted(*args, _inner=getattr(module, name)):
                 calls[0] += 1
                 return _inner(*args)
 
-            monkeypatch.setattr(krawtchouk, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, None])
     def test_matches_bisection_oracle(self, q, monkeypatch):
-        # the Newton refinement returns the tuples of bisection to the
-        # same grid, with at most twice its passes plus 2 per root.  The
-        # exact roots are those of test_matches_grid_oracle; width 1e-20
-        # takes some 67 bisection steps per root
+        # the isolation from the integer values returns the tuples of Sturm
+        # counts and bisection to the same grid, with at most twice their
+        # passes plus 2 per root.  The exact roots are those of
+        # test_matches_grid_oracle; width 1e-20 takes some 67 bisection
+        # steps per root.  At widths 1/2, 1 and 4 the final cells are half
+        # a unit wide or more, and at width 4 two roots share a cell in 133
+        # of the cases, which are then placed on the next grid
         calls = self.count_passes(monkeypatch)
         if q is None:
             cases = [(27, 3, 2), (100, 3, 2), (136, 2, 3), (64, 2, 6)]
         else:
             cases = [(n, k, q) for n in range(2, 31) for k in range(2, n + 1)]
+        widths = (
+            Fraction(1, 10**9), Fraction(1, 100), Fraction(1, 4), Fraction(1, 10**20),
+            Fraction(1, 2), Fraction(1), Fraction(4),
+        )
         for n, k, q in cases:
-            for width in (Fraction(1, 10**9), Fraction(1, 100), Fraction(1, 4), Fraction(1, 10**20)):
+            for width in widths:
                 calls[0] = 0
                 got = ku_roots(n, k, q, width)
                 passes = calls[0]
@@ -240,6 +250,35 @@ class TestRoots:
                 calls[0] = 0
                 assert len(ku_roots(n, k, q)) == k
                 assert calls[0] <= 12 * k, (n, k, q, calls[0])
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+    def test_integer_values_place_every_root(self, q):
+        # no closed [j, j+1] holds two roots, so the integer zeros and the
+        # sign changes of K_k on 0..n number exactly k, and no two
+        # neighbouring integers are both zeros; every row of one
+        # ku_rows(n, n, q), K_0 included
+        for n in range(1, 61):
+            for k, row in enumerate(ku_rows(n, n, q)):
+                signs = [(v > 0) - (v < 0) for v in row]
+                zeros = [j for j, s in enumerate(signs) if s == 0]
+                changes = sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+                assert len(zeros) + changes == k, (q, n, k)
+                assert all(b - a > 1 for a, b in zip(zeros, zeros[1:])), (q, n, k)
+
+    def test_wrong_root_count_is_an_internal_error(self, capsys, monkeypatch):
+        # values that show no root: ku_roots raises, and the CLI reports
+        # one internal-error line
+        from dualpart import krawtchouk
+        from dualpart.cli import main
+
+        rows = list(ku_rows(12, 4, 3))[:-1] + [[1] * 13]
+        monkeypatch.setattr(krawtchouk, "ku_rows", lambda n, k, q: iter(rows))
+        with pytest.raises(AssertionError, match=r"^K_4 for n = 12, q = 3 shows 0 roots on 0\.\.12, not 4$"):
+            ku_roots(12, 4, 3)
+        assert main(["krawtchouk", "--n", "12", "--k", "4", "--q", "3", "--roots"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal-error: K_4 for n = 12, q = 3 shows 0 roots on 0..12, not 4\n"
 
     @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), -1])
     def test_rejects_nonpositive_width(self, width):

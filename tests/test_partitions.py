@@ -514,8 +514,7 @@ class TestSupportProfileEngine:
             raise AssertionError("Krawtchouk value evaluated")
 
         monkeypatch.setattr(krawtchouk, "ku_values", refuse)
-        monkeypatch.setattr(krawtchouk, "_chain", refuse)
-        monkeypatch.setattr(krawtchouk, "ku_value_table", refuse)
+        monkeypatch.setattr(krawtchouk, "ku_rows", refuse)
         for q, n in ((2, 12), (3, 7), (5, 5)):
             prefix = co_profile_prefix_sums(q, n)
             for k in range(1, n + 1):

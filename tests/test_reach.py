@@ -44,7 +44,6 @@ ALLOWED = {
     "posets.antichain": "library entry point, exported by the package",
     "posets.chain": "library entry point, exported by the package",
     # production paths that no golden input takes
-    "krawtchouk.ku_roots.exact": "ku_roots: a root met exactly at an evaluated point",
     "metrics.WeightFunction.constant": "dual and poset: a poset document without weights",
     "partitions.DualityContext._coords": "the pairwise engine: partitions without support masks (dual-dense workload)",
     "partitions.DualityContext._dual": "the pairwise engine: partitions without support masks (dual-dense workload)",
