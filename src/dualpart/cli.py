@@ -293,12 +293,13 @@ def cmd_krawtchouk(args) -> int:
         "q": args.q,
         "coefficients": [str(c) for c in poly.coeffs],
     }
+    values = None
     if args.n <= 200:
-        report["values"] = ku_values(args.n, args.k, args.q)
+        values = report["values"] = ku_values(args.n, args.k, args.q)
     if args.roots:
         if args.k < 1:
             raise InputError("root isolation needs k >= 1")
-        roots = ku_roots(args.n, args.k, args.q, config=config)
+        roots = ku_roots(args.n, args.k, args.q, config=config, _values=values)
         report["roots"] = [
             {"lo": str(lo), "hi": str(hi), "approx": float((lo + hi) / 2)}
             for lo, hi in roots

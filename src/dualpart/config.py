@@ -49,8 +49,10 @@ class RunConfig:
                      sizes n_b, prod(n_b + 1) states), which pads its dual
                      to rows * k * deg(Phi_m) label cells too.  Also the
                      states of a support-induced partition, the 2^n *
-                     members covering weights of a covering, and the |V|^2
-                     orthogonality table of the MacWilliams statements.
+                     members covering weights of a covering, the |V|^2
+                     orthogonality table of the MacWilliams statements,
+                     and the 2|V|^2 cells of each colour-refinement round
+                     before the invariance-subgroup search.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that

@@ -176,6 +176,7 @@ def ku_roots(
     q: int,
     width: Fraction = Fraction(1, 10**9),
     config: RunConfig = DEFAULT_CONFIG,
+    _values: Sequence[int] | None = None,
 ) -> list[tuple[Fraction, Fraction]]:
     """The k distinct real roots in (0, n), ascending: a root x met exactly
     as (x, x), any other as a dyadic cell [n*i/D, n*(i+1)/D] that holds it,
@@ -201,7 +202,8 @@ def ku_roots(
     gives the cells of splitting [0, n] into cells of one root each; this
     needs roots closer than a cell is wide, as at width 4 in the tests.
     Integers throughout; Fractions are built only for the output.  n and k
-    are checked against ``krawtchouk_cap_n`` first."""
+    are checked against ``krawtchouk_cap_n`` first.  A caller that already
+    holds ``ku_values(n, k, q)`` passes it as ``_values``."""
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
     _check_cap(n, k, config)
@@ -210,7 +212,7 @@ def ku_roots(
     if k == 1:
         root = Fraction((q - 1) * n, q)
         return [(root, root)]
-    signs = [(v > 0) - (v < 0) for v in ku_values(n, k, q)]
+    signs = [(v > 0) - (v < 0) for v in (ku_values(n, k, q) if _values is None else _values)]
     # the roots, ascending: each lies in [j, end], end = j for a zero at j
     # and j + 1 for a sign change between j and j + 1
     units = [(j, j + (s != 0)) for j, s in enumerate(signs) if s == 0 or (j < n and s * signs[j + 1] < 0)]

@@ -6,7 +6,15 @@ extension-property witness search.
 The invariance subgroup is never listed.  A stabilizer-chain search finds
 strong generators for it; its order (``inv_order``) is the product of the
 basic-orbit lengths, and its orbits are the closures of the space's
-elements under those generators.
+elements under those generators.  Before the search, the partition delta
+is colour-refined to a fixed point delta' (McKay and Piperno, J. Symb.
+Comput. 2014): x is keyed by its class and by the multiset of
+(class(y), class(x + y)) over all y.  A linear g preserving every class
+maps the multiset of x onto that of gx (put y = g y'), so
+Inv(delta') = Inv(delta), and a column's candidates shrink to the vectors
+of its basis vector's delta'-class.  The order, the orbits and the witness
+are properties of that group and of delta alone, so the refinement changes
+no output.
 
 The ambient space prod_i F_p^(k_i) is welded to the group-product view (all
 cyclic factors of order p), so the dual code of C is its character dual
@@ -404,6 +412,30 @@ def macwilliams_admits(
 # the invariance subgroup inside GL(N, p)
 # ---------------------------------------------------------------------------
 
+def _refine(cls: np.ndarray, add: np.ndarray, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The colour refinement of the classes ``cls`` (contiguous ids, one
+    per vector index) to a fixed point, read off the index table ``add``
+    of x + y.
+
+    A round keys each x by the sorted row of (cls(x), cls(y), cls(x + y))
+    over all y, one integer each below m^3 for m <= |V| classes (an int64
+    while |V| < 2^21), and the rows' ranks (``_rank_rows``) are the next classes.  The key holds cls(x), so
+    each round refines the last, and the rounds stop when the class count
+    stops growing.  Each round builds |V|^2 keys and ranks a copy of them;
+    those 2|V|^2 cells are checked against ``pair_work_cap`` first."""
+    size, num = len(cls), int(cls.max()) + 1
+    while True:
+        config.check("pair_work_cap", 2 * size * size, "2|V|^2 colour-refinement cells")
+        keys = np.add.outer(cls * (num * num), cls * num)
+        keys += cls[add]
+        keys.sort(axis=1)
+        new = _rank_rows(keys)[1]
+        count = int(new.max()) + 1
+        if count == num:
+            return cls
+        cls, num = new, count
+
+
 def _invariance_orbits(
     space: PrimeFieldSpace,
     delta: Partition,
@@ -413,21 +445,32 @@ def _invariance_orbits(
     class of delta, and its orbit partition of the space, numbered in the
     order of the orbits' least elements.
 
+    delta is refined first (``_refine``) to its fixed point delta'.  It
+    refines delta, so Inv(delta') lies in Inv(delta).  Conversely, if every
+    g in Inv(delta) preserves the classes of one round, it preserves the
+    keys of the next: the key of gx counts (cls(y), cls(gx + y)) over all
+    y, and with y = g y' that is (cls(g y'), cls(g(x + y'))) =
+    (cls(y'), cls(x + y')).  So Inv(delta') = Inv(delta), and the search
+    runs on delta'.
+
     A stabilizer chain (``posets._stabilizer_chain``) on the basis
     vectors: the image of e_l, with e_0..e_(l-1) fixed, is tried at each
-    vector c of the class of e_l, and backtracking over the later columns
-    completes it to a map of Inv(delta).  The maps act on the element
-    indices, so the orbits are the closures under the generators."""
+    vector c of the delta'-class of e_l, and backtracking over the later
+    columns completes it to a map of Inv(delta').  The maps act on the
+    element indices, so the orbits are the closures under the generators;
+    the order and the orbits are those of the group, whatever classes the
+    search read."""
     p, n = space.p, space.dim
     if not _gl_enumerable(p, n):
         raise BudgetError("invariance-subgroup search guarded to GL(5,2) / GL(3,3)")
     size = space.order
-    cls = delta.class_ids.tolist()
+    v = space.all_vectors(config)
+    add_table = _indices(space, v[:, None, :] + v[None, :, :])
+    cls = _refine(delta.class_ids, add_table, config).tolist()
+    add = add_table.tolist()
     unit = [p ** (n - 1 - j) for j in range(n)]  # the index of e_j
     # column j is the image of e_j, so it lies in the class of e_j
     candidates = [[c for c in range(size) if cls[c] == cls[u]] for u in unit]
-    v = space.all_vectors(config)
-    add = _indices(space, v[:, None, :] + v[None, :, :]).tolist()
     smul = [_indices(space, c * v).tolist() for c in range(p)]
     # img maps every vector supported on the settled columns; the vectors
     # supported on columns 0..j-1 carry the largest place values, so they

@@ -1,12 +1,15 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualpart.cli import _emit, build_parser, main
+from dualpart.config import InputError
+from dualpart.macwilliams import _PSI_13, parse_code_file
 from oracles import jsonable
 
 
@@ -315,6 +318,20 @@ class TestBudgetEnv:
         report = json.loads(out)
         assert report["criteria"]["criterion"] == "distinct-value-count"
         assert report["brute_force"]["reflexive"] is False and report["refuted"] is True
+
+    @pytest.mark.parametrize("cap", [2047, 2048, None])
+    def test_refute_refinement_under_pair_work_cap(self, capsys, tmp_path, monkeypatch, cap):
+        # a refinement round of F_2^5 builds 2 * 32^2 = 2048 cells, checked
+        # before it starts; nothing earlier in refute 2 5 3 needs as many
+        if cap is not None:
+            monkeypatch.setenv("DUALPART_BUDGET", write_json(tmp_path, "budget.json", {"pair_work_cap": cap}))
+        code, out, err = run(capsys, "refute", "2", "5", "3")
+        if cap == 2047:
+            assert (code, out) == (2, "")
+            assert err == "budget-exceeded: 2|V|^2 colour-refinement cells = 2048 exceeds pair_work_cap = 2047\n"
+        else:
+            assert (code, err) == (0, "")
+            assert out == (Path(__file__).parent / "golden" / "refute-2-5-3.out").read_text(encoding="utf-8")
 
     def test_unknown_key_rejected(self, capsys, tmp_path, monkeypatch):
         budget = write_json(tmp_path, "budget.json", {"no_such_knob": 1})
@@ -634,3 +651,63 @@ class TestFuzzCommands:
     @fuzz
     def test_refute(self, capsys, q, n, k):
         self.check(capsys, ["refute", str(q), str(n), str(k)])
+
+
+# the largest N with p^N <= 3^6, for each prime a valid header may carry
+_CODE_DIM_LIMIT = {2: 9, 3: 6, 5: 4, 7: 3}
+
+
+@st.composite
+def code_files(draw):
+    """The bytes of a code file: "p N k_1 k_2 ..." and generator rows, well
+    formed or with one fault.  Digits may be negative or at least p, which
+    are read mod p.  A well-formed header keeps p^N <= 3^6; a broken one is
+    refused before anything is listed."""
+    fault = draw(st.sampled_from([None] * 6 + ["p", "sum", "block", "header", "short", "length", "digit", "utf8"]))
+    if fault == "p":
+        p = draw(st.sampled_from([0, 1, -3, 4, 9, _PSI_13 + 2, 10**40]))
+    else:
+        p = draw(st.sampled_from(sorted(_CODE_DIM_LIMIT)))
+    limit = _CODE_DIM_LIMIT.get(p, 6)
+    count = draw(st.integers(1, 3))
+    blocks = draw(st.lists(st.integers(1, max(1, limit // count)), min_size=count, max_size=count))
+    if fault == "block":
+        blocks[draw(st.integers(0, count - 1))] = draw(st.integers(-2, 0))
+    n = sum(blocks) + (draw(st.sampled_from([-1, 1, 7])) if fault == "sum" else 0)
+    head = [str(p), str(n)] + [str(b) for b in blocks]
+    junk = st.sampled_from(["x", "1.5", "-", "0x1", "1e3", "½"])
+    if fault == "header":
+        head[draw(st.integers(0, len(head) - 1))] = draw(junk)
+    if fault == "short":
+        head = head[: draw(st.integers(0, 2))]
+    digit = st.one_of(st.integers(0, max(p, 2) - 1), st.integers(-3, 12), st.just(10**20))
+    width = max(n, 0)
+    rows = [[str(d) for d in draw(st.lists(digit, min_size=width, max_size=width))] for _ in range(draw(st.integers(0, width + 1)))]
+    if rows and fault == "length":
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = rows[r][:-1] if rows[r] and draw(st.booleans()) else rows[r] + ["1"]
+    if rows and rows[0] and fault == "digit":
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(junk)
+    data = "\n".join([" ".join(head)] + [" ".join(r) for r in rows]).encode()
+    if fault == "utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe"])) + data[at:]
+    return data
+
+
+class TestFuzzCodeFiles:
+    """Random code files, well formed or not, through ``parse_code_file``
+    and ``dualpart macwilliams``: a file is read or refused with
+    InputError, and each call exits 0 with an empty stderr, or exits 2
+    with one ``code: message`` line."""
+
+    @given(data=code_files(), gamma=st.sampled_from(["hamming", "Pk:2"]))
+    @TestFuzzCommands.fuzz
+    def test_macwilliams(self, capsys, tmp_path, data, gamma):
+        try:
+            parse_code_file(data.decode("utf-8"))
+        except (UnicodeDecodeError, InputError):
+            pass
+        path = tmp_path / "code.txt"
+        path.write_bytes(data)
+        TestFuzzCommands.check(capsys, ["macwilliams", str(path), "--gamma", gamma, "--lambda", "dual"])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -32,6 +33,7 @@ from oracles import (
     orbit_partition,
     scaled_exponents,
     subspace_rref_bases,
+    _vector_indices,
 )
 
 
@@ -443,7 +445,8 @@ RANDOM_CASES = [
 
 
 class TestStabilizerChain:
-    """The chain's order and orbits against the listed group."""
+    """The chain's order and orbits against the listed group, and the
+    colour refinement it searches on against that group."""
 
     @staticmethod
     def check(space, delta):
@@ -451,7 +454,25 @@ class TestStabilizerChain:
         maps = inv_enumerate(space, delta)
         assert order == len(maps)
         assert np.array_equal(orb.class_ids, orbit_partition(space, maps).class_ids)
+        TestStabilizerChain.check_refinement(space, delta, maps)
         return order
+
+    @staticmethod
+    def check_refinement(space, delta, maps):
+        """delta' refines delta, one more round counted here splits none of
+        its classes, and every map of Inv(delta) preserves every class."""
+        v = space.all_vectors()
+        add = _vector_indices(space, v[:, None, :] + v[None, :, :])
+        refined = macwilliams._refine(delta.class_ids, add)
+        assert Partition(refined, host=space.group).is_finer(delta)
+        cls, pairs = refined.tolist(), add.tolist()
+        keys = {
+            (cls[x], tuple(sorted(collections.Counter((cls[y], cls[pairs[x][y]]) for y in range(space.order)).items())))
+            for x in range(space.order)
+        }
+        assert len(keys) == max(cls) + 1
+        for mat in maps:
+            assert np.array_equal(refined[_index_perm(space, mat)], refined)
 
     @pytest.mark.parametrize(
         "p,n,k",
