@@ -41,18 +41,24 @@ class RunConfig:
                      maximum number of subspaces of F_p^N (the sum of the
                      Gaussian binomials) that the all-codes MacWilliams
                      check lists, checked before it lists any.
-    pair_work_cap:   maximum cells of a dual-partition engine: |G|*|H| for
-                     the pairing table of the pairwise engine and rows * k
-                     * deg(Phi_m) for its cyclotomic coordinates (k classes,
-                     m the exponent); states * k * sum(n_b + 1) for each
+    pair_work_cap:   maximum cells of a dual-partition engine: for the
+                     pairwise engine, |G|*|H| for the pairing table, |G| *
+                     k for the class sums evaluated at the split prime (k
+                     classes), |G| * phi(m) for the index of u*a at every
+                     unit u of Z/m (m the exponent), and rows * k *
+                     deg(Phi_m) for the cyclotomic coordinates of the rows
+                     it folds, one per dual class, when a dual is numbered
+                     and labelled; states * k * sum(n_b + 1) for each
                      transform of the twin-class engine (twin blocks of
                      sizes n_b, prod(n_b + 1) states), which pads its dual
                      to rows * k * deg(Phi_m) label cells too.  Also the
                      states of a support-induced partition, the 2^n *
                      members covering weights of a covering, the |V|^2
                      orthogonality table of the MacWilliams statements,
-                     and the 2|V|^2 cells of each colour-refinement round
-                     before the invariance-subgroup search.
+                     the |V|^2 addition table of the invariance-subgroup
+                     search, and the 2|V|^2 cells of each
+                     colour-refinement round before that search.  Each is
+                     checked before its cells are allocated.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that

@@ -1,7 +1,8 @@
 """Exact arithmetic substrate.
 
 Cyclotomic integers in canonical power-basis form, the value type of every
-character sum.
+character sum, and the deterministic primality test that picks the split
+prime of the pairwise dual engine and checks the prime of a prime field.
 
 No floating point anywhere: equality of character sums must be decidable.
 """
@@ -81,6 +82,36 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
                     row[j] -= top * phi[j]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# Miller-Rabin to the first 13 prime bases is exact below psi_13
+# (Sorenson and Webster, 2017); a verdict must stay exact, so larger p is
+# refused
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; InputError for p >= psi_13."""
+    if p >= _PSI_13:
+        raise InputError(f"primality of {p} is not decided exactly at or above {_PSI_13}")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1:
+            continue
+        # p passes base b when one of x, x^2, ..., x^(2^(r-1)) is -1
+        for _ in range(r):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def euler_phi_degree(m: int) -> int:

@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
+from .exactarith import _is_prime
 from .groups import GroupProduct
 from .partitions import (
     DualityContext,
@@ -47,36 +48,6 @@ from .partitions import (
     macwilliams_identity_holds,
 )
 from .posets import _closure, _stabilizer_chain
-
-
-# Miller-Rabin to the first 13 prime bases is exact below psi_13
-# (Sorenson and Webster, 2017); a verdict must stay exact, so larger p is
-# refused
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; InputError for p >= psi_13."""
-    if p >= _PSI_13:
-        raise InputError(f"primality of {p} is not decided exactly at or above {_PSI_13}")
-    if p < 2 or any(p % b == 0 for b in _MR_BASES):
-        return p in _MR_BASES
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for b in _MR_BASES:
-        x = pow(b, d, p)
-        if x == 1:
-            continue
-        # p passes base b when one of x, x^2, ..., x^(2^(r-1)) is -1
-        for _ in range(r):
-            if x == p - 1:
-                break
-            x = x * x % p
-        else:
-            return False
-    return True
 
 
 def _gl_enumerable(p: int, n: int) -> bool:
@@ -277,6 +248,20 @@ def _orthogonality(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
     return form == 0
 
 
+def _addition(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
+    """|V| x |V| element indices of x + y, built as ``_orthogonality``
+    builds its forms: a coordinate in front of the last j adds
+    ((x + y) mod p) * p^j to the index of the sum of the rest."""
+    config.check("pair_work_cap", space.order**2, "|V|^2 addition-table cells")
+    p = space.p
+    digit = (np.arange(p)[:, None] + np.arange(p)) % p
+    add = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(space.dim):
+        size = len(add) * p
+        add = (digit[:, None, :, None] * len(add) + add[None, :, None, :]).reshape(size, size)
+    return add
+
+
 def _as_basis(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows.tolist()))
 
@@ -465,7 +450,7 @@ def _invariance_orbits(
         raise BudgetError("invariance-subgroup search guarded to GL(5,2) / GL(3,3)")
     size = space.order
     v = space.all_vectors(config)
-    add_table = _indices(space, v[:, None, :] + v[None, :, :])
+    add_table = _addition(space, config)
     cls = _refine(delta.class_ids, add_table, config).tolist()
     add = add_table.tolist()
     unit = [p ** (n - 1 - j) for j in range(n)]  # the index of e_j

@@ -6,7 +6,8 @@ check, the equivalence checker for weighted poset metrics, and the covering
 reflexivity of P(k) from its support profiles.
 
 Character sums are exact throughout.  A dual partition comes from one of two
-engines, by one rule:
+engines, by one rule: twin blocks go to the twin-class engine, every other
+partition to the pairwise engine.
 
 * the twin-class engine, for the partitions induced by a weighted poset
   metric, a covering metric or an ideal equivalence, and their duals.
@@ -18,9 +19,29 @@ engines, by one rule:
   the class sums are one mode-b product per block: integers, exact in
   int64 up to |G| = 2^62 and in Python ints above.  G is not listed;
   ``class_ids`` is pulled back to G when first read;
-* the pairwise engine for every other partition: per-class histograms of
-  the exponents of the |G| x |H| pairing table (numpy), reduced to canonical
-  cyclotomic coordinates by folding them by the coefficients of Phi_m.
+* the pairwise engine for every other partition, on the |G| x |H| table
+  of pairing exponents.  Its classes come from the class sums evaluated at
+  a prime p = 1 (mod m) that splits completely in Z[zeta_m]
+  (``DualityContext._classes``; Pollard, Math. Comp. 1971), with no
+  cyclotomic coordinate: that set partition is all that
+  ``reflexivity_check`` reads.  A dual that is numbered and labelled
+  (``left_dual``, ``right_dual``) then folds one pairing row per dual
+  class into canonical cyclotomic coordinates by the coefficients of
+  Phi_m (``_coords``) and numbers its classes in their lexicographic
+  order.
+
+The evaluation is exact.  Write s_a(C) for the sum over b in C of
+zeta_m^e(a, b), an element of Z[zeta_m] whose power-basis coordinates are
+at most |C| R in size, R the largest |coefficient| of x^e mod Phi_m.  p
+exceeds 2 |G| R, so a difference d = s_a(C) - s_a'(C) has coordinates
+below p in size.  Phi_m splits into distinct linear factors mod p, with
+roots omega^u for the units u of Z/m, so Z[zeta_m] / p = prod_u F_p through
+zeta_m -> omega^u, and d vanishes at every omega^u exactly when d lies in
+p Z[zeta_m], that is, when its coordinates are multiples of p; below p in
+size, they are then 0.  The pairing is bilinear, e(ua, b) = u e(a, b), so
+s_a(C) at omega^u is s_ua(C) at omega: a and a' have equal class sums
+exactly when the rows of ua and ua' agree at omega for every unit u.  No
+rounding and nothing probabilistic enters.
 
 Every dual partition keeps its class character sums as labels, built when
 read; the Krawtchouk matrix reads its rows there.  The pairing table belongs
@@ -31,6 +52,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -40,7 +62,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
-from .exactarith import CycInt, _cyclotomic_coeffs, euler_phi_degree
+from .exactarith import CycInt, _cyclotomic_coeffs, _is_prime, euler_phi_degree
 from .groups import GroupProduct
 from .metrics import Covering, WeightFunction, _outer, _scaled_mask_sums
 from .posets import Poset, _is_swap_automorphism, _unmask, dual_poset, ideal_masks, levels
@@ -245,13 +267,39 @@ class Partition:
 # exact character-sum engine
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _split_prime(m: int, order: int) -> tuple[int, int]:
+    """The evaluation prime of the pairwise engine for |G| = ``order``:
+    the least prime p = 1 (mod m) above 2 * order * R, R the largest
+    |coefficient| of x^e mod Phi_m over e < m, and omega = g^((p - 1) / m)
+    for the least g that gives omega the order m.
+
+    R comes from the recurrence of ``exactarith._reduction_rows``, one row
+    at a time; below 2^31, the next row stays inside int64."""
+    poly = np.array(_cyclotomic_coeffs(m)[:-1], dtype=np.int64)
+    row = np.zeros(len(poly), dtype=np.int64)
+    row[-1] = height = 1
+    for _ in range(m - len(poly)):
+        row = np.concatenate(([0], row[:-1])) - row[-1] * poly
+        height = max(height, int(np.abs(row).max()))
+        if height >= 1 << 31:
+            raise InputError(f"x^e mod Phi_{m} has coefficients past 2^31")
+    bound = 2 * order * height
+    p = bound - bound % m + 1
+    while p <= bound or not _is_prime(p):
+        p += m
+    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
+    return p, next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in primes))
+
+
 class DualityContext:
     """Dual partitions over G ~ H (one matched product).
 
     The engine is picked per partition: twin classes when the partition
     has ``blocks``, the pairwise engine otherwise.  The pairing-exponent
-    table of the pairwise engine is built on first use, by a pairwise dual
-    only.
+    table and the evaluation set-up of the pairwise engine are built on
+    first use, by a pairwise dual only.
     """
 
     def __init__(self, group: GroupProduct, config: RunConfig = DEFAULT_CONFIG):
@@ -261,6 +309,7 @@ class DualityContext:
         config.check("enumeration_cap", self.m, "exponent m of the cyclotomic field")
         self._phi = euler_phi_degree(self.m)
         self._table: Optional[np.ndarray] = None
+        self._field: Optional[tuple[int, np.ndarray, np.ndarray]] = None
         self._last_left: Optional[tuple[Partition, Partition]] = None
 
     @property
@@ -329,13 +378,68 @@ class DualityContext:
             coords[start : start + r] = counts[:phi].reshape(phi, r, k).transpose(1, 2, 0)
         return coords.reshape(nrows, k * phi)
 
-    def _dual(self, exponents: np.ndarray, part: Partition) -> Partition:
-        """The pairwise engine: one row of character sums per table row,
-        classes numbered in lexicographic row order."""
-        coords = self._coords(exponents, part)
-        first, ids = _rank_rows(coords)
+    def _evaluation(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The pairwise engine's set-up, built by its first dual: the prime
+        p and omega of ``_split_prime``, the powers omega^e mod p (e < m),
+        in int64 while p * max(p, |G|) < 2^62 and in Python ints above, and
+        the index of u*a for every element a (rows) and every unit u of Z/m
+        (columns)."""
+        if self._field is None:
+            group, m = self.group, self.m
+            units = np.array([u for u in range(1, m) if math.gcd(u, m) == 1])
+            self.config.check("pair_work_cap", group.order * len(units), "|G| * phi(m) unit-gather cells")
+            p, omega = _split_prime(m, group.order)
+            dtype = np.int64 if p * max(p, group.order) < 1 << 62 else object
+            powers = itertools.accumulate(range(m - 1), lambda x, _: x * omega % p, initial=1)
+            # the mixed-radix index of u*a, a factor's residue at a time
+            scaled = np.zeros((len(units), 1), dtype=np.int64)
+            for d in group.factor_orders:
+                digits = units[:, None, None] * np.arange(d) % d
+                scaled = (scaled[:, :, None] * d + digits).reshape(len(units), -1)
+            self._field = p, np.array(list(powers), dtype=dtype), scaled.T.copy()
+        return self._field
+
+    def _classes(self, exponents: np.ndarray, part: Partition) -> Partition:
+        """The pairwise engine's dual as a set partition, unlabelled: a and
+        a' share a class exactly when they have the same class character
+        sums (the exactness proof is in the module docstring).
+
+        S[a, C], the sum over b in C of omega^e(a, b) mod p, is read in
+        blocks of about 2^20 table cells, as int64 sums over the columns
+        sorted by class; ranking the rows of S and then the rows of those
+        ranks at u*a over every unit u gives the classes.  ``exponents``
+        is a pairing table of G (rows in index order) against H, of chi or
+        of any chi^u: e'(ua, b) = u e'(a, b) holds for every one."""
+        nrows, ncols = exponents.shape
+        k = part.num_classes
+        self.config.check("pair_work_cap", nrows * k, "|G| * k evaluation cells")
+        p, powers, units = self._evaluation()
+        columns = np.argsort(part.class_ids, kind="stable")
+        sizes = part.class_sizes()
+        starts = np.cumsum(sizes) - sizes
+        sums = np.empty((nrows, k), dtype=powers.dtype)
+        chunk = max(1, (1 << 20) // ncols)
+        for start in range(0, nrows, chunk):
+            block = powers[exponents[start : start + chunk][:, columns]]
+            sums[start : start + chunk] = np.add.reduceat(block, starts, axis=1) % p
+        conjugates = _rank_rows(sums)[1][units]
+        return Partition(_rank_rows(conjugates)[1], host=self.group)
+
+    def _number(self, exponents: np.ndarray, part: Partition, classes: Partition) -> Partition:
+        """The dual set partition ``classes`` of ``part``, numbered in the
+        lexicographic order of its rows of canonical coordinates and
+        labelled by them: the fold runs on the first pairing row of each
+        class, one row per dual class."""
+        ids = classes.class_ids
+        coords = self._coords(exponents[np.unique(ids, return_index=True)[1]], part)
+        first, rank = _rank_rows(coords)
         labels = SignatureLabels(self.m, coords[first], part.num_classes)
-        return Partition(ids, labels=labels, host=self.group)
+        return Partition(rank[ids], labels=labels, host=self.group)
+
+    def _dual(self, exponents: np.ndarray, part: Partition) -> Partition:
+        """The pairwise engine: classes by evaluation, numbered and
+        labelled by the canonical coordinates of their sums."""
+        return self._number(exponents, part, self._classes(exponents, part))
 
     def _twin_dual(self, part: Partition) -> Partition:
         """The twin-class engine (module docstring).  An integer c has
@@ -365,12 +469,28 @@ class DualityContext:
         labels = SignatureLabels(self.m, rows.reshape(len(first), -1), k)
         return Partition(state_ids, labels=labels, host=group, blocks=blocks, config=self.config)
 
-    def _dual_of(self, part: Partition) -> Partition:
+    def _dual_of(self, part: Partition, labelled: bool = True) -> Partition:
+        """The dual of ``part``; by the pairwise engine, the set partition
+        alone unless ``labelled``."""
         if part.host_size != self.group.order:
             raise InputError("partition does not live on this group")
         if part.blocks is not None:
             return self._twin_dual(part)
-        return self._dual(self.exponents, part)
+        if labelled:
+            return self._dual(self.exponents, part)
+        return self._classes(self.exponents, part)
+
+    def _left(self, gamma: Partition, labelled: bool) -> Partition:
+        """l(Gamma), the last one kept; a kept set partition is numbered
+        and labelled when a labelled dual is asked for, with no second
+        evaluation."""
+        last = self._last_left
+        if last is None or last[0] is not gamma:
+            last = (gamma, self._dual_of(gamma, labelled))
+        elif labelled and last[1].labels is None:
+            last = (gamma, self._number(self.exponents, gamma, last[1]))
+        self._last_left = last
+        return last[1]
 
     def left_dual(self, gamma: Partition) -> Partition:
         """The left dual partition l(Gamma): elements of G grouped by exact
@@ -378,9 +498,7 @@ class DualityContext:
 
         The last result is kept, so asking again for the same Partition
         object (a check followed by an export, say) costs nothing."""
-        if self._last_left is None or self._last_left[0] is not gamma:
-            self._last_left = (gamma, self._dual_of(gamma))
-        return self._last_left[1]
+        return self._left(gamma, labelled=True)
 
     def right_dual(self, lam: Partition) -> Partition:
         """The right dual r(Lambda).  The pairing is symmetric, so this is
@@ -394,8 +512,11 @@ def reflexivity_check(
     """Verdict by cardinality comparison |Gamma| vs |l(Gamma)|; optionally
     also computes the bidual r(l(Gamma)) and asserts it is finer.  The
     verdict needs only the left dual, so a bidual over budget is reported
-    as ``bidual_refused`` (the refusal message) next to the verdict."""
-    lam = ctx.left_dual(gamma)
+    as ``bidual_refused`` (the refusal message) next to the verdict.  The
+    counts and comparisons need no labels, so the pairwise engine stops at
+    its set partitions; a later ``left_dual`` of ``gamma`` numbers the
+    kept one."""
+    lam = ctx._left(gamma, labelled=False)
     out = {
         "gamma_classes": gamma.num_classes,
         "dual_classes": lam.num_classes,
@@ -404,7 +525,7 @@ def reflexivity_check(
     }
     if compute_bidual:
         try:
-            bidual = ctx.right_dual(lam)
+            bidual = ctx._dual_of(lam, labelled=False)
         except BudgetError as e:
             out["bidual_refused"] = str(e)
             return out

@@ -34,6 +34,7 @@ paper's closed forms are in ``paper.py``.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 from collections import deque
@@ -272,13 +273,18 @@ def sturm_chain(n, k, q, num, den):
     den2, qx = den * den, q * num
     prev, cur = 0, 1
     changes, positive = 0, True
-    for j in range(k):
-        a = j + (q - 1) * (n - j)
-        b = j * (q - 1) * (n - j + 1)
+    for a, b in _sturm_steps(n, k, q):
         prev, cur = cur, (a * den - qx) * cur - b * den2 * prev
         if cur and (cur > 0) != positive:
             changes, positive = changes + 1, not positive
     return changes, cur
+
+
+@functools.lru_cache(maxsize=None)
+def _sturm_steps(n, k, q):
+    """The (a_j, b_j) of ``sturm_chain`` for j < k, computed once per
+    (n, k, q)."""
+    return tuple((j + (q - 1) * (n - j), j * (q - 1) * (n - j + 1)) for j in range(k))
 
 
 def bisect_roots(n, k, q, width=Fraction(1, 10**9)):

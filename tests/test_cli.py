@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualpart.cli import _emit, build_parser, main
 from dualpart.config import InputError
-from dualpart.macwilliams import _PSI_13, parse_code_file
+from dualpart.exactarith import _PSI_13
+from dualpart.macwilliams import parse_code_file
 from oracles import jsonable
 
 

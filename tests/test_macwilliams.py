@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dualpart.macwilliams as macwilliams
-from dualpart.config import BudgetError, InputError, RunConfig
+from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
 from dualpart.macwilliams import (
     LinearCode,
     PrimeFieldSpace,
@@ -291,6 +291,14 @@ class TestAllCodesEngine:
         with pytest.raises(BudgetError, match="\\|V\\|\\^2 orthogonality cells = 256 exceeds pair_work_cap = 255"):
             macwilliams_admits(space, ham, ham, RunConfig(pair_work_cap=255))
 
+    def test_addition_table_capped(self):
+        # the |V| x |V| index table of x + y that the invariance search
+        # reads is checked before it is built
+        space = PrimeFieldSpace(2, (1,) * 5)
+        delta = co_vector_space_partition(space, 3)
+        with pytest.raises(BudgetError, match="^\\|V\\|\\^2 addition-table cells = 1024 exceeds pair_work_cap = 1023$"):
+            macwilliams._invariance_orbits(space, delta, RunConfig(pair_work_cap=1023))
+
     def test_f2_8_within_the_subspace_count(self):
         space = PrimeFieldSpace(2, (1,) * 8)
         lam, gamma = _engine_cases(space, "f2-8")[0]
@@ -463,6 +471,7 @@ class TestStabilizerChain:
         its classes, and every map of Inv(delta) preserves every class."""
         v = space.all_vectors()
         add = _vector_indices(space, v[:, None, :] + v[None, :, :])
+        assert np.array_equal(macwilliams._addition(space, DEFAULT_CONFIG), add)
         refined = macwilliams._refine(delta.class_ids, add)
         assert Partition(refined, host=space.group).is_finer(delta)
         cls, pairs = refined.tolist(), add.tolist()

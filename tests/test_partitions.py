@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
-from dualpart.exactarith import CycInt, euler_phi_degree, root_of_unity_sum
+from dualpart.exactarith import CycInt, _reduction_rows, euler_phi_degree, root_of_unity_sum
 from dualpart.groups import build_group_product
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
@@ -722,6 +722,125 @@ class TestDualOracle:
         assert lam.export()["labels"] is None
 
 
+# one group per modulus m in {2, 12, 30, 60, 105, 120}; Phi_105 has a
+# coefficient -2, and x^e mod Phi_105 has coefficients up to 2 (R = 2)
+SPLIT_GROUPS = [
+    [[2]] * 5,
+    [[4], [3]],
+    [[2, 3], [5]],
+    [[60]],
+    [[3], [5], [7]],
+    [[120]],
+]
+
+
+def split_partitions(group):
+    """Random partitions with k = 1, 2, |G|/8, |G|/2 and |G| classes."""
+    order = group.order
+    return [random_partition(group, k, k) for k in sorted({1, 2, max(1, order // 8), order // 2, order})]
+
+
+def eager_reflexivity(ctx, gamma):
+    """``reflexivity_check(ctx, gamma, compute_bidual=True)`` from the
+    classes of ``eager_dual``."""
+    lam = Partition(eager_dual(ctx, ctx.exponents, gamma)[0], host=ctx.group)
+    bidual = Partition(eager_dual(ctx, ctx.exponents, lam)[0], host=ctx.group)
+    reflexive = gamma.num_classes == lam.num_classes
+    return {
+        "gamma_classes": gamma.num_classes,
+        "dual_classes": lam.num_classes,
+        "reflexive": reflexive,
+        "verdict": "reflexive" if reflexive else "non-reflexive",
+        "bidual_classes": bidual.num_classes,
+        "bidual_equals_gamma": bidual == gamma,
+    }
+
+
+class TestSplitPrimeEvaluation:
+    """The pairwise engine's classes, by evaluation at a split prime,
+    against the eager coordinates of every pairing row."""
+
+    @pytest.mark.parametrize("spec", SPLIT_GROUPS, ids=str)
+    def test_prime_root_and_unit_map(self, spec):
+        group = build_group_product(spec)
+        ctx = DualityContext(group)
+        m, order = ctx.m, group.order
+        p, powers, units = ctx._evaluation()
+        height = max(abs(c) for row in _reduction_rows(m) for c in row)
+        assert height == (2 if m == 105 else 1)
+        assert p % m == 1 and p > 2 * order * height
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        omega = int(powers[1])
+        assert [int(x) for x in powers] == [pow(omega, e, p) for e in range(m)]
+        assert min(e for e in range(1, m + 1) if pow(omega, e, p) == 1) == m
+        # column j holds u_j * a for the j-th unit u_j: e(u a, b) = u e(a, b)
+        table = ctx.exponents.astype(np.int64)
+        unit_list = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        assert units.shape == (order, len(unit_list))
+        for j, u in enumerate(unit_list):
+            assert np.array_equal(table[units[:, j]], table * u % m)
+
+    @pytest.mark.parametrize("spec", SPLIT_GROUPS, ids=str)
+    def test_dual_matches_eager_form(self, spec):
+        group = build_group_product(spec)
+        ctx = DualityContext(group)
+        unit = next(s for s in range(ctx.m - 1, 0, -1) if math.gcd(s, ctx.m) == 1)
+        for part in split_partitions(group):
+            for table in (ctx.exponents, scaled_exponents(ctx, unit)):
+                got = ctx._dual(table, part)
+                ids, labels = eager_dual(ctx, table, part)
+                assert np.array_equal(got.class_ids, ids)
+                assert got.labels == labels
+
+    @pytest.mark.parametrize("spec", SPLIT_GROUPS, ids=str)
+    def test_check_folds_no_coordinate(self, spec, monkeypatch):
+        group = build_group_product(spec)
+        parts = split_partitions(group)
+        want = [eager_reflexivity(DualityContext(group), gamma) for gamma in parts]
+
+        def no_fold(*args):
+            raise AssertionError("cyclotomic coordinates folded")
+
+        monkeypatch.setattr(DualityContext, "_coords", no_fold)
+        assert [reflexivity_check(DualityContext(group), gamma, compute_bidual=True) for gamma in parts] == want
+
+    def test_python_int_sums_past_int64(self, monkeypatch):
+        # a prime above 2^41 leaves p^2 past 2^62: powers and sums are
+        # Python ints, and the classes and labels stay the same
+        import dualpart.partitions as partitions
+
+        group = build_group_product([[4], [3], [5]])
+        split = partitions._split_prime
+        monkeypatch.setattr(partitions, "_split_prime", lambda m, order: split(m, 1 << 40))
+        ctx = DualityContext(group)
+        p, powers, _ = ctx._evaluation()
+        assert p > 1 << 41 and powers.dtype == object
+        for part in split_partitions(group):
+            got = ctx._dual(ctx.exponents, part)
+            ids, labels = eager_dual(ctx, ctx.exponents, part)
+            assert np.array_equal(got.class_ids, ids) and got.labels == labels
+
+    def test_left_dual_after_check_evaluates_once(self, monkeypatch):
+        group = build_group_product([[2], [6], [10]])
+        gamma = random_partition(group, 30, 0)
+        ctx = DualityContext(group)
+        calls = []
+        classes = DualityContext._classes
+
+        def counted(self, *args):
+            calls.append(1)
+            return classes(self, *args)
+
+        monkeypatch.setattr(DualityContext, "_classes", counted)
+        report = reflexivity_check(ctx, gamma, compute_bidual=True)
+        assert len(calls) == 2  # l(Gamma) and the bidual
+        lam = ctx.left_dual(gamma)
+        assert len(calls) == 2 and ctx.left_dual(gamma) is lam
+        ids, labels = eager_dual(ctx, ctx.exponents, gamma)
+        assert lam.num_classes == report["dual_classes"]
+        assert np.array_equal(lam.class_ids, ids) and lam.labels == labels
+
+
 class TestRankRows:
     @pytest.mark.parametrize("span", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
     @pytest.mark.parametrize("low", [0, -3, -(2**40)])
@@ -1091,19 +1210,40 @@ class TestScaleAndBudgets:
         assert DualityContext(group, RunConfig(pair_work_cap=96)).left_dual(gamma).num_classes == 4
 
     def test_coordinate_cap_named(self):
-        # Z/48 with 24 classes: a 48 x 48 table passes a cap of 10,000 cells,
-        # but its coordinates take 48 * 24 * deg(Phi_48) = 18,432 cells
+        # Z/48 with 24 classes {a, a + 24}: a 48 x 48 table, 48 * 24
+        # evaluation cells and 48 * deg(Phi_48) unit-gather cells pass a cap
+        # of 9,599 cells, but the coordinates of one pairing row per dual
+        # class take 25 * 24 * deg(Phi_48) = 9,600 cells
         group = build_group_product([[48]])
         gamma = Partition(np.arange(48) % 24, host=group)
-        ctx = DualityContext(group, RunConfig(pair_work_cap=10_000))
+        ctx = DualityContext(group, RunConfig(pair_work_cap=9_599))
         assert ctx.exponents.size == 2304
         with pytest.raises(
             BudgetError,
-            match=r"^rows \* k \* deg\(Phi_m\) coordinate cells = 18432 exceeds pair_work_cap = 10000$",
+            match=r"^rows \* k \* deg\(Phi_m\) coordinate cells = 9600 exceeds pair_work_cap = 9599$",
         ):
             ctx.left_dual(gamma)
-        # two classes take 48 * 2 * 16 = 1,536 cells
+        # the verdict folds no coordinate
+        assert reflexivity_check(ctx, gamma, compute_bidual=True)["dual_classes"] == 25
+        assert DualityContext(group, RunConfig(pair_work_cap=9_600)).left_dual(gamma).num_classes == 25
+        # two classes take 3 * 2 * 16 = 96 cells
         ctx.left_dual(Partition(np.arange(48) % 2, host=group))
+
+    def test_evaluation_caps_named(self):
+        # Z/120 against a table built under the default budget: 120 * 60
+        # evaluation cells, and 120 * deg(Phi_120) = 3,840 unit-gather
+        # cells, each checked before it is allocated
+        group = build_group_product([[120]])
+        table = DualityContext(group).exponents
+        wide, narrow = random_partition(group, 60, 0), random_partition(group, 2, 0)
+        with pytest.raises(BudgetError, match=r"^\|G\| \* k evaluation cells = 7200 exceeds pair_work_cap = 7199$"):
+            DualityContext(group, RunConfig(pair_work_cap=7199))._classes(table, wide)
+        with pytest.raises(
+            BudgetError, match=r"^\|G\| \* phi\(m\) unit-gather cells = 3840 exceeds pair_work_cap = 3839$"
+        ):
+            DualityContext(group, RunConfig(pair_work_cap=3839))._classes(table, narrow)
+        classes = DualityContext(group, RunConfig(pair_work_cap=3840))._classes(table, narrow)
+        assert classes == Partition(eager_dual(DualityContext(group), table, narrow)[0])
 
     def test_induce_cap_named(self):
         # inducing and dualizing list no element of G: the cap binds where

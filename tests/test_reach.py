@@ -45,8 +45,12 @@ ALLOWED = {
     "posets.chain": "library entry point, exported by the package",
     # production paths that no golden input takes
     "metrics.WeightFunction.constant": "dual and poset: a poset document without weights",
+    "partitions.DualityContext._classes": "the pairwise engine's evaluation at a split prime (dual-dense workload)",
     "partitions.DualityContext._coords": "the pairwise engine: partitions without support masks (dual-dense workload)",
     "partitions.DualityContext._dual": "the pairwise engine: partitions without support masks (dual-dense workload)",
+    "partitions.DualityContext._evaluation": "the pairwise engine's evaluation set-up (dual-dense workload)",
+    "partitions.DualityContext._number": "the pairwise engine's numbering and labels (dual-dense workload)",
+    "partitions._split_prime": "the pairwise engine's evaluation prime (dual-dense workload)",
     "partitions.DualityContext.exponents": "the pairwise engine's pairing table (dual-dense workload)",
     "macwilliams.macwilliams_admits": "the all-codes statement, called directly by the codes workload",
     "macwilliams._subspace_count": "macwilliams_admits: its budget check",
