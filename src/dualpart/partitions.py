@@ -43,6 +43,18 @@ s_a(C) at omega^u is s_ua(C) at omega: a and a' have equal class sums
 exactly when the rows of ua and ua' agree at omega for every unit u.  No
 rounding and nothing probabilistic enters.
 
+Two duals are known to be discrete before the evaluation ends.  The dual of
+the discrete partition of H is discrete: its class sums at a are the values
+f(a, b) of the character of a, and characters separate points.  For
+a != a', some cyclic factor f of order d has a_f != a'_f, and at b = e_f
+(residue 1 at f, 0 elsewhere) the values zeta_d^(u a_f) and
+zeta_d^(u a'_f) differ for every unit u, so for chi^u as for chi.  So
+``_classes`` answers at once when k = |H|, with no evaluation and no cap
+read.  Otherwise, when the rows of S at omega alone are pairwise distinct,
+the dual is discrete too: equal class sums agree at every embedding, omega
+among them, so the true classes refine the rows at omega, and the unit
+gather and its ranking are skipped.
+
 Every dual partition keeps its class character sums as labels, built when
 read; the Krawtchouk matrix reads its rows there.  The pairing table belongs
 to the pairwise engine alone.
@@ -316,19 +328,26 @@ class DualityContext:
     def exponents(self) -> np.ndarray:
         """The |G| x |H| pairing-exponent table, built on first use: entry
         (a, b) is the e with f(a, b) = zeta_m^e, where a cyclic factor of
-        order d contributes (m/d) * a_f * b_f."""
+        order d contributes (m/d) * a_f * b_f.
+
+        The table is a Kronecker sum of one d x d term table per factor,
+        built as ``macwilliams._addition`` builds its table: a factor put in
+        front of the table T of the later ones makes ((m/d) x y mod m) + T,
+        x and y its residues, the most significant index digits, reduced mod
+        m in place.  A sum is at most 2m - 2, so uint16 holds it while
+        m <= 2^15 (uint32 above), and the one other table alive is the
+        previous one, 1/d^2 of the new one."""
         if self._table is None:
             group, m = self.group, self.m
             self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
-            v = group.residue_matrix(self.config)
-            weighted = v * np.array([m // d for d in group.factor_orders], dtype=np.int64)
-            # int16 holds every exponent below 2^15; wider moduli need int32
-            table = np.empty((len(v), len(v)), dtype=np.int16 if m <= 1 << 15 else np.int32)
-            # int64 products in blocks of about 2^20 cells, reduced into the table
-            chunk = max(1, (1 << 20) // len(v))
-            for start in range(0, len(v), chunk):
-                block = weighted[start : start + chunk] @ v.T
-                np.remainder(block, m, out=table[start : start + chunk], casting="unsafe")
+            dtype = np.uint16 if m <= 1 << 15 else np.uint32
+            residues = map(np.arange, group.factor_orders)
+            terms = [(m // len(x) * np.outer(x, x) % m).astype(dtype) for x in residues]
+            table = terms.pop()
+            for term in reversed(terms):
+                size = len(table) * len(term)
+                table = (term[:, None, :, None] + table[None, :, None, :]).reshape(size, size)
+                np.remainder(table, m, out=table)
             self._table = table
         return self._table
 
@@ -407,11 +426,16 @@ class DualityContext:
         S[a, C], the sum over b in C of omega^e(a, b) mod p, is read in
         blocks of about 2^20 table cells, as int64 sums over the columns
         sorted by class; ranking the rows of S and then the rows of those
-        ranks at u*a over every unit u gives the classes.  ``exponents``
-        is a pairing table of G (rows in index order) against H, of chi or
-        of any chi^u: e'(ua, b) = u e'(a, b) holds for every one."""
+        ranks at u*a over every unit u gives the classes.  The dual is
+        discrete, and returned at once, when ``part`` is discrete, and
+        after the first ranking when the rows of S are pairwise distinct
+        (module docstring).  ``exponents`` is a pairing table of G (rows in
+        index order) against H, of chi or of any chi^u: e'(ua, b) =
+        u e'(a, b) holds for every one."""
         nrows, ncols = exponents.shape
         k = part.num_classes
+        if k == ncols:
+            return Partition(np.arange(nrows), host=self.group)
         self.config.check("pair_work_cap", nrows * k, "|G| * k evaluation cells")
         p, powers, units = self._evaluation()
         columns = np.argsort(part.class_ids, kind="stable")
@@ -422,8 +446,10 @@ class DualityContext:
         for start in range(0, nrows, chunk):
             block = powers[exponents[start : start + chunk][:, columns]]
             sums[start : start + chunk] = np.add.reduceat(block, starts, axis=1) % p
-        conjugates = _rank_rows(sums)[1][units]
-        return Partition(_rank_rows(conjugates)[1], host=self.group)
+        first, ranks = _rank_rows(sums)
+        if len(first) == nrows:
+            return Partition(ranks, host=self.group)
+        return Partition(_rank_rows(ranks[units])[1], host=self.group)
 
     def _number(self, exponents: np.ndarray, part: Partition, classes: Partition) -> Partition:
         """The dual set partition ``classes`` of ``part``, numbered in the

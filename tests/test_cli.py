@@ -258,11 +258,13 @@ class TestLatticeDual:
         # G; above 2^62 the sums are Python ints.  The class counts are
         # those of co_reflexivity_bruteforce(16, 7, 2) and (2, 64, 2)
         from dualpart.groups import GroupProduct
+        from dualpart.partitions import DualityContext
 
         def no_listing(*args, **kwargs):
             raise AssertionError("G listed")
 
         monkeypatch.setattr(GroupProduct, "residue_matrix", no_listing)
+        monkeypatch.setattr(DualityContext, "exponents", property(no_listing))
         path = write_json(tmp_path, "g.json", {"coordinates": coords})
         code, out, err = run(capsys, "dual", path, "Pk:2")
         assert code == 0 and err == ""

@@ -840,6 +840,66 @@ class TestSplitPrimeEvaluation:
         assert lam.num_classes == report["dual_classes"]
         assert np.array_equal(lam.class_ids, ids) and lam.labels == labels
 
+    def test_discrete_gamma_evaluates_nothing(self, monkeypatch):
+        # characters separate points: the dual of the discrete partition is
+        # discrete, and so is its bidual, with no evaluation at all
+        group = build_group_product([[2], [6], [10]])
+        gamma = Partition(np.arange(group.order), host=group)
+        ctx = DualityContext(group)
+        ids, labels = eager_dual(ctx, ctx.exponents, gamma)
+
+        def no_evaluation(*args):
+            raise AssertionError("class sums evaluated")
+
+        monkeypatch.setattr(DualityContext, "_evaluation", no_evaluation)
+        report = reflexivity_check(ctx, gamma, compute_bidual=True)
+        assert report["dual_classes"] == report["bidual_classes"] == group.order
+        assert report["reflexive"] and report["bidual_equals_gamma"]
+        lam = ctx.left_dual(gamma)
+        assert np.array_equal(lam.class_ids, ids) and lam.labels == labels
+
+    def test_discrete_gamma_answered_under_evaluation_cap(self):
+        # |G| * k = 120^2 evaluation cells would be refused, as 120 * 119
+        # are, but a discrete partition's dual is answered before the cap
+        # is read
+        group = build_group_product([[120]])
+        table = DualityContext(group).exponents
+        discrete = Partition(np.arange(group.order), host=group)
+        tight = DualityContext(group, RunConfig(pair_work_cap=120 * 119 - 1))
+        assert tight._classes(table, discrete) == discrete
+        with pytest.raises(BudgetError, match=r"^\|G\| \* k evaluation cells = 14280 exceeds"):
+            tight._classes(table, random_partition(group, group.order - 1, 0))
+
+    def test_discrete_exits_and_unit_gather(self, monkeypatch):
+        # on Z/8 (p = 17), the distinct rows of each ranking: the discrete
+        # partition exits before any; {1} against the rest has 8 distinct
+        # rows at omega and exits after one; {2, 3, 5, 6, 7} against the
+        # rest ties at omega (7 distinct rows), and only the gather over
+        # the units splits the tie, into 8 classes
+        import dualpart.partitions as partitions
+
+        group = build_group_product([[8]])
+        ctx = DualityContext(group)
+        assert ctx._evaluation()[0] == 17
+        ranked = []
+        rank_rows = partitions._rank_rows
+
+        def counted(rows):
+            first, inverse = rank_rows(rows)
+            ranked.append(len(first))
+            return first, inverse
+
+        monkeypatch.setattr(partitions, "_rank_rows", counted)
+        paths = [(np.arange(8), []), ([1, 0, 1, 1, 1, 1, 1, 1], [8]), ([0, 0, 1, 1, 0, 1, 1, 1], [7, 8])]
+        for ids, rankings in paths:
+            part = Partition(ids, host=group)
+            for table in (ctx.exponents, scaled_exponents(ctx, 3)):
+                ranked.clear()
+                got = ctx._classes(table, part)
+                assert ranked == rankings
+                assert got.num_classes == 8
+                assert got == Partition(eager_dual(ctx, table, part)[0])
+
 
 class TestRankRows:
     @pytest.mark.parametrize("span", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
@@ -1150,13 +1210,32 @@ class TestTwinClassEngine:
 
 class TestPairingTable:
     def test_entries_are_pairing_exponents(self):
-        group = build_group_product([[4], [2, 3], [5]])
-        table = DualityContext(group).exponents
-        els = enumerate_elements(group)
-        rng = random.Random(0)
-        for _ in range(200):
-            a, b = rng.randrange(len(els)), rng.randrange(len(els))
-            assert table[a, b] == pairing_exponent(els[a], els[b])
+        # the groups of the dual-dense benchmark, mixed coordinates among
+        # them, and a prime power against its square: every entry, and the
+        # refusal one cell below |G|^2
+        for spec in (
+            [[48]],
+            [[4], [12]],
+            [[2], [4], [2, 3]],
+            [[60]],
+            [[2, 3], [2, 5]],
+            [[2], [6], [10]],
+            [[120]],
+            [[2], [2], [4], [3, 5]],
+            [[4], [2, 3], [5]],
+            [[7], [49]],
+        ):
+            group = build_group_product(spec)
+            cells = group.order**2
+            table = DualityContext(group, RunConfig(pair_work_cap=cells)).exponents
+            els = enumerate_elements(group)
+            want = [[pairing_exponent(a, b) for b in els] for a in els]
+            assert table.dtype == np.uint16 and np.array_equal(table, want)
+            with pytest.raises(
+                BudgetError,
+                match=rf"^\|G\|\*\|H\| pairing table cells = {cells} exceeds pair_work_cap = {cells - 1}$",
+            ):
+                DualityContext(group, RunConfig(pair_work_cap=cells - 1)).exponents
 
 
 class TestScaleAndBudgets:
@@ -1168,6 +1247,9 @@ class TestScaleAndBudgets:
 
         group = build_group_product([[2]] * 6)
         ctx = DualityContext(group, RunConfig(pair_work_cap=1000))
+        # the check reads |G|, cached here; the build reads the factor orders
+        assert group.order == 64
+        monkeypatch.setattr(GroupProduct, "factor_orders", property(no_residues))
         monkeypatch.setattr(GroupProduct, "residue_matrix", no_residues)
         with pytest.raises(BudgetError, match=r"= 4096 exceeds pair_work_cap = 1000$"):
             ctx.exponents
