@@ -34,7 +34,8 @@ class RunConfig:
     """Caps and budgets.
 
     enumeration_cap: maximum group order where elements are listed (the
-                     residue matrix, and the pull-back of a support-induced
+                     residue matrix, the pairing table of the pairwise
+                     engine, and the pull-back of a support-induced
                      partition's class ids to G), maximum exponent m of a
                      duality context (its Phi_m is listed), maximum number
                      p^dim of codewords listed for a linear code, and

@@ -41,6 +41,7 @@ from .groups import GroupProduct
 from .partitions import (
     DualityContext,
     Partition,
+    _form_table,
     _rank_rows,
     co_profile_prefix_sums,
     co_reflexivity_bruteforce,
@@ -232,24 +233,14 @@ def _codes_per_block(space: PrimeFieldSpace, d: int) -> int:
 
 
 def _orthogonality(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
-    """|V| x |V| booleans: whether the two vectors' bilinear form is 0.
-
-    The forms of the last j coordinates make a p^j x p^j table, and one
-    more coordinate in front adds x * y: the form of (x, a) and (y, b) is
-    x * y plus that of a and b, mod p, in a dtype that holds 2(p - 1)."""
+    """|V| x |V| booleans: whether the two vectors' bilinear form is 0,
+    read off the form table of (Z/p)^dim."""
     config.check("pair_work_cap", space.order**2, "|V|^2 orthogonality cells")
-    p = space.p
-    dtype = np.min_scalar_type(2 * (p - 1))
-    prod = (np.arange(p)[:, None] * np.arange(p) % p).astype(dtype)
-    form = np.zeros((1, 1), dtype=dtype)
-    for _ in range(space.dim):
-        size = len(form) * p
-        form = ((prod[:, None, :, None] + form[None, :, None, :]) % p).reshape(size, size)
-    return form == 0
+    return _form_table((space.p,) * space.dim, space.p) == 0
 
 
 def _addition(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
-    """|V| x |V| element indices of x + y, built as ``_orthogonality``
+    """|V| x |V| element indices of x + y, built as ``partitions._form_table``
     builds its forms: a coordinate in front of the last j adds
     ((x + y) mod p) * p^j to the index of the sum of the rest."""
     config.check("pair_work_cap", space.order**2, "|V|^2 addition-table cells")

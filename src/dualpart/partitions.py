@@ -305,6 +305,49 @@ def _split_prime(m: int, order: int) -> tuple[int, int]:
     return p, next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in primes))
 
 
+# about this many int64 cells per block of a factor's term rows
+_TERM_BLOCK = 1 << 18
+
+
+def _form_table(orders: Sequence[int], m: int) -> np.ndarray:
+    """The form table of prod Z/d over the orders d, elements in
+    mixed-radix index order, the first factor most significant: entry
+    (a, b) is the sum over factors of (m/d) a_f b_f, mod m.
+
+    It is a Kronecker sum.  A factor put in front of the table T of the
+    later ones makes the table ((m/d) x y mod m) + T, x and y its
+    residues, written a block of x at a time into the new table; the
+    term rows of a block are int64 products of about ``_TERM_BLOCK``
+    cells.  The dtype is the narrowest unsigned one that holds 2m - 2, a
+    sum before its reduction, and a sum s is reduced in place as
+    min(s, s - m): below m, s - m wraps past 2m - 2.  The build holds the
+    new table, the previous one (1/d^2 of it) and the term rows of at
+    most two blocks, the next one made before the last is freed, or one
+    ``_TERM_BLOCK`` cells of s - m."""
+    dtype = np.min_scalar_type(2 * (m - 1))
+    table = np.zeros((1, 1), dtype=dtype)
+    for d in reversed(orders):
+        n = len(table)
+        new = np.empty((d, n, d, n), dtype=dtype)
+        step = max(1, _TERM_BLOCK // d)
+        for x in range(0, d, step):
+            term = np.outer(np.arange(x, min(x + step, d)), np.arange(d))
+            term *= m // d
+            term %= m
+            block = new[x : x + step]
+            if n == 1:
+                # the table of no factor, or of factors of order 1, is [[0]]
+                block[:, 0, :, 0] = term
+            else:
+                np.add(term.astype(dtype)[:, None, :, None], table[None, :, None, :], out=block)
+                flat = block.reshape(-1)
+                for i in range(0, flat.size, _TERM_BLOCK):
+                    cells = flat[i : i + _TERM_BLOCK]
+                    np.minimum(cells, cells - m, out=cells)
+        table = new.reshape(d * n, d * n)
+    return table
+
+
 class DualityContext:
     """Dual partitions over G ~ H (one matched product).
 
@@ -326,29 +369,14 @@ class DualityContext:
 
     @property
     def exponents(self) -> np.ndarray:
-        """The |G| x |H| pairing-exponent table, built on first use: entry
-        (a, b) is the e with f(a, b) = zeta_m^e, where a cyclic factor of
-        order d contributes (m/d) * a_f * b_f.
-
-        The table is a Kronecker sum of one d x d term table per factor,
-        built as ``macwilliams._addition`` builds its table: a factor put in
-        front of the table T of the later ones makes ((m/d) x y mod m) + T,
-        x and y its residues, the most significant index digits, reduced mod
-        m in place.  A sum is at most 2m - 2, so uint16 holds it while
-        m <= 2^15 (uint32 above), and the one other table alive is the
-        previous one, 1/d^2 of the new one."""
+        """The |G| x |H| pairing-exponent table, built on first use by
+        ``_form_table``: entry (a, b) is the e with f(a, b) = zeta_m^e,
+        where a cyclic factor of order d contributes (m/d) * a_f * b_f."""
         if self._table is None:
-            group, m = self.group, self.m
+            group = self.group
             self.config.check("pair_work_cap", group.order**2, "|G|*|H| pairing table cells")
-            dtype = np.uint16 if m <= 1 << 15 else np.uint32
-            residues = map(np.arange, group.factor_orders)
-            terms = [(m // len(x) * np.outer(x, x) % m).astype(dtype) for x in residues]
-            table = terms.pop()
-            for term in reversed(terms):
-                size = len(table) * len(term)
-                table = (term[:, None, :, None] + table[None, :, None, :]).reshape(size, size)
-                np.remainder(table, m, out=table)
-            self._table = table
+            self.config.check("enumeration_cap", group.order, "|H| to materialize")
+            self._table = _form_table(group.factor_orders, self.m)
         return self._table
 
     # -- character sums ---------------------------------------------------

@@ -1230,12 +1230,54 @@ class TestPairingTable:
             table = DualityContext(group, RunConfig(pair_work_cap=cells)).exponents
             els = enumerate_elements(group)
             want = [[pairing_exponent(a, b) for b in els] for a in els]
-            assert table.dtype == np.uint16 and np.array_equal(table, want)
+            # the narrowest dtype that holds 2m - 2: m is at most 120 here
+            assert table.dtype == np.uint8 and np.array_equal(table, want)
             with pytest.raises(
                 BudgetError,
                 match=rf"^\|G\|\*\|H\| pairing table cells = {cells} exceeds pair_work_cap = {cells - 1}$",
             ):
                 DualityContext(group, RunConfig(pair_work_cap=cells - 1)).exponents
+
+    def test_wide_modulus_entries(self):
+        # m = 294 > 128 takes uint16; every entry against the oracle
+        group = build_group_product([[6], [49, 2]])
+        table = DualityContext(group).exponents
+        els = enumerate_elements(group)
+        want = [[pairing_exponent(a, b) for b in els] for a in els]
+        assert table.dtype == np.uint16 and np.array_equal(table, want)
+
+    def test_enumeration_cap_checked(self):
+        # the table lists H, so it is refused past enumeration_cap, with
+        # the message of every listing of H
+        group = build_group_product([[4], [12]])
+        with pytest.raises(BudgetError, match=r"^\|H\| to materialize = 48 exceeds enumeration_cap = 47$"):
+            DualityContext(group, RunConfig(enumeration_cap=47)).exponents
+        assert DualityContext(group, RunConfig(enumeration_cap=48)).exponents.shape == (48, 48)
+
+    @pytest.mark.parametrize(
+        "spec, previous",
+        [([[4096]], 0), ([[2], [2048]], 2048**2 * 2), ([[2048], [2]], 2 * 2 * 2)],
+    )
+    def test_build_holds_table_previous_and_one_block(self, spec, previous):
+        # one large cyclic factor: no d x d int64 table is made, only the
+        # term rows of at most two blocks of about 2^18 int64 cells (2 MiB
+        # each) beside the new table and the previous one
+        import tracemalloc
+
+        group = build_group_product(spec)
+        ctx = DualityContext(group)
+        group.factor_orders, group.exponent  # cached before the trace
+        tracemalloc.start()
+        try:
+            table = ctx.exponents
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 4096**2 * 2
+        assert peak <= table.nbytes + previous + (5 << 20)
+        els = enumerate_elements(group)
+        for a in (1, 2, len(els) - 1):
+            assert table[a].tolist() == [pairing_exponent(els[a], b) for b in els]
 
 
 class TestScaleAndBudgets:

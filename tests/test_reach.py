@@ -52,6 +52,7 @@ ALLOWED = {
     "partitions.DualityContext._number": "the pairwise engine's numbering and labels (dual-dense workload)",
     "partitions._split_prime": "the pairwise engine's evaluation prime (dual-dense workload)",
     "partitions.DualityContext.exponents": "the pairwise engine's pairing table (dual-dense workload)",
+    "partitions._form_table": "the pairing table and the orthogonality table (dual-dense and codes workloads)",
     "macwilliams.macwilliams_admits": "the all-codes statement, called directly by the codes workload",
     "macwilliams._subspace_count": "macwilliams_admits: its budget check",
     "macwilliams._subspace_blocks": "macwilliams_admits: the codes in blocks",
