@@ -330,9 +330,9 @@ def _form_table(orders: Sequence[int], m: int) -> np.ndarray:
         n = len(table)
         new = np.empty((d, n, d, n), dtype=dtype)
         step = max(1, _TERM_BLOCK // d)
+        y = np.arange(d) * (m // d)
         for x in range(0, d, step):
-            term = np.outer(np.arange(x, min(x + step, d)), np.arange(d))
-            term *= m // d
+            term = np.arange(x, min(x + step, d))[:, None] * y
             term %= m
             block = new[x : x + step]
             if n == 1:
