@@ -55,11 +55,12 @@ class RunConfig:
                      to rows * k * deg(Phi_m) label cells too.  Also the
                      states of a support-induced partition, the 2^n *
                      members covering weights of a covering, the |V|^2
-                     orthogonality table of the MacWilliams statements,
-                     the |V|^2 addition table of the invariance-subgroup
-                     search, and the 2|V|^2 cells of each
-                     colour-refinement round before that search.  Each is
-                     checked before its cells are allocated.
+                     addition table that lists the codewords and dual
+                     codewords of the all-codes MacWilliams statement and
+                     that the invariance-subgroup search reads, and the
+                     2|V|^2 cells of each colour-refinement round before
+                     that search.  Each is checked before its cells are
+                     allocated.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that

@@ -22,9 +22,14 @@ C~ = {b : f(a, b) = 1 for every a in C}, and partitions transfer between
 the two views unchanged.
 
 The all-codes MacWilliams statement is decided on blocks of codes, never
-one code at a time: every subspace is listed by its RREF basis, a block
-holding the bases of one pivot pattern, and each block's words, duals and
-distributions are a few array operations, all in integers.
+one code at a time, all in integers.  Every subspace but {0} and the whole
+space (each alone in its dimension) is listed by its RREF basis, and a
+code and its dual are each given by the element indices of their basis
+rows, read off the digits of the pattern's fill.  One span routine lists
+the words of both through the |V| x |V| addition table, so a code of
+dimension d costs p^d + p^(N-d) word indices.  A block holds codes of one
+dimension across pivot patterns; the first block of a dimension is small
+and the next ones double, so an early clash is found after few codes.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .groups import GroupProduct
 from .partitions import (
     DualityContext,
     Partition,
-    _form_table,
     _rank_rows,
     co_profile_prefix_sums,
     co_reflexivity_bruteforce,
@@ -85,13 +89,6 @@ class PrimeFieldSpace:
 
     def all_vectors(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
         return self.group.residue_matrix(config)
-
-
-def _indices(space: PrimeFieldSpace, vectors: np.ndarray) -> np.ndarray:
-    """Element indices of vectors (along the last axis, entries taken mod p)
-    in the index encoding of ``space.group``: first entry most significant."""
-    place = space.p ** np.arange(space.dim - 1, -1, -1, dtype=np.int64)
-    return (vectors % space.p) @ place
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +217,19 @@ def macwilliams_verify(
 # codes in blocks: their distributions and the first clash
 # ---------------------------------------------------------------------------
 
-# the most cells one block of codes holds: the digits of its words and
-# the dual flags of its generator rows
+# the most word indices one block of codes holds, its codewords and its
+# dual codewords together
 _CODE_BLOCK = 1 << 16
+
+# the codes in the first block of each dimension; each later block holds
+# twice as many, up to ``_codes_per_block``
+_FIRST_BLOCK = 16
 
 
 def _codes_per_block(space: PrimeFieldSpace, d: int) -> int:
-    """How many codes of dimension d one block holds: each brings p^d words
-    of N digits and d + 1 rows of |V| dual flags."""
-    cells = space.p**d * space.dim + (d + 1) * space.order
-    return max(1, _CODE_BLOCK // cells)
-
-
-def _orthogonality(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
-    """|V| x |V| booleans: whether the two vectors' bilinear form is 0,
-    read off the form table of (Z/p)^dim."""
-    config.check("pair_work_cap", space.order**2, "|V|^2 orthogonality cells")
-    return _form_table((space.p,) * space.dim, space.p) == 0
+    """How many codes of dimension d a full block holds: each brings p^d
+    words and p^(N-d) dual words."""
+    return max(1, _CODE_BLOCK // (space.p**d + space.p ** (space.dim - d)))
 
 
 def _addition(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
@@ -253,59 +246,82 @@ def _addition(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
     return add
 
 
-def _as_basis(rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, rows.tolist()))
+def _multiples(add: np.ndarray, p: int) -> np.ndarray:
+    """|V| x p element indices of c * x, c = 0..p-1: cx = (c - 1)x + x."""
+    size = len(add)
+    mults = np.zeros((size, p), dtype=np.int64)
+    for c in range(1, p):
+        mults[:, c] = add.take(mults[:, c - 1] * size + np.arange(size))
+    return mults
+
+
+def _span(rows: np.ndarray, add: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """(F, p^r) element indices of every combination of each of F sets of r
+    rows, given (F, r) as element indices: a row at a time, each word so
+    far plus each multiple of the row, one flat gather of ``add``."""
+    words = np.zeros((len(rows), 1), dtype=np.int64)
+    for multiples in mults.take(rows.T, 0):
+        sums = (words * len(add))[:, :, None] + multiples[:, None, :]
+        words = add.take(sums).reshape(len(rows), -1)
+    return words
+
+
+def _basis(space: PrimeFieldSpace, rows: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The digit rows of the given element indices: a code's RREF basis."""
+    place = space.p ** np.arange(space.dim - 1, -1, -1, dtype=np.int64)
+    return tuple(map(tuple, (np.array(rows, dtype=np.int64)[:, None] // place % space.p).tolist()))
+
+
+def _distributions(part: Partition, words: np.ndarray) -> np.ndarray:
+    """(F, k) class counts of each of the F rows of ``words``."""
+    count, k = len(words), part.num_classes
+    ids = part.class_ids[words]
+    ids += k * np.arange(count)[:, None]
+    return np.bincount(ids.ravel(), minlength=k * count).reshape(count, k)
 
 
 def _distribution_clash(
     space: PrimeFieldSpace,
     lam: Partition,
     gamma: Partition,
-    blocks: Iterable[np.ndarray],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     config: RunConfig,
 ) -> tuple | None:
     """The first two codes, in the order of ``blocks``, whose
-    lam-distributions agree while their duals' gamma-distributions differ;
-    None if no two codes do.
+    lam-distributions agree while their duals' gamma-distributions differ,
+    as their RREF bases; None if no two codes do.
 
-    A block is an int array (F, d, N) of F bases of d rows each, and the
-    blocks come in order of nondecreasing d.  The words of a block are
-    every digit row of p^d times each basis; a dual word is a vector whose
-    form with every basis row is 0, read off the orthogonality table, so
-    the zero code's dual is the whole space.  Both distributions of the
+    A block is a pair of int arrays (F, d) and (F, N - d): the element
+    indices of the basis rows of F codes of dimension d and of their
+    duals' basis rows, and the blocks come in order of nondecreasing d.
+    The words of both come from ``_span``, and both distributions of the
     block are one ``bincount`` each.  The block's distinct
-    lam-distributions, ranked as rows, are looked up by their bytes among
-    those seen, each with the gamma-distribution and basis of the first
-    code that had it.  Codes of different dimensions have different word
-    counts, so they never share a lam-distribution, and only those of the
-    current dimension are kept."""
-    p, n = space.p, space.dim
-    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    ortho = _orthogonality(space, config)
-    nl, ng = lam.num_classes, gamma.num_classes
+    lam-distributions, ranked as rows, are looked up by their bytes
+    (counts up to p^d, in the narrowest unsigned dtype) among those seen,
+    each with the bytes of the gamma-distribution and the basis rows of
+    the first code that had it.  Codes of different dimensions have
+    different word counts, so they never share a lam-distribution, and
+    only those of the current dimension are kept."""
+    add = _addition(space, config)
+    mults = _multiples(add, space.p)
     seen_d = -1
-    for basis in blocks:
-        count, d = basis.shape[:2]
+    for rows, dual in blocks:
+        d = rows.shape[1]
         if d != seen_d:
-            seen_d, seen = d, {}
-            digits = np.arange(p**d)[:, None] // place[n - d :] % p
-        words = (digits @ basis % p) @ place
-        lam_ids = lam.class_ids[words] + nl * np.arange(count)[:, None]
-        lam_dist = np.bincount(lam_ids.ravel(), minlength=nl * count).reshape(count, nl)
-        code, word = np.nonzero(ortho[basis @ place].all(axis=1))
-        gam_ids = gamma.class_ids[word] + ng * code
-        gam_dist = np.bincount(gam_ids, minlength=ng * count).reshape(count, ng)
+            seen_d, seen, narrow = d, {}, np.min_scalar_type(space.p**d)
+        lam_dist = _distributions(lam, _span(rows, add, mults))
+        gam_dist = _distributions(gamma, _span(dual, add, mults))
         first, inverse = _rank_rows(lam_dist)
-        keys = [lam_dist[i].tobytes() for i in first.tolist()]
-        for key, i in zip(keys, first.tolist()):
+        first = first.tolist()
+        keys = [row.tobytes() for row in lam_dist[first].astype(narrow)]
+        for key, i in zip(keys, first):
             if key not in seen:
-                # a copy, so the block's arrays are not held
-                seen[key] = (gam_dist[i].copy(), _as_basis(basis[i]))
-        ref = np.array([seen[key][0] for key in keys])
-        clash = np.flatnonzero((ref[inverse] != gam_dist).any(axis=1))
+                seen[key] = (gam_dist[i].tobytes(), rows[i].tolist())
+        ref = np.frombuffer(b"".join([seen[key][0] for key in keys]), dtype=gam_dist.dtype)
+        clash = np.flatnonzero((ref.reshape(len(keys), -1)[inverse] != gam_dist).any(axis=1))
         if clash.size:
             at = int(clash[0])
-            return seen[keys[inverse[at]]][1], _as_basis(basis[at])
+            return _basis(space, seen[keys[inverse[at]]][1]), _basis(space, rows[at])
     return None
 
 
@@ -327,28 +343,60 @@ def _subspace_count(p: int, n: int) -> int:
     return total
 
 
-def _subspace_blocks(space: PrimeFieldSpace) -> Iterator[np.ndarray]:
-    """Every subspace of F_p^N exactly once, as its RREF basis, in blocks
-    of ``_codes_per_block`` bases of one pivot pattern.
+def _subspace_blocks(space: PrimeFieldSpace) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every subspace of F_p^N but {0} and F_p^N exactly once, as the
+    element indices of its RREF basis rows and of its dual's basis rows, in
+    blocks of codes of one dimension.  The two left out are each the only
+    code of their dimension, so they share a lam-distribution with no other
+    code.
 
     By dimension d, then pivot tuple in ``itertools.combinations`` order;
-    a pattern's free entries (right of a pivot, outside the pivot columns,
-    row by row) take the base-p digits of 0, 1, ..., p^f - 1, most
-    significant first, so the fills come in ``itertools.product`` order."""
+    a pattern's free entries B[r, c] (right of a pivot, outside the pivot
+    columns, row by row) take the base-p digits of 0, 1, ..., p^f - 1,
+    most significant first, so the fills come in ``itertools.product``
+    order.  Row r's free entries lie in the last width_r of the N - d free
+    columns, so its chunk of the fill, read as N - d digits, is its row of
+    B over the free columns.  Row r is e_(piv_r) + sum_c B[r, c] e_c, and
+    the dual has a row e_c - sum_r B[r, c] e_(piv_r) for each free column
+    c, orthogonal to every row r.  The codes of a dimension are numbered
+    across patterns, and the rows of up to ``_codes_per_block`` of them
+    are made at once, each code's pattern found by its number, in
+    d (N - d) digit cells a code, fewer than its p^d + p^(N - d) words.
+    They are handed out in blocks: the first of a dimension holds
+    ``_FIRST_BLOCK`` codes and each next one twice as many, up to
+    ``_codes_per_block``, so an early clash is found after few codes."""
     p, n = space.p, space.dim
-    for d in range(n + 1):
-        step = _codes_per_block(space, d)
-        for pivots in itertools.combinations(range(n), d):
-            slots = [(r, c) for r, piv in enumerate(pivots) for c in range(piv + 1, n) if c not in pivots]
-            rows, cols = np.array(slots, dtype=np.int64).reshape(-1, 2).T
-            fill_place = p ** np.arange(len(slots) - 1, -1, -1, dtype=np.int64)
-            echelon = np.eye(n, dtype=np.int64)[list(pivots)]
-            total = p ** len(slots)
-            for lo in range(0, total, step):
-                fills = np.arange(lo, min(lo + step, total))
-                block = np.repeat(echelon[None], len(fills), axis=0)
-                block[:, rows, cols] = fills[:, None] // fill_place % p
-                yield block
+    place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for d in range(1, n):
+        pivots = list(itertools.combinations(range(n), d))
+        piv = np.array(pivots, dtype=np.int64).reshape(len(pivots), d)
+        is_free = np.ones((len(piv), n), dtype=bool)
+        is_free[np.arange(len(piv))[:, None], piv] = False
+        piv_place = place[piv]
+        free_place = np.broadcast_to(place, is_free.shape)[is_free].reshape(len(piv), n - d)
+        # row r's chunk of the fill f is f % p^(after + width) // p^after:
+        # its width free columns, then the later rows' digits
+        width = n - d - (piv - np.arange(d))
+        after = np.cumsum(width[:, ::-1], axis=1)[:, ::-1] - width
+        high, low = p ** (after + width), p**after
+        sizes = p ** width.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        # a chunk's entries over the free columns, and their negatives
+        digits = np.arange(p ** (n - d))[:, None] // place[d:] % p
+        negated = -digits % p
+        full = _codes_per_block(space, d)
+        size, total = min(_FIRST_BLOCK, full), int(sizes.sum())
+        for lo in range(0, total, full):
+            code = np.arange(lo, min(total, lo + full))
+            pat = np.searchsorted(starts, code, side="right") - 1
+            chunk = (code - starts[pat])[:, None] % high.take(pat, 0) // low.take(pat, 0)
+            pp, fp = piv_place.take(pat, 0), free_place.take(pat, 0)
+            rows = pp + np.einsum("crj,cj->cr", digits.take(chunk, 0), fp)
+            dual = fp + np.einsum("cr,crj->cj", pp, negated.take(chunk, 0))
+            at = 0
+            while at < len(code):
+                yield rows[at : at + size], dual[at : at + size]
+                at, size = at + size, min(2 * size, full)
 
 
 def macwilliams_admits(
@@ -361,13 +409,18 @@ def macwilliams_admits(
     must have gamma-equidistributed duals.  Also requires the zero class to
     be a singleton of lam.
 
-    The exact number of subspaces is checked against ``enumeration_cap``
-    before anything else, and the |V| x |V| orthogonality table against
-    ``pair_work_cap`` before it is built.  The codes go to
-    ``_distribution_clash`` in the blocks of ``_subspace_blocks``, and the
-    witness is the RREF basis of the first code whose dual's
-    gamma-distribution differs from that of an earlier code with the same
-    lam-distribution."""
+    Both partitions must be of ``space.group``, or ``InputError`` is
+    raised before any work.  Then the exact number of subspaces is
+    checked against ``enumeration_cap``, and the |V| x |V| addition
+    table, from which every codeword and dual codeword index is read,
+    against ``pair_work_cap`` before it is built.  The codes go to
+    ``_distribution_clash`` in the blocks of ``_subspace_blocks``, each
+    of at most ``_codes_per_block`` codes, and the witness is the RREF
+    basis of the first code whose dual's gamma-distribution differs from
+    that of an earlier code with the same lam-distribution."""
+    for part in (lam, gamma):
+        if part.host_size != space.order or part.host not in (None, space.group):
+            raise InputError("partition is not of the code space")
     config.check(
         "enumeration_cap",
         _subspace_count(space.p, space.dim),
@@ -440,14 +493,13 @@ def _invariance_orbits(
     if not _gl_enumerable(p, n):
         raise BudgetError("invariance-subgroup search guarded to GL(5,2) / GL(3,3)")
     size = space.order
-    v = space.all_vectors(config)
     add_table = _addition(space, config)
     cls = _refine(delta.class_ids, add_table, config).tolist()
     add = add_table.tolist()
     unit = [p ** (n - 1 - j) for j in range(n)]  # the index of e_j
     # column j is the image of e_j, so it lies in the class of e_j
     candidates = [[c for c in range(size) if cls[c] == cls[u]] for u in unit]
-    smul = [_indices(space, c * v).tolist() for c in range(p)]
+    mults = _multiples(add_table, p).tolist()
     # img maps every vector supported on the settled columns; the vectors
     # supported on columns 0..j-1 carry the largest place values, so they
     # are the multiples of p^(n-j), and adding coef * e_j to one is exact
@@ -457,7 +509,7 @@ def _invariance_orbits(
         """Set column j to c; False at the first class violation."""
         base = unit[j]
         for coef in range(1, p):
-            shifted, off = smul[coef][c], coef * base
+            shifted, off = mults[c][coef], coef * base
             for s2 in range(0, size, base * p):
                 im = add[img[s2]][shifted]
                 if cls[s2 + off] != cls[im]:

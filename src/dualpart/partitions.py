@@ -91,9 +91,13 @@ _LABEL_CAP = 1 << 20
 def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index and lexicographic rank of every distinct row.
 
-    Rows are grouped by their bytes: after the shift, the big-endian bytes
-    of a row, in the narrowest unsigned width that holds its span, sort as
-    its numbers do.  Rows of Python ints are ranked as tuples.
+    Rows are shifted to start at 0.  While (span + 1)^cols < 2^63, a row
+    is one int64 key, its entries the digits in radix span + 1, the first
+    most significant, so keys sort as rows do.  Otherwise rows are grouped
+    by their bytes: the big-endian bytes of a row, in the narrowest
+    unsigned width that holds its span, sort as its numbers do.  Both
+    sorts are stable, so the first index is the first occurrence.  Rows
+    of Python ints are ranked as tuples.
     """
     if rows.dtype == object:
         keys = list(map(tuple, rows.tolist()))
@@ -102,6 +106,12 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(inverse, return_index=True)[1], inverse
     low = rows.min()
     span = int(rows.max()) - int(low)
+    cols = rows.shape[1]
+    if cols < 63 and (span + 1) ** cols < 1 << 63:
+        radix = (span + 1) ** np.arange(cols - 1, -1, -1, dtype=np.int64)
+        key = (rows - low).astype(np.int64, copy=False) @ radix
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return first, inverse.astype(np.int64)
     width = next(w for w in (1, 2, 4, 8) if span < 1 << (8 * w))
     key = (rows - low).astype(f">u{width}")
     view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
@@ -353,8 +363,9 @@ class DualityContext:
 
     The engine is picked per partition: twin classes when the partition
     has ``blocks``, the pairwise engine otherwise.  The pairing-exponent
-    table and the evaluation set-up of the pairwise engine are built on
-    first use, by a pairwise dual only.
+    table, the evaluation set-up and the unit index map of the pairwise
+    engine are built on first use, by a pairwise dual only, and the map
+    only by a dual that reaches the unit gather.
     """
 
     def __init__(self, group: GroupProduct, config: RunConfig = DEFAULT_CONFIG):
@@ -364,7 +375,8 @@ class DualityContext:
         config.check("enumeration_cap", self.m, "exponent m of the cyclotomic field")
         self._phi = euler_phi_degree(self.m)
         self._table: Optional[np.ndarray] = None
-        self._field: Optional[tuple[int, np.ndarray, np.ndarray]] = None
+        self._field: Optional[tuple[int, np.ndarray]] = None
+        self._units: Optional[np.ndarray] = None
         self._last_left: Optional[tuple[Partition, Partition]] = None
 
     @property
@@ -425,26 +437,33 @@ class DualityContext:
             coords[start : start + r] = counts[:phi].reshape(phi, r, k).transpose(1, 2, 0)
         return coords.reshape(nrows, k * phi)
 
-    def _evaluation(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """The pairwise engine's set-up, built by its first dual: the prime
-        p and omega of ``_split_prime``, the powers omega^e mod p (e < m),
-        in int64 while p * max(p, |G|) < 2^62 and in Python ints above, and
-        the index of u*a for every element a (rows) and every unit u of Z/m
-        (columns)."""
+    def _evaluation(self) -> tuple[int, np.ndarray]:
+        """The pairwise engine's set-up, built by its first evaluation: the
+        prime p and omega of ``_split_prime``, and the powers omega^e mod p
+        (e < m), in int64 while p * max(p, |G|) < 2^62 and in Python ints
+        above."""
         if self._field is None:
             group, m = self.group, self.m
-            units = np.array([u for u in range(1, m) if math.gcd(u, m) == 1])
-            self.config.check("pair_work_cap", group.order * len(units), "|G| * phi(m) unit-gather cells")
             p, omega = _split_prime(m, group.order)
             dtype = np.int64 if p * max(p, group.order) < 1 << 62 else object
             powers = itertools.accumulate(range(m - 1), lambda x, _: x * omega % p, initial=1)
+            self._field = p, np.array(list(powers), dtype=dtype)
+        return self._field
+
+    def _unit_index(self) -> np.ndarray:
+        """The index of u*a for every element a (rows) and every unit u of
+        Z/m (columns), built by the first unit gather of ``_classes``."""
+        if self._units is None:
+            group, m = self.group, self.m
+            units = np.array([u for u in range(1, m) if math.gcd(u, m) == 1])
+            self.config.check("pair_work_cap", group.order * len(units), "|G| * phi(m) unit-gather cells")
             # the mixed-radix index of u*a, a factor's residue at a time
             scaled = np.zeros((len(units), 1), dtype=np.int64)
             for d in group.factor_orders:
                 digits = units[:, None, None] * np.arange(d) % d
                 scaled = (scaled[:, :, None] * d + digits).reshape(len(units), -1)
-            self._field = p, np.array(list(powers), dtype=dtype), scaled.T.copy()
-        return self._field
+            self._units = scaled.T.copy()
+        return self._units
 
     def _classes(self, exponents: np.ndarray, part: Partition) -> Partition:
         """The pairwise engine's dual as a set partition, unlabelled: a and
@@ -454,10 +473,11 @@ class DualityContext:
         S[a, C], the sum over b in C of omega^e(a, b) mod p, is read in
         blocks of about 2^20 table cells, as int64 sums over the columns
         sorted by class; ranking the rows of S and then the rows of those
-        ranks at u*a over every unit u gives the classes.  The dual is
-        discrete, and returned at once, when ``part`` is discrete, and
-        after the first ranking when the rows of S are pairwise distinct
-        (module docstring).  ``exponents`` is a pairing table of G (rows in
+        ranks at u*a over every unit u (``_unit_index``) gives the
+        classes.  The dual is discrete, and returned at once, when ``part``
+        is discrete, and after the first ranking when the rows of S are
+        pairwise distinct (module docstring); neither exit builds the unit
+        index map.  ``exponents`` is a pairing table of G (rows in
         index order) against H, of chi or of any chi^u: e'(ua, b) =
         u e'(a, b) holds for every one."""
         nrows, ncols = exponents.shape
@@ -465,7 +485,7 @@ class DualityContext:
         if k == ncols:
             return Partition(np.arange(nrows), host=self.group)
         self.config.check("pair_work_cap", nrows * k, "|G| * k evaluation cells")
-        p, powers, units = self._evaluation()
+        p, powers = self._evaluation()
         columns = np.argsort(part.class_ids, kind="stable")
         sizes = part.class_sizes()
         starts = np.cumsum(sizes) - sizes
@@ -477,7 +497,7 @@ class DualityContext:
         first, ranks = _rank_rows(sums)
         if len(first) == nrows:
             return Partition(ranks, host=self.group)
-        return Partition(_rank_rows(ranks[units])[1], host=self.group)
+        return Partition(_rank_rows(ranks[self._unit_index()])[1], host=self.group)
 
     def _number(self, exponents: np.ndarray, part: Partition, classes: Partition) -> Partition:
         """The dual set partition ``classes`` of ``part``, numbered in the

@@ -249,10 +249,23 @@ class TestAllCodesEngine:
 
     @pytest.mark.parametrize("p,n", [(2, 1), (2, 5), (2, 7), (3, 4), (5, 3), (7, 2)])
     def test_blocks_list_the_oracle_bases_in_order(self, p, n):
+        # the rows are the oracle's RREF bases, in its order, but for {0}
+        # and the whole space; the dual rows are orthogonal to them and are
+        # the identity on the free columns, so they span the dual
         space = PrimeFieldSpace(p, (1,) * n)
-        listed = [tuple(map(tuple, basis.tolist())) for block in macwilliams._subspace_blocks(space) for basis in block]
+        place = p ** np.arange(n - 1, -1, -1)
+        listed = []
+        for rows, dual in macwilliams._subspace_blocks(space):
+            basis, dual_basis = rows[:, :, None] // place % p, dual[:, :, None] // place % p
+            assert not np.any(basis @ dual_basis.transpose(0, 2, 1) % p)
+            free = np.ones((len(rows), n), dtype=bool)
+            np.put_along_axis(free, (basis != 0).argmax(axis=2), False, axis=1)
+            e = n - rows.shape[1]
+            on_free = dual_basis.transpose(0, 2, 1)[free].reshape(len(rows), e, e)
+            assert np.array_equal(on_free, np.broadcast_to(np.eye(e, dtype=int), on_free.shape))
+            listed += [macwilliams._basis(space, r) for r in rows]
         oracle = list(subspace_rref_bases(p, n))
-        assert listed == oracle
+        assert listed == oracle[1:-1]
         assert macwilliams._subspace_count(p, n) == len(oracle)
 
     def test_subspace_counts(self):
@@ -267,6 +280,16 @@ class TestAllCodesEngine:
         cases = _engine_cases(space, f"one-per-block {p}")
         want = [macwilliams_admits(space, *c) for c in cases]
         assert want[0]["witness"] is not None and want[2]["admits"]
+        # blocks that double from one code
+        monkeypatch.setattr(macwilliams, "_FIRST_BLOCK", 1)
+        counts = collections.defaultdict(list)
+        for rows, _ in macwilliams._subspace_blocks(space):
+            counts[rows.shape[1]].append(len(rows))
+        for d, sizes in counts.items():
+            full = macwilliams._codes_per_block(space, d)
+            assert sizes[:-1] == [min(1 << i, full) for i in range(len(sizes) - 1)]
+            assert 1 <= sizes[-1] <= min(1 << (len(sizes) - 1), full)
+        assert [macwilliams_admits(space, *c) for c in cases] == want
         monkeypatch.setattr(macwilliams, "_CODE_BLOCK", 1)
         assert all(macwilliams._codes_per_block(space, d) == 1 for d in range(space.dim + 1))
         got = [macwilliams_admits(space, *c) for c in cases]
@@ -285,10 +308,10 @@ class TestAllCodesEngine:
         with pytest.raises(BudgetError, match="subspaces of F_2\\^13 = 37558989808526 exceeds enumeration_cap"):
             macwilliams_admits(space, part, part)
 
-    def test_orthogonality_table_capped(self):
+    def test_admits_addition_table_capped(self):
         space = PrimeFieldSpace(2, (1,) * 4)
         ham = hamming(space)
-        with pytest.raises(BudgetError, match="\\|V\\|\\^2 orthogonality cells = 256 exceeds pair_work_cap = 255"):
+        with pytest.raises(BudgetError, match="\\|V\\|\\^2 addition-table cells = 256 exceeds pair_work_cap = 255"):
             macwilliams_admits(space, ham, ham, RunConfig(pair_work_cap=255))
 
     def test_addition_table_capped(self):
@@ -306,6 +329,47 @@ class TestAllCodesEngine:
         assert macwilliams_admits(space, lam, gamma, config)["witness"] is not None
         with pytest.raises(BudgetError, match="enumeration_cap = 417198"):
             macwilliams_admits(space, lam, gamma, RunConfig(enumeration_cap=417_198))
+
+    @pytest.mark.parametrize("host_dim", [3, 5])
+    def test_partitions_of_another_space_rejected(self, monkeypatch, host_dim):
+        # zero-singleton partitions of F_2^3 and F_2^5 against F_2^4, as
+        # lambda and as gamma: refused before any work
+        space = PrimeFieldSpace(2, (1,) * 4)
+        other = PrimeFieldSpace(2, (1,) * host_dim)
+        own, foreign = hamming(space), hamming(other)
+        unhosted = Partition(foreign.class_ids)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(macwilliams, "_zero_is_singleton", refuse)
+        monkeypatch.setattr(macwilliams, "_subspace_count", refuse)
+        for lam, gamma in [(foreign, own), (own, foreign), (unhosted, own), (own, unhosted)]:
+            with pytest.raises(InputError, match="partition is not of the code space"):
+                macwilliams_admits(space, lam, gamma)
+
+    def test_block_memory_bounded_by_the_budget(self):
+        # lambda = l(gamma) admits, so every code of F_2^7 is listed; the
+        # tracemalloc peak stays within the int64 addition table and four
+        # blocks of _CODE_BLOCK int64 cells (the last gather of a span
+        # holds the words before it, their sums and the new words), while
+        # one block per dimension peaks above it.  gamma is a covering
+        # partition, so l(gamma) has few classes and few distinct
+        # lambda-distributions are kept.
+        import tracemalloc
+
+        space = PrimeFieldSpace(2, (1,) * 7)
+        gamma = co_vector_space_partition(space, 2)
+        lam = DualityContext(space.group).left_dual(gamma)
+        lam.class_ids, gamma.class_ids
+        bound = space.order**2 * 8 + 4 * 8 * macwilliams._CODE_BLOCK
+        tracemalloc.start()
+        try:
+            assert macwilliams_admits(space, lam, gamma)["admits"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestInvarianceSubgroup:

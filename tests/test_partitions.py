@@ -765,7 +765,8 @@ class TestSplitPrimeEvaluation:
         group = build_group_product(spec)
         ctx = DualityContext(group)
         m, order = ctx.m, group.order
-        p, powers, units = ctx._evaluation()
+        p, powers = ctx._evaluation()
+        units = ctx._unit_index()
         height = max(abs(c) for row in _reduction_rows(m) for c in row)
         assert height == (2 if m == 105 else 1)
         assert p % m == 1 and p > 2 * order * height
@@ -813,7 +814,7 @@ class TestSplitPrimeEvaluation:
         split = partitions._split_prime
         monkeypatch.setattr(partitions, "_split_prime", lambda m, order: split(m, 1 << 40))
         ctx = DualityContext(group)
-        p, powers, _ = ctx._evaluation()
+        p, powers = ctx._evaluation()
         assert p > 1 << 41 and powers.dtype == object
         for part in split_partitions(group):
             got = ctx._dual(ctx.exponents, part)
@@ -858,6 +859,26 @@ class TestSplitPrimeEvaluation:
         lam = ctx.left_dual(gamma)
         assert np.array_equal(lam.class_ids, ids) and lam.labels == labels
 
+    def test_discrete_exits_build_no_unit_map(self, monkeypatch):
+        # the discrete partition and {1} against the rest on Z/8 take the
+        # two exits of _classes; only the tie of {2, 3, 5, 6, 7} against
+        # the rest reaches the unit gather and builds the map
+        group = build_group_product([[8]])
+        ctx = DualityContext(group)
+        exits = (np.arange(8), [1, 0, 1, 1, 1, 1, 1, 1])
+        want = [eager_dual(ctx, ctx.exponents, Partition(ids, host=group))[0] for ids in exits]
+
+        def no_unit_map(*args):
+            raise AssertionError("unit index map built")
+
+        monkeypatch.setattr(DualityContext, "_unit_index", no_unit_map)
+        for ids, ref in zip(exits, want):
+            part = Partition(ids, host=group)
+            assert ctx._classes(ctx.exponents, part) == Partition(ref, host=group)
+            assert np.array_equal(DualityContext(group).left_dual(part).class_ids, ref)
+        with pytest.raises(AssertionError, match="unit index map built"):
+            ctx._classes(ctx.exponents, Partition([0, 0, 1, 1, 0, 1, 1, 1], host=group))
+
     def test_discrete_gamma_answered_under_evaluation_cap(self):
         # |G| * k = 120^2 evaluation cells would be refused, as 120 * 119
         # are, but a discrete partition's dual is answered before the cap
@@ -901,6 +922,15 @@ class TestSplitPrimeEvaluation:
                 assert got == Partition(eager_dual(ctx, table, part)[0])
 
 
+def _ranked_by_bytes(rows):
+    """Oracle: first index and rank of each row by its big-endian 8-byte
+    entries after the shift to 0."""
+    key = (rows - rows.min()).astype(">u8")
+    view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 class TestRankRows:
     @pytest.mark.parametrize("span", [255, 256, 65535, 65536, 2**32 - 1, 2**32])
     @pytest.mark.parametrize("low", [0, -3, -(2**40)])
@@ -910,12 +940,50 @@ class TestRankRows:
         rows = rng.integers(0, span, size=(300, 3), endpoint=True) + low
         rows[0, 0], rows[1, 2] = low, low + span
         rows = np.concatenate([rows, rows[::4]])
-        key = (rows - rows.min()).astype(">u8")
-        view = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-        _, want_first, want_inverse = np.unique(view, return_index=True, return_inverse=True)
+        want_first, want_inverse = _ranked_by_bytes(rows)
         first, inverse = _rank_rows(rows)
         assert np.array_equal(first, want_first)
-        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(inverse, want_inverse)
+
+    @pytest.mark.parametrize(
+        "radix,cols,packed",
+        [
+            # (span + 1)^cols on each side of 2^63
+            (2**21 - 1, 3, True),
+            (2**21, 3, False),
+            (2, 62, True),
+            (2, 63, False),
+            (2**63 - 1, 1, True),
+            (2**63, 1, False),
+            # the shapes of lambda-distributions and refinement keys
+            (4, 20, True),
+            (301, 3, True),
+            (1396, 3, True),
+            (9, 12, True),
+        ],
+    )
+    def test_packed_keys_rank_as_bytes(self, monkeypatch, radix, cols, packed):
+        rng = np.random.default_rng(cols)
+        rows = rng.integers(0, radix, size=(400, cols), dtype=np.int64)
+        rows[0, 0], rows[1, -1] = 0, radix - 1
+        rows = np.concatenate([rows, rows[::3], rows[:1] * 0])
+        if radix < 1 << 62:
+            rows -= 5
+        keys = []
+        unique = np.unique
+
+        def spy(ar, *args, **kwargs):
+            keys.append(ar.dtype)
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        first, inverse = _rank_rows(rows)
+        monkeypatch.undo()
+        want_first, want_inverse = _ranked_by_bytes(rows)
+        # one int64 key per row, or the rows' bytes
+        assert [key.kind for key in keys] == ["i" if packed else "V"]
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse)
 
     def test_python_int_rows_rank_as_int64_rows(self):
         # rows of Python ints (sums above 2^62) rank as the same numbers

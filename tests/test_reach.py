@@ -35,8 +35,10 @@ ALLOWED = {
     "exactarith.CycInt.root_of_unity": "CycInt arithmetic",
     "exactarith._reduction_rows": "CycInt arithmetic: x^e mod Phi_m for root_of_unity and from_exponent_counts",
     "exactarith.root_of_unity_sum": "CycInt arithmetic, exported by the package",
+    "groups.GroupProduct.residue_matrix": "library entry point (README): every element's residues in index order",
     "krawtchouk.KrawtchoukPoly.__call__": "library entry point: evaluation at a rational point",
     "krawtchouk.KrawtchoukPoly.degree": "library entry point",
+    "macwilliams.PrimeFieldSpace.all_vectors": "library entry point: the vectors of the space in index order",
     "metrics.WeightFunction.from_mapping": "library entry point: weights from a {coordinate: value} mapping",
     "partitions.Partition.from_keys": "library entry point: a partition from per-element keys",
     "partitions.SignatureLabels.__eq__": "library entry point: labels compare with lists of CycInt tuples",
@@ -49,17 +51,19 @@ ALLOWED = {
     "partitions.DualityContext._coords": "the pairwise engine: partitions without support masks (dual-dense workload)",
     "partitions.DualityContext._dual": "the pairwise engine: partitions without support masks (dual-dense workload)",
     "partitions.DualityContext._evaluation": "the pairwise engine's evaluation set-up (dual-dense workload)",
+    "partitions.DualityContext._unit_index": "the pairwise engine's unit gather, for class sums that tie at omega",
     "partitions.DualityContext._number": "the pairwise engine's numbering and labels (dual-dense workload)",
     "partitions._split_prime": "the pairwise engine's evaluation prime (dual-dense workload)",
     "partitions.DualityContext.exponents": "the pairwise engine's pairing table (dual-dense workload)",
-    "partitions._form_table": "the pairing table and the orthogonality table (dual-dense and codes workloads)",
+    "partitions._form_table": "the pairwise engine's pairing table (dual-dense workload)",
     "macwilliams.macwilliams_admits": "the all-codes statement, called directly by the codes workload",
     "macwilliams._subspace_count": "macwilliams_admits: its budget check",
     "macwilliams._subspace_blocks": "macwilliams_admits: the codes in blocks",
     "macwilliams._codes_per_block": "macwilliams_admits: the block size",
-    "macwilliams._orthogonality": "macwilliams_admits: the dual words",
+    "macwilliams._span": "macwilliams_admits: the words of the codes and of their duals",
+    "macwilliams._distributions": "macwilliams_admits: the class counts of each code's words",
     "macwilliams._distribution_clash": "macwilliams_admits: the first clash",
-    "macwilliams._as_basis": "macwilliams_admits: the witness basis",
+    "macwilliams._basis": "macwilliams_admits: the witness basis",
     "macwilliams._zero_is_singleton": "macwilliams_admits: the zero-class condition",
     # error paths (tests/test_cli.py::TestErrorContract)
     "cli._Parser.error": "argument errors",
