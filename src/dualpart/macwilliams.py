@@ -233,13 +233,15 @@ def _codes_per_block(space: PrimeFieldSpace, d: int) -> int:
 
 
 def _addition(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
-    """|V| x |V| element indices of x + y, built as ``partitions._form_table``
-    builds its forms: a coordinate in front of the last j adds
-    ((x + y) mod p) * p^j to the index of the sum of the rest."""
+    """|V| x |V| element indices of x + y, in the narrowest unsigned dtype
+    that holds |V| - 1, built as ``partitions._form_table`` builds its
+    forms: a coordinate in front of the last j adds ((x + y) mod p) * p^j
+    to the index of the sum of the rest."""
     config.check("pair_work_cap", space.order**2, "|V|^2 addition-table cells")
     p = space.p
-    digit = (np.arange(p)[:, None] + np.arange(p)) % p
-    add = np.zeros((1, 1), dtype=np.int64)
+    dtype = np.min_scalar_type(space.order - 1)
+    digit = ((np.arange(p)[:, None] + np.arange(p)) % p).astype(dtype)
+    add = np.zeros((1, 1), dtype=dtype)
     for _ in range(space.dim):
         size = len(add) * p
         add = (digit[:, None, :, None] * len(add) + add[None, :, None, :]).reshape(size, size)
@@ -248,21 +250,19 @@ def _addition(space: PrimeFieldSpace, config: RunConfig) -> np.ndarray:
 
 def _multiples(add: np.ndarray, p: int) -> np.ndarray:
     """|V| x p element indices of c * x, c = 0..p-1: cx = (c - 1)x + x."""
-    size = len(add)
-    mults = np.zeros((size, p), dtype=np.int64)
+    mults = np.zeros((len(add), p), dtype=add.dtype)
     for c in range(1, p):
-        mults[:, c] = add.take(mults[:, c - 1] * size + np.arange(size))
+        mults[:, c] = add[mults[:, c - 1], np.arange(len(add))]
     return mults
 
 
 def _span(rows: np.ndarray, add: np.ndarray, mults: np.ndarray) -> np.ndarray:
     """(F, p^r) element indices of every combination of each of F sets of r
     rows, given (F, r) as element indices: a row at a time, each word so
-    far plus each multiple of the row, one flat gather of ``add``."""
+    far plus each multiple of the row, one gather of ``add``."""
     words = np.zeros((len(rows), 1), dtype=np.int64)
     for multiples in mults.take(rows.T, 0):
-        sums = (words * len(add))[:, :, None] + multiples[:, None, :]
-        words = add.take(sums).reshape(len(rows), -1)
+        words = add[words[:, :, None], multiples[:, None, :]].reshape(len(rows), -1)
     return words
 
 

@@ -350,19 +350,19 @@ class TestAllCodesEngine:
 
     def test_block_memory_bounded_by_the_budget(self):
         # lambda = l(gamma) admits, so every code of F_2^7 is listed; the
-        # tracemalloc peak stays within the int64 addition table and four
-        # blocks of _CODE_BLOCK int64 cells (the last gather of a span
-        # holds the words before it, their sums and the new words), while
-        # one block per dimension peaks above it.  gamma is a covering
-        # partition, so l(gamma) has few classes and few distinct
-        # lambda-distributions are kept.
+        # tracemalloc peak stays within the addition table and three
+        # blocks of _CODE_BLOCK int64 cells (a span's words, their class
+        # ids and the code rows of a full block), while one block per
+        # dimension peaks above it.  gamma is a covering partition, so
+        # l(gamma) has few classes and few distinct lambda-distributions
+        # are kept.
         import tracemalloc
 
         space = PrimeFieldSpace(2, (1,) * 7)
         gamma = co_vector_space_partition(space, 2)
         lam = DualityContext(space.group).left_dual(gamma)
         lam.class_ids, gamma.class_ids
-        bound = space.order**2 * 8 + 4 * 8 * macwilliams._CODE_BLOCK
+        bound = macwilliams._addition(space, DEFAULT_CONFIG).nbytes + 3 * 8 * macwilliams._CODE_BLOCK
         tracemalloc.start()
         try:
             assert macwilliams_admits(space, lam, gamma)["admits"]
