@@ -368,8 +368,7 @@ def _subspace_blocks(space: PrimeFieldSpace) -> Iterator[tuple[np.ndarray, np.nd
     p, n = space.p, space.dim
     place = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for d in range(1, n):
-        pivots = list(itertools.combinations(range(n), d))
-        piv = np.array(pivots, dtype=np.int64).reshape(len(pivots), d)
+        piv = np.array(list(itertools.combinations(range(n), d)), dtype=np.int64)
         is_free = np.ones((len(piv), n), dtype=bool)
         is_free[np.arange(len(piv))[:, None], piv] = False
         piv_place = place[piv]
