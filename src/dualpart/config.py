@@ -37,11 +37,11 @@ class RunConfig:
                      residue matrix, the pairing table of the pairwise
                      engine, and the pull-back of a support-induced
                      partition's class ids to G), maximum exponent m of a
-                     duality context (its Phi_m is listed), maximum number
-                     p^dim of codewords listed for a linear code, and
-                     maximum number of subspaces of F_p^N (the sum of the
-                     Gaussian binomials) that the all-codes MacWilliams
-                     check lists, checked before it lists any.
+                     duality context (the pairwise engine lists Phi_m),
+                     maximum number p^dim of codewords listed for a linear
+                     code, and maximum number of subspaces of F_p^N (the
+                     sum of the Gaussian binomials) that the all-codes
+                     MacWilliams check lists, checked before it lists any.
     pair_work_cap:   maximum cells of a dual-partition engine: for the
                      pairwise engine, |G|*|H| for the pairing table, |G| *
                      k for the class sums evaluated at the split prime (k
@@ -57,10 +57,11 @@ class RunConfig:
                      members covering weights of a covering, the |V|^2
                      addition table that lists the codewords and dual
                      codewords of the all-codes MacWilliams statement and
-                     that the invariance-subgroup search reads, and the
-                     2|V|^2 cells of each colour-refinement round before
-                     that search.  Each is checked before its cells are
-                     allocated.
+                     that the invariance-subgroup search reads, the
+                     lambda-distributions it keeps for one dimension
+                     times k_lambda + k_gamma cells, and the 2|V|^2 cells
+                     of each colour-refinement round before that search.
+                     Each is checked before its cells are allocated.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that

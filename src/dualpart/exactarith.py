@@ -4,11 +4,18 @@ Cyclotomic integers in canonical power-basis form, the value type of every
 character sum, and the deterministic primality test that picks the split
 prime of the pairwise dual engine and checks the prime of a prime field.
 
+deg(Phi_m) is Euler's totient and Phi_m a Moebius product, both read off
+the primes of m; Phi_m is built only where its coefficients are read (the
+pairwise engine and ``CycInt`` arithmetic), so a ``CycInt`` needs the
+totient alone.
+
 No floating point anywhere: equality of character sums must be decidable.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -16,71 +23,73 @@ from .config import InputError
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials (constant term first), internal helpers
+# the primes of m, phi(m) and Phi_m by closed formula
 # ---------------------------------------------------------------------------
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; den must divide num and be monic
-    up to +-1 leading coefficient."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        q[i] = c // lead
-        if q[i]:
-            for j, d in enumerate(den):
-                num[i + j] -= q[i] * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
+@lru_cache(maxsize=None)
+def _prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct primes of m >= 1 in increasing order, by trial division."""
+    primes, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1 + (q > 2)
+    return tuple(primes + [m] if m > 1 else primes)
+
+
+@lru_cache(maxsize=None)
+def euler_phi_degree(m: int) -> int:
+    """deg(Phi_m): Euler's totient m * prod(1 - 1/q) over the primes q of
+    m, which is 1 for m = 1 as deg(x - 1) is."""
+    if m < 1:
+        raise InputError("cyclotomic polynomial needs m >= 1")
+    phi = m
+    for q in _prime_factors(m):
+        phi = phi // q * (q - 1)
+    return phi
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, constant first.
 
-    Computed by exact division of x^m - 1 by the product of Phi_d over proper
-    divisors d of m.
+    For m >= 2, Phi_m is the product of (1 - x^(m/e))^mu(e) over the
+    squarefree divisors e of m, as a power series cut at degree phi(m), one
+    strided pass per factor: a product with 1 - x^d takes from each
+    coefficient the one d places lower, a quotient by it is a running sum
+    along each residue class mod d, and d > phi(m) changes nothing.
     """
-    if m < 1:
-        raise InputError("cyclotomic polynomial needs m >= 1")
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            phi_d = _cyclotomic_coeffs(d)
-            new = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                if a:
-                    for j, b in enumerate(phi_d):
-                        new[i + j] += a * b
-            den = new
-    return tuple(_poly_div_exact(num, den))
+    phi = euler_phi_degree(m)
+    if m == 1:
+        return (-1, 1)
+    coeffs = [1] + [0] * phi
+    primes = _prime_factors(m)
+    for r in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, r):
+            d = m // math.prod(chosen)
+            if d > phi:
+                continue
+            if r % 2 == 0:
+                coeffs[d:] = [a - b for a, b in zip(coeffs[d:], coeffs)]
+            else:
+                for s in range(d):
+                    coeffs[s::d] = itertools.accumulate(coeffs[s::d])
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e (0 <= e < m) holds the power-basis coordinates of x^e mod Phi_m."""
+    """Row e (0 <= e < m) holds the power-basis coordinates of x^e mod Phi_m:
+    a unit row below deg(Phi_m), then x times the row before, its top term
+    reduced by the coefficients of Phi_m."""
     phi = _cyclotomic_coeffs(m)
     d = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for e in range(m):
-        if e < d:
-            row = [0] * d
-            row[e] = 1
-        else:
-            # multiply previous row by x and reduce the overflow term
-            prev = rows[-1]
-            row = [0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                for j in range(d):
-                    row[j] -= top * phi[j]
-        rows.append(tuple(row))
+    rows = [tuple(int(i == e) for i in range(d)) for e in range(d)]
+    for _ in range(d, m):
+        top, shifted = rows[-1][-1], (0,) + rows[-1][:-1]
+        rows.append(tuple(a - top * c for a, c in zip(shifted, phi)))
     return tuple(rows)
 
 
@@ -114,11 +123,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def euler_phi_degree(m: int) -> int:
-    """deg(Phi_m), i.e. Euler's totient for m >= 2, and 1 for m = 1."""
-    return len(_cyclotomic_coeffs(m)) - 1
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 # ---------------------------------------------------------------------------
@@ -135,10 +139,7 @@ class CycInt:
     def __init__(self, m: int, coeffs: Iterable[int]):
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != euler_phi_degree(m):
-            raise InputError(
-                f"CycInt modulus {m} needs {euler_phi_degree(m)} coordinates, "
-                f"got {len(coeffs)}"
-            )
+            raise InputError(f"CycInt modulus {m} needs {euler_phi_degree(m)} coordinates, got {len(coeffs)}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -149,9 +150,7 @@ class CycInt:
 
     @classmethod
     def from_int(cls, n: int, m: int = 1) -> "CycInt":
-        c = [0] * euler_phi_degree(m)
-        c[0] = n
-        return cls(m, c)
+        return cls(m, [n] + [0] * (euler_phi_degree(m) - 1))
 
     @classmethod
     def root_of_unity(cls, m: int, e: int) -> "CycInt":
@@ -160,31 +159,24 @@ class CycInt:
     @classmethod
     def from_exponent_counts(cls, m: int, counts: Iterable[int]) -> "CycInt":
         """Sum of counts[e] copies of zeta_m^e, reduced to canonical form."""
-        rows = _reduction_rows(m)
-        d = euler_phi_degree(m)
-        acc = [0] * d
+        rows, acc = _reduction_rows(m), [0] * euler_phi_degree(m)
         for e, cnt in enumerate(counts):
             if cnt:
-                row = rows[e % m]
-                for j in range(d):
-                    acc[j] += cnt * row[j]
+                acc = [a + cnt * r for a, r in zip(acc, rows[e % m])]
         return cls(m, acc)
 
     # ring structure ----------------------------------------------------
 
     def _check(self, other: "CycInt") -> None:
         if self.m != other.m:
-            raise InputError(
-                f"modulus mismatch ({self.m} vs {other.m})"
-            )
+            raise InputError(f"modulus mismatch ({self.m} vs {other.m})")
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._check(other)
         return CycInt(self.m, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.m, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "CycInt":
         return CycInt(self.m, (-a for a in self.coeffs))

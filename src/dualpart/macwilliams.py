@@ -301,9 +301,12 @@ def _distribution_clash(
     each with the bytes of the gamma-distribution and the basis rows of
     the first code that had it.  Codes of different dimensions have
     different word counts, so they never share a lam-distribution, and
-    only those of the current dimension are kept."""
+    only those of the current dimension are kept.  Before a block's new
+    entries are stored, the entries kept then times k_lam + k_gamma
+    cells are checked against ``pair_work_cap``."""
     add = _addition(space, config)
     mults = _multiples(add, space.p)
+    cells = lam.num_classes + gamma.num_classes
     seen_d = -1
     for rows, dual in blocks:
         d = rows.shape[1]
@@ -314,9 +317,10 @@ def _distribution_clash(
         first, inverse = _rank_rows(lam_dist)
         first = first.tolist()
         keys = [row.tobytes() for row in lam_dist[first].astype(narrow)]
-        for key, i in zip(keys, first):
-            if key not in seen:
-                seen[key] = (gam_dist[i].tobytes(), rows[i].tolist())
+        new = [(key, i) for key, i in zip(keys, first) if key not in seen]
+        config.check("pair_work_cap", (len(seen) + len(new)) * cells, "kept distribution cells")
+        for key, i in new:
+            seen[key] = (gam_dist[i].tobytes(), rows[i].tolist())
         ref = np.frombuffer(b"".join([seen[key][0] for key in keys]), dtype=gam_dist.dtype)
         clash = np.flatnonzero((ref.reshape(len(keys), -1)[inverse] != gam_dist).any(axis=1))
         if clash.size:

@@ -74,7 +74,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
-from .exactarith import CycInt, _cyclotomic_coeffs, _is_prime, euler_phi_degree
+from .exactarith import CycInt, _cyclotomic_coeffs, _is_prime, _prime_factors, euler_phi_degree
 from .groups import GroupProduct
 from .metrics import Covering, WeightFunction, _outer, _scaled_mask_sums
 from .posets import Poset, _is_swap_automorphism, _unmask, dual_poset, ideal_masks, levels
@@ -130,7 +130,7 @@ def _strides(blocks) -> dict[int, int]:
 
 
 class SignatureLabels(collections.abc.Sequence):
-    """Labels of a dual partition, built when read.
+    """Labels of a dual partition or rows of rho, built when read.
 
     Entry c is the tuple of per-class character sums (CycInt) of dual class
     c, made from row c of the canonical coordinates.  Only the modulus and
@@ -290,14 +290,10 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _split_prime(m: int, order: int) -> tuple[int, int]:
-    """The evaluation prime of the pairwise engine for |G| = ``order``:
-    the least prime p = 1 (mod m) above 2 * order * R, R the largest
-    |coefficient| of x^e mod Phi_m over e < m, and omega = g^((p - 1) / m)
-    for the least g that gives omega the order m.
-
-    R comes from the recurrence of ``exactarith._reduction_rows``, one row
-    at a time; below 2^31, the next row stays inside int64."""
+def _reduction_height(m: int) -> int:
+    """R, the largest |coefficient| of x^e mod Phi_m over e < m, by the
+    recurrence of ``exactarith._reduction_rows`` a row at a time; below
+    2^31, the next row stays inside int64."""
     poly = np.array(_cyclotomic_coeffs(m)[:-1], dtype=np.int64)
     row = np.zeros(len(poly), dtype=np.int64)
     row[-1] = height = 1
@@ -306,13 +302,21 @@ def _split_prime(m: int, order: int) -> tuple[int, int]:
         height = max(height, int(np.abs(row).max()))
         if height >= 1 << 31:
             raise InputError(f"x^e mod Phi_{m} has coefficients past 2^31")
-    bound = 2 * order * height
+    return height
+
+
+@functools.lru_cache(maxsize=None)
+def _split_prime(m: int, order: int) -> tuple[int, int]:
+    """The evaluation prime of the pairwise engine for |G| = ``order``:
+    the least prime p = 1 (mod m) above 2 * order * R (R of
+    ``_reduction_height``), and omega = g^((p - 1) / m) for the least g
+    that gives omega the order m, tested at the primes of m."""
+    bound = 2 * order * _reduction_height(m)
     p = bound - bound % m + 1
     while p <= bound or not _is_prime(p):
         p += m
-    primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
     omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
-    return p, next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in primes))
+    return p, next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
 
 
 # about this many int64 cells per block of a factor's term rows
@@ -728,10 +732,8 @@ def induce_from_ideal_classes(
 @dataclasses.dataclass
 class KrawtchoukMatrixResult:
     ok: bool
-    rho: Optional[list[list[CycInt]]]
+    rho: Optional[SignatureLabels]
     witness: Optional[tuple[int, int]]
-    lam: Partition
-    gamma: Partition
 
 
 def krawtchouk_matrix(
@@ -741,15 +743,16 @@ def krawtchouk_matrix(
 
     The precondition (lam finer than l(gamma)) is verified, not assumed;
     on failure the violating element pair is reported instead of a matrix.
-    Row A is the label of the l(gamma) class that holds A.
+    Row A is the label row of the l(gamma) class that holds A, gathered
+    per lam class into a ``SignatureLabels``.
     """
     ldual = ctx.left_dual(gamma)
     if not lam.is_finer(ldual):
-        return KrawtchoukMatrixResult(False, None, lam.finer_violation(ldual), lam, gamma)
+        return KrawtchoukMatrixResult(False, None, lam.finer_violation(ldual))
     mine, theirs = lam._common_ids(ldual)
     _, reps = np.unique(mine, return_index=True)
-    rho = [list(ldual.labels[c]) for c in theirs[reps].tolist()]
-    return KrawtchoukMatrixResult(True, rho, None, lam, gamma)
+    labels = ldual.labels
+    return KrawtchoukMatrixResult(True, SignatureLabels(labels.m, labels.rows[theirs[reps]], labels.k), None)
 
 
 def _code_index_set(ctx: DualityContext, indices: Sequence[int]) -> np.ndarray:
@@ -770,24 +773,21 @@ def macwilliams_identity_holds(
     """Exact check of |C| |C~ ^ B| = sum_A |C ^ A| rho(A, B) for every B.
 
     ``dual_indices`` is the character dual C~ of C, all b with f(a, b) = 1
-    for every a in C, which the check takes as given."""
+    for every a in C, which the check takes as given.  The right side is
+    one integer product, the lam-distribution of C (its sum is |C|) times
+    the coordinate rows of rho, in int64 while |C| times their largest
+    |entry| is and in Python ints above."""
     code = _code_index_set(ctx, code_indices)
     dual = _code_index_set(ctx, dual_indices)
     res = krawtchouk_matrix(ctx, lam, gamma)
     if not res.ok:
         raise InputError(f"lambda is not finer than l(gamma); witness {res.witness}")
-    c_dist = np.bincount(lam.class_ids[code], minlength=lam.num_classes)
-    d_dist = np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes)
-    size = len(code)
-    for b in range(gamma.num_classes):
-        rhs = CycInt.from_int(0, ctx.m)
-        for a in range(lam.num_classes):
-            if c_dist[a]:
-                rhs = rhs + int(c_dist[a]) * res.rho[a][b]
-        lhs = CycInt.from_int(size * int(d_dist[b]), ctx.m)
-        if lhs != rhs:
-            return False
-    return True
+    rows = res.rho.rows
+    dtype = np.int64 if len(code) * int(np.abs(rows).max()) < 1 << 63 else object
+    c_dist = np.bincount(lam.class_ids[code], minlength=lam.num_classes).astype(dtype)
+    rhs = (c_dist @ rows.astype(dtype, copy=False)).reshape(gamma.num_classes, -1)
+    d_dist = np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes).astype(object)
+    return not rhs[:, 1:].any() and np.array_equal(rhs[:, 0], len(code) * d_dist)
 
 
 # ---------------------------------------------------------------------------

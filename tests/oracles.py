@@ -12,7 +12,9 @@ listed as frozensets, the keys of an ideal equivalence.  The
 covering signatures of every support size stand against the library's
 class count from the prefix sums at the inner class bounds alone.
 The Yates transform over all 2^n support masks stands against the
-twin-class engine's mode products over popcount states.
+twin-class engine's mode products over popcount states.  Phi_m by exact
+division of x^m - 1 by every Phi_d, d a proper divisor of m, stands
+against the library's Moebius product over the squarefree divisors.
 The pairing table of a second character chi^u lets the tests check that a
 dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
@@ -374,6 +376,40 @@ def convolution_coeffs(n, k, q):
         for i, c in enumerate(term[: k + 1]):
             coeffs[i] += (-1) ** t * (q - 1) ** (k - t) * c
     return tuple(coeffs)
+
+
+def _poly_div_exact(num, den):
+    """Exact division of integer polynomials, constant first; den must
+    divide num and lead with +-1."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        assert c % den[-1] == 0, "non-exact polynomial division"
+        q[i] = c // den[-1]
+        if q[i]:
+            for j, d in enumerate(den):
+                num[i + j] -= q[i] * d
+    assert not any(num), "non-exact polynomial division"
+    return q
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_by_division(m):
+    """Oracle: the coefficients of Phi_m, constant first, by exact division
+    of x^m - 1 by the product of Phi_d over the proper divisors d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    den = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            phi_d = cyclotomic_by_division(d)
+            new = [0] * (len(den) + len(phi_d) - 1)
+            for i, a in enumerate(den):
+                if a:
+                    for j, b in enumerate(phi_d):
+                        new[i + j] += a * b
+            den = new
+    return tuple(_poly_div_exact(num, den))
 
 
 def onehot_coords(ctx, exponents, part):

@@ -138,6 +138,39 @@ class TestDual:
         assert code == 0 and json.loads(out)["reflexive"]
 
 
+class TestLargeExponent:
+    """A support-induced partition of a group of exponent 30030 (Phi_m of
+    degree 5760) is answered from the totient alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_phi(self, monkeypatch):
+        import dualpart.exactarith as exactarith
+        import dualpart.partitions as partitions
+
+        def refuse(m):
+            raise AssertionError(f"Phi_{m} built")
+
+        monkeypatch.setattr(exactarith, "_cyclotomic_coeffs", refuse)
+        monkeypatch.setattr(partitions, "_cyclotomic_coeffs", refuse)
+
+    def test_dual(self, capsys, tmp_path):
+        group = write_json(tmp_path, "g.json", {"coordinates": [[30030]]})
+        code, out, _ = run(capsys, "dual", group, "hamming")
+        assert code == 0 and json.loads(out) == {
+            "bidual_classes": 2, "bidual_equals_gamma": True, "dual_classes": 2,
+            "gamma_classes": 2, "reflexive": True, "verdict": "reflexive",
+        }
+
+    def test_poset_report(self, capsys, tmp_path):
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": [[0, 1]], "coordinates": [[2310], [13]]})
+        code, out, _ = run(capsys, "poset", path)
+        doc = json.loads(out)
+        assert code == 0 and doc["theorem32"] == {
+            "dual_classes": 3, "dual_is_Q_of_dual_poset": True, "equivalent": True, "gamma_classes": 3,
+            "lambda_finer_than_Q_dual": True, "mutually_dual": True, "reflexive": True, "udp_and_labels": True,
+        }
+
+
 class TestScanCo:
     def test_scan_rows(self, capsys):
         code, out, _ = run(capsys, "scan-co", "--q", "2", "--n", "5", "--k", "3")

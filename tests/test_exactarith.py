@@ -5,7 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dualpart.exactarith import CycInt, _cyclotomic_coeffs, _reduction_rows, euler_phi_degree, root_of_unity_sum
+from dualpart.config import InputError
+
+from dualpart.exactarith import (
+    CycInt,
+    _cyclotomic_coeffs,
+    _is_prime,
+    _prime_factors,
+    _reduction_rows,
+    euler_phi_degree,
+    root_of_unity_sum,
+)
+from oracles import cyclotomic_by_division
 from paper import SparsePoly
 
 
@@ -35,9 +46,37 @@ class TestCyclotomicPolynomial:
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, sympy.Symbol("x"))).all_coeffs()
         assert list(_cyclotomic_coeffs(m)) == list(reversed([int(c) for c in theirs]))
 
-    @pytest.mark.parametrize("m", range(1, 40))
+    @pytest.mark.parametrize("m", [2310, 4620])
+    def test_moebius_product_matches_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        theirs = sympy.Poly(sympy.cyclotomic_poly(m, sympy.Symbol("x"))).all_coeffs()
+        assert list(_cyclotomic_coeffs(m)) == list(reversed([int(c) for c in theirs]))
+
+    def test_moebius_product_matches_division_oracle(self):
+        assert [m for m in range(1, 1001) if _cyclotomic_coeffs(m) != cyclotomic_by_division(m)] == []
+
+    def test_bad_modulus_rejected(self):
+        for m in (0, -6):
+            with pytest.raises(InputError):
+                _cyclotomic_coeffs(m)
+            with pytest.raises(InputError):
+                euler_phi_degree(m)
+
+    @pytest.mark.parametrize("m", list(range(1, 40)) + [9240, 30030, 65537])
     def test_degree_is_totient(self, m):
         assert euler_phi_degree(m) == sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+
+    def test_totient_of_large_moduli(self):
+        # 9699690 = 2 * 3 * ... * 19; 2^24 is the default enumeration_cap and
+        # 2^24 - 3 a prime
+        known = {9699690: 1658880, 1 << 24: 1 << 23, 10**6: 400000, 16777213: 16777212}
+        assert {m: euler_phi_degree(m) for m in known} == known
+
+    def test_prime_factors_match_a_primality_scan(self):
+        for m in range(1, 2001):
+            assert _prime_factors(m) == tuple(q for q in range(2, m + 1) if m % q == 0 and _is_prime(q))
+        assert _prime_factors(9699690) == (2, 3, 5, 7, 11, 13, 17, 19)
+        assert _prime_factors(1 << 24) == (2,)
 
 
 class TestCycInt:

@@ -75,6 +75,18 @@ def test_golden_output(case):
     assert run_case(CASES[case]) == (GOLDEN / f"{case}.out").read_bytes()
 
 
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("macwilliams")))
+def test_macwilliams_builds_no_cycint(case, monkeypatch):
+    # the identity is one integer product of label rows
+    from dualpart.exactarith import CycInt
+
+    def refuse(self, *args):
+        raise AssertionError("CycInt built")
+
+    monkeypatch.setattr(CycInt, "__init__", refuse)
+    assert run_case(CASES[case]) == (GOLDEN / f"{case}.out").read_bytes()
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         (GOLDEN / f"{name}.out").write_bytes(run_case(argv))

@@ -348,6 +348,17 @@ class TestAllCodesEngine:
             with pytest.raises(InputError, match="partition is not of the code space"):
                 macwilliams_admits(space, lam, gamma)
 
+    def test_kept_distributions_capped(self):
+        # lam = l(gamma) with 51 classes and gamma with 5: at most 1395
+        # codes of one dimension keep 1395 * 56 = 78120 cells, past the
+        # 4096 cells of the addition table
+        space = PrimeFieldSpace(2, (1,) * 6)
+        lam, gamma = _engine_cases(space, "cap")[2]
+        assert (lam.num_classes, gamma.num_classes) == (51, 5)
+        with pytest.raises(BudgetError, match="^kept distribution cells = 78120 exceeds pair_work_cap = 78119$"):
+            macwilliams_admits(space, lam, gamma, RunConfig(pair_work_cap=78_119))
+        assert macwilliams_admits(space, lam, gamma, RunConfig(pair_work_cap=78_120))["admits"]
+
     def test_block_memory_bounded_by_the_budget(self):
         # lambda = l(gamma) admits, so every code of F_2^7 is listed; the
         # tracemalloc peak stays within the addition table and three

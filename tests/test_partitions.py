@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
-from dualpart.exactarith import CycInt, _reduction_rows, euler_phi_degree, root_of_unity_sum
+from dualpart.exactarith import CycInt, _is_prime, _reduction_rows, euler_phi_degree, root_of_unity_sum
 from dualpart.groups import build_group_product
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
@@ -804,6 +804,19 @@ class TestSplitPrimeEvaluation:
 
         monkeypatch.setattr(DualityContext, "_coords", no_fold)
         assert [reflexivity_check(DualityContext(group), gamma, compute_bidual=True) for gamma in parts] == want
+
+    @pytest.mark.parametrize("order", [1, 1 << 24])
+    def test_split_prime_takes_the_least_generator(self, order):
+        # omega is g^((p - 1) / m) for the least g >= 2 that gives it the
+        # order m, against the primes of m found by a primality scan
+        import dualpart.partitions as partitions
+
+        for m in range(1, 2001):
+            p, omega = partitions._split_prime(m, order)
+            assert (p - 1) % m == 0 and _is_prime(p)
+            primes = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+            omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
+            assert omega == next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in primes)), m
 
     def test_python_int_sums_past_int64(self, monkeypatch):
         # a prime above 2^41 leaves p^2 past 2^62: powers and sums are

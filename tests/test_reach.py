@@ -25,7 +25,12 @@ from test_golden import CASES, run_case
 # qualified name (module.function or module.Class.method) -> why it stays
 ALLOWED = {
     # library entry points (README library overview)
+    "exactarith.CycInt.__add__": "CycInt arithmetic",
+    "exactarith.CycInt.__eq__": "CycInt arithmetic: labels compare by value",
     "exactarith.CycInt.__hash__": "CycInt arithmetic",
+    "exactarith.CycInt.__mul__": "CycInt arithmetic",
+    "exactarith.CycInt._check": "CycInt arithmetic: the modulus guard of sums and products",
+    "exactarith.CycInt.from_int": "CycInt arithmetic: a rational integer in Z[zeta_m]",
     "exactarith.CycInt.__neg__": "CycInt arithmetic",
     "exactarith.CycInt.__setattr__": "CycInt arithmetic: the immutability guard",
     "exactarith.CycInt.__sub__": "CycInt arithmetic",
@@ -33,6 +38,7 @@ ALLOWED = {
     "exactarith.CycInt.from_exponent_counts": "CycInt arithmetic: products and sums of roots of unity",
     "exactarith.CycInt.is_zero": "CycInt arithmetic",
     "exactarith.CycInt.root_of_unity": "CycInt arithmetic",
+    "exactarith._cyclotomic_coeffs": "Phi_m, read only by the pairwise engine (fold and split prime) and CycInt arithmetic",
     "exactarith._reduction_rows": "CycInt arithmetic: x^e mod Phi_m for root_of_unity and from_exponent_counts",
     "exactarith.root_of_unity_sum": "CycInt arithmetic, exported by the package",
     "groups.GroupProduct.residue_matrix": "library entry point (README): every element's residues in index order",
@@ -48,11 +54,12 @@ ALLOWED = {
     # production paths that no golden input takes
     "metrics.WeightFunction.constant": "dual and poset: a poset document without weights",
     "partitions.DualityContext._classes": "the pairwise engine's evaluation at a split prime (dual-dense workload)",
-    "partitions.DualityContext._coords": "the pairwise engine: partitions without support masks (dual-dense workload)",
-    "partitions.DualityContext._dual": "the pairwise engine: partitions without support masks (dual-dense workload)",
+    "partitions.DualityContext._coords": "the pairwise engine's fold: left_dual or right_dual of a partition without twin blocks, a library call",
+    "partitions.DualityContext._dual": "the pairwise engine's labelled dual: left_dual or right_dual of a partition without twin blocks, a library call",
     "partitions.DualityContext._evaluation": "the pairwise engine's evaluation set-up (dual-dense workload)",
     "partitions.DualityContext._unit_index": "the pairwise engine's unit gather, for class sums that tie at omega",
-    "partitions.DualityContext._number": "the pairwise engine's numbering and labels (dual-dense workload)",
+    "partitions.DualityContext._number": "the pairwise engine's numbering and labels: a labelled dual of a partition without twin blocks, a library call",
+    "partitions._reduction_height": "the pairwise engine's evaluation prime: the height of x^e mod Phi_m (dual-dense workload)",
     "partitions._split_prime": "the pairwise engine's evaluation prime (dual-dense workload)",
     "partitions.DualityContext.exponents": "the pairwise engine's pairing table (dual-dense workload)",
     "partitions._form_table": "the pairwise engine's pairing table (dual-dense workload)",
