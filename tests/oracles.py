@@ -14,7 +14,9 @@ class count from the prefix sums at the inner class bounds alone.
 The Yates transform over all 2^n support masks stands against the
 twin-class engine's mode products over popcount states.  Phi_m by exact
 division of x^m - 1 by every Phi_d, d a proper divisor of m, stands
-against the library's Moebius product over the squarefree divisors.
+against the library's Moebius product over the squarefree divisors, and
+the distribution identity summed class by class in ``CycInt`` against the
+library's one integer product of label rows.
 The pairing table of a second character chi^u lets the tests check that a
 dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
@@ -48,7 +50,7 @@ from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
 from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
 from dualpart.krawtchouk import ku_build
 from dualpart.macwilliams import LinearCode
-from dualpart.partitions import DualityContext, Partition, co_profile_prefix_sums
+from dualpart.partitions import DualityContext, Partition, co_profile_prefix_sums, krawtchouk_matrix
 from dualpart.posets import _unmask, dual_poset, ideal_masks, levels
 from paper import SparsePoly, closure, ku_eval, level_sets, sigma, varpi
 
@@ -410,6 +412,22 @@ def cyclotomic_by_division(m):
                         new[i + j] += a * b
             den = new
     return tuple(_poly_div_exact(num, den))
+
+
+def identity_by_cycint(ctx, code, dual, lam, gamma):
+    """Oracle: |C| |C~ ^ B| = sum_A |C ^ A| rho(A, B) for every B, summed
+    class by class in ``CycInt``; ``code`` and ``dual`` are sorted
+    distinct element indices."""
+    rho = krawtchouk_matrix(ctx, lam, gamma).rho
+    c_dist = np.bincount(lam.class_ids[code], minlength=lam.num_classes)
+    d_dist = np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes)
+    for b in range(gamma.num_classes):
+        rhs = CycInt.from_int(0, ctx.m)
+        for a in range(lam.num_classes):
+            rhs = rhs + int(c_dist[a]) * rho[a][b]
+        if rhs != CycInt.from_int(len(code) * int(d_dist[b]), ctx.m):
+            return False
+    return True
 
 
 def onehot_coords(ctx, exponents, part):

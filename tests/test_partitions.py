@@ -49,6 +49,7 @@ from oracles import (
     f_poly_bruteforce,
     f_poly_hierarchical,
     hamming_sum_profile,
+    identity_by_cycint,
     ideals,
     lattice_dual,
     members,
@@ -429,6 +430,31 @@ class TestMacWilliamsIdentity:
         ctx = DualityContext(group)
         lam = ctx.left_dual(gamma)
         assert macwilliams_identity_holds(ctx, code, annihilator(group, code), lam, gamma)
+
+    @pytest.mark.parametrize("spec", [[[4], [2]], [[3], [3]], [[12]], [[5]]], ids=str)
+    def test_matches_cycint_sums_on_any_index_sets(self, spec):
+        group = build_group_product(spec)
+        rng = random.Random(str(spec))
+        ctx = DualityContext(group)
+        for k in (2, group.order // 2, group.order):
+            gamma = random_partition(group, k, k)
+            lam = ctx.left_dual(gamma)
+            cases = [([0], list(range(group.order)))]
+            cases += [[sorted(rng.sample(range(group.order), rng.randrange(group.order + 1))) for _ in "cd"] for _ in range(20)]
+            for code, dual in cases:
+                want = identity_by_cycint(ctx, np.array(code, dtype=np.int64), np.array(dual, dtype=np.int64), lam, gamma)
+                assert macwilliams_identity_holds(ctx, code, dual, lam, gamma) == want
+
+    def test_zeta_coordinates_decide_too(self):
+        # Z/3, Gamma = {0, 1 | 2}, C = {2}: the class sums at 2 are
+        # 1 + zeta^2 = -zeta and zeta, 0 in coordinate 0 as |C| times the
+        # distribution of an empty C~ is, yet the identity fails
+        group = build_group_product([[3]])
+        gamma = Partition.from_keys([0, 0, 1], host=group)
+        ctx = DualityContext(group)
+        lam = ctx.left_dual(gamma)
+        assert not macwilliams_identity_holds(ctx, [2], [], lam, gamma)
+        assert not identity_by_cycint(ctx, np.array([2]), np.array([], dtype=np.int64), lam, gamma)
 
     def test_rejects_non_finer_lambda(self):
         group = build_group_product([[2]] * 3)
