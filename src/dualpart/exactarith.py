@@ -5,9 +5,8 @@ character sum, and the deterministic primality test that picks the split
 prime of the pairwise dual engine and checks the prime of a prime field.
 
 deg(Phi_m) is Euler's totient and Phi_m a Moebius product, both read off
-the primes of m; Phi_m is built only where its coefficients are read (the
-pairwise engine and ``CycInt`` arithmetic), so a ``CycInt`` needs the
-totient alone.
+the primes of m.  Only the pairwise engine and ``CycInt`` arithmetic build
+Phi_m; a ``CycInt`` is checked against the totient alone.
 
 No floating point anywhere: equality of character sums must be decidable.
 """
@@ -81,15 +80,23 @@ def _cyclotomic_coeffs(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e (0 <= e < m) holds the power-basis coordinates of x^e mod Phi_m:
-    a unit row below deg(Phi_m), then x times the row before, its top term
-    reduced by the coefficients of Phi_m."""
+    """Row e (0 <= e < m) holds the power-basis coordinates of x^e mod Phi_m."""
     phi = _cyclotomic_coeffs(m)
     d = len(phi) - 1
-    rows = [tuple(int(i == e) for i in range(d)) for e in range(d)]
-    for _ in range(d, m):
-        top, shifted = rows[-1][-1], (0,) + rows[-1][:-1]
-        rows.append(tuple(a - top * c for a, c in zip(shifted, phi)))
+    rows: list[tuple[int, ...]] = []
+    for e in range(m):
+        if e < d:
+            row = [0] * d
+            row[e] = 1
+        else:
+            # multiply previous row by x and reduce the overflow term
+            prev = rows[-1]
+            row = [0] + list(prev[:-1])
+            top = prev[-1]
+            if top:
+                for j in range(d):
+                    row[j] -= top * phi[j]
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -139,7 +146,10 @@ class CycInt:
     def __init__(self, m: int, coeffs: Iterable[int]):
         coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) != euler_phi_degree(m):
-            raise InputError(f"CycInt modulus {m} needs {euler_phi_degree(m)} coordinates, got {len(coeffs)}")
+            raise InputError(
+                f"CycInt modulus {m} needs {euler_phi_degree(m)} coordinates, "
+                f"got {len(coeffs)}"
+            )
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -150,7 +160,9 @@ class CycInt:
 
     @classmethod
     def from_int(cls, n: int, m: int = 1) -> "CycInt":
-        return cls(m, [n] + [0] * (euler_phi_degree(m) - 1))
+        c = [0] * euler_phi_degree(m)
+        c[0] = n
+        return cls(m, c)
 
     @classmethod
     def root_of_unity(cls, m: int, e: int) -> "CycInt":
@@ -159,24 +171,31 @@ class CycInt:
     @classmethod
     def from_exponent_counts(cls, m: int, counts: Iterable[int]) -> "CycInt":
         """Sum of counts[e] copies of zeta_m^e, reduced to canonical form."""
-        rows, acc = _reduction_rows(m), [0] * euler_phi_degree(m)
+        rows = _reduction_rows(m)
+        d = euler_phi_degree(m)
+        acc = [0] * d
         for e, cnt in enumerate(counts):
             if cnt:
-                acc = [a + cnt * r for a, r in zip(acc, rows[e % m])]
+                row = rows[e % m]
+                for j in range(d):
+                    acc[j] += cnt * row[j]
         return cls(m, acc)
 
     # ring structure ----------------------------------------------------
 
     def _check(self, other: "CycInt") -> None:
         if self.m != other.m:
-            raise InputError(f"modulus mismatch ({self.m} vs {other.m})")
+            raise InputError(
+                f"modulus mismatch ({self.m} vs {other.m})"
+            )
 
     def __add__(self, other: "CycInt") -> "CycInt":
         self._check(other)
         return CycInt(self.m, (a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CycInt") -> "CycInt":
-        return self + -other
+        self._check(other)
+        return CycInt(self.m, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycInt":
         return CycInt(self.m, (-a for a in self.coeffs))

@@ -290,10 +290,14 @@ class Partition:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _reduction_height(m: int) -> int:
-    """R, the largest |coefficient| of x^e mod Phi_m over e < m, by the
-    recurrence of ``exactarith._reduction_rows`` a row at a time; below
-    2^31, the next row stays inside int64."""
+def _split_prime(m: int, order: int) -> tuple[int, int]:
+    """The evaluation prime of the pairwise engine for |G| = ``order``:
+    the least prime p = 1 (mod m) above 2 * order * R, R the largest
+    |coefficient| of x^e mod Phi_m over e < m, and omega = g^((p - 1) / m)
+    for the least g that gives omega the order m, tested at the primes of m.
+
+    R comes from the recurrence of ``exactarith._reduction_rows``, one row
+    at a time; below 2^31, the next row stays inside int64."""
     poly = np.array(_cyclotomic_coeffs(m)[:-1], dtype=np.int64)
     row = np.zeros(len(poly), dtype=np.int64)
     row[-1] = height = 1
@@ -302,21 +306,13 @@ def _reduction_height(m: int) -> int:
         height = max(height, int(np.abs(row).max()))
         if height >= 1 << 31:
             raise InputError(f"x^e mod Phi_{m} has coefficients past 2^31")
-    return height
-
-
-@functools.lru_cache(maxsize=None)
-def _split_prime(m: int, order: int) -> tuple[int, int]:
-    """The evaluation prime of the pairwise engine for |G| = ``order``:
-    the least prime p = 1 (mod m) above 2 * order * R (R of
-    ``_reduction_height``), and omega = g^((p - 1) / m) for the least g
-    that gives omega the order m, tested at the primes of m."""
-    bound = 2 * order * _reduction_height(m)
+    bound = 2 * order * height
     p = bound - bound % m + 1
     while p <= bound or not _is_prime(p):
         p += m
+    primes = _prime_factors(m)
     omegas = (pow(g, (p - 1) // m, p) for g in itertools.count(2))
-    return p, next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)))
+    return p, next(w for w in omegas if all(pow(w, m // q, p) != 1 for q in primes))
 
 
 # about this many int64 cells per block of a factor's term rows

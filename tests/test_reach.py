@@ -59,7 +59,6 @@ ALLOWED = {
     "partitions.DualityContext._evaluation": "the pairwise engine's evaluation set-up (dual-dense workload)",
     "partitions.DualityContext._unit_index": "the pairwise engine's unit gather, for class sums that tie at omega",
     "partitions.DualityContext._number": "the pairwise engine's numbering and labels: a labelled dual of a partition without twin blocks, a library call",
-    "partitions._reduction_height": "the pairwise engine's evaluation prime: the height of x^e mod Phi_m (dual-dense workload)",
     "partitions._split_prime": "the pairwise engine's evaluation prime (dual-dense workload)",
     "partitions.DualityContext.exponents": "the pairwise engine's pairing table (dual-dense workload)",
     "partitions._form_table": "the pairwise engine's pairing table (dual-dense workload)",
