@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -38,32 +39,26 @@ BUDGET_ENV = "DUALPART_BUDGET"
 
 
 def _load_config() -> RunConfig:
-    cfg = DEFAULT_CONFIG
     path = os.environ.get(BUDGET_ENV)
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise InputError(f"cannot read budget file {path}: {e}") from None
-        if not isinstance(overrides, dict):
-            raise InputError(f"budget file {path} must hold a JSON object")
-        valid = {f.name for f in dataclasses.fields(RunConfig)}
-        bad = set(overrides) - valid
-        if bad:
-            raise InputError(f"unknown budget keys: {sorted(bad)}")
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    if not path:
+        return DEFAULT_CONFIG
+    overrides = _read_json(path)
+    if not isinstance(overrides, dict):
+        raise InputError(f"budget file {path} must hold a JSON object")
+    bad = set(overrides) - {f.name for f in dataclasses.fields(RunConfig)}
+    if bad:
+        raise InputError(f"unknown budget keys: {sorted(bad)}")
+    return dataclasses.replace(DEFAULT_CONFIG, **overrides)
 
 
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError) as e:
-        raise InputError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: line {e.lineno}: {e.msg}") from None
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8, or too long an integer
+        raise InputError(f"cannot read {path}: {e}") from None
 
 
 def _json_default(obj):
@@ -103,6 +98,15 @@ def _doc_size(doc: dict, kind: str) -> int:
     return _json_int(n, f"bad {kind} JSON: n")
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refused first when Fraction would compute 10^e for
+    an exponent e past the JSON reader's digit limit on integer literals."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent[1])):
+        raise InputError("bad weights: a decimal exponent past the int digit limit")
+    return Fraction(text)
+
+
 def _parse_poset_json(doc: dict, n: int):
     what = "bad poset JSON: relation entry"
     try:
@@ -118,7 +122,7 @@ def _parse_poset_json(doc: dict, n: int):
         try:
             values = [doc["weights"][str(i)] for i in range(n)]
             omega = WeightFunction(
-                tuple(Fraction(w if isinstance(w, str) else _json_int(w, what)) for w in values)
+                tuple(_fraction(w) if isinstance(w, str) else Fraction(_json_int(w, what)) for w in values)
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad weights: {e}") from None

@@ -53,8 +53,8 @@ class RunConfig:
                      transform of the twin-class engine (twin blocks of
                      sizes n_b, prod(n_b + 1) states), which pads its dual
                      to rows * k * deg(Phi_m) label cells too.  Also the
-                     states of a support-induced partition, the 2^n *
-                     members covering weights of a covering, the |V|^2
+                     states of a support-induced partition, the states *
+                     members table of a member-listed covering, the |V|^2
                      addition table that lists the codewords and dual
                      codewords of the all-codes MacWilliams statement and
                      that the invariance-subgroup search reads, the

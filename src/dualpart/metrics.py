@@ -1,6 +1,5 @@
-"""Weight functions: poset weights omega and the combinatorial (covering)
-weight of every support mask, with the all-k-subsets fast path.
-"""
+"""Weight functions: poset weights omega, coverings of the coordinate set
+(the combinatorial metric), and the mask folds that weigh supports."""
 
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, InputError, RunConfig
+from .config import InputError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,21 +45,19 @@ class WeightFunction:
 def _outer(vectors: Sequence, op=np.add) -> np.ndarray:
     """``op`` folded over one entry of each vector, for every choice of
     entries, in mixed-radix order with the first vector's index most
-    significant."""
+    significant.  Rows of equal-height matrices fold row by row."""
     out = np.asarray(vectors[0])
     for v in vectors[1:]:
-        out = op.outer(out, v).ravel()
+        out = op(out[..., None], v[..., None, :]).reshape(out.shape[:-1] + (-1,))
     return out
 
 
 def _over_masks(values, op) -> np.ndarray:
     """Fold values[i] over the bits of every mask U < 2^n: entry 0 is 0 and
-    entry U + 2^i is op(entry U, values[i]) for U < 2^i.
-
-    With ``np.add`` over ones this is the popcount, over weights the subset
-    sums; with ``np.bitwise_or`` over ``Poset.down`` the ideal closures,
-    over ``1 << g`` the image of every mask under the permutation g.
-    """
+    entry U + 2^i is op(entry U, values[i]) for U < 2^i.  With ``np.add``
+    over weights these are the subset sums; with ``np.bitwise_or`` over
+    ``Poset.down`` the ideal closures, over ``1 << g`` the image of every
+    mask under the permutation g."""
     values = np.asarray(values)
     out = np.zeros(1 << len(values), dtype=values.dtype)
     for i, v in enumerate(values):
@@ -90,7 +87,7 @@ class Covering:
 
     n: int
     members: tuple[frozenset[int], ...]
-    #: logical P(k, Omega) coverings carry k for the ceiling fast path
+    #: k of the logical P(k, Omega): weight ceil(|U| / k), no member listed
     pk: Optional[int] = None
 
     def __post_init__(self):
@@ -100,35 +97,13 @@ class Covering:
             raise InputError("covering members must hold integer coordinates")
         if any(not m or not m <= frozenset(range(self.n)) for m in self.members):
             raise InputError("covering members must be nonempty subsets of Omega")
-        union = frozenset().union(*self.members) if self.members else frozenset()
-        if union != frozenset(range(self.n)):
+        if frozenset().union(*self.members) != frozenset(range(self.n)):
             raise InputError("members must cover Omega")
-
-    def mask_weights(self, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Covering weight of every subset of Omega, indexed by its bitmask.
-
-        For P(k) it is ceil(|U| / k).  Otherwise every element lies in a
-        member, so w(U) <= |U|; from there w(U) <- min(w(U), 1 + w(U & ~M)),
-        once per member M in turn, leaves w(U) at most the least cover of U
-        by the members so far (a 0/1 knapsack), so one pass is exact.
-        """
-        cells = (1 << self.n) * max(1, len(self.members))
-        config.check("pair_work_cap", cells, "2^n * members covering-weight cells")
-        popcount = _over_masks(np.ones(self.n, dtype=np.int64), np.add)
-        if self.pk is not None:
-            return -(-popcount // self.pk)
-        masks = np.arange(1 << self.n, dtype=np.int64)
-        w = popcount
-        for m in self.members:
-            np.minimum(w, w[masks & ~sum(1 << i for i in m)] + 1, out=w)
-        return w
 
 
 def pk_covering(k: int, n: int) -> Covering:
-    """The covering by all k-subsets of range(n).
-
-    The member list is kept logical: ``mask_weights`` uses the exact
-    ceiling formula.
+    """The covering by all k-subsets of range(n), kept logical: its weight
+    is ceil(|U| / k), and no member is listed.
     """
     if not 1 <= k <= n:
         raise InputError(f"k = {k} out of range [1, {n}]")

@@ -618,26 +618,27 @@ def _twin_blocks(
     group: GroupProduct, twins: Callable[[int, int], bool], config: RunConfig
 ) -> tuple[tuple[int, ...], ...]:
     """The twin blocks, in the order of their first coordinate: i joins the
-    first block whose first coordinate j has h_j = h_i and ``twins(j, i)``
-    (the swaps that keep every class make a group, so this is an
-    equivalence).  Their states are checked against ``pair_work_cap``."""
+    first block whose first coordinate j has h_j = h_i and ``twins(j, i)``,
+    an equivalence (the swaps that keep every class make a group).  Their
+    states only grow, so each i checks them against ``pair_work_cap``."""
     h = group.h
     blocks: list[list[int]] = []
+    states = 1
     for i in range(group.n):
         for b in blocks:
             if h[b[0]] == h[i] and twins(b[0], i):
-                b.append(i)
                 break
         else:
-            blocks.append([i])
-    config.check("pair_work_cap", math.prod(len(b) + 1 for b in blocks), "support states")
+            blocks.append(b := [])
+        b.append(i)
+        states = states // len(b) * (len(b) + 1)
+        config.check("pair_work_cap", states, "support states")
     return tuple(map(tuple, blocks))
 
 
 def _state_masks(blocks, units: Sequence[int]) -> np.ndarray:
     """At every state, the union of ``units[i]`` over the first s_b
-    coordinates of each block b: with 1 << i the state's representative
-    support, with ``Poset.down`` its ideal closure."""
+    coordinates of each block b: with ``Poset.down``, the ideal closure."""
     dtype = np.int64 if len(units) < 63 else object
     prefixes = [itertools.accumulate((units[i] for i in b), operator.or_, initial=0) for b in blocks]
     return _outer([np.array(list(pre), dtype=dtype) for pre in prefixes], np.bitwise_or)
@@ -679,7 +680,15 @@ def induce_CO(
 ) -> Partition:
     """Partition by covering weight; classes keyed by T-weight.  Twins of
     P(k) are the coordinates of one order, and a state weighs
-    ceil(sum(s_b) / k); twins of a member list are the swaps that fix it."""
+    ceil(sum(s_b) / k); twins of a member list are the swaps that fix it.
+    They keep the weight w and generate the symmetric group on each block,
+    so state s weighs w(rep(s)), rep(s) the first s_b coordinates of each
+    block.  Entry (M, s) of the member table is the state of rep(s) minus M.
+    As w(U) = min(1 + w(U minus M)) over the members M meeting U, rounds of
+    w <- min(w, 1 + w at the table entries), from min(s, n) >= |rep(s)|,
+    stay at or above w and leave each state of weight <= r exact after r
+    rounds; they stop when no value exceeds r.  One sweep of the members,
+    exact on all 2^n supports, is not on the states once twins exist."""
     if t.n != group.n:
         raise InputError("covering does not match the coordinate set")
     if t.pk is not None:
@@ -688,12 +697,22 @@ def induce_CO(
     members = {sum(1 << i for i in m) for m in t.members}
 
     def twins(i: int, j: int) -> bool:
-        flip = 1 << i | 1 << j
-        return all((m ^ flip) in members for m in members if (m >> i ^ m >> j) & 1)
+        return all((m ^ (1 << i | 1 << j)) in members for m in members if (m >> i ^ m >> j) & 1)
 
     blocks = _twin_blocks(group, twins, config)
-    weights = t.mask_weights(config)
-    return _induce(group, blocks, weights[_state_masks(blocks, [1 << i for i in range(t.n)])], config)
+    states, count = math.prod(len(b) + 1 for b in blocks), len(t.members)
+    config.check("pair_work_cap", states * count, "states * members covering-weight cells")
+    dtype, stride = np.min_scalar_type(states - 1), _strides(blocks)
+    # column t.n, no coordinate, opens each block's run of prefix sums
+    inside = np.zeros((count, t.n + 1), dtype=dtype)
+    inside[np.repeat(np.arange(count), [len(m) for m in t.members]), [i for m in t.members for i in m]] = 1
+    runs = [np.cumsum(inside[:, [t.n, *b]], axis=1, dtype=dtype) * stride[b[0]] for b in blocks]
+    table = np.arange(states, dtype=dtype) - _outer(runs)
+    weights = np.minimum(np.arange(states), t.n).astype(np.min_scalar_type(t.n + 1))
+    for r in itertools.count(1):
+        np.minimum(weights, weights[table].min(axis=0) + 1, out=weights)
+        if weights.max() <= r:
+            return _induce(group, blocks, weights, config)
 
 
 def induce_from_ideal_classes(

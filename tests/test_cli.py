@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +138,16 @@ class TestDual:
         })
         code, out, _ = run(capsys, "dual", group_file, part)
         assert code == 0 and json.loads(out)["reflexive"]
+
+    @pytest.mark.parametrize("n", [22, 64])
+    def test_all_pairs_member_list_answers_as_pk2(self, capsys, tmp_path, n):
+        # the members are weighed on the n + 1 states of one twin block,
+        # not on 2^n masks (968,884,224 cells at n = 22)
+        group = write_json(tmp_path, "g.json", {"coordinates": [[2]] * n})
+        pairs = write_json(tmp_path, "t.json", {"n": n, "members": [list(c) for c in itertools.combinations(range(n), 2)]})
+        listed = run(capsys, "dual", group, pairs)
+        assert listed == run(capsys, "dual", group, "Pk:2")
+        assert listed[0] == 0 and json.loads(listed[1])["gamma_classes"] == n // 2 + 1
 
 
 class TestLargeExponent:
@@ -537,14 +549,77 @@ class TestErrorContract:
         self.assert_one_line(code, out, err, "budget-exceeded")
         assert err == f"budget-exceeded: exponent m of the cyclotomic field = {m} exceeds enumeration_cap = 16777216\n"
 
-    def test_covering_relaxation_over_budget(self, capsys, tmp_path, monkeypatch):
-        budget = write_json(tmp_path, "budget.json", {"pair_work_cap": 20})
+    def test_covering_member_table_over_budget(self, capsys, tmp_path, monkeypatch):
+        # three twins: 4 states times 3 members
+        budget = write_json(tmp_path, "budget.json", {"pair_work_cap": 11})
         monkeypatch.setenv("DUALPART_BUDGET", budget)
         group = write_json(tmp_path, "g3.json", {"coordinates": [[2], [2], [2]]})
         path = write_json(tmp_path, "t.json", {"n": 3, "members": [[0, 1], [1, 2], [0, 2]]})
         code, out, err = run(capsys, "dual", group, path)
         self.assert_one_line(code, out, err, "budget-exceeded")
-        assert "covering-weight cells = 24 exceeds pair_work_cap = 20" in err
+        assert err == "budget-exceeded: states * members covering-weight cells = 12 exceeds pair_work_cap = 11\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"coordinates": [["BIG"]]},
+            {"coordinates": [[2]], "n": 1, "relations": [], "weights": {"0": "BIG"}},
+            {"coordinates": [[2]], "n": 1, "members": [["BIG"]]},
+        ],
+        ids=["group", "poset", "covering"],
+    )
+    def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path, doc):
+        # json refuses to read an int of more than 4,300 digits with a
+        # ValueError that is not a JSONDecodeError
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "2" * 5000))
+        argv = ("dual", str(path), "hamming") if "n" not in doc else ("dual", str(path), str(path))
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert "4300 digits" in err
+
+    def test_budget_integer_past_the_digit_limit(self, capsys, tmp_path, monkeypatch):
+        budget = tmp_path / "budget.json"
+        budget.write_text('{"pair_work_cap": %s}' % ("9" * 5000))
+        monkeypatch.setenv("DUALPART_BUDGET", str(budget))
+        path = write_json(tmp_path, "p.json", {"n": 2, "relations": []})
+        code, out, err = run(capsys, "poset", path)
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert "4300 digits" in err
+
+    @pytest.mark.parametrize("weight", ["1e30000000", "-2.5E-30000000", "1e" + "9" * 5000])
+    @pytest.mark.parametrize("command", ["poset", "dual"])
+    def test_weight_exponent_past_the_digit_limit(self, capsys, tmp_path, command, weight):
+        # Fraction would compute 10^30000000 first, for tens of seconds
+        doc = {"n": 2, "relations": [], "weights": {"0": "1", "1": weight}, "coordinates": [[2], [2]]}
+        path = write_json(tmp_path, "p.json", doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *((command, path) if command == "poset" else (command, path, path)))
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_line(code, out, err, "invalid-input")
+        assert err.startswith("invalid-input: bad weights: ")
+        # the limit itself is read
+        doc["weights"]["1"] = "1e4300"
+        assert run(capsys, "poset", write_json(tmp_path, "p.json", doc))[0] == 0
+
+    def test_twin_poor_input_refused_as_blocks_form(self, capsys, tmp_path, monkeypatch):
+        # a 400-chain has no twins; its states pass pair_work_cap = 2^26 at
+        # the 27th block, so at most 26 * 27 / 2 twin tests run, not 79,800
+        import dualpart.partitions
+
+        calls = []
+
+        def counted(p, i, j, _real=dualpart.partitions._is_swap_automorphism):
+            calls.append((i, j))
+            return _real(p, i, j)
+
+        monkeypatch.setattr(dualpart.partitions, "_is_swap_automorphism", counted)
+        group = write_json(tmp_path, "g.json", {"coordinates": [[2]] * 400})
+        chain = write_json(tmp_path, "c.json", {"n": 400, "relations": [[i, i + 1] for i in range(399)]})
+        code, out, err = run(capsys, "dual", group, chain)
+        self.assert_one_line(code, out, err, "budget-exceeded")
+        assert err == "budget-exceeded: support states = 134217728 exceeds pair_work_cap = 67108864\n"
+        assert len(calls) == 26 * 27 // 2
 
     @pytest.mark.parametrize(
         "args,what",
@@ -747,3 +822,73 @@ class TestFuzzCodeFiles:
         path = tmp_path / "code.txt"
         path.write_bytes(data)
         TestFuzzCommands.check(capsys, ["macwilliams", str(path), "--gamma", gamma, "--lambda", "dual"])
+
+
+@st.composite
+def partition_documents(draw):
+    """The texts of a group document and of a poset or covering document on
+    n <= 4 coordinates of order 2 or 3 (a 30-chain for the twin-poor
+    fault), well formed or with one fault.  A poset document carries the
+    group's coordinates too, for ``poset``."""
+    fault = draw(st.sampled_from([None] * 6 + [
+        "order", "coordinates", "size", "entry", "range", "cycle", "uncovered",
+        "weight", "exponent", "digits", "twin-poor",
+    ]))
+    n = 30 if fault == "twin-poor" else draw(st.integers(1, 4))
+    coordinates = [[draw(st.sampled_from([2, 3]))] for _ in range(n)]
+    wrong = st.sampled_from([True, 2.0, "2", None, [1], -1])
+    if fault == "order":
+        coordinates[draw(st.integers(0, n - 1))] = [draw(st.sampled_from([True, 2.5, "3", 0, 1, -2]))]
+    if draw(st.booleans()) or fault == "twin-poor":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        relations = [[u, v] for u, v in pairs if (v == u + 1 if fault == "twin-poor" else draw(st.booleans()))]
+        if fault == "cycle" and n > 1:
+            relations += [[1, 0], [0, 1]]
+        weights = {str(i): draw(st.sampled_from([1, 2, "1/2", "3", "1e2", "7/3"])) for i in range(n)}
+        if fault == "weight":
+            weights[str(draw(st.integers(0, n - 1)))] = draw(st.sampled_from([True, 0.5, 0, "-1", "1/0", "x", [1]]))
+        if fault == "exponent":
+            weights["0"] = draw(st.sampled_from(["1e30000000", "5E-99999999", "1e4301"]))
+        doc = {"n": n, "relations": relations, "weights": weights, "coordinates": coordinates}
+        items = relations
+    else:
+        members = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))) for _ in range(draw(st.integers(1, 4)))]
+        members.append(sorted(set(range(n)) - set().union(*members)) or [0])
+        if fault == "uncovered" and n > 1:
+            members = [[i for i in m if i != n - 1] or [0] for m in members]
+        doc = {"n": n, "members": members}
+        items = members
+    if fault == "range" and items:
+        items[0] = [draw(st.sampled_from([n, -1, 10**30]))] + items[0][1:]
+    if fault == "entry" and items:
+        items[0] = [draw(wrong)] + items[0][1:]
+    if fault == "size":
+        doc["n"] = draw(st.sampled_from([n + 1, n - 1, 0, 2**70, "4", 4.0, True, None]))
+    if fault == "coordinates":
+        coordinates = draw(st.sampled_from([5, "x", [], [[]], None, {"0": [2]}]))
+        doc["coordinates"] = coordinates
+    group = json.dumps({"coordinates": coordinates})
+    text = json.dumps(doc)
+    if fault == "digits":  # an int literal that json refuses to read
+        if draw(st.booleans()):
+            group = group.replace("[[", "[[" + "2" * 5000 + "], [", 1)
+        else:
+            text = text.replace(f'"n": {n}', '"n": ' + "2" * 5000, 1)
+    return group, text
+
+
+class TestFuzzDocuments:
+    """Random group, poset and covering documents, well formed or not,
+    through ``dualpart dual`` and ``dualpart poset``: each call exits 0 with
+    an empty stderr, or exits 2 with one ``code: message`` line."""
+
+    @given(docs=partition_documents())
+    @TestFuzzCommands.fuzz
+    def test_dual_and_poset(self, capsys, tmp_path, docs):
+        group, partition = tmp_path / "g.json", tmp_path / "t.json"
+        group.write_text(docs[0])
+        partition.write_text(docs[1])
+        TestFuzzCommands.check(capsys, ["dual", str(group), str(partition)])
+        TestFuzzCommands.check(capsys, ["dual", str(group), "Pk:2"])
+        TestFuzzCommands.check(capsys, ["poset", str(partition)])
+

@@ -8,20 +8,28 @@ from hypothesis import given, settings, strategies as st
 from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.groups import build_group_product
 from dualpart.metrics import (
-    Covering,
     WeightFunction,
     _over_masks,
     covering_from_members,
     pk_covering,
 )
+from dualpart.partitions import induce_CO
 from dualpart.posets import chain, validate_and_close
 from oracles import GroupElement, covering_weight, enumerate_elements, wpm_weight
 from paper import is_antichain, is_partition, varpi
 
 
+def weights(t, config=RunConfig()):
+    """The ``induce_CO`` label of every element of (Z/2)^n, in index order:
+    bit n - 1 - i of the index is coordinate i."""
+    part = induce_CO(build_group_product([[2]] * t.n), t, config)
+    return [part.labels[c] for c in part.class_ids.tolist()]
+
+
 def weight(t, subset):
-    """The covering weight of a subset, read from the array over all masks."""
-    return int(t.mask_weights()[sum(1 << i for i in set(subset))])
+    """The covering weight of a subset, as ``induce_CO`` labels the element
+    of (Z/2)^n with that support."""
+    return weights(t)[sum(1 << (t.n - 1 - i) for i in set(subset))]
 
 
 class TestWeightFunction:
@@ -77,7 +85,7 @@ class TestCovering:
         t = covering_from_members(4, [[0, 1], [0], [1], [2, 3], [3]])
         r = covering_from_members(4, [[0, 1], [2, 3]])
         assert not is_antichain(t) and is_antichain(r)
-        assert np.array_equal(t.mask_weights(), r.mask_weights())
+        assert weights(t) == weights(r)
         for size in range(5):
             for sub in itertools.combinations(range(4), size):
                 assert covering_weight(t, sub) == covering_weight(r, sub)
@@ -88,14 +96,23 @@ class TestCovering:
         with pytest.raises(InputError, match="integer coordinates"):
             covering_from_members(2, [[0, True], [1]])
 
-    def test_relaxation_cap_checked_first(self):
-        t = covering_from_members(6, [[0, 1, 2], [2, 3, 4], [4, 5, 0]])
+    @pytest.mark.parametrize(
+        "members,cells",
+        [
+            ([[0, 1, 2], [2, 3, 4], [4, 5, 0]], 64 * 3),
+            # one block of six twins: 7 states, where 2^6 masks would be 960 cells
+            (list(itertools.combinations(range(6), 2)), 7 * 15),
+        ],
+        ids=["no-twins", "all-pairs"],
+    )
+    def test_member_table_cap_checked_first(self, members, cells):
+        t = covering_from_members(6, members)
         with pytest.raises(
             BudgetError,
-            match=r"^2\^n \* members covering-weight cells = 192 exceeds pair_work_cap = 191$",
+            match=rf"^states \* members covering-weight cells = {cells} exceeds pair_work_cap = {cells - 1}$",
         ):
-            t.mask_weights(RunConfig(pair_work_cap=191))
-        assert t.mask_weights(RunConfig(pair_work_cap=192))[0b111111] == 3
+            weights(t, RunConfig(pair_work_cap=cells - 1))
+        assert weights(t, RunConfig(pair_work_cap=cells))[-1] == 3
 
     def test_partition_detection(self):
         assert is_partition(covering_from_members(4, [[0, 1], [2, 3]]))
@@ -116,7 +133,7 @@ class TestPkCovering:
         for size in range(n + 1):
             for sub in itertools.combinations(range(n), size):
                 assert weight(logical, sub) == covering_weight(full, sub)
-        assert np.array_equal(logical.mask_weights(), full.mask_weights())
+        assert weights(logical) == weights(full)
 
     def test_logical_covering_refuses_member_search(self):
         with pytest.raises(InputError):
@@ -167,15 +184,35 @@ def test_over_masks_folds_every_bit():
 
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=60, deadline=None)
-def test_mask_weights_equal_the_search(n, data):
-    members = data.draw(
-        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=8)
-    )
+def test_induced_weights_equal_the_search(n, data):
+    # random members, or all k-subsets of a random set plus a few more:
+    # random member lists almost never have twins
+    subsets = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+    if data.draw(st.booleans()):
+        block = sorted(data.draw(subsets))
+        k = data.draw(st.integers(1, len(block)))
+        members = [set(c) for c in itertools.combinations(block, k)] + data.draw(st.lists(subsets, max_size=3))
+    else:
+        members = data.draw(st.lists(subsets, min_size=1, max_size=8))
     members.append(set(range(n)) - set().union(*members) or {0})
     t = covering_from_members(n, [sorted(m) for m in members])
-    weights = t.mask_weights()
-    for u in range(1 << n):
-        assert weights[u] == covering_weight(t, [i for i in range(n) if u >> i & 1])
+    group = build_group_product([[data.draw(st.sampled_from([2, 2, 3]))] for _ in range(n)])
+    part = induce_CO(group, t)
+    search = {}
+    for el in enumerate_elements(group):
+        support = frozenset(el.support())
+        if support not in search:
+            search[support] = covering_weight(t, support)
+        assert part.labels[part.class_ids[el.index]] == search[support]
     k = data.draw(st.integers(1, n))
-    ceil = [-(-bin(u).count("1") // k) for u in range(1 << n)]
-    assert pk_covering(k, n).mask_weights().tolist() == ceil
+    assert weights(pk_covering(k, n)) == [-(-bin(u).count("1") // k) for u in range(1 << n)]
+
+
+def test_one_member_sweep_is_not_enough():
+    # twin blocks (0, 4), (1,), (2, 3); one sweep of these members in turn
+    # over the states weighs {0, 2, 3, 4} and {0, 1, 2, 3, 4} one too high
+    t = covering_from_members(5, [[0, 3], [0, 4], [3, 4], [2, 4], [0, 2], [1]])
+    assert induce_CO(build_group_product([[2]] * 5), t).blocks == ((0, 4), (1,), (2, 3))
+    got = weights(t)
+    for u in range(32):
+        assert got[u] == covering_weight(t, [i for i in range(5) if u >> (4 - i) & 1])
