@@ -7,7 +7,7 @@ property machinery over prime fields.
 """
 
 from .config import BudgetError, DualpartError, InputError, RunConfig, DEFAULT_CONFIG
-from .exactarith import CycInt, root_of_unity_sum
+from .exactarith import CycInt
 from .groups import GroupProduct, build_group_product
 from .posets import Poset, antichain, chain, validate_and_close
 from .metrics import Covering, WeightFunction, covering_from_members, pk_covering
@@ -40,7 +40,6 @@ __all__ = [
     "induce_Q",
     "pk_covering",
     "reflexivity_check",
-    "root_of_unity_sum",
     "validate_and_close",
 ]
 

@@ -1,12 +1,14 @@
 """Exact arithmetic substrate.
 
 Cyclotomic integers in canonical power-basis form, the value type of every
-character sum, and the deterministic primality test that picks the split
-prime of the pairwise dual engine and checks the prime of a prime field.
+character-sum label, and the deterministic primality test that picks the
+split prime of the pairwise dual engine and checks the prime of a prime
+field.  A ``CycInt`` is a value: it is built, compared and printed, and
+carries no ring arithmetic.
 
 deg(Phi_m) is Euler's totient and Phi_m a Moebius product, both read off
-the primes of m.  Only the pairwise engine and ``CycInt`` arithmetic build
-Phi_m; a ``CycInt`` is checked against the totient alone.
+the primes of m.  Only the pairwise fold builds Phi_m; a ``CycInt`` is
+checked against the totient alone.
 
 No floating point anywhere: equality of character sums must be decidable.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .config import InputError
 
@@ -78,28 +80,6 @@ def _cyclotomic_coeffs(m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e (0 <= e < m) holds the power-basis coordinates of x^e mod Phi_m."""
-    phi = _cyclotomic_coeffs(m)
-    d = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for e in range(m):
-        if e < d:
-            row = [0] * d
-            row[e] = 1
-        else:
-            # multiply previous row by x and reduce the overflow term
-            prev = rows[-1]
-            row = [0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                for j in range(d):
-                    row[j] -= top * phi[j]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 # Miller-Rabin to the first 13 prime bases is exact below psi_13
 # (Sorenson and Webster, 2017); a verdict must stay exact, so larger p is
 # refused
@@ -156,66 +136,6 @@ class CycInt:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycInt is immutable")
 
-    # construction -----------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int, m: int = 1) -> "CycInt":
-        c = [0] * euler_phi_degree(m)
-        c[0] = n
-        return cls(m, c)
-
-    @classmethod
-    def root_of_unity(cls, m: int, e: int) -> "CycInt":
-        return cls(m, _reduction_rows(m)[e % m])
-
-    @classmethod
-    def from_exponent_counts(cls, m: int, counts: Iterable[int]) -> "CycInt":
-        """Sum of counts[e] copies of zeta_m^e, reduced to canonical form."""
-        rows = _reduction_rows(m)
-        d = euler_phi_degree(m)
-        acc = [0] * d
-        for e, cnt in enumerate(counts):
-            if cnt:
-                row = rows[e % m]
-                for j in range(d):
-                    acc[j] += cnt * row[j]
-        return cls(m, acc)
-
-    # ring structure ----------------------------------------------------
-
-    def _check(self, other: "CycInt") -> None:
-        if self.m != other.m:
-            raise InputError(
-                f"modulus mismatch ({self.m} vs {other.m})"
-            )
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.m, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        self._check(other)
-        return CycInt(self.m, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.m, (-a for a in self.coeffs))
-
-    def __mul__(self, other) -> "CycInt":
-        if isinstance(other, int):
-            return CycInt(self.m, (a * other for a in self.coeffs))
-        self._check(other)
-        n = len(self.coeffs)
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        # zeta^e = zeta^(e mod m), and row e of the reduction is zeta^e
-        return CycInt.from_exponent_counts(self.m, prod)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CycInt)
@@ -226,22 +146,6 @@ class CycInt:
     def __hash__(self) -> int:
         return hash((self.m, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def as_int(self) -> Optional[int]:
-        """The rational integer this value equals, or None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     def __repr__(self) -> str:
         return f"CycInt(m={self.m}, {list(self.coeffs)})"
 
-
-def root_of_unity_sum(m: int, exponents: Iterable[int]) -> CycInt:
-    """Sum of zeta_m^e over a multiset of exponents, in canonical form."""
-    counts = [0] * m
-    for e in exponents:
-        counts[e % m] += 1
-    return CycInt.from_exponent_counts(m, counts)

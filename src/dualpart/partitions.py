@@ -30,18 +30,21 @@ partition to the pairwise engine.
   Phi_m (``_coords``) and numbers its classes in their lexicographic
   order.
 
-The evaluation is exact.  Write s_a(C) for the sum over b in C of
-zeta_m^e(a, b), an element of Z[zeta_m] whose power-basis coordinates are
-at most |C| R in size, R the largest |coefficient| of x^e mod Phi_m.  p
-exceeds 2 |G| R, so a difference d = s_a(C) - s_a'(C) has coordinates
-below p in size.  Phi_m splits into distinct linear factors mod p, with
-roots omega^u for the units u of Z/m, so Z[zeta_m] / p = prod_u F_p through
-zeta_m -> omega^u, and d vanishes at every omega^u exactly when d lies in
-p Z[zeta_m], that is, when its coordinates are multiples of p; below p in
-size, they are then 0.  The pairing is bilinear, e(ua, b) = u e(a, b), so
-s_a(C) at omega^u is s_ua(C) at omega: a and a' have equal class sums
-exactly when the rows of ua and ua' agree at omega for every unit u.  No
-rounding and nothing probabilistic enters.
+The evaluation is exact, by a norm bound.  Write s_a(C) for the sum over b
+in C of zeta_m^e(a, b), an element of Z[zeta_m], and d = s_a(C) - s_a'(C).
+Every conjugate of d is a difference of two sums of |C| roots of unity, so
+it has absolute value at most 2 |C| <= 2 |G|, and the norm N(d), the
+product of the phi(m) conjugates, has |N(d)| <= (2 |G|)^phi(m).  As
+p = 1 (mod m), Phi_m splits into distinct linear factors mod p, with roots
+omega^u for the units u of Z/m, and the primes above p are the kernels of
+zeta_m -> omega^u.  If d vanishes at every omega^u, it lies in every prime
+above p; p does not divide m, so p is unramified and d lies in p Z[zeta_m].
+A nonzero d is then p d' with d' a nonzero algebraic integer, and
+|N(d)| >= p^phi(m).  p exceeds 2 |G|, so d = 0: a difference vanishes at
+every omega^u exactly when it is 0.  The pairing is bilinear,
+e(ua, b) = u e(a, b), so s_a(C) at omega^u is s_ua(C) at omega: a and a'
+have equal class sums exactly when the rows of ua and ua' agree at omega
+for every unit u.  No rounding and nothing probabilistic enters.
 
 Two duals are known to be discrete before the evaluation ends.  The dual of
 the discrete partition of H is discrete: its class sums at a are the values
@@ -292,21 +295,10 @@ class Partition:
 @functools.lru_cache(maxsize=None)
 def _split_prime(m: int, order: int) -> tuple[int, int]:
     """The evaluation prime of the pairwise engine for |G| = ``order``:
-    the least prime p = 1 (mod m) above 2 * order * R, R the largest
-    |coefficient| of x^e mod Phi_m over e < m, and omega = g^((p - 1) / m)
-    for the least g that gives omega the order m, tested at the primes of m.
-
-    R comes from the recurrence of ``exactarith._reduction_rows``, one row
-    at a time; below 2^31, the next row stays inside int64."""
-    poly = np.array(_cyclotomic_coeffs(m)[:-1], dtype=np.int64)
-    row = np.zeros(len(poly), dtype=np.int64)
-    row[-1] = height = 1
-    for _ in range(m - len(poly)):
-        row = np.concatenate(([0], row[:-1])) - row[-1] * poly
-        height = max(height, int(np.abs(row).max()))
-        if height >= 1 << 31:
-            raise InputError(f"x^e mod Phi_{m} has coefficients past 2^31")
-    bound = 2 * order * height
+    the least prime p = 1 (mod m) above 2 * order, the norm bound of the
+    module docstring, and omega = g^((p - 1) / m) for the least g that
+    gives omega the order m, tested at the primes of m."""
+    bound = 2 * order
     p = bound - bound % m + 1
     while p <= bound or not _is_prime(p):
         p += m
@@ -441,7 +433,7 @@ class DualityContext:
         """The pairwise engine's set-up, built by its first evaluation: the
         prime p and omega of ``_split_prime``, and the powers omega^e mod p
         (e < m), in int64 while p * max(p, |G|) < 2^62 and in Python ints
-        above."""
+        above: p is about 2 |G|, so int64 holds up to about |G| = 2^30."""
         if self._field is None:
             group, m = self.group, self.m
             p, omega = _split_prime(m, group.order)

@@ -8,15 +8,19 @@ automorphism group of a weighted poset are listed map by map here, where
 the library only counts each down a stabilizer chain and takes its orbits
 from generators.  The ideals of a poset are found mask by mask here, where
 the library takes the fixed points of the down-closure of every mask, and
-listed as frozensets, the keys of an ideal equivalence.  The
+listed as frozensets, the keys of an ideal equivalence.  A poset's closure
+on a boolean matrix, with its cycles found pair by pair, stands against the
+library's bitmask closure and its test for equal down-sets.  The
 covering signatures of every support size stand against the library's
 class count from the prefix sums at the inner class bounds alone.
 The Yates transform over all 2^n support masks stands against the
 twin-class engine's mode products over popcount states.  Phi_m by exact
 division of x^m - 1 by every Phi_d, d a proper divisor of m, stands
-against the library's Moebius product over the squarefree divisors, and
-the distribution identity summed class by class in ``CycInt`` against the
-library's one integer product of label rows.
+against the library's Moebius product over the squarefree divisors.  The
+ring arithmetic of Z[zeta_m] on ``CycInt`` values, which the library only
+builds, compares and prints, sums the distribution identity class by class
+against the library's one integer product of label rows, and reduces
+character sums one exponent at a time against the library's fold.
 The pairing table of a second character chi^u lets the tests check that a
 dual partition does not depend on the character.  The annihilator of a code,
 from its pairing rows, stands against the dual code, and the character sums
@@ -47,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
-from dualpart.exactarith import CycInt, _reduction_rows, root_of_unity_sum
+from dualpart.exactarith import CycInt, euler_phi_degree
 from dualpart.krawtchouk import ku_build
 from dualpart.macwilliams import LinearCode
 from dualpart.partitions import DualityContext, Partition, co_profile_prefix_sums, krawtchouk_matrix
@@ -414,6 +418,88 @@ def cyclotomic_by_division(m):
     return tuple(_poly_div_exact(num, den))
 
 
+
+# Z[zeta_m] arithmetic on ``CycInt`` values, which the library only builds,
+# compares and prints; x^e is reduced by the Phi_m of the division oracle
+
+
+@functools.lru_cache(maxsize=None)
+def reduction_rows(m):
+    """Row e (0 <= e < m) holds the power-basis coordinates of x^e mod
+    Phi_m, each row the previous one times x with its top term reduced."""
+    phi = cyclotomic_by_division(m)
+    d = len(phi) - 1
+    rows = []
+    for e in range(m):
+        if e < d:
+            row = [0] * d
+            row[e] = 1
+        else:
+            prev = rows[-1]
+            row = [0] + list(prev[:-1])
+            top = prev[-1]
+            for j in range(d):
+                row[j] -= top * phi[j]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def from_exponent_counts(m, counts):
+    """The sum of counts[e] copies of zeta_m^e, in canonical coordinates."""
+    rows = reduction_rows(m)
+    acc = [0] * euler_phi_degree(m)
+    for e, cnt in enumerate(counts):
+        if cnt:
+            for j, c in enumerate(rows[e % m]):
+                acc[j] += cnt * c
+    return CycInt(m, acc)
+
+
+def root_of_unity(m, e):
+    """zeta_m^e."""
+    return CycInt(m, reduction_rows(m)[e % m])
+
+
+def root_of_unity_sum(m, exponents):
+    """The sum of zeta_m^e over a multiset of exponents."""
+    counts = [0] * m
+    for e in exponents:
+        counts[e % m] += 1
+    return from_exponent_counts(m, counts)
+
+
+def from_int(n, m=1):
+    """The rational integer n in Z[zeta_m]."""
+    return CycInt(m, [n] + [0] * (euler_phi_degree(m) - 1))
+
+
+def as_int(c):
+    """The rational integer c equals, or None."""
+    return None if any(c.coeffs[1:]) else c.coeffs[0]
+
+
+def cyc_add(a, b):
+    assert a.m == b.m, f"modulus mismatch ({a.m} vs {b.m})"
+    return CycInt(a.m, (x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def cyc_sub(a, b):
+    assert a.m == b.m, f"modulus mismatch ({a.m} vs {b.m})"
+    return CycInt(a.m, (x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def cyc_mul(a, b):
+    """a * b for b in Z[zeta_m] or a rational integer: the schoolbook
+    product of the coordinates, its x^e reduced as zeta_m^e."""
+    if isinstance(b, int):
+        return CycInt(a.m, (x * b for x in a.coeffs))
+    assert a.m == b.m, f"modulus mismatch ({a.m} vs {b.m})"
+    prod = [0] * (2 * len(a.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    return from_exponent_counts(a.m, prod)
+
 def identity_by_cycint(ctx, code, dual, lam, gamma):
     """Oracle: |C| |C~ ^ B| = sum_A |C ^ A| rho(A, B) for every B, summed
     class by class in ``CycInt``; ``code`` and ``dual`` are sorted
@@ -422,10 +508,10 @@ def identity_by_cycint(ctx, code, dual, lam, gamma):
     c_dist = np.bincount(lam.class_ids[code], minlength=lam.num_classes)
     d_dist = np.bincount(gamma.class_ids[dual], minlength=gamma.num_classes)
     for b in range(gamma.num_classes):
-        rhs = CycInt.from_int(0, ctx.m)
+        rhs = from_int(0, ctx.m)
         for a in range(lam.num_classes):
-            rhs = rhs + int(c_dist[a]) * rho[a][b]
-        if rhs != CycInt.from_int(len(code) * int(d_dist[b]), ctx.m):
+            rhs = cyc_add(rhs, cyc_mul(rho[a][b], int(c_dist[a])))
+        if rhs != from_int(len(code) * int(d_dist[b]), ctx.m):
             return False
     return True
 
@@ -440,7 +526,7 @@ def onehot_coords(ctx, exponents, part):
         onehot[np.arange(exponents.shape[1]), part.class_ids] = 1
         ones = exponents.astype(np.int64) @ onehot
         return part.class_sizes().astype(np.int64)[None, :] - 2 * ones
-    reduction = np.array(_reduction_rows(m), dtype=np.int64)
+    reduction = np.array(reduction_rows(m), dtype=np.int64)
     coords = np.zeros((len(exponents), k, reduction.shape[1]), dtype=np.int64)
     for row, e in zip(coords, exponents):
         np.add.at(row, part.class_ids, reduction[e])
@@ -668,7 +754,7 @@ def f_poly_bruteforce(group, p, omega, alpha):
         by_weight.setdefault(w, [0] * m)[pairing_exponent(alpha, beta)] += 1
     terms = {}
     for w, counts in by_weight.items():
-        val = CycInt.from_exponent_counts(m, counts).as_int()
+        val = as_int(from_exponent_counts(m, counts))
         assert val is not None, "weighted class sum is not a rational integer"
         terms[w] = Fraction(val)
     return SparsePoly(terms)
@@ -835,6 +921,23 @@ def binary_cols_to_matrix(cols, n):
             m[i, n - 1 - j] = (c >> (n - 1 - i)) & 1
     return m
 
+
+
+def closure_by_pairs(n, relations):
+    """Oracle for ``validate_and_close``: the reflexive-transitive closure
+    of the relation pairs on a boolean matrix, Warshall one pivot at a
+    time, as the ``down`` bitmasks, or None when some u != v lie below
+    each other, tested pair by pair."""
+    leq = [[u == v for v in range(n)] for u in range(n)]
+    for u, v in relations:
+        leq[u][v] = True
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                leq[u][v] = leq[u][v] or (leq[u][w] and leq[w][v])
+    if any(leq[u][v] and leq[v][u] for u in range(n) for v in range(u + 1, n)):
+        return None
+    return tuple(sum(1 << u for u in range(n) if leq[u][v]) for v in range(n))
 
 def ideals(p, config=DEFAULT_CONFIG):
     """The ideals of p as frozensets, in the order of ``ideal_masks``: the

@@ -12,11 +12,19 @@ from dualpart.exactarith import (
     _cyclotomic_coeffs,
     _is_prime,
     _prime_factors,
-    _reduction_rows,
     euler_phi_degree,
+)
+from oracles import (
+    as_int,
+    cyc_add,
+    cyc_mul,
+    cyc_sub,
+    cyclotomic_by_division,
+    from_int,
+    reduction_rows,
+    root_of_unity,
     root_of_unity_sum,
 )
-from oracles import cyclotomic_by_division
 from paper import SparsePoly
 
 
@@ -74,17 +82,29 @@ class TestCyclotomicPolynomial:
 
 
 class TestCycInt:
+    def test_value_semantics(self):
+        # the library's CycInt is a value: built against the totient,
+        # compared and hashed by modulus and coordinates, never changed
+        a = CycInt(12, [1, 0, 0, 0])
+        assert a == from_int(1, 12) and hash(a) == hash(from_int(1, 12))
+        assert a != CycInt(5, [1, 0, 0, 0]) and a != 1
+        assert repr(a) == "CycInt(m=12, [1, 0, 0, 0])"
+        with pytest.raises(InputError, match="needs 4 coordinates, got 3"):
+            CycInt(12, [1, 0, 0])
+        with pytest.raises(AttributeError):
+            a.m = 5
+
     def test_primitive_root_vanishes_on_cyclotomic(self):
         # zeta_12 satisfies Phi_12: z^4 - z^2 + 1 = 0
-        z4 = CycInt.root_of_unity(12, 4)
-        z2 = CycInt.root_of_unity(12, 2)
-        one = CycInt.from_int(1, 12)
-        assert (z4 - z2 + one).is_zero()
-        assert z4 * z4 * z4 == one  # zeta^12 = 1
+        z4 = root_of_unity(12, 4)
+        z2 = root_of_unity(12, 2)
+        one = from_int(1, 12)
+        assert cyc_add(cyc_sub(z4, z2), one) == from_int(0, 12)
+        assert cyc_mul(cyc_mul(z4, z4), z4) == one  # zeta^12 = 1
 
     def test_full_orbit_sums_to_zero(self):
         for m in range(2, 30):
-            assert root_of_unity_sum(m, range(m)).as_int() == 0
+            assert as_int(root_of_unity_sum(m, range(m))) == 0
 
     def test_partial_sums_match_complex_floats(self):
         import random
@@ -97,9 +117,8 @@ class TestCycInt:
             assert abs(_numeric(exact) - approx) < 1e-9
 
     def test_as_int_detects_rational_integers(self):
-        assert CycInt.from_int(-17, 30).as_int() == -17
-        z = CycInt.root_of_unity(5, 1)
-        assert z.as_int() is None
+        assert as_int(from_int(-17, 30)) == -17
+        assert as_int(root_of_unity(5, 1)) is None
 
     @given(
         m=st.sampled_from([3, 4, 5, 8, 12]),
@@ -107,13 +126,13 @@ class TestCycInt:
         eb=st.integers(0, 30),
     )
     def test_multiplication_adds_exponents(self, m, ea, eb):
-        a = CycInt.root_of_unity(m, ea % m)
-        b = CycInt.root_of_unity(m, eb % m)
-        assert a * b == CycInt.root_of_unity(m, (ea + eb) % m)
+        a = root_of_unity(m, ea % m)
+        b = root_of_unity(m, eb % m)
+        assert cyc_mul(a, b) == root_of_unity(m, (ea + eb) % m)
 
     def test_reduction_matrix_shape(self):
         for m in [2, 3, 12, 15]:
-            rows = _reduction_rows(m)
+            rows = reduction_rows(m)
             assert len(rows) == m
             assert all(len(r) == euler_phi_degree(m) for r in rows)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
-from dualpart.exactarith import CycInt, _is_prime, _reduction_rows, euler_phi_degree, root_of_unity_sum
+from dualpart.exactarith import CycInt, _is_prime, euler_phi_degree
 from dualpart.groups import build_group_product
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
@@ -40,6 +40,7 @@ from dualpart.posets import (
 )
 from oracles import (
     annihilator,
+    as_int,
     co_support_signatures,
     covering_weight,
     eager_dual,
@@ -48,6 +49,7 @@ from oracles import (
     export_by_class,
     f_poly_bruteforce,
     f_poly_hierarchical,
+    from_int,
     hamming_sum_profile,
     identity_by_cycint,
     ideals,
@@ -55,6 +57,8 @@ from oracles import (
     members,
     onehot_coords,
     pairing_exponent,
+    reduction_rows,
+    root_of_unity_sum,
     scaled_exponents,
     wpm_weight,
 )
@@ -173,7 +177,7 @@ class TestDualityContext:
         ctx = DualityContext(group)
         sig = signature(ctx, 0, gamma)
         sizes = gamma.class_sizes()
-        assert [v.as_int() for v in sig] == list(sizes)
+        assert [as_int(v) for v in sig] == list(sizes)
 
     def test_annihilator_is_character_kernel(self):
         group = build_group_product([[2]] * 4)
@@ -274,7 +278,7 @@ class TestIdealSumKernels:
             d = closure(pbar, a.support())
             for i_set in ideals(p):
                 expect = phi_brute(group, p, a, i_set)
-                assert expect.as_int() == phi_value(p, h, d, i_set)
+                assert as_int(expect) == phi_value(p, h, d, i_set)
 
     @pytest.mark.parametrize("spec", [[[2], [2], [2]], [[2], [3], [2]]])
     def test_psi_matches_character_sums(self, spec):
@@ -292,7 +296,7 @@ class TestIdealSumKernels:
                     for a in enumerate_elements(group)
                     if closure(pbar, a.support()) == d
                 ]
-                expect = root_of_unity_sum(m, exps).as_int()
+                expect = as_int(root_of_unity_sum(m, exps))
                 assert expect == psi_value(p, h, d, i_set)
 
     def test_signature_via_ideals_matches_partition_signature(self):
@@ -307,7 +311,7 @@ class TestIdealSumKernels:
         for a in enumerate_elements(group):
             f = F_poly(group, p, omega, a)
             sig = lam.labels[lam.class_ids[a.index]]
-            assert [v.as_int() for v in sig] == [f.coefficient(label) for label in gamma.labels]
+            assert [as_int(v) for v in sig] == [f.coefficient(label) for label in gamma.labels]
 
 
 POSET_BUILDERS = [
@@ -369,7 +373,7 @@ class TestKrawtchoukMatrix:
         for a in range(lam.num_classes):
             rep = int(members(lam, a)[0])
             t = bin(rep).count("1")
-            assert [v.as_int() for v in res.rho[a]] == [
+            assert [as_int(v) for v in res.rho[a]] == [
                 ku_eval(4, l, 2, t) for l in range(5)
             ]
 
@@ -571,7 +575,7 @@ class TestSupportProfileEngine:
         for idx in range(1, group.order):
             el = element_from_index(group, idx)
             t = len(el.support())
-            sig = tuple(v.as_int() for v in signature(ctx, idx, gamma))
+            sig = tuple(as_int(v) for v in signature(ctx, idx, gamma))
             assert sig == sigs[t]
 
     def test_engines_agree_on_verdict(self):
@@ -731,8 +735,8 @@ class TestDualOracle:
         rows = np.array([[3, -1], [0, 2]])
         labels = SignatureLabels(1, rows, 2)
         assert labels == [
-            (CycInt.from_int(3, 1), CycInt.from_int(-1, 1)),
-            (CycInt.from_int(0, 1), CycInt.from_int(2, 1)),
+            (from_int(3, 1), from_int(-1, 1)),
+            (from_int(0, 1), from_int(2, 1)),
         ]
         assert labels[-1] == labels[1]
         with pytest.raises(IndexError):
@@ -793,10 +797,10 @@ class TestSplitPrimeEvaluation:
         m, order = ctx.m, group.order
         p, powers = ctx._evaluation()
         units = ctx._unit_index()
-        height = max(abs(c) for row in _reduction_rows(m) for c in row)
-        assert height == (2 if m == 105 else 1)
-        assert p % m == 1 and p > 2 * order * height
-        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        # the least prime = 1 (mod m) above the norm bound 2 |G|, by trial
+        # division
+        primes = (q for q in range(2 * order + 1, p + 1) if all(q % d for d in range(2, math.isqrt(q) + 1)))
+        assert [q for q in primes if q % m == 1] == [p]
         omega = int(powers[1])
         assert [int(x) for x in powers] == [pow(omega, e, p) for e in range(m)]
         assert min(e for e in range(1, m + 1) if pow(omega, e, p) == 1) == m
@@ -818,6 +822,32 @@ class TestSplitPrimeEvaluation:
                 ids, labels = eager_dual(ctx, table, part)
                 assert np.array_equal(got.class_ids, ids)
                 assert got.labels == labels
+
+    @pytest.mark.parametrize("spec", SPLIT_GROUPS, ids=str)
+    def test_norm_prime_matches_height_prime(self, spec, monkeypatch):
+        # the classes and labels at the least prime above 2 |G| are those
+        # at the least prime above 2 |G| R, R the largest |coefficient| of
+        # x^e mod Phi_m, where coordinates below p in size decide equality
+        import dualpart.partitions as partitions
+
+        group = build_group_product(spec)
+        ctx = DualityContext(group)
+        m = ctx.m
+        unit = next(s for s in range(m - 1, 0, -1) if math.gcd(s, m) == 1)
+        height = max(abs(c) for row in reduction_rows(m) for c in row)
+        assert height == (2 if m == 105 else 1)
+        p = ctx._evaluation()[0]
+        split = partitions._split_prime
+        monkeypatch.setattr(partitions, "_split_prime", lambda m, order: split(m, order * height))
+        by_height = DualityContext(group)
+        assert by_height._evaluation()[0] > 2 * group.order * height
+        # at m = 105 the primes differ: 211 against 421
+        assert (p < 2 * group.order * height) == (height > 1)
+        for part in split_partitions(group):
+            for table in (ctx.exponents, scaled_exponents(ctx, unit)):
+                got, want = ctx._dual(table, part), by_height._dual(table, part)
+                assert np.array_equal(got.class_ids, want.class_ids)
+                assert got.labels == want.labels
 
     @pytest.mark.parametrize("spec", SPLIT_GROUPS, ids=str)
     def test_check_folds_no_coordinate(self, spec, monkeypatch):
@@ -1255,7 +1285,7 @@ def twin_instances(draw):
 def assert_dual_is_oracle(group, dual, part):
     ids, sums = lattice_dual(group, part)
     assert np.array_equal(dual.class_ids, ids)
-    assert [tuple(v.as_int() for v in label) for label in dual.labels] == sums
+    assert [tuple(as_int(v) for v in label) for label in dual.labels] == sums
 
 
 class TestTwinClassEngine:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from dualpart.posets import (
     udp_check,
     validate_and_close,
 )
-from oracles import apply_perm, automorphisms, ideal_masks_by_scan, ideals, udp_by_listing
+from oracles import apply_perm, automorphisms, closure_by_pairs, ideal_masks_by_scan, ideals, udp_by_listing
 from paper import closure, extremes, level_sets, sigma
 
 
@@ -206,6 +207,25 @@ def test_random_relations_close_to_valid_poset_or_cycle(n, data):
                     assert p.leq(a, c)
             if a != b:
                 assert not (p.leq(a, b) and p.leq(b, a))
+
+
+def test_closure_and_cycle_check_match_pairwise_oracle():
+    # 3,000 random relation sets on at most 7 elements, self-pairs and
+    # cycles included: a cycle is refused exactly when the pairwise oracle
+    # finds u != v below each other, and otherwise the down-sets agree
+    rng = random.Random(31)
+    cycles = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        rels = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        want = closure_by_pairs(n, rels)
+        if want is None:
+            cycles += 1
+            with pytest.raises(InputError, match="^cycle detected: input is not a poset$"):
+                validate_and_close(n, rels)
+        else:
+            assert validate_and_close(n, rels).down == want, (n, rels)
+    assert 300 < cycles < 2700
 
 
 def test_apply_perm():

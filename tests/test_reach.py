@@ -25,22 +25,10 @@ from test_golden import CASES, run_case
 # qualified name (module.function or module.Class.method) -> why it stays
 ALLOWED = {
     # library entry points (README library overview)
-    "exactarith.CycInt.__add__": "CycInt arithmetic",
-    "exactarith.CycInt.__eq__": "CycInt arithmetic: labels compare by value",
-    "exactarith.CycInt.__hash__": "CycInt arithmetic",
-    "exactarith.CycInt.__mul__": "CycInt arithmetic",
-    "exactarith.CycInt._check": "CycInt arithmetic: the modulus guard of sums and products",
-    "exactarith.CycInt.from_int": "CycInt arithmetic: a rational integer in Z[zeta_m]",
-    "exactarith.CycInt.__neg__": "CycInt arithmetic",
-    "exactarith.CycInt.__setattr__": "CycInt arithmetic: the immutability guard",
-    "exactarith.CycInt.__sub__": "CycInt arithmetic",
-    "exactarith.CycInt.as_int": "CycInt arithmetic",
-    "exactarith.CycInt.from_exponent_counts": "CycInt arithmetic: products and sums of roots of unity",
-    "exactarith.CycInt.is_zero": "CycInt arithmetic",
-    "exactarith.CycInt.root_of_unity": "CycInt arithmetic",
-    "exactarith._cyclotomic_coeffs": "Phi_m, read only by the pairwise engine (fold and split prime) and CycInt arithmetic",
-    "exactarith._reduction_rows": "CycInt arithmetic: x^e mod Phi_m for root_of_unity and from_exponent_counts",
-    "exactarith.root_of_unity_sum": "CycInt arithmetic, exported by the package",
+    "exactarith.CycInt.__eq__": "CycInt value: labels compare by value",
+    "exactarith.CycInt.__hash__": "CycInt value: hashed by modulus and coordinates",
+    "exactarith.CycInt.__setattr__": "CycInt value: the immutability guard",
+    "exactarith._cyclotomic_coeffs": "Phi_m, read only by the pairwise engine's fold (_coords)",
     "groups.GroupProduct.residue_matrix": "library entry point (README): every element's residues in index order",
     "krawtchouk.KrawtchoukPoly.__call__": "library entry point: evaluation at a rational point",
     "krawtchouk.KrawtchoukPoly.degree": "library entry point",
