@@ -241,7 +241,7 @@ def _parse_range(spec: str) -> range:
 
 
 def cmd_scan_co(args) -> int:
-    from .krawtchouk import co_nonreflexivity_verdict, dual_class_lower_bound, ku_distinct_counts
+    from .krawtchouk import co_nonreflexivity_verdict, dual_class_lower_bound, ku_distinct_counts, ku_value_table
     from .partitions import co_profile_prefix_sums, co_reflexivity_bruteforce
 
     config = _load_config()
@@ -259,11 +259,13 @@ def cmd_scan_co(args) -> int:
         raise InputError(f"k = {k_only} out of range for n = {n_range[0]}")
     config.check("krawtchouk_cap_n", n_range[-1], "scan-co last n")
     print("q\tn\tk\tverdict\tcriterion\tco_classes\tlambda_lower_bound\tbrute_force_confirmed")
+    # the criteria at n read the table of H(n - 1, q), the confirmation that
+    # of H(n, q), which the criteria at n + 1 read next: one table per n
+    table = ku_value_table(n_range[0] - 1, args.q, config)
     for n in n_range:
-        # the data of an n, read by every k; the criteria side and the
-        # confirmation side share none of it
-        distinct = ku_distinct_counts(n, args.q, config)
-        prefix = co_profile_prefix_sums(args.q, n, config)
+        distinct = ku_distinct_counts(table)
+        table = ku_value_table(n, args.q, config)
+        prefix = co_profile_prefix_sums(table)
         ks = range(1, n + 1) if k_only is None else [k_only]
         for k in ks:
             v = co_nonreflexivity_verdict(n, k, args.q, distinct)

@@ -66,13 +66,14 @@ class RunConfig:
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that
                      ``ku_build`` or ``ku_roots`` is asked for (and of
-                     ``krawtchouk --n/--k``), maximum n of the value
-                     table, distinct-value counts and profile prefix
-                     sums of ``scan-co`` and ``refute``, and maximum last
-                     n of a ``scan-co`` range, checked before any
-                     polynomial or table is built.  A scan row costs
-                     O(n^2) big-integer operations for its value table and
-                     profiles; a polynomial of degree k costs O(k^2) for
+                     ``krawtchouk --n/--k``), maximum n of a value table
+                     of H(n, q) (``ku_value_table``: one per n of a
+                     ``scan-co`` range, two per ``refute``), and maximum
+                     last n of a ``scan-co`` range, checked before any
+                     polynomial or table is built; pair_work_cap bounds
+                     the twin-class engine's tables.  A scan row costs
+                     O(n^2) big-integer operations for its value table;
+                     a polynomial of degree k costs O(k^2) for
                      its coefficients, O(nk) for its values at 0..n, which
                      place each root, and O(k) per pass of the recurrence
                      that refines a root: 5.4 to 6.4 passes per root on

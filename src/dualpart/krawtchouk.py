@@ -1,9 +1,11 @@
 """Exact Krawtchouk polynomials and the covering non-reflexivity criteria.
 
 One three-term recurrence (``_steps``) gives the exact rational
-coefficients (``ku_build``), the exact integer values at 0..n (``ku_rows``,
-read by ``ku_values`` and by the criteria's value table) and the values and
-slopes at grid points (``_value_and_slope``).  The criteria chain tries the
+coefficients (``ku_build``), the values and slopes at grid points
+(``_value_and_slope``) and the only integer values at 0..n the package
+computes (``ku_rows``), read by ``ku_values``, by the twin-class engine and
+by ``ku_value_table``, the one capped table, which both the criteria and
+the P(k) class count that confirms them read.  The criteria chain tries the
 closed-form families first and ends at the distinct-value count of
 KU_(n-1,s); it isolates no root.  ``ku_roots`` places each root of K_k by
 the signs of its values at the integers, then closes in on it by exact
@@ -245,28 +247,30 @@ def ku_roots(
 # ---------------------------------------------------------------------------
 
 def ku_value_table(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[list[int]]:
-    """Rows s = 0..n-1 of the values KU_(n-1,s)(j) at j = 0..n-1, by
-    ``ku_rows``: O(n^2) integer operations, on integers that grow with n;
-    n is checked against ``krawtchouk_cap_n`` first."""
+    """The Krawtchouk matrix of H(n, q): row s is K_s(0..n), for s = 0..n,
+    by ``ku_rows``, and column t is the Hamming-weight profile of an
+    element of support size t.  O(n^2) integer operations, on integers
+    that grow with n; n is checked against ``krawtchouk_cap_n`` first."""
     config.check("krawtchouk_cap_n", n, "Krawtchouk n")
-    if n < 1 or q < 2:
-        raise InputError("need n >= 1 and q >= 2")
-    return list(ku_rows(n - 1, n - 1, q))
+    if n < 0 or q < 2:
+        raise InputError("need n >= 0 and q >= 2")
+    return list(ku_rows(n, n, q))
 
 
-def ku_distinct_counts(n: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[int]:
-    """Entry s: how many distinct values KU_(n-1,s) takes on 0..n-1, for
-    s in 0..n-1.  Every k of an n reads the entries at its multiples."""
-    return [len(set(row)) for row in ku_value_table(n, q, config)]
+def ku_distinct_counts(table: Sequence[Sequence[int]]) -> list[int]:
+    """Entry s: how many distinct values row s of ``table`` takes.  On the
+    ``ku_value_table`` of H(n - 1, q), every k of an n reads the entries at
+    its multiples."""
+    return [len(set(row)) for row in table]
 
 
 def dual_class_lower_bound(n: int, k: int, q: int, distinct: Sequence[int] | None = None) -> int:
     """|Lambda| >= max_s |{KU_(n-1,s)(j)}| + 1 over multiples s of k.
 
-    ``distinct`` is ``ku_distinct_counts(n, q)``, built here when not
-    given."""
+    ``distinct`` is ``ku_distinct_counts`` of the table of H(n - 1, q),
+    built here when not given."""
     if distinct is None:
-        distinct = ku_distinct_counts(n, q)
+        distinct = ku_distinct_counts(ku_value_table(n - 1, q))
     # with no multiple of k below n, only the identity singleton is known
     return max((distinct[s] + 1 for s in range(k, n, k)), default=1)
 
@@ -306,8 +310,8 @@ def co_nonreflexivity_verdict(
     The criteria are tried in a fixed order and the first that fires is
     reported; they are sufficient conditions, so 'undecided' only means none
     applies (the caller may fall back to brute force).  ``distinct`` is
-    ``ku_distinct_counts(n, q, config)``, built here when not given and
-    needed.
+    ``ku_distinct_counts`` of the table of H(n - 1, q) under ``config``,
+    built here when not given and needed.
     """
     if not 1 <= k <= n or q < 2:
         raise InputError("need 1 <= k <= n and q >= 2")
@@ -346,7 +350,7 @@ def co_nonreflexivity_verdict(
     # least floor(r1') >= floor(r1): it fires wherever the smallest-root
     # and derivative-root floor criteria would.
     if distinct is None:
-        distinct = ku_distinct_counts(n, q, config)
+        distinct = ku_distinct_counts(ku_value_table(n - 1, q, config))
     need = Fraction(n, k)
     for s in range(k, n, k):
         if distinct[s] - 1 >= need:

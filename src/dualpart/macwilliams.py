@@ -617,7 +617,7 @@ def conjecture21_report(
     implies reflexivity); the witness search runs, and attaches a concrete
     pair when it finds one, within the GL(5,2) / GL(3,3) guard.  Both
     tables are built under ``config``, whose cap on n is checked first."""
-    from .krawtchouk import co_nonreflexivity_verdict
+    from .krawtchouk import co_nonreflexivity_verdict, ku_value_table
 
     if not _is_prime(q_prime):
         raise InputError("prime-field scope: q must be prime")
@@ -629,7 +629,7 @@ def conjecture21_report(
     report["criteria"] = crit
     if crit["verdict"] == "non-reflexive":
         report["tiers"].append("criteria-non-reflexive")
-    brute = co_reflexivity_bruteforce(q_prime, n, k, co_profile_prefix_sums(q_prime, n, config))
+    brute = co_reflexivity_bruteforce(q_prime, n, k, co_profile_prefix_sums(ku_value_table(n, q_prime, config)))
     report["brute_force"] = brute
     if not brute["reflexive"]:
         report["tiers"].append("brute-force-non-reflexive")

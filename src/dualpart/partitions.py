@@ -15,7 +15,7 @@ partition to the pairwise engine.
   every class; with twin blocks of sizes n_b, a class is a set of popcount
   vectors, the prod(n_b + 1) states (``Partition.blocks``), all realized.
   The sum at state u over the elements of state t is prod_b P_b[u_b][t_b],
-  P_b the Krawtchouk matrix of H(n_b, h_b) (``hamming_sum_profiles``), so
+  P_b the Krawtchouk matrix of H(n_b, h_b) (``krawtchouk.ku_rows``), so
   the class sums are one mode-b product per block: integers, exact in
   int64 up to |G| = 2^62 and in Python ints above.  G is not listed;
   ``class_ids`` is pulled back to G when first read;
@@ -79,6 +79,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, BudgetError, InputError, RunConfig
 from .exactarith import CycInt, _cyclotomic_coeffs, _is_prime, _prime_factors, euler_phi_degree
 from .groups import GroupProduct
+from .krawtchouk import ku_rows, ku_value_table
 from .metrics import Covering, WeightFunction, _outer, _scaled_mask_sums
 from .posets import Poset, _is_swap_automorphism, _unmask, dual_poset, ideal_masks, levels
 
@@ -524,7 +525,7 @@ class DualityContext:
         table[np.arange(states), part.state_ids] = 1
         stride = _strides(blocks)
         for b in blocks:
-            profiles = np.array(hamming_sum_profiles(h[b[0]], len(b)), dtype=dtype)
+            profiles = np.array(list(ku_rows(len(b), len(b), h[b[0]])), dtype=dtype).T
             table = np.matmul(profiles, table.reshape(-1, len(b) + 1, stride[b[0]] * k))
         table = table.reshape(states, k)
         first, state_ids = _rank_rows(table)
@@ -845,42 +846,20 @@ def theorem32_check(
 # scalable engine for CO(H, P(k)) over H = X^n, |X| = q
 # ---------------------------------------------------------------------------
 
-def hamming_sum_profiles(q: int, n: int) -> list[list[int]]:
-    """Exact per-Hamming-weight character sums for an element of each
-    support size t in 0..n (entry t), by polynomial arithmetic (no
-    Krawtchouk formulas involved).
-
-    Profile t is (1 - x)^t (1 + (q-1) x)^(n-t): a coordinate with identity
-    entry contributes (1 + (q-1) x); a non-identity entry contributes
-    (1 - x) because the full character orbit sums to zero.  Profile t - 1
-    is profile t divided by (1 - x), a running sum, times (1 + (q-1) x), so
-    all n + 1 profiles cost O(n^2).
-    """
-    prof = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
-    profiles = [prof]
-    for _ in range(n):
-        quot = list(itertools.accumulate(prof))  # its last entry is prof(1) = 0
-        prof = [quot[0]] + [quot[i] + (q - 1) * quot[i - 1] for i in range(1, n + 1)]
-        profiles.append(prof)
-    return profiles[::-1]
-
-
-def co_profile_prefix_sums(q: int, n: int, config: RunConfig = DEFAULT_CONFIG) -> list[list[int]]:
-    """Entry t: the running sums of profile t of ``hamming_sum_profiles``,
-    with 0 in front, so that the sum over weights lo..hi-1 is
-    ``pre[hi] - pre[lo]``.  Every k of an n reads the same sums.  O(n^2)
-    big-integer operations; n is checked against ``krawtchouk_cap_n``
-    first."""
-    config.check("krawtchouk_cap_n", n, "Krawtchouk n")
-    return [list(itertools.accumulate(prof, initial=0)) for prof in hamming_sum_profiles(q, n)]
+def co_profile_prefix_sums(table: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Entry t: the running sums of column t of the ``ku_value_table`` of
+    H(n, q), the Hamming-weight profile of support size t, with 0 in front,
+    so that the sum over weights lo..hi-1 is ``pre[hi] - pre[lo]``.  Every
+    k of an n reads the same sums."""
+    return [list(itertools.accumulate(col, initial=0)) for col in zip(*table)]
 
 
 def co_dual_class_count(
     q: int, n: int, k: int, prefix: Sequence[Sequence[int]] | None = None
 ) -> int:
     """|l(CO(X^n, P(k)))| for |X| = q: the distinct nonzero-support
-    signatures plus the guaranteed identity singleton.  ``prefix`` is
-    ``co_profile_prefix_sums(q, n)``, built here when not given.
+    signatures plus the guaranteed identity singleton.  ``prefix`` is the
+    ``co_profile_prefix_sums`` of H(n, q), built here when not given.
 
     Class 0 is weight 0 and class b >= 1 is weights (b-1)k+1 .. min(bk, n),
     so the class sums of support size t are the differences of its prefix
@@ -888,7 +867,7 @@ def co_dual_class_count(
     K_0 = 1 and the sum at n+1 is the profile at x = 1, which is 0, so the
     sums at the inner bounds alone tell the signatures apart."""
     if prefix is None:
-        prefix = co_profile_prefix_sums(q, n)
+        prefix = co_profile_prefix_sums(ku_value_table(n, q))
     return len({tuple(pre[k + 1 : n + 1 : k]) for pre in prefix[1:]}) + 1
 
 
@@ -897,8 +876,8 @@ def co_reflexivity_bruteforce(
 ) -> dict:
     """Exact reflexivity of CO(X^n, P(k, Omega)) from the per-support-size
     character-sum profile (element-complete, since the signature of an
-    element depends only on its support size).  ``prefix`` is
-    ``co_profile_prefix_sums(q, n)``, built here when not given."""
+    element depends only on its support size).  ``prefix`` is the
+    ``co_profile_prefix_sums`` of H(n, q), built here when not given."""
     if q < 2 or not 1 <= k <= n:
         raise InputError("need q >= 2 and 1 <= k <= n")
     co_classes = -(-n // k) + 1

@@ -11,8 +11,11 @@ the library takes the fixed points of the down-closure of every mask, and
 listed as frozensets, the keys of an ideal equivalence.  A poset's closure
 on a boolean matrix, with its cycles found pair by pair, stands against the
 library's bitmask closure and its test for equal down-sets.  The
-covering signatures of every support size stand against the library's
-class count from the prefix sums at the inner class bounds alone.
+Hamming-weight profiles of every support size, by polynomial division and
+by convolution, stand against the library's Krawtchouk table from the
+three-term recurrence, and the covering signatures summed from those
+profiles against the library's class count from the prefix sums of that
+table at the inner class bounds alone.
 The Yates transform over all 2^n support masks stands against the
 twin-class engine's mode products over popcount states.  Phi_m by exact
 division of x^m - 1 by every Phi_d, d a proper divisor of m, stands
@@ -54,7 +57,7 @@ from dualpart.config import DEFAULT_CONFIG, BudgetError, InputError
 from dualpart.exactarith import CycInt, euler_phi_degree
 from dualpart.krawtchouk import ku_build
 from dualpart.macwilliams import LinearCode
-from dualpart.partitions import DualityContext, Partition, co_profile_prefix_sums, krawtchouk_matrix
+from dualpart.partitions import DualityContext, Partition, krawtchouk_matrix
 from dualpart.posets import _unmask, dual_poset, ideal_masks, levels
 from paper import SparsePoly, closure, ku_eval, level_sets, sigma, varpi
 
@@ -163,13 +166,32 @@ def hamming_sum_profile(q, n, t):
     return coeffs
 
 
+def hamming_sum_profiles(q, n):
+    """Oracle: the per-Hamming-weight character sums for an element of
+    each support size t in 0..n (entry t), by polynomial division, with no
+    Krawtchouk recurrence.
+
+    Profile t is (1 - x)^t (1 + (q-1) x)^(n-t): a coordinate with identity
+    entry contributes (1 + (q-1) x); a non-identity entry contributes
+    (1 - x) because the full character orbit sums to zero.  Profile t - 1
+    is profile t divided by (1 - x), a running sum, times (1 + (q-1) x), so
+    all n + 1 profiles cost O(n^2)."""
+    prof = [(-1) ** i * math.comb(n, i) for i in range(n + 1)]
+    profiles = [prof]
+    for _ in range(n):
+        quot = list(itertools.accumulate(prof))  # its last entry is prof(1) = 0
+        prof = [quot[0]] + [quot[i] + (q - 1) * quot[i - 1] for i in range(1, n + 1)]
+        profiles.append(prof)
+    return profiles[::-1]
+
+
 def co_support_signatures(q, n, k):
     """Oracle: the per-CO-class character sums for an element of each
-    support size t in 0..n (entry t), each class sum a difference of the
-    profile's prefix sums at the class bounds."""
+    support size t in 0..n (entry t), each class sum the sum of the
+    division profile over the weights of the class."""
     # class 0 is weight 0; class b >= 1 is weights (b-1)k+1 .. min(bk, n)
     bounds = [(0, 1)] + [((b - 1) * k + 1, min(b * k, n) + 1) for b in range(1, -(-n // k) + 1)]
-    return [tuple(pre[hi] - pre[lo] for lo, hi in bounds) for pre in co_profile_prefix_sums(q, n)]
+    return [tuple(sum(prof[lo:hi]) for lo, hi in bounds) for prof in hamming_sum_profiles(q, n)]
 
 
 def smallest_root_floor(n, k, q):

@@ -305,7 +305,7 @@ def test_criterion_05_krawtchouk_identities():
 def test_criterion_06_value_vector_oracle():
     for q in (2, 3):
         for n in range(2, 13):
-            table = ku_value_table(n, q)
+            table = ku_value_table(n - 1, q)
             for k in range(1, n + 1):
                 sigs = co_support_signatures(q, n, k)
                 sig = {}

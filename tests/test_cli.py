@@ -198,6 +198,23 @@ class TestScanCo:
         lines = out.strip().splitlines()
         assert code == 0 and len(lines) == 1 + 2 + 3 + 4
 
+    def test_one_value_table_per_n(self, capsys, monkeypatch):
+        # the criteria at n and the confirmation at n - 1 read one table of
+        # H(n - 1, q): n = 5..9 takes the tables of H(4..9), six in all
+        from dualpart import krawtchouk, partitions
+
+        sizes = []
+
+        def counted(n, *args, _real=krawtchouk.ku_value_table):
+            sizes.append(n)
+            return _real(n, *args)
+
+        for module in (krawtchouk, partitions):
+            monkeypatch.setattr(module, "ku_value_table", counted)
+        code, out, _ = run(capsys, "scan-co", "--q", "2", "--n", "5..9")
+        assert code == 0 and len(out.strip().splitlines()) == 1 + 5 + 6 + 7 + 8 + 9
+        assert sizes == [4, 5, 6, 7, 8, 9]
+
 
 class TestKrawtchouk:
     def test_values_and_roots(self, capsys):

@@ -9,14 +9,12 @@ from dualpart.krawtchouk import (
     co_nonreflexivity_verdict,
     dual_class_lower_bound,
     ku_build,
-    ku_distinct_counts,
     ku_roots,
     ku_rows,
     ku_value_table,
     ku_values,
     thm42_threshold,
 )
-from dualpart.partitions import co_profile_prefix_sums
 from oracles import (
     bisect_roots,
     convolution_coeffs,
@@ -63,10 +61,11 @@ class TestBuildAndEval:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
     def test_value_table_matches_binomial_sum(self, q):
-        # the recurrence table against the binomial sum, n = 1 and 2 included
+        # the recurrence table of H(n - 1, q) against the binomial sum,
+        # H(0, q) and H(1, q) included
         for n in range(1, 31):
             want = [[ku_eval(n - 1, s, q, j) for j in range(n)] for s in range(n)]
-            assert ku_value_table(n, q) == want, (q, n)
+            assert ku_value_table(n - 1, q) == want, (q, n)
 
     def test_values_match_binomial_sum(self):
         # the recurrence values of the krawtchouk command, k = 0 and k > n included
@@ -76,8 +75,12 @@ class TestBuildAndEval:
                     assert ku_values(n, k, q) == [ku_eval(n, k, q, s) for s in range(n + 1)], (q, n, k)
 
     def test_value_table_rejects_empty_n(self):
+        # H(0, q) has the one entry K_0(0) = 1; below it there is no table
+        assert ku_value_table(0, 2) == [[1]]
         with pytest.raises(InputError):
-            ku_value_table(0, 2)
+            ku_value_table(-1, 2)
+        with pytest.raises(InputError):
+            ku_value_table(3, 1)
 
     def test_degree_is_k(self):
         import random
@@ -125,23 +128,28 @@ class TestBudget:
         assert len(ku_roots(8, 8, 2, config=tight)) == 8
 
     def test_value_tables_capped_before_any_work(self, monkeypatch):
-        from dualpart import partitions
+        from dualpart import krawtchouk, partitions
 
         def refuse(*args):
-            raise AssertionError("profiles built")
+            raise AssertionError("Krawtchouk value evaluated")
 
-        monkeypatch.setattr(partitions, "hamming_sum_profiles", refuse)
         tight = RunConfig(krawtchouk_cap_n=8)
-        def prefix_sums(n, q, cfg):
-            return co_profile_prefix_sums(q, n, cfg)
 
-        for call in (ku_value_table, ku_distinct_counts, prefix_sums):
-            with pytest.raises(BudgetError, match=r"^Krawtchouk n = 9 exceeds krawtchouk_cap_n = 8$"):
-                call(9, 2, tight)
-            # at the default cap, a table that would take minutes is refused at once
-            with pytest.raises(BudgetError, match=r"^Krawtchouk n = 20000 exceeds krawtchouk_cap_n = 512$"):
-                call(20000, 2, DEFAULT_CONFIG)
-        assert len(ku_value_table(8, 2, tight)) == 8
+        def criteria(n, q, cfg):
+            # q = 2, k = 4 at n + 1 >= 10: no closed form fires, so the
+            # chain reads the distinct counts of the table of H(n, q)
+            return co_nonreflexivity_verdict(n + 1, 4, q, config=cfg)
+
+        with monkeypatch.context() as m:
+            for module in (krawtchouk, partitions):
+                m.setattr(module, "ku_rows", refuse)
+            for call in (ku_value_table, criteria):
+                with pytest.raises(BudgetError, match=r"^Krawtchouk n = 9 exceeds krawtchouk_cap_n = 8$"):
+                    call(9, 2, tight)
+                # at the default cap, a table that would take minutes is refused at once
+                with pytest.raises(BudgetError, match=r"^Krawtchouk n = 20000 exceeds krawtchouk_cap_n = 512$"):
+                    call(20000, 2, DEFAULT_CONFIG)
+        assert len(ku_value_table(8, 2, tight)) == 9
 
 
 class TestIdentities:
@@ -431,19 +439,6 @@ class TestVerdicts:
                     brute = co_reflexivity_bruteforce(q, n, k)
                     assert brute["reflexive"] == (v["verdict"] == "reflexive"), (q, n, k, v)
 
-    def test_criteria_read_no_support_profile(self, monkeypatch):
-        # the criteria stay independent of the profiles that confirm them
-        from dualpart import partitions
-
-        def refuse(*args):
-            raise AssertionError("hamming_sum_profiles called")
-
-        monkeypatch.setattr(partitions, "hamming_sum_profiles", refuse)
-        for q, n in ((2, 12), (3, 7), (5, 5)):
-            for k in range(1, n + 1):
-                co_nonreflexivity_verdict(n, k, q)
-                dual_class_lower_bound(n, k, q)
-
     def test_value_vector_classifies_dual_classes(self):
         from oracles import co_support_signatures
 
@@ -451,7 +446,7 @@ class TestVerdicts:
         # the dual class of support size t
         q, n, k = 3, 6, 2
         sigs = co_support_signatures(q, n, k)
-        table = ku_value_table(n, q)
+        table = ku_value_table(n - 1, q)
         sig_classes = {}
         vec_classes = {}
         for t in range(1, n + 1):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.exactarith import CycInt, _is_prime, euler_phi_degree
 from dualpart.groups import build_group_product
+from dualpart.krawtchouk import ku_value_table
 from dualpart.metrics import WeightFunction, covering_from_members, pk_covering
 from dualpart.partitions import (
     DualityContext,
@@ -21,7 +22,6 @@ from dualpart.partitions import (
     co_dual_class_count,
     co_profile_prefix_sums,
     co_reflexivity_bruteforce,
-    hamming_sum_profiles,
     induce_CO,
     induce_Q,
     induce_from_ideal_classes,
@@ -51,6 +51,7 @@ from oracles import (
     f_poly_hierarchical,
     from_int,
     hamming_sum_profile,
+    hamming_sum_profiles,
     identity_by_cycint,
     ideals,
     lattice_dual,
@@ -526,29 +527,21 @@ class TestTheoremCheckers:
 
 
 class TestSupportProfileEngine:
-    @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (5, 3)])
+    # the library's one Krawtchouk table, whose column t is profile t,
+    # against the division and convolution profiles and the binomial sum,
+    # none of which runs the recurrence
+    @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5, 7, 16) for n in range(41)])
     def test_profile_matches_krawtchouk_values(self, q, n):
+        columns = [list(col) for col in zip(*ku_value_table(n, q))]
         for t, prof in enumerate(hamming_sum_profiles(q, n)):
-            assert prof == [ku_eval(n, l, q, t) for l in range(n + 1)]
+            assert prof == columns[t] == [ku_eval(n, l, q, t) for l in range(n + 1)]
 
     def test_profiles_match_convolution_oracle(self):
-        for q in range(2, 7):
-            for n in range(21):
-                assert hamming_sum_profiles(q, n) == [hamming_sum_profile(q, n, t) for t in range(n + 1)]
-
-    def test_bruteforce_evaluates_no_krawtchouk_value(self, monkeypatch):
-        # the confirmation stays independent of the formulas the criteria use
-        from dualpart import krawtchouk
-
-        def refuse(*args):
-            raise AssertionError("Krawtchouk value evaluated")
-
-        monkeypatch.setattr(krawtchouk, "ku_values", refuse)
-        monkeypatch.setattr(krawtchouk, "ku_rows", refuse)
-        for q, n in ((2, 12), (3, 7), (5, 5)):
-            prefix = co_profile_prefix_sums(q, n)
-            for k in range(1, n + 1):
-                assert co_reflexivity_bruteforce(q, n, k, prefix) == co_reflexivity_bruteforce(q, n, k)
+        for q in (2, 3, 4, 5, 7, 16):
+            for n in range(41):
+                columns = [list(col) for col in zip(*ku_value_table(n, q))]
+                want = [hamming_sum_profile(q, n, t) for t in range(n + 1)]
+                assert hamming_sum_profiles(q, n) == columns == want, (q, n)
 
     def test_dual_class_count_matches_signatures(self):
         # the count from the inner bounds against every class sum, the
@@ -1338,11 +1331,22 @@ class TestTwinClassEngine:
         # the transform runs on Python ints
         for n in range(1, 65):
             group = build_group_product([[q]] * n)
-            prefix = co_profile_prefix_sums(q, n)
+            prefix = co_profile_prefix_sums(ku_value_table(n, q))
             for k in range(1, n + 1) if n <= 32 else sorted({1, 2, 3, n // 2, n - 1, n}):
                 rep = reflexivity_check(DualityContext(group), induce_CO(group, pk_covering(k, n)))
                 want = co_reflexivity_bruteforce(q, n, k, prefix)
                 assert (rep["gamma_classes"], rep["dual_classes"]) == (want["co_classes"], want["dual_classes"])
+
+    def test_not_bound_by_the_krawtchouk_cap(self):
+        # the engine reads ku_rows, not the capped ku_value_table: its one
+        # block of 12 twins answers under a cap of 8 as at the default cap
+        group = build_group_product([[2]] * 12)
+        duals = []
+        for config in (RunConfig(), RunConfig(krawtchouk_cap_n=8)):
+            gamma = induce_CO(group, pk_covering(3, 12), config)
+            duals.append(DualityContext(group, config).left_dual(gamma))
+        assert duals[1].num_classes == 13
+        assert duals[0].export() == duals[1].export()
 
 
 class TestPairingTable:
