@@ -59,9 +59,11 @@ class RunConfig:
                      codewords of the all-codes MacWilliams statement and
                      that the invariance-subgroup search reads, the
                      lambda-distributions it keeps for one dimension
-                     times k_lambda + k_gamma cells, and the 2|V|^2 cells
-                     of each colour-refinement round before that search.
-                     Each is checked before its cells are allocated.
+                     times k_lambda + k_gamma cells, the 2|V|^2 cells of
+                     a colour-refinement round (once, before that table)
+                     and the image cells the search's backtracking settles
+                     in all, (p - 1) p^j a column.  Each is checked before
+                     its cells are allocated.
     ideal_cap_n:     maximum poset size for ideal enumeration.
     aut_cap_n:       maximum poset size for the automorphism-group search.
     krawtchouk_cap_n: maximum n and k of a Krawtchouk polynomial that

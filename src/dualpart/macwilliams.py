@@ -55,11 +55,6 @@ from .partitions import (
 from .posets import _closure, _stabilizer_chain
 
 
-def _gl_enumerable(p: int, n: int) -> bool:
-    """Whether GL(n, p) is within the invariance-subgroup search's guard."""
-    return (p == 2 and n <= 5) or (p == 3 and n <= 3)
-
-
 @dataclasses.dataclass(frozen=True)
 class PrimeFieldSpace:
     """prod_i F_p^(k_i) with the standard bilinear form and character
@@ -444,7 +439,7 @@ def macwilliams_admits(
 # the invariance subgroup inside GL(N, p)
 # ---------------------------------------------------------------------------
 
-def _refine(cls: np.ndarray, add: np.ndarray, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+def _refine(cls: np.ndarray, add: np.ndarray) -> np.ndarray:
     """The colour refinement of the classes ``cls`` (contiguous ids, one
     per vector index) to a fixed point, read off the index table ``add``
     of x + y.
@@ -453,11 +448,10 @@ def _refine(cls: np.ndarray, add: np.ndarray, config: RunConfig = DEFAULT_CONFIG
     over all y, one integer each below m^3 for m <= |V| classes (an int64
     while |V| < 2^21), and the rows' ranks (``_rank_rows``) are the next classes.  The key holds cls(x), so
     each round refines the last, and the rounds stop when the class count
-    stops growing.  Each round builds |V|^2 keys and ranks a copy of them;
-    those 2|V|^2 cells are checked against ``pair_work_cap`` first."""
-    size, num = len(cls), int(cls.max()) + 1
+    stops growing.  Each round builds |V|^2 keys and ranks a copy of them:
+    2|V|^2 cells, which the caller checks against ``pair_work_cap``."""
+    num = int(cls.max()) + 1
     while True:
-        config.check("pair_work_cap", 2 * size * size, "2|V|^2 colour-refinement cells")
         keys = np.add.outer(cls * (num * num), cls * num)
         keys += cls[add]
         keys.sort(axis=1)
@@ -491,30 +485,35 @@ def _invariance_orbits(
     columns completes it to a map of Inv(delta').  The maps act on the
     element indices, so the orbits are the closures under the generators;
     the order and the orbits are those of the group, whatever classes the
-    search read."""
+    search read.  ``pair_work_cap`` bounds the 2|V|^2 cells of a round,
+    checked before the addition table is built, and the running total of
+    the (p - 1) p^j image cells settled for column j, before each one."""
     p, n = space.p, space.dim
-    if not _gl_enumerable(p, n):
-        raise BudgetError("invariance-subgroup search guarded to GL(5,2) / GL(3,3)")
     size = space.order
-    add_table = _addition(space, config)
-    cls = _refine(delta.class_ids, add_table, config).tolist()
-    add = add_table.tolist()
+    config.check("pair_work_cap", 2 * size * size, "2|V|^2 colour-refinement cells")
+    add = _addition(space, config)
+    cls = _refine(delta.class_ids, add).tolist()
     unit = [p ** (n - 1 - j) for j in range(n)]  # the index of e_j
     # column j is the image of e_j, so it lies in the class of e_j
     candidates = [[c for c in range(size) if cls[c] == cls[u]] for u in unit]
-    mults = _multiples(add_table, p).tolist()
+    mults = _multiples(add, p)  # not lists: |V| p ints, |V|^2 at N = 1
     # img maps every vector supported on the settled columns; the vectors
     # supported on columns 0..j-1 carry the largest place values, so they
     # are the multiples of p^(n-j), and adding coef * e_j to one is exact
     img = list(range(size))
+    settled = 0
 
     def settle(j: int, c: int) -> bool:
-        """Set column j to c; False at the first class violation."""
+        """Set column j to c; False at the first class violation.  s2 +
+        coef * e_j maps to img(s2) + coef * c, read off the row of coef * c."""
+        nonlocal settled
         base = unit[j]
+        settled += (p - 1) * (size // (base * p))
+        config.check("pair_work_cap", settled, "invariance-search settled cells")
         for coef in range(1, p):
-            shifted, off = mults[c][coef], coef * base
+            row, off = add[mults[c, coef]].tolist(), coef * base
             for s2 in range(0, size, base * p):
-                im = add[img[s2]][shifted]
+                im = row[img[s2]]
                 if cls[s2 + off] != cls[im]:
                     return False
                 img[s2 + off] = im
@@ -529,9 +528,7 @@ def _invariance_orbits(
         return any(c not in span and settle(j, c) and complete(j + 1) for c in candidates[j])
 
     def image(lvl: int, c: int) -> list[int] | None:
-        if settle(lvl, c) and complete(lvl + 1):
-            return img.copy()
-        return None
+        return img.copy() if settle(lvl, c) and complete(lvl + 1) else None
 
     # img stays the identity on the span of e_0..e_(l-1), the multiples of
     # p^(n-l): the levels searched before settle only vectors outside it,
@@ -614,9 +611,10 @@ def conjecture21_report(
     F_q^n satisfies the extension property.
 
     Non-reflexivity refutes the extension property (the orbit equality
-    implies reflexivity); the witness search runs, and attaches a concrete
-    pair when it finds one, within the GL(5,2) / GL(3,3) guard.  Both
-    tables are built under ``config``, whose cap on n is checked first."""
+    implies reflexivity).  The witness search runs last and attaches a
+    concrete pair when it finds one; a cap's refusal of it is reported as
+    ``witness_search_refused``.  Every table is built under ``config``,
+    whose cap on n is checked first."""
     from .krawtchouk import co_nonreflexivity_verdict, ku_value_table
 
     if not _is_prime(q_prime):
@@ -634,10 +632,13 @@ def conjecture21_report(
     if not brute["reflexive"]:
         report["tiers"].append("brute-force-non-reflexive")
     witness = None
-    if _gl_enumerable(q_prime, n):
-        space = PrimeFieldSpace(q_prime, (1,) * n)
+    space = PrimeFieldSpace(q_prime, (1,) * n)
+    try:
         delta = co_vector_space_partition(space, k, config)
         search = mep_witness_search(space, delta, config)
+    except BudgetError as refused:
+        report["witness_search_refused"] = str(refused)
+    else:
         report["witness_search"] = search
         witness = search["witness"]
         if witness is not None:
@@ -657,7 +658,7 @@ def conjecture21_report(
         checked = (
             "every class is one orbit of the invariance group, so no one-dimensional witness exists"
             if "witness_search" in report
-            else "no witness search outside GL(5,2) / GL(3,3)"
+            else f"no witness search: {report['witness_search_refused']}"
         )
         report["evidence"] = f"reflexive; {checked}; instance open"
     return report

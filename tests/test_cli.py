@@ -287,6 +287,16 @@ class TestRefute:
         assert search["orbit_classes"] == search["delta_classes"]
         assert search["witness"] is None
 
+    def test_search_refused_past_the_pair_cap(self, capsys):
+        # 2 * 2^26 refinement cells exceed the default pair_work_cap; the
+        # refusal comes before the addition table is built
+        code, out, err = run(capsys, "refute", "2", "13", "4")
+        report = json.loads(out)
+        assert (code, err) == (0, "") and report["refuted"] and "witness_search" not in report
+        assert report["witness_search_refused"] == (
+            "2|V|^2 colour-refinement cells = 134217728 exceeds pair_work_cap = 67108864"
+        )
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run(capsys, "refute", "3", "3", "2")
         _, b, _ = run(capsys, "refute", "3", "3", "2")
@@ -392,8 +402,15 @@ class TestBudgetEnv:
             monkeypatch.setenv("DUALPART_BUDGET", write_json(tmp_path, "budget.json", {"pair_work_cap": cap}))
         code, out, err = run(capsys, "refute", "2", "5", "3")
         if cap == 2047:
-            assert (code, out) == (2, "")
-            assert err == "budget-exceeded: 2|V|^2 colour-refinement cells = 2048 exceeds pair_work_cap = 2047\n"
+            # the refused search is reported; the criteria and brute-force
+            # tiers still refute the instance
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["refuted"] and "witness_search" not in report
+            assert report["tiers"] == ["criteria-non-reflexive", "brute-force-non-reflexive"]
+            assert report["witness_search_refused"] == (
+                "2|V|^2 colour-refinement cells = 2048 exceeds pair_work_cap = 2047"
+            )
         else:
             assert (code, err) == (0, "")
             assert out == (Path(__file__).parent / "golden" / "refute-2-5-3.out").read_text(encoding="utf-8")

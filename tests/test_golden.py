@@ -58,6 +58,10 @@ CASES = {
     "refute-2-5-3": ["refute", "2", "5", "3"],
     "refute-3-3-2": ["refute", "3", "3", "2"],
     "refute-3-3-3": ["refute", "3", "3", "3"],
+    # past F_2^5 and F_3^3: an explicit witness at p = 5, and a reflexive
+    # instance whose invariance group has order 7! = 5040
+    "refute-5-3-2": ["refute", "5", "3", "2"],
+    "refute-2-6-2": ["refute", "2", "6", "2"],
 }
 
 

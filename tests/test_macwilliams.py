@@ -314,12 +314,16 @@ class TestAllCodesEngine:
         with pytest.raises(BudgetError, match="\\|V\\|\\^2 addition-table cells = 256 exceeds pair_work_cap = 255"):
             macwilliams_admits(space, ham, ham, RunConfig(pair_work_cap=255))
 
-    def test_addition_table_capped(self):
-        # the |V| x |V| index table of x + y that the invariance search
-        # reads is checked before it is built
+    def test_addition_table_capped(self, monkeypatch):
+        # the invariance search checks the 2|V|^2 cells of a refinement
+        # round before it builds the |V| x |V| index table of x + y
+        def refuse(*args, **kwargs):
+            raise AssertionError("addition table built")
+
+        monkeypatch.setattr(macwilliams, "_addition", refuse)
         space = PrimeFieldSpace(2, (1,) * 5)
         delta = co_vector_space_partition(space, 3)
-        with pytest.raises(BudgetError, match="^\\|V\\|\\^2 addition-table cells = 1024 exceeds pair_work_cap = 1023$"):
+        with pytest.raises(BudgetError, match="^2\\|V\\|\\^2 colour-refinement cells = 2048 exceeds pair_work_cap = 1023$"):
             macwilliams._invariance_orbits(space, delta, RunConfig(pair_work_cap=1023))
 
     def test_f2_8_within_the_subspace_count(self):
@@ -433,9 +437,26 @@ class TestInvarianceSubgroup:
         assert set(maps) == oracle
 
     def test_size_guard(self):
+        # F_2^6 is searched at the default caps; a cap below the 2|V|^2
+        # refinement cells refuses it
         space = PrimeFieldSpace(2, (1,) * 6)
-        with pytest.raises(BudgetError):
-            mep_witness_search(space, hamming(space))
+        res = mep_witness_search(space, hamming(space))
+        assert res == {"inv_order": 720, "orbit_classes": 7, "delta_classes": 7, "witness": None}
+        with pytest.raises(BudgetError, match="^2\\|V\\|\\^2 colour-refinement cells = 8192 exceeds pair_work_cap = 8191$"):
+            mep_witness_search(space, hamming(space), RunConfig(pair_work_cap=8191))
+
+    def test_settled_cells_capped(self):
+        # {0}, f^-1(0) minus 0 and f^-1(1) on F_2^6, f(x, y) = x . pi(y) bent
+        # (x the first three coordinates, pi swapping 3 and 4): the
+        # backtracking settles more cells than the 8,192 of a refinement
+        # round, so its own running count is the check that refuses it
+        space = PrimeFieldSpace(2, (1,) * 6)
+        pi = [0, 1, 2, 4, 3, 5, 6, 7]
+        keys = [0] + [1 + bin((v >> 3) & pi[v & 7]).count("1") % 2 for v in range(1, 64)]
+        delta = Partition(np.array(keys), host=space.group)
+        with pytest.raises(BudgetError, match="^invariance-search settled cells = 20002 exceeds pair_work_cap = 20000$"):
+            macwilliams._invariance_orbits(space, delta, RunConfig(pair_work_cap=20000))
+        assert macwilliams._invariance_orbits(space, delta, RunConfig(pair_work_cap=1 << 30))[0] == 1344
 
 
 class TestOrbitsAndWitness:
@@ -588,6 +609,16 @@ class TestStabilizerChain:
         space = PrimeFieldSpace(p, (1,) * n)
         assert self.check(space, Partition(np.zeros(space.order, dtype=np.int64))) == gl
 
+    @pytest.mark.parametrize(
+        "p,n,k,order",
+        [(5, 2, 1, 32), (7, 2, 1, 72), (5, 2, 2, 480), (11, 2, 1, 200), (5, 3, 2, 384),
+         (2, 6, 2, 5040), (2, 6, 3, 720)],
+    )
+    def test_covering_past_small_gl(self, p, n, k, order):
+        # p >= 5 and F_2^6, each searched at the default caps
+        space = PrimeFieldSpace(p, (1,) * n)
+        assert self.check(space, co_vector_space_partition(space, k)) == order
+
     @pytest.mark.parametrize("case", range(len(RANDOM_CASES)))
     def test_random(self, case):
         self.check(*RANDOM_CASES[case])
@@ -617,11 +648,23 @@ class TestConjectureReports:
             "so no one-dimensional witness exists; instance open"
         )
 
-    @pytest.mark.parametrize("q,n,k", [(2, 6, 1), (5, 2, 1)])
-    def test_open_without_search(self, q, n, k):
+    @pytest.mark.parametrize("q,n,k,order", [(2, 6, 1, 720), (5, 2, 1, 32)])
+    def test_open_after_search(self, q, n, k, order):
         rep = conjecture21_report(q, n, k)
+        assert not rep["refuted"] and rep["witness_search"]["inv_order"] == order
+        assert rep["evidence"] == (
+            "reflexive; every class is one orbit of the invariance group, "
+            "so no one-dimensional witness exists; instance open"
+        )
+
+    def test_open_with_refused_search(self):
+        # a reflexive instance whose search a cap refuses keeps the other
+        # tiers and names the refusal
+        rep = conjecture21_report(2, 6, 1, RunConfig(pair_work_cap=8191))
+        refused = "2|V|^2 colour-refinement cells = 8192 exceeds pair_work_cap = 8191"
         assert not rep["refuted"] and "witness_search" not in rep
-        assert rep["evidence"] == "reflexive; no witness search outside GL(5,2) / GL(3,3); instance open"
+        assert rep["witness_search_refused"] == refused
+        assert rep["evidence"] == f"reflexive; no witness search: {refused}; instance open"
 
     def test_rejects_composite(self):
         with pytest.raises(InputError):
@@ -629,19 +672,30 @@ class TestConjectureReports:
 
     @pytest.mark.parametrize("q", [5, 1000003])
     def test_primality_tested_once(self, q, monkeypatch):
-        # outside the witness branch (q = 2 or 3) no space is built, so
-        # nothing tests q again
+        # the report tests q once, before any table is built; the space of
+        # the witness search tests it again when it is made
+        import dualpart.krawtchouk as krawtchouk
+
         calls = []
-        is_prime = macwilliams._is_prime
+        is_prime, value_table = macwilliams._is_prime, krawtchouk.ku_value_table
 
         def counted(p):
             calls.append(p)
             return is_prime(p)
 
+        def table(*args, **kwargs):
+            calls.append("table")
+            return value_table(*args, **kwargs)
+
         monkeypatch.setattr(macwilliams, "_is_prime", counted)
+        monkeypatch.setattr(krawtchouk, "ku_value_table", table)
         rep = conjecture21_report(q, 3, 2)
-        assert calls == [q]
-        assert "witness_search" not in rep
+        assert calls[:2] == [q, "table"] and calls.count(q) == 2
+        if q == 5:
+            assert rep["witness_search"]["inv_order"] == 384
+        else:
+            assert "witness_search" not in rep
+            assert rep["witness_search_refused"].startswith("2|V|^2 colour-refinement cells = ")
 
 
 def test_is_prime_matches_sieve():

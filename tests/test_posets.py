@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualpart.config import BudgetError, InputError, RunConfig
 from dualpart.posets import (
+    Poset,
     antichain,
     automorphism_group,
     chain,
@@ -226,6 +227,13 @@ def test_closure_and_cycle_check_match_pairwise_oracle():
         else:
             assert validate_and_close(n, rels).down == want, (n, rels)
     assert 300 < cycles < 2700
+
+
+def test_poset_refuses_equal_down_sets():
+    # 0 <= 1 <= 0: a closed, reflexive relation that is not antisymmetric
+    with pytest.raises(InputError, match="^cycle detected: input is not a poset$"):
+        Poset(3, (0b011, 0b011, 0b100))
+    assert Poset(3, (0b001, 0b011, 0b100)).leq(0, 1)
 
 
 def test_apply_perm():
